@@ -11,6 +11,7 @@ from .engine import (
     CAVEAT_FLAG,
     CoefficientTable,
     a_op,
+    caveat_for,
     check_alternating,
     coefficients,
     cohomological_part,
@@ -95,6 +96,20 @@ from .resolution import (
     resolution_pair,
     validate_directed,
 )
+
+from . import engine, gamma, oracle_a3, partitions, quiver, resolution
+
+
+def clear_caches() -> None:
+    """Empty every memo of the package: the ``functools.cache`` tables of
+    all its modules (structure constants, coproducts, positive roots) and
+    the straightening memo."""
+    for module in (engine, gamma, oracle_a3, partitions, quiver, resolution):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    gamma._straighten_cache.clear()
+
 
 __version__ = "0.1.0"
 

@@ -25,6 +25,7 @@ import sys
 from typing import Any, Sequence
 
 from .engine import (
+    caveat_for,
     check_alternating,
     coefficients,
     cohomological_part,
@@ -172,12 +173,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
         pair = pair_from_file(args.pair)
         tensor = coefficients(q, orbit.dim, pair)
         cd = codim(q, orbit.dim, pair)
-        kind = dynkin_type(q)
-        caveat = (
-            "conjectural-under-rational-singularities"
-            if ("D" in kind or "E" in kind)
-            else None
-        )
+        caveat = caveat_for(q)
     if args.cohomological:
         tensor = project_degree(tensor, cd)
     if args.format == "table":
@@ -234,8 +230,7 @@ def _run_check(q: Quiver, suite: str, max_dim: int) -> tuple[int, list[dict]]:
             full = quiver_coefficients(
                 q, e, orbit, dp=directed_partition(q, positive_roots(q))
             )
-            kind = dynkin_type(q)
-            if "D" in kind or "E" in kind:
+            if caveat_for(q):
                 agree = (
                     cohomological_part(base) == cohomological_part(full)
                     and base.codim == full.codim

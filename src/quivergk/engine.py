@@ -8,10 +8,19 @@ vertex, then absorbs the working slot through a straightened
 rectangle-shift.  The lowest total degree of the result is the
 codimension of the orbit closure, and for Dynkin type A the table is
 independent of the chosen directed partition.
+
+A step of rank r keeps only the terms whose working partition has at
+most r rows.  Every partition in a product of stable Grothendieck classes
+contains both factors (Buch's Littlewood-Richardson rule for K-theory),
+so the working slot never loses rows on its way through the splits; the
+bound is therefore applied where terms are made, in ``psi`` and in the
+row-capped ``coproduct``, and the expansion is exactly the one that
+building every term and dropping the long ones at ``a_op`` would give.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .gamma import (
@@ -42,6 +51,14 @@ from .resolution import (
 CAVEAT_FLAG = "conjectural-under-rational-singularities"
 
 
+def caveat_for(q: Quiver) -> str | None:
+    """The caveat a table of ``q`` carries: away from type A only its
+    degree-equals-codim slice is backed by the positivity/rationality
+    hypotheses, so a quiver with a D or E component is flagged."""
+    kind = dynkin_type(q)
+    return CAVEAT_FLAG if ("D" in kind or "E" in kind) else None
+
+
 @dataclass(frozen=True)
 class EngineState:
     """Stage of the recursion: remaining steps and the current dimension
@@ -65,22 +82,38 @@ class CoefficientTable:
     caveat: str | None = None
 
 
-def psi(p: TensorElement, i: int) -> TensorElement:
-    """Coproduct split of slot ``i`` against the working (last) slot."""
+def psi(p: TensorElement, i: int, max_rows: int | None = None) -> TensorElement:
+    """Coproduct split of slot ``i`` against the working (last) slot.
+
+    With ``max_rows`` set, only the terms whose working partition has at
+    most that many rows are built.  A product of stable Grothendieck
+    classes contains both factors, so a working partition never loses
+    rows: a term past the bound here would stay past it in every later
+    ``psi`` and be dropped by ``a_op`` anyway.
+    """
     if not 1 <= i < p.arity:
         raise QuiverError(f"psi slot {i} out of range for arity {p.arity}")
+    if max_rows is None:
+        max_rows = sys.maxsize
+    elif max_rows < 0:
+        raise QuiverError("negative rank")
     out: dict[tuple, int] = {}
     for key, c in p.terms.items():
-        lam = key[-1]
-        for (sigma, tau), d in coproduct(key[i - 1]).terms.items():
+        lam, split = key[-1], key[i - 1]
+        if len(lam) > max_rows:
+            continue
+        # clamped so that every bound past len(split) shares one cache entry
+        for (sigma, tau), d in coproduct(split, min(max_rows, len(split))).terms.items():
             for nu, cc in _mul_basis(tau, lam):
+                if len(nu) > max_rows:
+                    continue
                 nk = key[: i - 1] + (sigma,) + key[i:-1] + (nu,)
                 val = out.get(nk, 0) + c * d * cc
                 if val:
                     out[nk] = val
                 elif nk in out:
                     del out[nk]
-    return TensorElement(p.arity, out)
+    return TensorElement._trusted(p.arity, out)
 
 
 def a_op(p: TensorElement, i: int, r: int, c: int) -> TensorElement:
@@ -108,7 +141,7 @@ def a_op(p: TensorElement, i: int, r: int, c: int) -> TensorElement:
                 out[nk] = val
             elif nk in out:
                 del out[nk]
-    return TensorElement(p.arity - 1, out)
+    return TensorElement._trusted(p.arity - 1, out)
 
 
 def phi(
@@ -120,7 +153,7 @@ def phi(
         raise QuiverError(f"rank {r} exceeds stage dimension at vertex {i}")
     cur = append_unit(p)
     for head in sorted(h for t, h in q.arrows if t == i):
-        cur = psi(cur, head)
+        cur = psi(cur, head, r)
     c = incoming_rank(q, stage_e, i) - stage_e[i - 1] + r
     return a_op(cur, i, r, c)
 
@@ -150,9 +183,8 @@ def quiver_coefficients(
     """Full expansion of one orbit closure.
 
     The directed partition defaults to the greedy one on the orbit's
-    support.  For quivers with a D or E component the table is flagged:
-    away from type A only its degree-equals-codim slice is backed by the
-    positivity/rationality hypotheses, the rest is conjectural.
+    support.  For quivers with a D or E component the table is flagged
+    (see ``caveat_for``).
     """
     ev = q.check_vector(e)
     if orbit.dim != ev:
@@ -165,8 +197,6 @@ def quiver_coefficients(
         )
     pair = resolution_pair(q, orbit, dp)
     tensor = coefficients(q, ev, pair)
-    kind = dynkin_type(q)
-    caveat = CAVEAT_FLAG if ("D" in kind or "E" in kind) else None
     return CoefficientTable(
         quiver=q,
         e=ev,
@@ -174,7 +204,7 @@ def quiver_coefficients(
         codim=codim(q, ev, pair),
         pair=pair,
         orbit=orbit,
-        caveat=caveat,
+        caveat=caveat_for(q),
     )
 
 

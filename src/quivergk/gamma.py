@@ -7,6 +7,9 @@ reading word, with a fixed partition word appended, satisfies the reverse
 lattice condition.  The enumerator walks boxes in reversed reading order
 so the lattice condition can be checked letter by letter, which is what
 keeps the rectangle-sized coproducts used by the orbit engine affordable.
+A per-letter count cap prunes the walk further: ``coproduct(nu, m)``
+builds only the terms whose second factor has at most m rows, the factor
+the engine multiplies into its row-bounded working slot.
 
 Raising-operator sequences (arbitrary integer tuples) are straightened
 into the partition basis by ``straighten``.
@@ -38,6 +41,14 @@ class GammaElement:
                 if not clean[key]:
                     del clean[key]
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, terms: dict[Partition, int]) -> "GammaElement":
+        """Wrap ``terms`` as is: every key already a normal partition and
+        every coefficient non-zero."""
+        self = object.__new__(cls)
+        self.terms = terms
+        return self
 
     @staticmethod
     def zero() -> "GammaElement":
@@ -113,6 +124,15 @@ class TensorElement:
                     del clean[k]
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, arity: int, terms: dict[TensorKey, int]) -> "TensorElement":
+        """Wrap ``terms`` as is: every key of length ``arity`` made of
+        normal partitions, and every coefficient non-zero."""
+        self = object.__new__(cls)
+        self.arity = arity
+        self.terms = terms
+        return self
+
     @staticmethod
     def unit(arity: int) -> "TensorElement":
         return TensorElement(arity, {((),) * arity: 1})
@@ -166,6 +186,7 @@ def _lattice_walk(
     tail: Partition,
     caps: tuple[int, ...],
     target: Partition | None = None,
+    letter_cap: tuple[int, int] | None = None,
 ) -> dict[tuple[int, ...], int]:
     """Count set-valued fillings of a skew shape by reading-word content.
 
@@ -177,7 +198,9 @@ def _lattice_walk(
     condition.  ``caps[r-1]`` bounds the letters usable in row r.
 
     Returns {content: count} over the full word (tail included); with
-    ``target`` set, only that content is counted.
+    ``target`` set, only that content is counted.  ``letter_cap = (v, k)``
+    drops every word with more than k copies of v; counts only grow, so
+    the walk stops as soon as a placement would exceed it.
     """
     nrows = len(bounds)
     boxes: list[tuple[int, int]] = []
@@ -193,13 +216,23 @@ def _lattice_walk(
         need = sum(target)
     else:
         tlen = max([len(tail), *caps]) if (tail or caps) else 0
-        need = -1
+        need = _BIG
 
+    # limit[v] bounds the copies of letter v; counts[0] = _BIG lets letter 1
+    # pass the lattice test, and tops[r-1] is the largest letter of row r
     counts = [0] * (tlen + 2)
-    for i, m in enumerate(tail, start=1):
-        counts[i] = m
-    if target is not None and any(counts[i + 1] > target[i] for i in range(tlen)):
+    limit = [_BIG] * (tlen + 2)
+    counts[1 : len(tail) + 1] = tail
+    tops = caps
+    if target is not None:
+        limit[1 : tlen + 1] = target
+        tops = tuple(min(cap, tlen) for cap in caps)
+    if letter_cap is not None and letter_cap[0] < len(limit):
+        v, k = letter_cap
+        limit[v] = min(limit[v], k)
+    if any(n > bound for n, bound in zip(counts, limit)):
         return {}
+    counts[0] = _BIG
     total0 = sum(tail)
 
     maxcol = max((stop for _, stop in bounds), default=0)
@@ -220,9 +253,7 @@ def _lattice_walk(
         mingrid[r][c] = last
         advance(bi + 1, total)
         for v in range(last - 1, lo, -1):
-            if v >= 2 and counts[v - 1] <= counts[v]:
-                continue
-            if target is not None and counts[v] >= target[v - 1]:
+            if counts[v - 1] <= counts[v] or counts[v] >= limit[v]:
                 continue
             counts[v] += 1
             grow(bi, r, c, lo, v, total + 1)
@@ -233,17 +264,15 @@ def _lattice_walk(
             if target is None or total == need:
                 record()
             return
-        if target is not None and need - total < nboxes - bi:
+        if need - total < nboxes - bi:
             return
         r, c = boxes[bi]
         lo = maxgrid[r - 1][c]
-        hi = min(caps[r - 1], mingrid[r][c + 1])
-        if target is not None and hi > tlen:
-            hi = tlen
+        hi = mingrid[r][c + 1]
+        if hi > tops[r - 1]:
+            hi = tops[r - 1]
         for v in range(hi, lo, -1):
-            if v >= 2 and counts[v - 1] <= counts[v]:
-                continue
-            if target is not None and counts[v] >= target[v - 1]:
+            if counts[v - 1] <= counts[v] or counts[v] >= limit[v]:
                 continue
             counts[v] += 1
             maxgrid[r][c] = v
@@ -303,30 +332,37 @@ def mul(a: GammaElement, b: GammaElement) -> GammaElement:
 
 
 @cache
-def coproduct(nu: Partition) -> TensorElement:
+def coproduct(nu: Partition, max_rows: int | None = None) -> TensorElement:
     """Coproduct of a basis class, as an arity-2 tensor.
 
-    Computed through one rectangle enumeration: with R the tightest
-    rectangle around ``nu``, every filling of R whose content splits as
-    (R + mu, lam) contributes to the (lam, mu) component.
+    Computed through one rectangle enumeration: with R = p x q the
+    tightest rectangle around ``nu``, every filling of R whose content
+    splits as (R + mu, lam) contributes to the (lam, mu) component.
+
+    With ``max_rows`` = m set, only the components whose ``mu`` has at
+    most m rows are kept.  Since rho_{m+1} = q + mu_{m+1} must not fall
+    below q, mu has at most m rows exactly when letter m+1 appears at
+    most q times, so the walk caps that letter and never builds the rest.
+    The default m = p is the same cap on letter p+1 that keeps ``lam``
+    inside the rectangle.
     """
     nu = normalize(nu)
     p = len(nu)
     q = nu[0] if nu else 0
+    if max_rows is not None and max_rows < 0:
+        raise ValueError(f"negative max_rows {max_rows}")
+    m = p if max_rows is None else min(max_rows, p)
     caps = tuple(r + p for r in range(1, p + 1))
-    hits = _lattice_walk(tuple((0, q) for _ in range(p)), nu, caps)
+    hits = _lattice_walk(tuple((0, q) for _ in range(p)), nu, caps, letter_cap=(m + 1, q))
+    # every content is a term of the product of R and nu, so it contains R
+    # and reads rho = (q + mu, lam); that determines (lam, mu), so no two
+    # contents meet in one key and every count stays non-zero
+    base = p * q + sum(nu)
     out: dict[TensorKey, int] = {}
     for rho, n in hits.items():
-        if len(rho) < p or any(rho[i] < q for i in range(p)):
-            continue
-        lam = rho[p:]
-        if lam and lam[0] > q:
-            continue
-        mu = normalize(rho[i] - q for i in range(p))
-        sign = _sign(sum(rho) - p * q - sum(nu))
-        key = (normalize(lam), mu)
-        out[key] = out.get(key, 0) + sign * n
-    return TensorElement(2, out)
+        mu = tuple(x - q for x in rho[:m] if x > q)
+        out[(rho[p:], mu)] = _sign(sum(rho) - base) * n
+    return TensorElement._trusted(2, out)
 
 
 @cache
@@ -417,8 +453,14 @@ def straighten(seq: Iterable[int], strategy: str = "leftmost") -> GammaElement:
     first; both choices give the same result (a property the tests
     exercise), the default matching the recursive evaluation order used
     by the orbit engine.
+
+    A memoised sequence returns at once; only a sequence not seen before
+    reads ``QK_MAX_DEPTH`` and sizes the depth guard.
     """
     seq = tuple(int(x) for x in seq)
+    hit = _straighten_cache.get((strategy, seq))
+    if hit is not None:
+        return GammaElement._trusted(dict(hit))
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
     env = os.environ.get("QK_MAX_DEPTH")
@@ -464,7 +506,7 @@ def straighten(seq: Iterable[int], strategy: str = "leftmost") -> GammaElement:
         _straighten_cache[(strategy, s)] = result
         return result
 
-    return GammaElement(dict(go(seq, 0)))
+    return GammaElement._trusted(dict(go(seq, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +528,7 @@ def tensor_mul_at(p: TensorElement, slot: int, g: GammaElement) -> TensorElement
 
 def append_unit(p: TensorElement) -> TensorElement:
     """Extend a tensor by one unit slot on the right."""
-    return TensorElement(p.arity + 1, {key + ((),): c for key, c in p.terms.items()})
+    return TensorElement._trusted(p.arity + 1, {key + ((),): c for key, c in p.terms.items()})
 
 
 def key_degree(key: TensorKey) -> int:
@@ -495,7 +537,7 @@ def key_degree(key: TensorKey) -> int:
 
 def project_degree(p: TensorElement, d: int) -> TensorElement:
     """The exact-degree-``d`` slice of a tensor."""
-    return TensorElement(
+    return TensorElement._trusted(
         p.arity, {key: c for key, c in p.terms.items() if key_degree(key) == d}
     )
 
@@ -505,13 +547,3 @@ def min_degree(p: TensorElement) -> int | None:
     if not p.terms:
         return None
     return min(key_degree(key) for key in p.terms)
-
-
-def clear_caches() -> None:
-    """Drop all memoized structure constants (mostly for benchmarks)."""
-    lr_coeff.cache_clear()
-    _mul_basis.cache_clear()
-    coproduct.cache_clear()
-    coproduct_coeff.cache_clear()
-    coproduct2.cache_clear()
-    _straighten_cache.clear()

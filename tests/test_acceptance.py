@@ -107,14 +107,14 @@ def a2_corpus():
 @cache
 def inbound_corpus():
     return [
-        (m, quiver_coefficients(INBOUND, m.dim, m.orbit())) for m in all_mults(3)
+        (m, quiver_coefficients(INBOUND, m.dim, m.orbit())) for m in all_mults(4)
     ]
 
 
 @cache
 def outbound_corpus():
     return [
-        (m, quiver_coefficients(OUTBOUND, m.dim, m.orbit())) for m in all_mults(3)
+        (m, quiver_coefficients(OUTBOUND, m.dim, m.orbit())) for m in all_mults(4)
     ]
 
 

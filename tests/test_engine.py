@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from quivergk.engine import (
     quiver_coefficients,
 )
 from quivergk.gamma import TensorElement, basis, min_degree, tensor_mul_at
-from quivergk.partitions import conjugate
+from quivergk.partitions import conjugate, partitions_fitting
 from quivergk.quiver import OrbitSpec, Quiver, QuiverError, orbits, positive_roots
 from quivergk.resolution import ResolutionPair, directed_partition_from_blocks
 
@@ -93,6 +94,31 @@ def small_tensors(draw, arity=4):
 @settings(max_examples=40, deadline=None)
 def test_psi_slots_commute(p, j, k):
     assert psi(psi(p, j), k).terms == psi(psi(p, k), j).terms
+
+
+def rows_at_most(p, r):
+    """The terms of ``p`` whose working (last) slot has at most r rows."""
+    return {key: c for key, c in p.terms.items() if len(key[-1]) <= r}
+
+
+def test_psi_row_bound_is_a_restriction():
+    """Pruning inside psi equals building every term and dropping the
+    working partitions past the bound, also across a chain of splits."""
+    box = list(partitions_fitting(2, 2))
+    rng = random.Random(20070826)
+    for _ in range(100):
+        terms = {tuple(rng.choice(box) for _ in range(3)): rng.choice((-2, -1, 1, 2)) for _ in range(3)}
+        p = TensorElement(3, terms)
+        i = rng.randint(1, 2)
+        single, chained = psi(p, i), psi(psi(p, 1), 2)
+        for r in range(5):
+            assert psi(p, i, r).terms == rows_at_most(single, r), (terms, i, r)
+            assert psi(psi(p, 1, r), 2, r).terms == rows_at_most(chained, r), (terms, r)
+
+
+def test_psi_rejects_negative_bound():
+    with pytest.raises(QuiverError):
+        psi(TensorElement.unit(2), 1, -1)
 
 
 # ---------------------------------------------------------------------------

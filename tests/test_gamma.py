@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quivergk import clear_caches
 from quivergk.gamma import (
     GammaElement,
     StraighteningDepthError,
     TensorElement,
     append_unit,
     basis,
-    clear_caches,
     coproduct,
     coproduct2,
     coproduct_coeff,
@@ -183,6 +183,50 @@ def test_coproduct_cocommutative():
     for nu in SMALL:
         t = coproduct(nu).terms
         assert t == {(b, a): c for (a, b), c in t.items()}
+
+
+def test_coproduct_row_cap_is_a_restriction():
+    """coproduct(nu, m) is coproduct(nu) cut to the terms whose second
+    factor has at most m rows, for every nu in the 4 x 4 box."""
+    for nu in partitions_fitting(4, 4):
+        full = coproduct(nu).terms
+        assert coproduct(nu, len(nu) + 2) == coproduct(nu)
+        for m in range(len(nu) + 1):
+            cut = {key: c for key, c in full.items() if len(key[1]) <= m}
+            assert coproduct(nu, m).terms == cut, (nu, m)
+
+
+def test_coproduct_rejects_negative_row_cap():
+    with pytest.raises(ValueError):
+        coproduct((1,), -1)
+
+
+def test_clear_caches_empties_every_memo():
+    """One call empties each functools memo of every package module and
+    the straightening memo."""
+    import importlib
+    import pkgutil
+
+    import quivergk
+    from quivergk import gamma, orbits, quiver_coefficients, Quiver
+
+    q = Quiver(3, ((1, 2), (3, 2)))
+    for orbit in orbits(q, (2, 2, 2)):
+        quiver_coefficients(q, (2, 2, 2), orbit)
+    coproduct_coeff((1,), (1,), (1,))
+    coproduct2((2, 1))
+    memos = []
+    for info in pkgutil.iter_modules(quivergk.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"quivergk.{info.name}")
+        memos += [obj for obj in vars(module).values() if hasattr(obj, "cache_info")]
+    assert any(memo.cache_info().currsize for memo in memos)
+    assert gamma._straighten_cache
+    clear_caches()
+    for memo in memos:
+        assert memo.cache_info().currsize == 0, memo
+    assert gamma._straighten_cache == {}
 
 
 @given(partitions(max_size=4, max_part=3))
