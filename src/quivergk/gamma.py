@@ -455,7 +455,9 @@ def straighten(seq: Iterable[int], strategy: str = "leftmost") -> GammaElement:
     by the orbit engine.
 
     A memoised sequence returns at once; only a sequence not seen before
-    reads ``QK_MAX_DEPTH`` and sizes the depth guard.
+    reads ``QK_MAX_DEPTH`` and sizes the depth guard.  The interpreter's
+    recursion limit is raised to fit the guard for the call only and put
+    back on return.
     """
     seq = tuple(int(x) for x in seq)
     hit = _straighten_cache.get((strategy, seq))
@@ -470,9 +472,6 @@ def straighten(seq: Iterable[int], strategy: str = "leftmost") -> GammaElement:
         guard = 10 * len(seq) * (max(seq) - min(seq) + 2)
     else:
         guard = 10
-    limit = sys.getrecursionlimit()
-    if guard + 500 > limit:
-        sys.setrecursionlimit(guard + 500)
 
     def go(s: tuple[int, ...], depth: int) -> tuple[tuple[Partition, int], ...]:
         hit = _straighten_cache.get((strategy, s))
@@ -506,7 +505,12 @@ def straighten(seq: Iterable[int], strategy: str = "leftmost") -> GammaElement:
         _straighten_cache[(strategy, s)] = result
         return result
 
-    return GammaElement._trusted(dict(go(seq, 0)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, guard + 500))
+    try:
+        return GammaElement._trusted(dict(go(seq, 0)))
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # ---------------------------------------------------------------------------

@@ -59,12 +59,18 @@ def partitions_fitting(rows: int, cols: int) -> Iterator[Partition]:
     Emitted in graded order (by size, then lexicographically) so callers
     iterating a rectangle get a stable sequence.
     """
-    seen = []
-    for lam in itertools.product(range(cols, -1, -1), repeat=rows):
-        if all(a >= b for a, b in zip(lam, lam[1:])):
-            seen.append(normalize(lam))
-    seen = sorted(set(seen), key=lambda lam: (sum(lam), lam))
-    yield from seen
+
+    def fill(size: int, rows: int, cap: int) -> Iterator[Partition]:
+        # partitions of ``size`` in a rows x cap box, smallest first part first
+        if size == 0:
+            yield ()
+        elif size <= rows * cap:
+            for first in range(1, min(size, cap) + 1):
+                for rest in fill(size - first, rows - 1, first):
+                    yield (first,) + rest
+
+    for size in range(rows * cols + 1):
+        yield from fill(size, rows, cols)
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,9 @@ dimensions, computed by fraction-free integer elimination.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -198,48 +197,35 @@ def is_dynkin(q: Quiver) -> bool:
 # ---------------------------------------------------------------------------
 # roots and orbits
 
-_ENTRY_BOUND = 6  # no ADE root coordinate exceeds 6
-
-
 @cache
 def positive_roots(q: Quiver) -> tuple[Vector, ...]:
     """All positive roots of a Dynkin quiver, in graded lexicographic order.
 
-    Brute force: per connected component, every vector with entries
-    0..6, connected support, and Tits form 1 is a positive root.
+    Simple-root closure: start from the simple roots and add a simple
+    root to each root found while the Tits form stays 1.  Two classical
+    facts make this exact.  By Gabriel's theorem the positive roots are
+    the non-zero non-negative vectors of Tits form 1; and in a
+    simply-laced finite root system every non-simple positive root
+    beta has a simple alpha_i with beta - alpha_i a positive root
+    (Bourbaki, Lie Groups VI 1.6), so each root is reached.  A vector
+    spread over two components has Tits form at least 2, so disconnected
+    quivers need no special case.  The Dynkin check comes first: on any
+    other quiver the closure never ends.
     """
     if not is_dynkin(q):
         raise QuiverError(f"positive roots need a Dynkin quiver, got {dynkin_type(q)}")
-    roots: list[Vector] = []
-    for comp in _components(q):
-        index = {v: k for k, v in enumerate(comp)}
-        edges = [
-            (index[t], index[h]) for t, h in q.arrows if t in index and h in index
-        ]
-        adj: dict[int, list[int]] = {k: [] for k in range(len(comp))}
-        for a, b in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        for local in itertools.product(range(_ENTRY_BOUND + 1), repeat=len(comp)):
-            if not any(local):
-                continue
-            if sum(x * x for x in local) - sum(local[a] * local[b] for a, b in edges) != 1:
-                continue
-            support = [k for k, x in enumerate(local) if x]
-            seen = {support[0]}
-            stack = [support[0]]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if local[w] and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) != len(support):
-                continue
-            vec = [0] * q.n
-            for k, v in enumerate(comp):
-                vec[v - 1] = local[k]
-            roots.append(tuple(vec))
+    simple = [tuple(int(j == i) for j in range(q.n)) for i in range(q.n)]
+    roots = set(simple)
+    frontier = simple
+    while frontier:
+        grown = []
+        for beta in frontier:
+            for i in range(q.n):
+                raised = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
+                if raised not in roots and tits_form(q, raised) == 1:
+                    roots.add(raised)
+                    grown.append(raised)
+        frontier = grown
     return tuple(sorted(roots, key=lambda d: (sum(d), d)))
 
 
@@ -346,11 +332,12 @@ def _zero_matrix(rows: int, cols: int) -> Matrix:
 
 
 def indecomposable_rep(q: Quiver, root: Iterable[int]) -> QuiverRep:
-    """The indecomposable with the given 0/1 dimension vector: identity
-    maps on arrows inside the support, zero elsewhere.
+    """The interval model of a 0/1 root: identity maps on arrows inside
+    the support, zero elsewhere.
 
-    This covers every positive root in type A (and the 0/1 roots of other
-    types are rejected here only when entries exceed 1).
+    This is the indecomposable for every positive root in type A and for
+    the 0/1 roots of types D and E.  A root with an entry of 2 or more
+    (types D and E only) has no such model and raises ``QuiverError``.
     """
     rv = q.check_vector(root)
     if any(x > 1 for x in rv):

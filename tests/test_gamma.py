@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -330,6 +331,14 @@ def test_straighten_depth_guard(monkeypatch):
     monkeypatch.delenv("QK_MAX_DEPTH")
     clear_caches()
     assert straighten((0, 2, 0, 2)).terms  # recovers once the guard is lifted
+
+
+def test_straighten_restores_recursion_limit():
+    # this sequence's depth guard (630) needs more than the default limit
+    clear_caches()
+    before = sys.getrecursionlimit()
+    straighten((0,) * 20 + (1,))
+    assert sys.getrecursionlimit() == before
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,14 @@ def test_partitions_fitting_box_count():
         assert len(got) == comb(p + q, p)
         assert len(set(got)) == len(got)
         assert all(contains((q,) * p, lam) for lam in got)
+    # the same sequence as filtering every tuple in the box, up to 4 x 4
+    for p, q in itertools.product(range(5), repeat=2):
+        box = {
+            normalize(lam)
+            for lam in itertools.product(range(q + 1), repeat=p)
+            if all(a >= b for a, b in zip(lam, lam[1:]))
+        }
+        assert list(partitions_fitting(p, q)) == sorted(box, key=lambda l: (sum(l), l))
 
 
 # ---------------------------------------------------------------------------
