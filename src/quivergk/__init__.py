@@ -22,7 +22,6 @@ from .engine import (
 )
 from .gamma import (
     GammaElement,
-    StraighteningDepthError,
     TensorElement,
     append_unit,
     basis,

@@ -200,6 +200,8 @@ def _run_check(q: Quiver, suite: str, max_dim: int) -> tuple[int, list[dict]]:
             reference = outbound_table
         else:
             raise QuiverError("oracle-a3 needs the inbound (1->2<-3) or outbound (1<-2->3) A3 quiver")
+    if suite == "independence":
+        all_roots = directed_partition(q, positive_roots(q))
     for e, orbit in _all_orbits_up_to(q, max_dim):
         checked += 1
         if suite == "signs":
@@ -227,9 +229,7 @@ def _run_check(q: Quiver, suite: str, max_dim: int) -> tuple[int, list[dict]]:
                 )
         elif suite == "independence":
             base = quiver_coefficients(q, e, orbit)
-            full = quiver_coefficients(
-                q, e, orbit, dp=directed_partition(q, positive_roots(q))
-            )
+            full = quiver_coefficients(q, e, orbit, dp=all_roots)
             if caveat_for(q):
                 agree = (
                     cohomological_part(base) == cohomological_part(full)

@@ -12,13 +12,16 @@ builds only the terms whose second factor has at most m rows, the factor
 the engine multiplies into its row-bounded working slot.
 
 Raising-operator sequences (arbitrary integer tuples) are straightened
-into the partition basis by ``straighten``.
+into the partition basis by ``straighten``, in one ordered pass with no
+recursion and no depth bound.  Every rewrite either shortens a sequence
+or raises one entry while keeping the entries before it and the range of
+values, so finitely many sequences are reachable and each one sorts after
+the sequence it came from; popping them in that order meets each once.
 """
 
 from __future__ import annotations
 
-import os
-import sys
+import heapq
 from functools import cache
 from typing import Iterable, Iterator
 
@@ -425,18 +428,6 @@ def skew_expand(shape: SkewShape | Iterable[int]) -> GammaElement:
 # straightening of integer sequences
 
 
-class StraighteningDepthError(RuntimeError):
-    """Raised when a straightening recursion exceeds its depth guard."""
-
-    def __init__(self, seq: tuple[int, ...], guard: int):
-        super().__init__(
-            f"straightening of {seq} exceeded depth guard {guard}; "
-            "set QK_MAX_DEPTH to raise the limit if this is expected"
-        )
-        self.seq = seq
-        self.guard = guard
-
-
 _straighten_cache: dict[tuple[str, tuple[int, ...]], tuple[tuple[Partition, int], ...]] = {}
 
 
@@ -451,13 +442,16 @@ def straighten(seq: Iterable[int], strategy: str = "leftmost") -> GammaElement:
     drops trailing negative entries, and stops at weakly decreasing
     non-negative sequences.  ``strategy`` picks which ascent to resolve
     first; both choices give the same result (a property the tests
-    exercise), the default matching the recursive evaluation order used
-    by the orbit engine.
+    exercise); the orbit engine uses the default.
 
-    A memoised sequence returns at once; only a sequence not seen before
-    reads ``QK_MAX_DEPTH`` and sizes the depth guard.  The interpreter's
-    recursion limit is raised to fit the guard for the call only and put
-    back on return.
+    The rewrites run as one ordered pass over a worklist.  Each rewrite
+    either shortens a sequence or keeps its length and raises entry t
+    (from p to q, or to q-1 > p) while the entries before t stay put, and
+    new entries stay inside [min(seq), max(seq)].  So finitely many
+    sequences are reachable, and every one sorts after the sequence it
+    came from under the key (-length, sequence): popping the smallest key
+    first meets each sequence once, with its final coefficient.  No depth
+    bound is needed.  Only the input sequence is memoised.
     """
     seq = tuple(int(x) for x in seq)
     hit = _straighten_cache.get((strategy, seq))
@@ -465,52 +459,44 @@ def straighten(seq: Iterable[int], strategy: str = "leftmost") -> GammaElement:
         return GammaElement._trusted(dict(hit))
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    env = os.environ.get("QK_MAX_DEPTH")
-    if env is not None:
-        guard = int(env)
-    elif seq:
-        guard = 10 * len(seq) * (max(seq) - min(seq) + 2)
-    else:
-        guard = 10
 
-    def go(s: tuple[int, ...], depth: int) -> tuple[tuple[Partition, int], ...]:
-        hit = _straighten_cache.get((strategy, s))
-        if hit is not None:
-            return hit
-        if depth > guard:
-            raise StraighteningDepthError(seq, guard)
-        if s and s[-1] < 0:
-            result = go(s[:-1], depth + 1)
+    pending = {seq: 1}
+    heap = [(-len(seq), seq)]
+    out: dict[Partition, int] = {}
+
+    def push(s: tuple[int, ...], c: int) -> None:
+        if s in pending:
+            pending[s] += c
         else:
-            ascents = [t for t in range(len(s) - 1) if s[t] < s[t + 1]]
-            if not ascents:
-                result = ((normalize(s), 1),)
-            else:
-                t = ascents[0] if strategy == "leftmost" else ascents[-1]
-                p, q = s[t], s[t + 1]
-                head, rest = s[:t], s[t + 2 :]
-                out: dict[Partition, int] = {}
-                for k in range(p + 1, q + 1):
-                    for part, c in go(head + (q, k) + rest, depth + 1):
-                        out[part] = out.get(part, 0) + c
-                for k in range(p + 1, q):
-                    for part, c in go(head + (q - 1, k) + rest, depth + 1):
-                        out[part] = out.get(part, 0) - c
-                result = tuple(
-                    sorted(
-                        ((part, c) for part, c in out.items() if c),
-                        key=lambda kv: (sum(kv[0]), kv[0]),
-                    )
-                )
-        _straighten_cache[(strategy, s)] = result
-        return result
+            pending[s] = c
+            heapq.heappush(heap, (-len(s), s))
 
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, guard + 500))
-    try:
-        return GammaElement._trusted(dict(go(seq, 0)))
-    finally:
-        sys.setrecursionlimit(limit)
+    while heap:
+        s = heapq.heappop(heap)[1]
+        c = pending.pop(s)
+        if not c:
+            continue
+        if s and s[-1] < 0:
+            push(s[:-1], c)
+            continue
+        ascents = [t for t in range(len(s) - 1) if s[t] < s[t + 1]]
+        if not ascents:
+            lam = normalize(s)
+            out[lam] = out.get(lam, 0) + c
+            continue
+        t = ascents[0] if strategy == "leftmost" else ascents[-1]
+        p, q = s[t], s[t + 1]
+        head, rest = s[:t], s[t + 2 :]
+        for k in range(p + 1, q + 1):
+            push(head + (q, k) + rest, c)
+        for k in range(p + 1, q):
+            push(head + (q - 1, k) + rest, -c)
+
+    result = tuple(
+        sorted(((lam, c) for lam, c in out.items() if c), key=lambda kv: (sum(kv[0]), kv[0]))
+    )
+    _straighten_cache[(strategy, seq)] = result
+    return GammaElement._trusted(dict(result))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,13 @@ def inbound_file(tmp_path):
 
 
 @pytest.fixture
+def d4_file(tmp_path):
+    return write_json(
+        tmp_path / "d4.json", {"vertices": 4, "arrows": [[1, 2], [3, 2], [4, 2]]}
+    )
+
+
+@pytest.fixture
 def zero_orbit_file(tmp_path):
     return write_json(
         tmp_path / "zero.json",
@@ -170,9 +177,18 @@ def test_coeffs_rejects_foreign_root(capsys, a2_file, tmp_path):
 # check suites
 
 
-@pytest.mark.parametrize("suite", ["signs", "codim", "independence"])
-def test_check_suites_pass(capsys, a2_file, suite):
-    code, out, _ = run(capsys, ["check", a2_file, "--suite", suite, "--max-dim", "2"])
+SUITES = ("signs", "codim", "independence")
+
+
+@pytest.mark.parametrize(
+    "quiver,suite,max_dim",
+    [pytest.param("a2_file", suite, "2", id=suite) for suite in SUITES]
+    # D4 reaches the caveat branch of independence (cohomological slices)
+    + [pytest.param("d4_file", suite, "1", id=f"d4-{suite}") for suite in SUITES],
+)
+def test_check_suites_pass(capsys, request, quiver, suite, max_dim):
+    path = request.getfixturevalue(quiver)
+    code, out, _ = run(capsys, ["check", path, "--suite", suite, "--max-dim", max_dim])
     assert code == 0
     data = json.loads(out)
     assert data["failures"] == []

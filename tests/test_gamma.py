@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivergk import clear_caches
+from quivergk import clear_caches, gamma
 from quivergk.gamma import (
     GammaElement,
-    StraighteningDepthError,
     TensorElement,
     append_unit,
     basis,
@@ -209,7 +208,7 @@ def test_clear_caches_empties_every_memo():
     import pkgutil
 
     import quivergk
-    from quivergk import gamma, orbits, quiver_coefficients, Quiver
+    from quivergk import orbits, quiver_coefficients, Quiver
 
     q = Quiver(3, ((1, 2), (3, 2)))
     for orbit in orbits(q, (2, 2, 2)):
@@ -323,22 +322,20 @@ def test_straighten_fixes_partitions():
         assert straighten(lam).terms == {lam: 1}
 
 
-def test_straighten_depth_guard(monkeypatch):
-    monkeypatch.setenv("QK_MAX_DEPTH", "1")
+def test_straighten_memoises_only_its_input():
     clear_caches()
-    with pytest.raises(StraighteningDepthError):
-        straighten((0, 2, 0, 2))
-    monkeypatch.delenv("QK_MAX_DEPTH")
-    clear_caches()
-    assert straighten((0, 2, 0, 2)).terms  # recovers once the guard is lifted
+    got = straighten((0, 0, 0, 0, 6))
+    assert len(gamma._straighten_cache) == 1
+    assert got.terms == straighten((0, 0, 0, 0, 6), strategy="rightmost").terms
 
 
 def test_straighten_restores_recursion_limit():
-    # this sequence's depth guard (630) needs more than the default limit
-    clear_caches()
-    before = sys.getrecursionlimit()
-    straighten((0,) * 20 + (1,))
-    assert sys.getrecursionlimit() == before
+    # the second chain is longer than the default recursion limit
+    for n in (21, 2000):
+        clear_caches()
+        before = sys.getrecursionlimit()
+        assert straighten((0,) * (n - 1) + (1,)).terms == {(1,) * n: 1}
+        assert sys.getrecursionlimit() == before
 
 
 # ---------------------------------------------------------------------------
