@@ -21,7 +21,6 @@ from .engine import (
     quiver_coefficients,
 )
 from .gamma import (
-    GammaElement,
     TensorElement,
     append_unit,
     basis,

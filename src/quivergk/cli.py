@@ -87,7 +87,7 @@ def pair_from_file(path: str) -> ResolutionPair:
         raise QuiverError(f"bad pair file {path}: {exc}") from exc
 
 
-def rep_from_file(path: str, q: Quiver, dim: tuple[int, ...]) -> QuiverRep:
+def rep_from_file(path: str, dim: tuple[int, ...]) -> QuiverRep:
     data = _load_json(path)
     try:
         mats = tuple(
@@ -278,7 +278,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_member(args: argparse.Namespace) -> int:
     q = quiver_from_file(args.quiver)
     orbit = orbit_from_file(args.orbit, q)
-    rep = rep_from_file(args.rep, q, orbit.dim)
+    rep = rep_from_file(args.rep, orbit.dim)
     rows = hom_table(q, rep, orbit)
     member = all(h_rep >= h_orb for _, h_rep, h_orb in rows)
     _emit(

@@ -45,6 +45,7 @@ from .resolution import (
     ResolutionPair,
     codim,
     directed_partition,
+    pair_stages,
     resolution_pair,
 )
 
@@ -57,16 +58,6 @@ def caveat_for(q: Quiver) -> str | None:
     hypotheses, so a quiver with a D or E component is flagged."""
     kind = dynkin_type(q)
     return CAVEAT_FLAG if ("D" in kind or "E" in kind) else None
-
-
-@dataclass(frozen=True)
-class EngineState:
-    """Stage of the recursion: remaining steps and the current dimension
-    vector (already reduced by the steps to the left)."""
-
-    quiver: Quiver
-    e: tuple[int, ...]
-    steps: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -134,7 +125,7 @@ def a_op(p: TensorElement, i: int, r: int, c: int) -> TensorElement:
             continue
         padded = tuple(nu) + (0,) * (r - len(nu))
         seq = tuple(c + x for x in padded) + key[i - 1]
-        for kappa, s in straighten(seq).terms.items():
+        for (kappa,), s in straighten(seq).terms.items():
             nk = key[: i - 1] + (kappa,) + key[i:-1]
             val = out.get(nk, 0) + coeff * s
             if val:
@@ -160,16 +151,9 @@ def phi(
 
 def coefficients(q: Quiver, e: tuple[int, ...], pair: ResolutionPair) -> TensorElement:
     """Expansion tensor for a step sequence, one slot per vertex."""
-    ev = q.check_vector(e)
-    stages = []
-    cur = list(ev)
-    for v, r in pair.steps():
-        stages.append(tuple(cur))
-        cur[v - 1] -= r
-        if cur[v - 1] < 0:
-            raise QuiverError(f"pair over-consumes vertex {v}")
+    steps = list(pair_stages(q, e, pair))
     p = TensorElement.unit(q.n)
-    for (v, r), stage in zip(reversed(pair.steps()), reversed(stages)):
+    for v, r, stage in reversed(steps):
         p = phi(p, q, stage, v, r)
     return p
 

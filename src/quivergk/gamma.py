@@ -1,10 +1,16 @@
 """The bialgebra of stable Grothendieck classes.
 
-Elements are finite integer combinations of basis classes indexed by
-partitions.  Structure constants (products, coproducts, skew expansions)
-are computed by one shared enumerator over set-valued fillings whose
-reading word, with a fixed partition word appended, satisfies the reverse
-lattice condition.  The enumerator walks boxes in reversed reading order
+Elements are finite integer combinations of pure tensors of basis
+classes indexed by partitions: one ``TensorElement`` type for every
+arity, a ring element being the arity-1 case keyed by ``(lam,)``.  Only
+the public constructor normalises and merges keys; everything built
+inside the package goes through ``_trusted``, with zero coefficients
+dropped as they arise.
+
+Structure constants (products, coproducts, skew expansions) are computed
+by one shared enumerator over set-valued fillings whose reading word,
+with a fixed partition word appended, satisfies the reverse lattice
+condition.  The enumerator walks boxes in reversed reading order
 so the lattice condition can be checked letter by letter, which is what
 keeps the rectangle-sized coproducts used by the orbit engine affordable.
 A per-letter count cap prunes the walk further: ``coproduct(nu, m)``
@@ -23,93 +29,29 @@ from __future__ import annotations
 
 import heapq
 from functools import cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .partitions import Partition, SkewShape, as_shape, normalize
 
 _BIG = 1 << 30
 
-
-class GammaElement:
-    """An integer combination of basis classes, keyed by partition."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Partition, int] | None = None):
-        clean: dict[Partition, int] = {}
-        for lam, c in (terms or {}).items():
-            if c:
-                key = normalize(lam)
-                clean[key] = clean.get(key, 0) + c
-                if not clean[key]:
-                    del clean[key]
-        self.terms = clean
-
-    @classmethod
-    def _trusted(cls, terms: dict[Partition, int]) -> "GammaElement":
-        """Wrap ``terms`` as is: every key already a normal partition and
-        every coefficient non-zero."""
-        self = object.__new__(cls)
-        self.terms = terms
-        return self
-
-    @staticmethod
-    def zero() -> "GammaElement":
-        return GammaElement()
-
-    def coefficient(self, lam: Iterable[int]) -> int:
-        return self.terms.get(normalize(lam), 0)
-
-    def sorted_terms(self) -> list[tuple[Partition, int]]:
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    def __add__(self, other: "GammaElement") -> "GammaElement":
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            out[lam] = out.get(lam, 0) + c
-        return GammaElement(out)
-
-    def __sub__(self, other: "GammaElement") -> "GammaElement":
-        return self + (-1) * other
-
-    def __neg__(self) -> "GammaElement":
-        return (-1) * self
-
-    def __rmul__(self, scalar: int) -> "GammaElement":
-        return GammaElement({lam: scalar * c for lam, c in self.terms.items()})
-
-    def __mul__(self, other: "GammaElement") -> "GammaElement":
-        return mul(self, other)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GammaElement) and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = [f"{c}*G{list(lam)}" for lam, c in self.sorted_terms()]
-        return " + ".join(bits).replace("+ -", "- ")
-
-
-def basis(lam: Iterable[int]) -> GammaElement:
-    return GammaElement({normalize(lam): 1})
-
-
-def gamma_one() -> GammaElement:
-    return basis(())
-
-
 TensorKey = tuple[Partition, ...]
+
+
+def _add_term(out: dict[TensorKey, int], key: TensorKey, c: int) -> None:
+    """Add ``c`` to ``out[key]``, dropping the key when it reaches zero."""
+    val = out.get(key, 0) + c
+    if val:
+        out[key] = val
+    elif key in out:
+        del out[key]
 
 
 class TensorElement:
     """Integer combination of pure tensors of basis classes.
 
     ``arity`` is the number of tensor slots; keys are tuples of
-    partitions of that length.
+    partitions of that length.  Ring elements are the arity-1 tensors.
     """
 
     __slots__ = ("arity", "terms")
@@ -121,10 +63,7 @@ class TensorElement:
             if len(key) != arity:
                 raise ValueError(f"key {key} does not match arity {arity}")
             if c:
-                k = tuple(normalize(part) for part in key)
-                clean[k] = clean.get(k, 0) + c
-                if not clean[k]:
-                    del clean[k]
+                _add_term(clean, tuple(normalize(part) for part in key), c)
         self.terms = clean
 
     @classmethod
@@ -138,27 +77,25 @@ class TensorElement:
 
     @staticmethod
     def unit(arity: int) -> "TensorElement":
-        return TensorElement(arity, {((),) * arity: 1})
+        return TensorElement._trusted(arity, {((),) * arity: 1})
 
     def sorted_terms(self) -> list[tuple[TensorKey, int]]:
-        def rank(key: TensorKey) -> tuple:
-            return (sum(sum(p) for p in key), key)
-
-        return sorted(self.terms.items(), key=lambda kv: rank(kv[0]))
+        return sorted(self.terms.items(), key=lambda kv: (key_degree(kv[0]), kv[0]))
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
         out = dict(self.terms)
         for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
-        return TensorElement(self.arity, out)
+            _add_term(out, key, c)
+        return TensorElement._trusted(self.arity, out)
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
         return self + (-1) * other
 
     def __rmul__(self, scalar: int) -> "TensorElement":
-        return TensorElement(self.arity, {k: scalar * c for k, c in self.terms.items()})
+        terms = {k: scalar * c for k, c in self.terms.items()} if scalar else {}
+        return TensorElement._trusted(self.arity, terms)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -178,6 +115,11 @@ class TensorElement:
             slot = "(x)".join(f"G{list(p)}" for p in key)
             bits.append(f"{c}*{slot}")
         return " + ".join(bits).replace("+ -", "- ")
+
+
+def basis(lam: Iterable[int]) -> TensorElement:
+    """The ring element of one basis class, as an arity-1 tensor."""
+    return TensorElement._trusted(1, {(normalize(lam),): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +266,12 @@ def _mul_basis(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], ..
     return tuple(sorted(items, key=lambda kv: (sum(kv[0]), kv[0])))
 
 
-def mul(a: GammaElement, b: GammaElement) -> GammaElement:
-    """Product in the basis of stable classes."""
-    out: dict[Partition, int] = {}
-    for lam, ca in a.terms.items():
-        for mu, cb in b.terms.items():
-            for nu, c in _mul_basis(lam, mu):
-                out[nu] = out.get(nu, 0) + ca * cb * c
-    return GammaElement(out)
+def mul(a: TensorElement, b: TensorElement) -> TensorElement:
+    """Product of two ring elements (arity-1 tensors) in the basis of
+    stable classes."""
+    if a.arity != 1:
+        raise ValueError(f"ring element expected, got arity {a.arity}")
+    return tensor_mul_at(a, 1, b)
 
 
 @cache
@@ -405,12 +345,11 @@ def coproduct2(nu: Partition) -> TensorElement:
     out: dict[TensorKey, int] = {}
     for (kappa, m3), c1 in coproduct(normalize(nu)).terms.items():
         for (m1, m2), c2 in coproduct(kappa).terms.items():
-            key = (m1, m2, m3)
-            out[key] = out.get(key, 0) + c1 * c2
-    return TensorElement(3, out)
+            _add_term(out, (m1, m2, m3), c1 * c2)
+    return TensorElement._trusted(3, out)
 
 
-def skew_expand(shape: SkewShape | Iterable[int]) -> GammaElement:
+def skew_expand(shape: SkewShape | Iterable[int]) -> TensorElement:
     """Expansion of a skew class in the partition basis.
 
     Counts set-valued fillings of the skew shape with reverse lattice
@@ -421,17 +360,19 @@ def skew_expand(shape: SkewShape | Iterable[int]) -> GammaElement:
     caps = tuple(range(1, len(bounds) + 1))
     hits = _lattice_walk(bounds, (), caps)
     size = sh.size
-    return GammaElement({rho: _sign(sum(rho) - size) * n for rho, n in hits.items()})
+    # each content is a partition, met once, with a non-zero count
+    out = {(rho,): _sign(sum(rho) - size) * n for rho, n in hits.items()}
+    return TensorElement._trusted(1, out)
 
 
 # ---------------------------------------------------------------------------
 # straightening of integer sequences
 
 
-_straighten_cache: dict[tuple[str, tuple[int, ...]], tuple[tuple[Partition, int], ...]] = {}
+_straighten_cache: dict[tuple[str, tuple[int, ...]], tuple[tuple[TensorKey, int], ...]] = {}
 
 
-def straighten(seq: Iterable[int], strategy: str = "leftmost") -> GammaElement:
+def straighten(seq: Iterable[int], strategy: str = "leftmost") -> TensorElement:
     """Rewrite the class of an arbitrary integer sequence into the basis.
 
     Repeatedly resolves an ascent (p, q) at adjacent positions through
@@ -456,13 +397,13 @@ def straighten(seq: Iterable[int], strategy: str = "leftmost") -> GammaElement:
     seq = tuple(int(x) for x in seq)
     hit = _straighten_cache.get((strategy, seq))
     if hit is not None:
-        return GammaElement._trusted(dict(hit))
+        return TensorElement._trusted(1, dict(hit))
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
     pending = {seq: 1}
     heap = [(-len(seq), seq)]
-    out: dict[Partition, int] = {}
+    out: dict[TensorKey, int] = {}
 
     def push(s: tuple[int, ...], c: int) -> None:
         if s in pending:
@@ -481,8 +422,7 @@ def straighten(seq: Iterable[int], strategy: str = "leftmost") -> GammaElement:
             continue
         ascents = [t for t in range(len(s) - 1) if s[t] < s[t + 1]]
         if not ascents:
-            lam = normalize(s)
-            out[lam] = out.get(lam, 0) + c
+            _add_term(out, (normalize(s),), c)
             continue
         t = ascents[0] if strategy == "leftmost" else ascents[-1]
         p, q = s[t], s[t + 1]
@@ -492,28 +432,28 @@ def straighten(seq: Iterable[int], strategy: str = "leftmost") -> GammaElement:
         for k in range(p + 1, q):
             push(head + (q - 1, k) + rest, -c)
 
-    result = tuple(
-        sorted(((lam, c) for lam, c in out.items() if c), key=lambda kv: (sum(kv[0]), kv[0]))
-    )
+    result = tuple(sorted(out.items(), key=lambda kv: (key_degree(kv[0]), kv[0])))
     _straighten_cache[(strategy, seq)] = result
-    return GammaElement._trusted(dict(result))
+    return TensorElement._trusted(1, dict(result))
 
 
 # ---------------------------------------------------------------------------
 # tensor utilities
 
 
-def tensor_mul_at(p: TensorElement, slot: int, g: GammaElement) -> TensorElement:
-    """Multiply tensor slot ``slot`` (1-based) by a ring element."""
+def tensor_mul_at(p: TensorElement, slot: int, g: TensorElement) -> TensorElement:
+    """Multiply tensor slot ``slot`` (1-based) by a ring element (an
+    arity-1 tensor)."""
     if not 1 <= slot <= p.arity:
         raise ValueError(f"slot {slot} out of range for arity {p.arity}")
+    if g.arity != 1:
+        raise ValueError(f"ring element expected, got arity {g.arity}")
     out: dict[TensorKey, int] = {}
     for key, c in p.terms.items():
-        for lam, cg in g.terms.items():
+        for (lam,), cg in g.terms.items():
             for nu, cc in _mul_basis(key[slot - 1], lam):
-                nk = key[: slot - 1] + (nu,) + key[slot:]
-                out[nk] = out.get(nk, 0) + c * cg * cc
-    return TensorElement(p.arity, out)
+                _add_term(out, key[: slot - 1] + (nu,) + key[slot:], c * cg * cc)
+    return TensorElement._trusted(p.arity, out)
 
 
 def append_unit(p: TensorElement) -> TensorElement:

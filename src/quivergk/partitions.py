@@ -31,14 +31,6 @@ def normalize(parts: Iterable[int]) -> Partition:
     return seq
 
 
-def is_partition(seq: Iterable[int]) -> bool:
-    try:
-        normalize(seq)
-    except ValueError:
-        return False
-    return True
-
-
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram of ``lam``."""
     if not lam:

@@ -9,7 +9,7 @@ dimensions, computed by fraction-free integer elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import Iterable
 
 Vector = tuple[int, ...]
@@ -50,20 +50,6 @@ class Quiver:
                         queue.append(h)
         if seen != self.n:
             raise QuiverError("quiver has a directed cycle")
-
-    @cached_property
-    def arrows_by_tail(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
-        for t, h in self.arrows:
-            out[t].append(h)
-        return {v: tuple(sorted(hs)) for v, hs in out.items()}
-
-    @cached_property
-    def arrows_by_head(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
-        for t, h in self.arrows:
-            out[h].append(t)
-        return {v: tuple(sorted(ts)) for v, ts in out.items()}
 
     def check_vector(self, d: Iterable[int]) -> Vector:
         vec = tuple(int(x) for x in d)

@@ -11,7 +11,7 @@ compute the orbit closure's codimension directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .quiver import (
     OrbitSpec,
@@ -159,6 +159,26 @@ def resolution_pair(q: Quiver, orbit: OrbitSpec, dp: DirectedPartition) -> Resol
     return ResolutionPair(tuple(verts), tuple(ranks))
 
 
+def pair_stages(
+    q: Quiver, e: Iterable[int], pair: ResolutionPair
+) -> Iterator[tuple[int, int, Vector]]:
+    """Walk the steps of ``pair`` left to right over the dimension vector
+    ``e``: yield each step's vertex v, rank r and the stage vector it acts
+    on, then take r away at v.
+
+    Raises QuiverError when v is not a vertex of ``q`` or r exceeds the
+    stage dimension at v.
+    """
+    cur = list(q.check_vector(e))
+    for v, r in pair.steps():
+        if not 1 <= v <= q.n:
+            raise QuiverError(f"step vertex {v} out of range 1..{q.n}")
+        if r > cur[v - 1]:
+            raise QuiverError(f"rank {r} exceeds stage dimension {cur[v - 1]} at vertex {v}")
+        yield v, r, tuple(cur)
+        cur[v - 1] -= r
+
+
 def codim(q: Quiver, e: Iterable[int], pair: ResolutionPair) -> int:
     """Codimension of the image of the resolution inside the representation
     space: ambient dimension minus total space dimension.
@@ -167,12 +187,7 @@ def codim(q: Quiver, e: Iterable[int], pair: ResolutionPair) -> int:
     for r * rank(M_v) zero-locus equations, with stages consumed left to
     right.
     """
-    cur = list(q.check_vector(e))
     fiber = 0
-    for v, r in pair.steps():
-        stage_v = cur[v - 1]
-        if r > stage_v:
-            raise QuiverError(f"rank {r} exceeds stage dimension {stage_v} at vertex {v}")
-        fiber += r * (stage_v - r) - r * incoming_rank(q, tuple(cur), v)
-        cur[v - 1] -= r
+    for v, r, stage in pair_stages(q, e, pair):
+        fiber += r * (stage[v - 1] - r) - r * incoming_rank(q, stage, v)
     return -fiber

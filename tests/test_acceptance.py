@@ -242,14 +242,14 @@ def test_criterion_05_ring_axioms():
     # componentwise product of the splittings
     for lam, mu in itertools.combinations_with_replacement(PARTS3, 2):
         lhs: dict = {}
-        for nu, c in mul(basis(lam), basis(mu)).terms.items():
+        for (nu,), c in mul(basis(lam), basis(mu)).terms.items():
             for key, c2 in coproduct(nu).terms.items():
                 lhs[key] = lhs.get(key, 0) + c * c2
         rhs: dict = {}
         for (l1, m1), c1 in coproduct(lam).terms.items():
             for (l2, m2), c2 in coproduct(mu).terms.items():
-                for x, cx in mul(basis(l1), basis(l2)).terms.items():
-                    for y, cy in mul(basis(m1), basis(m2)).terms.items():
+                for (x,), cx in mul(basis(l1), basis(l2)).terms.items():
+                    for (y,), cy in mul(basis(m1), basis(m2)).terms.items():
                         key = (x, y)
                         rhs[key] = rhs.get(key, 0) + c1 * c2 * cx * cy
         assert TensorElement(2, lhs) == TensorElement(2, rhs), (lam, mu)
@@ -274,7 +274,7 @@ def test_criterion_06_lowest_degree_is_classical():
         product = mul(basis(lam), basis(mu))
         floor = sum(lam) + sum(mu)
         for nu in partitions_of(floor):
-            assert product.terms.get(nu, 0) == classical_lr(lam, mu, nu), (
+            assert product.terms.get((nu,), 0) == classical_lr(lam, mu, nu), (
                 lam,
                 mu,
                 nu,
@@ -300,7 +300,7 @@ def test_criterion_08_lowest_degree_equals_codimension():
 def test_criterion_09_signs_alternate():
     # product structure constants
     for lam, mu in itertools.combinations_with_replacement(PARTS4, 2):
-        for nu, c in mul(basis(lam), basis(mu)).terms.items():
+        for (nu,), c in mul(basis(lam), basis(mu)).terms.items():
             assert (-1) ** (sum(nu) - sum(lam) - sum(mu)) * c > 0, (lam, mu, nu)
     # splitting structure constants
     for nu in PARTS4:

@@ -105,6 +105,16 @@ def test_coeffs_explicit_pair(capsys, a2_file, zero_orbit_file, tmp_path):
     assert json.loads(out) == json.loads(auto_out)
 
 
+@pytest.mark.parametrize("vertex", [0, 3])
+def test_coeffs_pair_vertex_out_of_range(capsys, a2_file, zero_orbit_file, tmp_path, vertex):
+    pair = write_json(tmp_path / "pair.json", {"i": [vertex], "r": [1]})
+    code, out, err = run(capsys, ["coeffs", a2_file, zero_orbit_file, "--pair", pair])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "out of range" in err
+    assert "Traceback" not in err
+
+
 def test_coeffs_table_format(capsys, a2_file, zero_orbit_file):
     code, out, _ = run(
         capsys, ["coeffs", a2_file, zero_orbit_file, "--format", "table"]

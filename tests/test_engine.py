@@ -20,7 +20,7 @@ from quivergk.engine import (
 from quivergk.gamma import TensorElement, basis, min_degree, tensor_mul_at
 from quivergk.partitions import conjugate, partitions_fitting
 from quivergk.quiver import OrbitSpec, Quiver, QuiverError, orbits, positive_roots
-from quivergk.resolution import ResolutionPair, directed_partition_from_blocks
+from quivergk.resolution import ResolutionPair, codim, directed_partition_from_blocks
 
 
 def a2_orbit(m11, m12, m22):
@@ -31,6 +31,17 @@ def a2_orbit(m11, m12, m22):
 
 # ---------------------------------------------------------------------------
 # operator building blocks
+
+
+@pytest.mark.parametrize("vertex", [0, 4])
+def test_pair_vertex_out_of_range(vertex):
+    # vertex 0 must not wrap round to vertex 3, nor vertex 4 reach an IndexError
+    q = Quiver(3, ((1, 2), (3, 2)))
+    pair = ResolutionPair((2, vertex), (1, 1))
+    with pytest.raises(QuiverError, match="out of range"):
+        coefficients(q, (1, 1, 1), pair)
+    with pytest.raises(QuiverError, match="out of range"):
+        codim(q, (1, 1, 1), pair)
 
 
 def test_psi_on_pure_tensor():
