@@ -70,6 +70,7 @@ from .quiver import (
     Quiver,
     QuiverError,
     QuiverRep,
+    check_orbit,
     direct_sum,
     dynkin_type,
     euler_form,
@@ -100,8 +101,8 @@ from . import engine, gamma, oracle_a3, partitions, quiver, resolution
 
 def clear_caches() -> None:
     """Empty every memo of the package: the ``functools.cache`` tables of
-    all its modules (structure constants, coproducts, positive roots) and
-    the straightening memo."""
+    all its modules (structure constants, coproducts, positive roots, the
+    indecomposables M_alpha) and the straightening memo."""
     for module in (engine, gamma, oracle_a3, partitions, quiver, resolution):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):

@@ -38,6 +38,7 @@ from .quiver import (
     Quiver,
     QuiverError,
     QuiverRep,
+    check_orbit,
     dynkin_type,
     hom_table,
     orbits,
@@ -70,10 +71,7 @@ def orbit_from_file(path: str, q: Quiver) -> OrbitSpec:
     except (KeyError, TypeError, ValueError) as exc:
         raise QuiverError(f"bad orbit file {path}: {exc}") from exc
     orbit = OrbitSpec(dim, mults)
-    valid = set(positive_roots(q))
-    for root, _ in orbit.mults:
-        if root not in valid:
-            raise QuiverError(f"{list(root)} is not a positive root of this quiver")
+    check_orbit(q, orbit)
     return orbit
 
 

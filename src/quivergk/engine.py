@@ -140,6 +140,8 @@ def phi(
 ) -> TensorElement:
     """One resolution step at vertex ``i`` with rank ``r`` over stage
     dimension vector ``stage_e``."""
+    if not 1 <= i <= q.n:
+        raise QuiverError(f"vertex {i} out of range 1..{q.n}")
     if r > stage_e[i - 1]:
         raise QuiverError(f"rank {r} exceeds stage dimension at vertex {i}")
     cur = append_unit(p)

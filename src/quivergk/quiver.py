@@ -1,13 +1,18 @@
 """Acyclic quivers of Dynkin type and their orbit data.
 
 Vertices are numbered 1..n.  Orbits of the representation space for a
-dimension vector are encoded by root multiplicities; containment of one
-orbit in the closure of another is decided numerically through hom-space
-dimensions, computed by fraction-free integer elimination.
+dimension vector are encoded by root multiplicities.  A representation
+V lies in the closure of an orbit when dim Hom(M_alpha, V) is at least
+dim Hom(M_alpha, rep(orbit)) for every positive root alpha.  The left
+side is solved by fraction-free integer elimination.  The right side
+needs no matrices: a Dynkin path algebra is representation-directed
+(Ringel, LNM 1099), so dim Hom(M_alpha, M_beta) = max(0, <alpha, beta>)
+for the Euler form, and the orbit side is a sum of those.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterable
@@ -318,23 +323,54 @@ def _zero_matrix(rows: int, cols: int) -> Matrix:
 
 
 def indecomposable_rep(q: Quiver, root: Iterable[int]) -> QuiverRep:
-    """The interval model of a 0/1 root: identity maps on arrows inside
-    the support, zero elsewhere.
+    """The indecomposable representation M_root of a positive root.
 
-    This is the indecomposable for every positive root in type A and for
-    the 0/1 roots of types D and E.  A root with an entry of 2 or more
-    (types D and E only) has no such model and raises ``QuiverError``.
+    A 0/1 root gets its interval model: identity maps on arrows inside
+    the support, zero elsewhere.  Any other root (types D and E) gets
+    integer matrices drawn from a ``random.Random`` seeded by the arrows
+    and the root, the first draw with End = k.  End = k makes a
+    representation indecomposable, and by Gabriel's theorem the only
+    indecomposable of dimension ``root`` is M_root.  Its orbit is dense
+    (Ext^1(M_root, M_root) = 0), so the draws that miss it lie on a
+    hypersurface and draws soon land in it.  The entry range widens every
+    ``_DRAWS_PER_RANGE`` draws, which drives the chance of a miss to zero
+    (Schwartz-Zippel), so the loop ends.  Each
+    probe is built once per (quiver, root) and shared, which is safe
+    because representations are frozen.  A vector that is not a positive
+    root raises ``QuiverError``.
     """
-    rv = q.check_vector(root)
-    if any(x > 1 for x in rv):
-        raise QuiverError(f"no interval model for root {rv}; entries must be 0/1")
-    mats = []
-    for t, h in q.arrows:
-        if rv[t - 1] == 1 and rv[h - 1] == 1:
-            mats.append(((1,),))
-        else:
-            mats.append(_zero_matrix(rv[h - 1], rv[t - 1]))
-    return QuiverRep(rv, tuple(mats))
+    return _probe(q, q.check_vector(root))
+
+
+_DRAWS_PER_RANGE = 16
+
+
+@cache
+def _probe(q: Quiver, rv: Vector) -> QuiverRep:
+    if rv not in positive_roots(q):
+        raise QuiverError(f"{list(rv)} is not a positive root of this quiver")
+    if max(rv) == 1:
+        return QuiverRep(
+            rv,
+            tuple(
+                ((1,),) if rv[t - 1] and rv[h - 1] else _zero_matrix(rv[h - 1], rv[t - 1])
+                for t, h in q.arrows
+            ),
+        )
+    rng = random.Random(repr((q.arrows, rv)))
+    draws = 0
+    while True:
+        k = 1 + draws // _DRAWS_PER_RANGE
+        draws += 1
+        rep = QuiverRep(
+            rv,
+            tuple(
+                tuple(tuple(rng.randint(-k, k) for _ in range(rv[t - 1])) for _ in range(rv[h - 1]))
+                for t, h in q.arrows
+            ),
+        )
+        if hom_dim(q, rep, rep) == 1:
+            return rep
 
 
 def direct_sum(q: Quiver, reps: Iterable[QuiverRep]) -> QuiverRep:
@@ -436,24 +472,57 @@ def hom_dim(q: Quiver, f_rep: QuiverRep, e_rep: QuiverRep) -> int:
     return ncols - _bareiss_rank(m)
 
 
+def check_orbit(q: Quiver, orbit: OrbitSpec) -> None:
+    """Raise ``QuiverError`` unless every root of the orbit is a positive
+    root of ``q``."""
+    roots = positive_roots(q)
+    for beta, _ in orbit.mults:
+        if beta not in roots:
+            raise QuiverError(f"{list(beta)} is not a positive root of this quiver")
+
+
+def _orbit_hom(q: Quiver, alpha: Vector, orbit: OrbitSpec) -> int:
+    """dim Hom(M_alpha, rep(orbit)) = sum of m * max(0, <alpha, beta>)."""
+    return sum(m * max(0, euler_form(q, alpha, beta)) for beta, m in orbit.mults)
+
+
 def hom_table(
     q: Quiver, rep: QuiverRep, orbit: OrbitSpec
 ) -> list[tuple[Vector, int, int]]:
-    """Per positive root: hom dimension from its indecomposable into the
-    given representation and into the orbit's representative."""
-    canonical = orbit_rep(q, orbit)
-    out = []
-    for root in positive_roots(q):
-        probe = indecomposable_rep(q, root)
-        out.append((root, hom_dim(q, probe, rep), hom_dim(q, probe, canonical)))
-    return out
+    """Per positive root alpha: (alpha, dim Hom(M_alpha, rep),
+    dim Hom(M_alpha, rep(orbit))).
+
+    The first count solves a linear system; the second is in closed
+    form.  A Dynkin path algebra is representation-directed (Ringel,
+    LNM 1099), so between indecomposables Hom and Ext^1 are never both
+    non-zero, and dim Hom(M_alpha, M_beta) = max(0, <alpha, beta>) for
+    the Euler form.  The orbit column is the sum of that over the
+    orbit's roots, with multiplicity.
+    """
+    check_orbit(q, orbit)
+    return [
+        (root, hom_dim(q, indecomposable_rep(q, root), rep), _orbit_hom(q, root, orbit))
+        for root in positive_roots(q)
+    ]
 
 
 def in_orbit_closure(q: Quiver, rep: QuiverRep, orbit: OrbitSpec) -> bool:
     """Numerical closure test: the representation lies in the closure of
-    the orbit iff every indecomposable sees at least as many homs into it
-    as into the orbit representative."""
+    the orbit iff every indecomposable M_alpha sees at least as many homs
+    into it as into the orbit representative.
+
+    The orbit side is the closed form of ``hom_table``; a root that needs
+    no homs passes without a linear solve, because a hom dimension is
+    never negative, and the test stops at the first root that fails.
+    A malformed representation, a dimension mismatch or an orbit made of
+    vectors that are not positive roots raises ``QuiverError``.
+    """
     validate_rep(q, rep)
     if rep.dims != orbit.dim:
         raise QuiverError(f"dimension vectors differ: {rep.dims} vs {orbit.dim}")
-    return all(h_rep >= h_orb for _, h_rep, h_orb in hom_table(q, rep, orbit))
+    check_orbit(q, orbit)
+    for root in positive_roots(q):
+        need = _orbit_hom(q, root, orbit)
+        if need and hom_dim(q, indecomposable_rep(q, root), rep) < need:
+            return False
+    return True

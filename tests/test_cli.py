@@ -262,6 +262,23 @@ def test_member_dense_rep_not_in_zero_closure(capsys, a2_file, zero_orbit_file, 
     assert bad == [{"root": [1, 0], "rep": 0, "orbit": 1, "ok": False}]
 
 
+def test_member_on_tall_d4_root(capsys, d4_file, tmp_path):
+    # the root (1,2,1,1) has an entry 2, so its module needs drawn matrices
+    from quivergk import OrbitSpec, Quiver, orbit_rep
+
+    d4 = Quiver(4, ((1, 2), (3, 2), (4, 2)))
+    orbit = OrbitSpec((1, 2, 1, 1), (((1, 2, 1, 1), 1),))
+    orbit_file = write_json(
+        tmp_path / "tall.json", {"dim": [1, 2, 1, 1], "mults": [{"root": [1, 2, 1, 1], "m": 1}]}
+    )
+    rep = write_json(tmp_path / "rep.json", {"matrices": orbit_rep(d4, orbit).mats})
+    code, out, _ = run(capsys, ["member", d4_file, orbit_file, "--rep", rep])
+    assert code == 0
+    data = json.loads(out)
+    assert data["member"] is True
+    assert len(data["hom_table"]) == 12
+
+
 # ---------------------------------------------------------------------------
 # input errors
 

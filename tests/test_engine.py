@@ -42,6 +42,8 @@ def test_pair_vertex_out_of_range(vertex):
         coefficients(q, (1, 1, 1), pair)
     with pytest.raises(QuiverError, match="out of range"):
         codim(q, (1, 1, 1), pair)
+    with pytest.raises(QuiverError, match="out of range"):
+        phi(TensorElement.unit(3), q, (1, 1, 1), vertex, 1)
 
 
 def test_psi_on_pure_tensor():
