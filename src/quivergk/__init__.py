@@ -70,7 +70,6 @@ from .quiver import (
     Quiver,
     QuiverError,
     QuiverRep,
-    check_orbit,
     direct_sum,
     dynkin_type,
     euler_form,

@@ -513,7 +513,9 @@ def in_orbit_closure(q: Quiver, rep: QuiverRep, orbit: OrbitSpec) -> bool:
 
     The orbit side is the closed form of ``hom_table``; a root that needs
     no homs passes without a linear solve, because a hom dimension is
-    never negative, and the test stops at the first root that fails.
+    never negative.  Every other root is solved, also after one has
+    failed, so the solves a query costs depend on its orbit alone and
+    not on the representation.
     A malformed representation, a dimension mismatch or an orbit made of
     vectors that are not positive roots raises ``QuiverError``.
     """
@@ -521,8 +523,9 @@ def in_orbit_closure(q: Quiver, rep: QuiverRep, orbit: OrbitSpec) -> bool:
     if rep.dims != orbit.dim:
         raise QuiverError(f"dimension vectors differ: {rep.dims} vs {orbit.dim}")
     check_orbit(q, orbit)
+    inside = True
     for root in positive_roots(q):
         need = _orbit_hom(q, root, orbit)
         if need and hom_dim(q, indecomposable_rep(q, root), rep) < need:
-            return False
-    return True
+            inside = False
+    return inside
