@@ -101,7 +101,8 @@ from . import engine, gamma, oracle_a3, partitions, quiver, resolution
 def clear_caches() -> None:
     """Empty every memo of the package: the ``functools.cache`` tables of
     all its modules (structure constants, coproducts, positive roots, the
-    indecomposables M_alpha) and the straightening memo."""
+    Euler form on pairs of roots, the indecomposables M_alpha) and the
+    straightening memo."""
     for module in (engine, gamma, oracle_a3, partitions, quiver, resolution):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):

@@ -36,6 +36,7 @@ from .quiver import (
     OrbitSpec,
     Quiver,
     QuiverError,
+    check_orbit,
     dynkin_type,
     incoming_rank,
     opposite,
@@ -170,11 +171,13 @@ def quiver_coefficients(
 
     The directed partition defaults to the greedy one on the orbit's
     support.  For quivers with a D or E component the table is flagged
-    (see ``caveat_for``).
+    (see ``caveat_for``).  An orbit that uses a vector which is not a
+    positive root of ``q`` raises ``QuiverError``.
     """
     ev = q.check_vector(e)
     if orbit.dim != ev:
         raise QuiverError(f"orbit has dim {orbit.dim}, expected {ev}")
+    check_orbit(q, orbit)
     if dp is None:
         dp = (
             directed_partition(q, orbit.support)

@@ -265,29 +265,39 @@ class OrbitSpec:
 
 def orbits(q: Quiver, e: Iterable[int]) -> list[OrbitSpec]:
     """All orbits for dimension vector ``e``: decompositions of ``e`` as a
-    non-negative combination of positive roots, in a fixed order."""
+    non-negative combination of positive roots (Gabriel), ordered by their
+    multiplicity vectors over ``positive_roots`` order.
+
+    The walk picks the multiplicities of the non-simple roots, tallest
+    first, each from its largest possible value down to 0.  No branch is
+    wasted: once they are fixed, the remainder is a non-negative vector,
+    and a non-negative vector is exactly one sum of simple roots, so each
+    leaf closes in one step and is an orbit.  The number of leaves is the
+    number of orbits, Kostant's partition function of ``e``.
+    """
     ev = q.check_vector(e)
     roots = positive_roots(q)
-    found: list[OrbitSpec] = []
+    tall = sorted((k for k, r in enumerate(roots) if sum(r) > 1), key=lambda k: -sum(roots[k]))
+    simple = [roots.index(tuple(int(j == i) for j in range(q.n))) for i in range(q.n)]
+    mult = [0] * len(roots)
+    found: list[tuple[tuple[int, ...], OrbitSpec]] = []
 
-    def dfs(idx: int, rest: list[int], picked: list[tuple[Vector, int]]) -> None:
-        if not any(rest):
-            found.append(OrbitSpec(ev, tuple(picked)))
+    def dfs(t: int, rest: list[int]) -> None:
+        if t == len(tall):
+            for k, m in zip(simple, rest):
+                mult[k] = m
+            picked = tuple((roots[k], m) for k, m in enumerate(mult) if m)
+            found.append((tuple(mult), OrbitSpec(ev, picked)))
             return
-        if idx == len(roots):
-            return
-        root = roots[idx]
-        top = min(rest[i] // root[i] for i in range(len(rest)) if root[i])
+        root = roots[tall[t]]
+        top = min(x // y for x, y in zip(rest, root) if y)
         for m in range(top, -1, -1):
-            if m:
-                picked.append((root, m))
-            dfs(idx + 1, [rest[i] - m * root[i] for i in range(len(rest))], picked)
-            if m:
-                picked.pop()
+            mult[tall[t]] = m
+            dfs(t + 1, [x - m * y for x, y in zip(rest, root)])
 
-    dfs(0, list(ev), [])
-    found.sort(key=lambda o: tuple(o.mult_of(r) for r in roots))
-    return found
+    dfs(0, list(ev))
+    found.sort(key=lambda pair: pair[0])
+    return [orbit for _, orbit in found]
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +491,17 @@ def check_orbit(q: Quiver, orbit: OrbitSpec) -> None:
             raise QuiverError(f"{list(beta)} is not a positive root of this quiver")
 
 
+@cache
+def _euler_table(q: Quiver) -> dict[tuple[Vector, Vector], int]:
+    """<alpha, beta> for every pair of positive roots of ``q``."""
+    roots = positive_roots(q)
+    return {(a, b): euler_form(q, a, b) for a in roots for b in roots}
+
+
 def _orbit_hom(q: Quiver, alpha: Vector, orbit: OrbitSpec) -> int:
     """dim Hom(M_alpha, rep(orbit)) = sum of m * max(0, <alpha, beta>)."""
-    return sum(m * max(0, euler_form(q, alpha, beta)) for beta, m in orbit.mults)
+    euler = _euler_table(q)
+    return sum(m * max(0, euler[alpha, beta]) for beta, m in orbit.mults)
 
 
 def hom_table(

@@ -199,6 +199,15 @@ def test_orbit_dim_mismatch(a2):
         quiver_coefficients(a2, (2, 2), a2_orbit(1, 0, 1))
 
 
+def test_orbit_of_non_roots_rejected(inbound):
+    # (1,0,1) has a disconnected support, so it is not a root of A3
+    fake = OrbitSpec((1, 0, 1), (((1, 0, 1), 1),))
+    with pytest.raises(QuiverError, match="not a positive root"):
+        quiver_coefficients(inbound, (1, 0, 1), fake)
+    with pytest.raises(QuiverError, match="not a positive root"):
+        dual_coefficients(inbound, (1, 0, 1), fake)
+
+
 # ---------------------------------------------------------------------------
 # invariants
 

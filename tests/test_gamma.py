@@ -206,11 +206,12 @@ def test_clear_caches_empties_every_memo():
     import pkgutil
 
     import quivergk
-    from quivergk import orbits, quiver_coefficients, Quiver
+    from quivergk import in_orbit_closure, orbit_rep, orbits, quiver_coefficients, Quiver
 
     q = Quiver(3, ((1, 2), (3, 2)))
     for orbit in orbits(q, (2, 2, 2)):
         quiver_coefficients(q, (2, 2, 2), orbit)
+        assert in_orbit_closure(q, orbit_rep(q, orbit), orbit)
     coproduct_coeff((1,), (1,), (1,))
     coproduct2((2, 1))
     memos = []

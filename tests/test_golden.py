@@ -1,10 +1,19 @@
-"""Golden contract: ``quivergk coeffs`` JSON must stay byte-identical.
+"""Golden contract: ``quivergk coeffs`` and ``quivergk orbits`` JSON must
+stay byte-identical.
 
-Each case below names a quiver, an orbit and optionally an explicit
+Each case in ``CASES`` names a quiver, an orbit and optionally an explicit
 resolution pair; ``tests/golden/<name>.json`` holds the exact stdout of
 ``quivergk coeffs`` for it.  The files were written by the engine before
 the row-bounded ψ/a prune, so a faster engine that changes any
 coefficient, term order or caveat fails here.
+
+Each case in ``ORBIT_CASES`` names a quiver and a dimension vector;
+``tests/golden/orbits-<name>.json`` holds the exact stdout of
+``quivergk orbits`` for it.  Those files were written by the
+simple-roots-first enumeration, before it walked the tall roots first, so
+an enumeration that changes an orbit, its root order or the order of the
+list fails here.  The D4 and E6 vectors admit orbits with a root that has
+an entry 2.
 
     python tests/test_golden.py      # rewrite every golden file
 
@@ -61,11 +70,27 @@ CASES = {
     "e6-simple-plus-sincere": (E6, [((0, 0, 1, 0, 0, 0), 1), ((1, 1, 1, 1, 1, 1), 1)], None),
 }
 
+# name -> (arrows, dimension vector)
+ORBIT_CASES = {
+    "a3-in-222": (A3_IN, (2, 2, 2)),
+    "d4-in-1112": (D4_IN, (1, 1, 1, 2)),
+    "e6-112111": (E6, (1, 1, 2, 1, 1, 1)),
+}
+
+
+def run_cli(argv: list[str]) -> str:
+    """Run ``quivergk`` in-process and return stdout; the exit code must be 0."""
+    from quivergk.cli import main
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    assert code == 0, argv
+    return buf.getvalue()
+
 
 def coeffs_stdout(name: str) -> str:
     """Run ``quivergk coeffs`` in-process on one case and return stdout."""
-    from quivergk.cli import main
-
     arrows, mults, pair = CASES[name]
     n = len(mults[0][0])
     dim = [sum(m * root[k] for root, m in mults) for k in range(n)]
@@ -84,11 +109,17 @@ def coeffs_stdout(name: str) -> str:
         ]
         if pair is not None:
             argv += ["--pair", dump("pair.json", pair)]
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = main(argv)
-    assert code == 0, name
-    return buf.getvalue()
+        return run_cli(argv)
+
+
+def orbits_stdout(name: str) -> str:
+    """Run ``quivergk orbits`` in-process on one case and return stdout."""
+    arrows, dim = ORBIT_CASES[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "quiver.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"vertices": len(dim), "arrows": arrows}, fh)
+        return run_cli(["orbits", path, "--dim", ",".join(map(str, dim))])
 
 
 def golden_path(name: str) -> str:
@@ -102,10 +133,19 @@ def test_coeffs_matches_golden(name):
     assert coeffs_stdout(name) == expected
 
 
+@pytest.mark.parametrize("name", sorted(ORBIT_CASES))
+def test_orbits_matches_golden(name):
+    with open(golden_path("orbits-" + name), "r", encoding="utf-8", newline="") as fh:
+        expected = fh.read()
+    assert orbits_stdout(name) == expected
+
+
 if __name__ == "__main__":
     sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
     os.makedirs(GOLDEN, exist_ok=True)
-    for case in sorted(CASES):
-        with open(golden_path(case), "w", encoding="utf-8", newline="") as fh:
-            fh.write(coeffs_stdout(case))
-        print(f"wrote {golden_path(case)}")
+    stdouts = [(case, coeffs_stdout(case)) for case in sorted(CASES)]
+    stdouts += [("orbits-" + case, orbits_stdout(case)) for case in sorted(ORBIT_CASES)]
+    for name, text in stdouts:
+        with open(golden_path(name), "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        print(f"wrote {golden_path(name)}")

@@ -215,6 +215,105 @@ def test_orbits_sum_check(inbound):
             assert tuple(total) == e
 
 
+def brute_force_orbits(q, e):
+    """Every multiplicity vector over the positive roots that sums to ``e``.
+
+    ``itertools.product`` counts up in lexicographic order, which is the
+    order ``orbits`` promises: by multiplicity vector in root order.
+    """
+    roots = positive_roots(q)
+    bounds = [min(x // y for x, y in zip(e, r) if y) for r in roots]
+    found = []
+    for mult in itertools.product(*(range(b + 1) for b in bounds)):
+        if all(sum(m * r[i] for m, r in zip(mult, roots)) == e[i] for i in range(q.n)):
+            found.append(OrbitSpec(e, tuple((r, m) for r, m in zip(roots, mult) if m)))
+    return found
+
+
+def simple_first_orbits(q, e):
+    """The enumeration ``orbits`` replaced: a walk over the roots in
+    ``positive_roots`` order, simple roots first, that drops every branch
+    which runs out of roots before the remainder is zero."""
+    roots = positive_roots(q)
+    found = []
+
+    def dfs(idx, rest, picked):
+        if not any(rest):
+            found.append(OrbitSpec(e, tuple(picked)))
+            return
+        if idx == len(roots):
+            return
+        root = roots[idx]
+        top = min(rest[i] // root[i] for i in range(len(rest)) if root[i])
+        for m in range(top, -1, -1):
+            more = [(root, m)] if m else []
+            dfs(idx + 1, [rest[i] - m * root[i] for i in range(len(rest))], picked + more)
+
+    dfs(0, list(e), [])
+    found.sort(key=lambda o: tuple(o.mult_of(r) for r in roots))
+    return found
+
+
+D4_IN = ((1, 4), (2, 4), (3, 4))
+D4_OUT = ((4, 1), (4, 2), (4, 3))
+D4_MIXED = ((1, 4), (4, 2), (4, 3))
+E6 = ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6))
+E7 = ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7))
+
+
+def dims_up_to(q, max_dim):
+    return itertools.product(range(max_dim + 1), repeat=q.n)
+
+
+@pytest.mark.parametrize(
+    "q, max_dim",
+    [
+        (Quiver(2, ((1, 2),)), 2),
+        (Quiver(3, ((1, 2), (3, 2))), 2),
+        (Quiver(3, ((2, 1), (2, 3))), 2),
+        (Quiver(4, ((1, 2), (3, 2), (3, 4))), 2),
+        (Quiver(4, D4_IN), 1),
+    ],
+    ids=["A2", "A3-in", "A3-out", "A4-mixed", "D4"],
+)
+def test_orbits_equal_brute_force(q, max_dim):
+    for e in dims_up_to(q, max_dim):
+        assert orbits(q, e) == brute_force_orbits(q, e), e
+
+
+@pytest.mark.parametrize(
+    "q, max_dim",
+    [(Quiver(4, D4_IN), 2), (Quiver(4, D4_OUT), 2), (Quiver(4, D4_MIXED), 2), (Quiver(6, E6), 1)],
+    ids=["D4-in", "D4-out", "D4-mixed", "E6"],
+)
+def test_orbits_equal_simple_first_walk(q, max_dim):
+    for e in dims_up_to(q, max_dim):
+        assert orbits(q, e) == simple_first_orbits(q, e), e
+
+
+@pytest.mark.parametrize(
+    "q, max_dim, total",
+    [
+        (Quiver(4, D4_IN), 3, 3406),
+        (Quiver(6, E6), 2, 14547),
+        (Quiver(7, E7), 1, 634),
+    ],
+    ids=["D4-in", "E6", "E7"],
+)
+def test_orbit_totals(q, max_dim, total):
+    assert sum(len(orbits(q, e)) for e in dims_up_to(q, max_dim)) == total
+
+
+def test_a3_orbit_counts_match_oracle(inbound):
+    from quivergk.oracle_a3 import all_mults
+
+    per_dim = {}
+    for m in all_mults(4):
+        per_dim[m.dim] = per_dim.get(m.dim, 0) + 1
+    assert {e: len(orbits(inbound, e)) for e in dims_up_to(inbound, 4)} == per_dim
+    assert len(all_mults(4)) == 826
+
+
 def test_orbit_spec_validation():
     with pytest.raises(QuiverError):
         OrbitSpec((1, 1), (((1, 0), 1),))  # sums to (1,0)
