@@ -9,36 +9,27 @@ timing plus any mismatches.  Exit status 1 if anything disagrees.
 """
 
 import argparse
+import json
 import sys
 import time
 
-from quivergk.engine import quiver_coefficients
-from quivergk.oracle_a3 import (
-    INBOUND,
-    OUTBOUND,
-    all_mults,
-    inbound_table,
-    outbound_table,
-)
+from quivergk.engine import sweep
+from quivergk.oracle_a3 import INBOUND, OUTBOUND
 
 
-def sweep(name, quiver, reference, mults):
+def report(name, quiver, max_dim):
     t0 = time.monotonic()
+    count = terms = 0
     mismatches = []
-    terms = 0
-    for m in mults:
-        table = quiver_coefficients(quiver, m.dim, m.orbit())
-        expected = reference(m)
+    for table, failure in sweep(quiver, max_dim, "oracle-a3"):
+        count += 1
         terms += len(table.tensor.terms)
-        if table.tensor != expected:
-            mismatches.append(m)
+        if failure:
+            mismatches.append(failure["orbit"])
     dt = time.monotonic() - t0
-    print(
-        f"{name}: {len(mults)} orbits, {terms} terms, "
-        f"{len(mismatches)} mismatches, {dt:.2f}s"
-    )
-    for m in mismatches:
-        print(f"  MISMATCH {m}")
+    print(f"{name}: {count} orbits, {terms} terms, {len(mismatches)} mismatches, {dt:.2f}s")
+    for orbit in mismatches:
+        print(f"  MISMATCH {json.dumps(orbit)}")
     return not mismatches
 
 
@@ -47,9 +38,8 @@ def main():
     parser.add_argument("--max-dim", type=int, default=3)
     args = parser.parse_args()
 
-    mults = all_mults(args.max_dim)
-    ok = sweep("inbound ", INBOUND, inbound_table, mults)
-    ok &= sweep("outbound", OUTBOUND, outbound_table, mults)
+    ok = report("inbound ", INBOUND, args.max_dim)
+    ok &= report("outbound", OUTBOUND, args.max_dim)
     return 0 if ok else 1
 
 

@@ -19,6 +19,7 @@ from .engine import (
     phi,
     psi,
     quiver_coefficients,
+    sweep,
 )
 from .gamma import (
     TensorElement,

@@ -19,20 +19,20 @@ Exit status: 0 on success or a passing check, 1 on a failing check,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from typing import Any, Sequence
 
 from .engine import (
+    SUITES,
+    _orbit_payload,
+    _terms_payload,
     caveat_for,
-    check_alternating,
     coefficients,
-    cohomological_part,
     quiver_coefficients,
+    sweep,
 )
-from .gamma import TensorElement, min_degree, project_degree
-from .oracle_a3 import INBOUND, OUTBOUND, inbound_table, mults_from_orbit, outbound_table
+from .gamma import TensorElement, project_degree
 from .quiver import (
     OrbitSpec,
     Quiver,
@@ -44,7 +44,7 @@ from .quiver import (
     orbits,
     positive_roots,
 )
-from .resolution import ResolutionPair, codim, directed_partition
+from .resolution import ResolutionPair, codim
 
 
 def _load_json(path: str) -> Any:
@@ -100,22 +100,8 @@ def _emit(payload: Any) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _orbit_payload(orbit: OrbitSpec) -> dict:
-    return {
-        "dim": list(orbit.dim),
-        "mults": [{"root": list(r), "m": m} for r, m in orbit.mults],
-    }
-
-
-def _terms_payload(tensor: TensorElement) -> list[dict]:
-    return [
-        {"mu": [list(part) for part in key], "coeff": c}
-        for key, c in tensor.sorted_terms()
-    ]
-
-
 def _coeffs_payload(tensor: TensorElement, cd: int, caveat: str | None) -> dict:
-    return {"codim": cd, "caveat": caveat, "terms": _terms_payload(tensor)}
+    return {"codim": cd, "caveat": caveat, "terms": _terms_payload(tensor.sorted_terms())}
 
 
 def _print_table(tensor: TensorElement, cd: int, caveat: str | None) -> None:
@@ -181,92 +167,15 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _all_orbits_up_to(q: Quiver, max_dim: int):
-    for e in itertools.product(range(max_dim + 1), repeat=q.n):
-        for orbit in orbits(q, e):
-            yield e, orbit
-
-
-def _run_check(q: Quiver, suite: str, max_dim: int) -> tuple[int, list[dict]]:
-    checked = 0
-    failures: list[dict] = []
-    if suite == "oracle-a3":
-        arrows = tuple(sorted(q.arrows))
-        if arrows == tuple(sorted(INBOUND.arrows)) and q.n == 3:
-            reference = inbound_table
-        elif arrows == tuple(sorted(OUTBOUND.arrows)) and q.n == 3:
-            reference = outbound_table
-        else:
-            raise QuiverError("oracle-a3 needs the inbound (1->2<-3) or outbound (1<-2->3) A3 quiver")
-    if suite == "independence":
-        all_roots = directed_partition(q, positive_roots(q))
-    for e, orbit in _all_orbits_up_to(q, max_dim):
-        checked += 1
-        if suite == "signs":
-            table = quiver_coefficients(q, e, orbit)
-            bad = check_alternating(table)
-            if bad:
-                failures.append(
-                    {
-                        "orbit": _orbit_payload(orbit),
-                        "violations": [
-                            {"mu": [list(p) for p in key], "coeff": c} for key, c in bad
-                        ],
-                    }
-                )
-        elif suite == "codim":
-            table = quiver_coefficients(q, e, orbit)
-            lowest = min_degree(table.tensor)
-            if lowest != table.codim:
-                failures.append(
-                    {
-                        "orbit": _orbit_payload(orbit),
-                        "codim": table.codim,
-                        "min_degree": lowest,
-                    }
-                )
-        elif suite == "independence":
-            base = quiver_coefficients(q, e, orbit)
-            full = quiver_coefficients(q, e, orbit, dp=all_roots)
-            if caveat_for(q):
-                agree = (
-                    cohomological_part(base) == cohomological_part(full)
-                    and base.codim == full.codim
-                )
-            else:
-                agree = base.tensor == full.tensor and base.codim == full.codim
-            if not agree:
-                failures.append(
-                    {
-                        "orbit": _orbit_payload(orbit),
-                        "pair_a": {"i": list(base.pair.vertices), "r": list(base.pair.ranks)},
-                        "pair_b": {"i": list(full.pair.vertices), "r": list(full.pair.ranks)},
-                    }
-                )
-        elif suite == "oracle-a3":
-            table = quiver_coefficients(q, e, orbit)
-            expected = reference(mults_from_orbit(orbit))
-            if table.tensor != expected:
-                failures.append(
-                    {
-                        "orbit": _orbit_payload(orbit),
-                        "engine": _terms_payload(table.tensor),
-                        "oracle": _terms_payload(expected),
-                    }
-                )
-        else:  # pragma: no cover - argparse restricts choices
-            raise QuiverError(f"unknown suite {suite}")
-    return checked, failures
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     q = quiver_from_file(args.quiver)
-    checked, failures = _run_check(q, args.suite, args.max_dim)
+    results = [failure for _, failure in sweep(q, args.max_dim, args.suite)]
+    failures = [failure for failure in results if failure]
     _emit(
         {
             "suite": args.suite,
             "max_dim": args.max_dim,
-            "checked": checked,
+            "checked": len(results),
             "failures": failures,
         }
     )
@@ -322,11 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="self-check suites over all small orbits")
     p_check.add_argument("quiver")
-    p_check.add_argument(
-        "--suite",
-        required=True,
-        choices=("signs", "oracle-a3", "independence", "codim"),
-    )
+    p_check.add_argument("--suite", required=True, choices=tuple(SUITES))
     p_check.add_argument("--max-dim", type=int, default=2)
     p_check.set_defaults(func=cmd_check)
 

@@ -20,18 +20,24 @@ building every term and dropping the long ones at ``a_op`` would give.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 from .gamma import (
     TensorElement,
+    TensorKey,
+    _add_term,
     append_unit,
     coproduct,
     key_degree,
+    min_degree,
     _mul_basis,
     project_degree,
     straighten,
 )
+from .oracle_a3 import INBOUND, OUTBOUND, inbound_table, mults_from_orbit, outbound_table
 from .quiver import (
     OrbitSpec,
     Quiver,
@@ -40,6 +46,8 @@ from .quiver import (
     dynkin_type,
     incoming_rank,
     opposite,
+    orbits,
+    positive_roots,
 )
 from .resolution import (
     DirectedPartition,
@@ -99,12 +107,7 @@ def psi(p: TensorElement, i: int, max_rows: int | None = None) -> TensorElement:
             for nu, cc in _mul_basis(tau, lam):
                 if len(nu) > max_rows:
                     continue
-                nk = key[: i - 1] + (sigma,) + key[i:-1] + (nu,)
-                val = out.get(nk, 0) + c * d * cc
-                if val:
-                    out[nk] = val
-                elif nk in out:
-                    del out[nk]
+                _add_term(out, key[: i - 1] + (sigma,) + key[i:-1] + (nu,), c * d * cc)
     return TensorElement._trusted(p.arity, out)
 
 
@@ -127,12 +130,7 @@ def a_op(p: TensorElement, i: int, r: int, c: int) -> TensorElement:
         padded = tuple(nu) + (0,) * (r - len(nu))
         seq = tuple(c + x for x in padded) + key[i - 1]
         for (kappa,), s in straighten(seq).terms.items():
-            nk = key[: i - 1] + (kappa,) + key[i:-1]
-            val = out.get(nk, 0) + coeff * s
-            if val:
-                out[nk] = val
-            elif nk in out:
-                del out[nk]
+            _add_term(out, key[: i - 1] + (kappa,) + key[i:-1], coeff * s)
     return TensorElement._trusted(p.arity - 1, out)
 
 
@@ -227,3 +225,99 @@ def dual_coefficients(
     qop = opposite(q)
     dual_orbit = OrbitSpec(orbit.dim, orbit.mults)
     return quiver_coefficients(qop, e, dual_orbit, dp=dp)
+
+
+# ---------------------------------------------------------------------------
+# sweeps over every small orbit
+
+
+def _orbit_payload(orbit: OrbitSpec) -> dict:
+    return {
+        "dim": list(orbit.dim),
+        "mults": [{"root": list(r), "m": m} for r, m in orbit.mults],
+    }
+
+
+def _terms_payload(terms: Iterable[tuple[TensorKey, int]]) -> list[dict]:
+    return [{"mu": [list(part) for part in key], "coeff": c} for key, c in terms]
+
+
+def _check_signs(table: CoefficientTable, _: None) -> dict | None:
+    bad = check_alternating(table)
+    return {"violations": _terms_payload(bad)} if bad else None
+
+
+def _check_codim(table: CoefficientTable, _: None) -> dict | None:
+    lowest = min_degree(table.tensor)
+    return None if lowest == table.codim else {"codim": table.codim, "min_degree": lowest}
+
+
+def _check_independence(table: CoefficientTable, dp: DirectedPartition) -> dict | None:
+    """Compare with the table of a second directed partition: in full in
+    type A, and only the degree-equals-codim slice under the caveat."""
+    other = quiver_coefficients(table.quiver, table.e, table.orbit, dp=dp)
+    if table.caveat:
+        agree = cohomological_part(table) == cohomological_part(other)
+    else:
+        agree = table.tensor == other.tensor
+    if agree and table.codim == other.codim:
+        return None
+    return {
+        "pair_a": {"i": list(table.pair.vertices), "r": list(table.pair.ranks)},
+        "pair_b": {"i": list(other.pair.vertices), "r": list(other.pair.ranks)},
+    }
+
+
+def _oracle_reference(q: Quiver) -> Callable[..., TensorElement]:
+    if q.n == 3:
+        arrows = sorted(q.arrows)
+        if arrows == sorted(INBOUND.arrows):
+            return inbound_table
+        if arrows == sorted(OUTBOUND.arrows):
+            return outbound_table
+    raise QuiverError("oracle-a3 needs the inbound (1->2<-3) or outbound (1<-2->3) A3 quiver")
+
+
+def _check_oracle(table: CoefficientTable, reference: Callable[..., TensorElement]) -> dict | None:
+    expected = reference(mults_from_orbit(table.orbit))
+    if table.tensor == expected:
+        return None
+    return {
+        "engine": _terms_payload(table.tensor.sorted_terms()),
+        "oracle": _terms_payload(expected.sorted_terms()),
+    }
+
+
+# suite name -> (per-quiver setup, per-orbit check); a check takes the
+# greedy table and what the setup returned, and gives the failure's keys
+# after "orbit", or None
+SUITES = {
+    "signs": (lambda q: None, _check_signs),
+    "oracle-a3": (_oracle_reference, _check_oracle),
+    "independence": (lambda q: directed_partition(q, positive_roots(q)), _check_independence),
+    "codim": (lambda q: None, _check_codim),
+}
+
+
+def sweep(q: Quiver, max_dim: int, suite: str) -> Iterator[tuple[CoefficientTable, dict | None]]:
+    """Check every orbit of ``q`` whose dimension entries are at most
+    ``max_dim`` against one of the ``SUITES``.
+
+    Yields ``(table, failure)`` per orbit, dimension vectors in
+    ``itertools.product`` order and the orbits of each in ``orbits``
+    order.  ``table`` is the greedy ``CoefficientTable``; ``failure`` is
+    None, or a dict whose ``"orbit"`` key names the orbit.  A negative
+    ``max_dim``, an unknown suite or a quiver the suite cannot check
+    raises ``QuiverError`` as iteration starts, before any orbit.
+    """
+    if max_dim < 0:
+        raise QuiverError(f"negative max_dim {max_dim}")
+    if suite not in SUITES:
+        raise QuiverError(f"unknown suite {suite!r}")
+    setup, check = SUITES[suite]
+    context = setup(q)
+    for e in itertools.product(range(max_dim + 1), repeat=q.n):
+        for orbit in orbits(q, e):
+            table = quiver_coefficients(q, e, orbit)
+            extra = check(table, context)
+            yield table, None if extra is None else {"orbit": _orbit_payload(orbit), **extra}

@@ -130,7 +130,6 @@ def _lattice_walk(
     bounds: tuple[tuple[int, int], ...],
     tail: Partition,
     caps: tuple[int, ...],
-    target: Partition | None = None,
     letter_cap: tuple[int, int] | None = None,
 ) -> dict[tuple[int, ...], int]:
     """Count set-valued fillings of a skew shape by reading-word content.
@@ -142,10 +141,10 @@ def _lattice_walk(
     copies of v-1 than of v, which is exactly the reverse lattice
     condition.  ``caps[r-1]`` bounds the letters usable in row r.
 
-    Returns {content: count} over the full word (tail included); with
-    ``target`` set, only that content is counted.  ``letter_cap = (v, k)``
-    drops every word with more than k copies of v; counts only grow, so
-    the walk stops as soon as a placement would exceed it.
+    Returns {content: count} over the full word (tail included).
+    ``letter_cap = (v, k)`` drops every word with more than k copies of
+    v; counts only grow, so the walk stops as soon as a placement would
+    exceed it.
     """
     nrows = len(bounds)
     boxes: list[tuple[int, int]] = []
@@ -153,32 +152,19 @@ def _lattice_walk(
         start, stop = bounds[r - 1]
         boxes.extend((r, c) for c in range(stop, start, -1))
     nboxes = len(boxes)
-
-    if target is not None:
-        tlen = len(target)
-        if len(tail) > tlen:
-            return {}
-        need = sum(target)
-    else:
-        tlen = max([len(tail), *caps]) if (tail or caps) else 0
-        need = _BIG
+    tlen = max([len(tail), *caps]) if (tail or caps) else 0
 
     # limit[v] bounds the copies of letter v; counts[0] = _BIG lets letter 1
-    # pass the lattice test, and tops[r-1] is the largest letter of row r
+    # pass the lattice test
     counts = [0] * (tlen + 2)
     limit = [_BIG] * (tlen + 2)
     counts[1 : len(tail) + 1] = tail
-    tops = caps
-    if target is not None:
-        limit[1 : tlen + 1] = target
-        tops = tuple(min(cap, tlen) for cap in caps)
     if letter_cap is not None and letter_cap[0] < len(limit):
         v, k = letter_cap
-        limit[v] = min(limit[v], k)
+        limit[v] = k
     if any(n > bound for n, bound in zip(counts, limit)):
         return {}
     counts[0] = _BIG
-    total0 = sum(tail)
 
     maxcol = max((stop for _, stop in bounds), default=0)
     maxgrid = [[0] * (maxcol + 2) for _ in range(nrows + 2)]
@@ -193,38 +179,35 @@ def _lattice_walk(
         t = tuple(key)
         acc[t] = acc.get(t, 0) + 1
 
-    def grow(bi: int, r: int, c: int, lo: int, last: int, total: int) -> None:
+    def grow(bi: int, r: int, c: int, lo: int, last: int) -> None:
         # box bi currently ends with element `last`; close it or extend down
         mingrid[r][c] = last
-        advance(bi + 1, total)
+        advance(bi + 1)
         for v in range(last - 1, lo, -1):
             if counts[v - 1] <= counts[v] or counts[v] >= limit[v]:
                 continue
             counts[v] += 1
-            grow(bi, r, c, lo, v, total + 1)
+            grow(bi, r, c, lo, v)
             counts[v] -= 1
 
-    def advance(bi: int, total: int) -> None:
+    def advance(bi: int) -> None:
         if bi == nboxes:
-            if target is None or total == need:
-                record()
-            return
-        if need - total < nboxes - bi:
+            record()
             return
         r, c = boxes[bi]
         lo = maxgrid[r - 1][c]
         hi = mingrid[r][c + 1]
-        if hi > tops[r - 1]:
-            hi = tops[r - 1]
+        if hi > caps[r - 1]:
+            hi = caps[r - 1]
         for v in range(hi, lo, -1):
             if counts[v - 1] <= counts[v] or counts[v] >= limit[v]:
                 continue
             counts[v] += 1
             maxgrid[r][c] = v
-            grow(bi, r, c, lo, v, total + 1)
+            grow(bi, r, c, lo, v)
             counts[v] -= 1
 
-    advance(0, total0)
+    advance(0)
     return acc
 
 
@@ -247,13 +230,11 @@ def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
 
     Counts set-valued tableaux of shape ``lam`` whose word, extended by
     the partition word of ``mu``, is reverse lattice with content ``nu``,
-    signed by (-1)^(|nu| - |lam| - |mu|).
+    signed by (-1)^(|nu| - |lam| - |mu|) (Buch's rule).  The product is a
+    finite sum, so it is read off the full signed expansion
+    ``_mul_basis(lam, mu)``: one walk per factor pair answers every ``nu``.
     """
-    lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
-    caps = tuple(r + len(mu) for r in range(1, len(lam) + 1))
-    hits = _lattice_walk(_straight_bounds(lam), mu, caps, target=nu)
-    count = hits.get(nu, 0)
-    return _sign(sum(nu) - sum(lam) - sum(mu)) * count
+    return dict(_mul_basis(normalize(lam), normalize(mu))).get(normalize(nu), 0)
 
 
 @cache

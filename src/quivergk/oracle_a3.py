@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .gamma import TensorElement, _mul_basis, coproduct, coproduct2
+from .gamma import TensorElement, _add_term, _mul_basis, coproduct, coproduct2
 from .partitions import (
     Partition,
     SkewShape,
@@ -189,12 +189,7 @@ def inbound_table(m: A3OrbitMults) -> TensorElement:
                     raise AssertionError(
                         f"middle key {mid} too wide for rectangle prefix {width}"
                     )
-                key = (lam, normalize(prefix + mid), nu)
-                val = out.get(key, 0) + d1 * d2 * c
-                if val:
-                    out[key] = val
-                elif key in out:
-                    del out[key]
+                _add_term(out, (lam, normalize(prefix + mid), nu), d1 * d2 * c)
     return TensorElement(3, out)
 
 
@@ -257,10 +252,5 @@ def outbound_table(m: A3OrbitMults) -> TensorElement:
     right = (m.m22 + m.m12,) * m.m33
     out: dict[tuple, int] = {}
     for (lam, mu, nu), d in coproduct2(rect).terms.items():
-        key = (normalize(left + lam), mu, normalize(right + nu))
-        val = out.get(key, 0) + d
-        if val:
-            out[key] = val
-        elif key in out:
-            del out[key]
+        _add_term(out, (normalize(left + lam), mu, normalize(right + nu)), d)
     return TensorElement(3, out)

@@ -17,7 +17,6 @@ from conftest import classical_lr, fraction_rank
 from quivergk.engine import (
     CAVEAT_FLAG,
     check_alternating,
-    cohomological_part,
     quiver_coefficients,
 )
 from quivergk.gamma import (
@@ -50,6 +49,11 @@ from quivergk.resolution import codim, directed_partition
 
 A2 = Quiver(2, ((1, 2),))
 D4 = Quiver(4, ((1, 4), (2, 4), (3, 4)))
+D4_ORIENTATIONS = (
+    D4,
+    Quiver(4, ((4, 1), (4, 2), (4, 3))),
+    Quiver(4, ((1, 4), (4, 2), (4, 3))),
+)
 
 TYPE_A = (
     A2,
@@ -135,16 +139,19 @@ def type_a_corpus():
 
 @cache
 def d4_corpus():
+    """Pairs (greedy table, full positive-root-partition table) for every
+    orbit with entries at most 2, on three orientations of the star."""
     out = []
-    full = directed_partition(D4, positive_roots(D4))
-    for e in [(1, 1, 1, 1), (1, 1, 1, 2)]:
-        for orbit in orbits(D4, e):
-            out.append(
-                (
-                    quiver_coefficients(D4, e, orbit),
-                    quiver_coefficients(D4, e, orbit, dp=full),
+    for q in D4_ORIENTATIONS:
+        full = directed_partition(q, positive_roots(q))
+        for e in itertools.product(range(3), repeat=q.n):
+            for orbit in orbits(q, e):
+                out.append(
+                    (
+                        quiver_coefficients(q, e, orbit),
+                        quiver_coefficients(q, e, orbit, dp=full),
+                    )
                 )
-            )
     return out
 
 
@@ -192,8 +199,9 @@ def test_criterion_03_outbound_engine_matches_oracle():
 
 
 def test_criterion_04_resolution_pair_independence():
-    """Type-A tables are identical under two different directed partitions;
-    on the triple-source star the degree-equals-codim slices agree."""
+    """Tables are identical under two different directed partitions: in
+    type A, and on every small orbit of three orientations of the star,
+    where only the degree-equals-codim slice is covered by the theory."""
     pairs = type_a_corpus()
     # zero-rank steps drop out, so the two partitions can induce the same
     # pair on dense-ish orbits; demand plenty of genuinely different ones
@@ -203,10 +211,13 @@ def test_criterion_04_resolution_pair_independence():
         assert a.codim == b.codim
 
     stars = d4_corpus()
-    assert len(stars) >= 5
+    for q in D4_ORIENTATIONS:
+        own = [(a, b) for a, b in stars if a.quiver == q]
+        assert len(own) == 448, q
+        assert sum(a.pair != b.pair for a, b in own) >= 80, q
     for a, b in stars:
         assert a.codim == b.codim
-        assert cohomological_part(a) == cohomological_part(b), a.orbit
+        assert a.tensor == b.tensor, (a.quiver, a.orbit)
 
 
 def test_criterion_05_ring_axioms():

@@ -223,16 +223,24 @@ def test_check_oracle_a3_wrong_quiver(capsys, a2_file):
 
 def test_check_reports_failures(capsys, a2_file, monkeypatch):
     # force a violation through so the nonzero exit path is exercised
-    import quivergk.cli as cli
+    import quivergk.engine as engine
 
     monkeypatch.setattr(
-        cli, "check_alternating", lambda table: [(((), (1,)), -1)]
+        engine, "check_alternating", lambda table: [(((), (1,)), -1)]
     )
     code, out, _ = run(capsys, ["check", a2_file, "--suite", "signs", "--max-dim", "1"])
     assert code == 1
     data = json.loads(out)
     assert data["failures"]
     assert data["failures"][0]["violations"] == [{"mu": [[], [1]], "coeff": -1}]
+
+
+def test_check_negative_max_dim_rejected(capsys, a2_file):
+    # a sweep over no orbit at all would pass while checking nothing
+    code, out, err = run(capsys, ["check", a2_file, "--suite", "signs", "--max-dim", "-1"])
+    assert code == 2
+    assert out == ""
+    assert "max_dim" in err
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from quivergk.engine import (
     phi,
     psi,
     quiver_coefficients,
+    sweep,
 )
 from quivergk.gamma import TensorElement, basis, min_degree, tensor_mul_at
 from quivergk.partitions import conjugate, partitions_fitting
@@ -297,3 +298,26 @@ def test_duality_on_equioriented_a3():
             assert lhs == {
                 ((), conjugate(k[0]), conjugate(k[1])): c for k, c in rhs.items()
             }
+
+
+# ---------------------------------------------------------------------------
+# sweep
+
+
+def test_sweep_yields_greedy_tables_in_order(inbound):
+    got = list(sweep(inbound, 2, "oracle-a3"))
+    want = [
+        (e, orb)
+        for e in itertools.product(range(3), repeat=3)
+        for orb in orbits(inbound, e)
+    ]
+    assert [(t.e, t.orbit) for t, _ in got] == want
+    assert all(failure is None for _, failure in got)
+    table = got[-1][0]
+    assert table == quiver_coefficients(inbound, table.e, table.orbit)
+
+
+def test_sweep_rejects_unknown_suite(a2):
+    # the CLI narrows --suite to the SUITES names; a library caller may not
+    with pytest.raises(QuiverError, match="unknown suite"):
+        next(sweep(a2, 1, "nope"))

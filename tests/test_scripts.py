@@ -26,6 +26,8 @@ def run_script(*argv):
 def test_oracle_sweep():
     lines = run_script("oracle_sweep.py", "--max-dim", "1")
     assert len(lines) == 2
+    # the 13 orbits of oracle_a3.all_mults(1), in each orientation
+    assert all(": 13 orbits," in line for line in lines)
     assert all(", 0 mismatches," in line for line in lines)
 
 
