@@ -43,8 +43,6 @@ from .quiver import (
     Quiver,
     QuiverError,
     check_orbit,
-    dynkin_type,
-    incoming_rank,
     opposite,
     orbits,
     positive_roots,
@@ -55,6 +53,7 @@ from .resolution import (
     codim,
     directed_partition,
     pair_stages,
+    rectangle_width,
     resolution_pair,
 )
 
@@ -64,9 +63,11 @@ CAVEAT_FLAG = "conjectural-under-rational-singularities"
 def caveat_for(q: Quiver) -> str | None:
     """The caveat a table of ``q`` carries: away from type A only its
     degree-equals-codim slice is backed by the positivity/rationality
-    hypotheses, so a quiver with a D or E component is flagged."""
-    kind = dynkin_type(q)
-    return CAVEAT_FLAG if ("D" in kind or "E" in kind) else None
+    hypotheses, so a quiver with a D or E component is flagged.  Those are
+    the quivers with a root entry >= 2: type A roots are 0/1 vectors, and
+    the highest root of D_n or E_n has a 2.  Non-Dynkin raises ``QuiverError``.
+    """
+    return CAVEAT_FLAG if any(max(root) >= 2 for root in positive_roots(q)) else None
 
 
 @dataclass(frozen=True)
@@ -146,8 +147,7 @@ def phi(
     cur = append_unit(p)
     for head in sorted(h for t, h in q.arrows if t == i):
         cur = psi(cur, head, r)
-    c = incoming_rank(q, stage_e, i) - stage_e[i - 1] + r
-    return a_op(cur, i, r, c)
+    return a_op(cur, i, r, rectangle_width(q, stage_e, i, r))
 
 
 def coefficients(q: Quiver, e: tuple[int, ...], pair: ResolutionPair) -> TensorElement:
@@ -177,11 +177,7 @@ def quiver_coefficients(
         raise QuiverError(f"orbit has dim {orbit.dim}, expected {ev}")
     check_orbit(q, orbit)
     if dp is None:
-        dp = (
-            directed_partition(q, orbit.support)
-            if orbit.support
-            else DirectedPartition(())
-        )
+        dp = directed_partition(q, orbit.support)
     pair = resolution_pair(q, orbit, dp)
     tensor = coefficients(q, ev, pair)
     return CoefficientTable(
@@ -222,9 +218,7 @@ def dual_coefficients(
     Root multiplicities transfer verbatim: transposing all matrices fixes
     dimension vectors and matches indecomposables across the reversal.
     """
-    qop = opposite(q)
-    dual_orbit = OrbitSpec(orbit.dim, orbit.mults)
-    return quiver_coefficients(qop, e, dual_orbit, dp=dp)
+    return quiver_coefficients(opposite(q), e, orbit, dp=dp)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@ with a fixed partition word appended, satisfies the reverse lattice
 condition.  The enumerator walks boxes in reversed reading order
 so the lattice condition can be checked letter by letter, which is what
 keeps the rectangle-sized coproducts used by the orbit engine affordable.
-A per-letter count cap prunes the walk further: ``coproduct(nu, m)``
-builds only the terms whose second factor has at most m rows, the factor
-the engine multiplies into its row-bounded working slot.
+It builds in Buch's row bound: a letter in row r is at most r + len(tail),
+for the appended partition tail.  A per-letter count cap prunes the walk
+further: ``coproduct(nu, m)`` builds only the terms whose second factor
+has at most m rows, the factor the engine multiplies into its
+row-bounded working slot.
 
 Raising-operator sequences (arbitrary integer tuples) are straightened
 into the partition basis by ``straighten``, in one ordered pass with no
@@ -129,7 +131,6 @@ def basis(lam: Iterable[int]) -> TensorElement:
 def _lattice_walk(
     bounds: tuple[tuple[int, int], ...],
     tail: Partition,
-    caps: tuple[int, ...],
     letter_cap: tuple[int, int] | None = None,
 ) -> dict[tuple[int, ...], int]:
     """Count set-valued fillings of a skew shape by reading-word content.
@@ -139,7 +140,8 @@ def _lattice_walk(
     as already placed.  A letter v can only be placed while the letters
     placed so far (the suffix of the final word) contain strictly more
     copies of v-1 than of v, which is exactly the reverse lattice
-    condition.  ``caps[r-1]`` bounds the letters usable in row r.
+    condition.  So a letter in row r is at most r + len(tail): a copy of
+    v-1 placed before v sits in the tail or in a row above it.
 
     Returns {content: count} over the full word (tail included).
     ``letter_cap = (v, k)`` drops every word with more than k copies of
@@ -152,19 +154,15 @@ def _lattice_walk(
         start, stop = bounds[r - 1]
         boxes.extend((r, c) for c in range(stop, start, -1))
     nboxes = len(boxes)
-    tlen = max([len(tail), *caps]) if (tail or caps) else 0
+    ltail = len(tail)
 
     # limit[v] bounds the copies of letter v; counts[0] = _BIG lets letter 1
     # pass the lattice test
-    counts = [0] * (tlen + 2)
-    limit = [_BIG] * (tlen + 2)
-    counts[1 : len(tail) + 1] = tail
-    if letter_cap is not None and letter_cap[0] < len(limit):
+    counts = [_BIG, *tail] + [0] * (nrows + 1)
+    limit = [_BIG] * len(counts)
+    if letter_cap is not None:
         v, k = letter_cap
         limit[v] = k
-    if any(n > bound for n, bound in zip(counts, limit)):
-        return {}
-    counts[0] = _BIG
 
     maxcol = max((stop for _, stop in bounds), default=0)
     maxgrid = [[0] * (maxcol + 2) for _ in range(nrows + 2)]
@@ -173,7 +171,7 @@ def _lattice_walk(
     acc: dict[tuple[int, ...], int] = {}
 
     def record() -> None:
-        key = counts[1 : tlen + 1]
+        key = counts[1:-1]
         while key and key[-1] == 0:
             key.pop()
         t = tuple(key)
@@ -197,8 +195,8 @@ def _lattice_walk(
         r, c = boxes[bi]
         lo = maxgrid[r - 1][c]
         hi = mingrid[r][c + 1]
-        if hi > caps[r - 1]:
-            hi = caps[r - 1]
+        if hi > r + ltail:
+            hi = r + ltail
         for v in range(hi, lo, -1):
             if counts[v - 1] <= counts[v] or counts[v] >= limit[v]:
                 continue
@@ -209,10 +207,6 @@ def _lattice_walk(
 
     advance(0)
     return acc
-
-
-def _straight_bounds(lam: Partition) -> tuple[tuple[int, int], ...]:
-    return tuple((0, part) for part in lam)
 
 
 def _sign(k: int) -> int:
@@ -240,8 +234,7 @@ def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
 @cache
 def _mul_basis(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
     """Full expansion of a basis product, as sorted (partition, coeff) pairs."""
-    caps = tuple(r + len(mu) for r in range(1, len(lam) + 1))
-    hits = _lattice_walk(_straight_bounds(lam), mu, caps)
+    hits = _lattice_walk(tuple((0, part) for part in lam), mu)
     base = sum(lam) + sum(mu)
     items = [(nu, _sign(sum(nu) - base) * n) for nu, n in hits.items()]
     return tuple(sorted(items, key=lambda kv: (sum(kv[0]), kv[0])))
@@ -276,8 +269,7 @@ def coproduct(nu: Partition, max_rows: int | None = None) -> TensorElement:
     if max_rows is not None and max_rows < 0:
         raise ValueError(f"negative max_rows {max_rows}")
     m = p if max_rows is None else min(max_rows, p)
-    caps = tuple(r + p for r in range(1, p + 1))
-    hits = _lattice_walk(tuple((0, q) for _ in range(p)), nu, caps, letter_cap=(m + 1, q))
+    hits = _lattice_walk(tuple((0, q) for _ in range(p)), nu, letter_cap=(m + 1, q))
     # every content is a term of the product of R and nu, so it contains R
     # and reads rho = (q + mu, lam); that determines (lam, mu), so no two
     # contents meet in one key and every count stays non-zero
@@ -337,9 +329,7 @@ def skew_expand(shape: SkewShape | Iterable[int]) -> TensorElement:
     word, signed by excess; entries in row r never exceed r.
     """
     sh = as_shape(shape)
-    bounds = sh.row_bounds()
-    caps = tuple(range(1, len(bounds) + 1))
-    hits = _lattice_walk(bounds, (), caps)
+    hits = _lattice_walk(sh.row_bounds(), ())
     size = sh.size
     # each content is a partition, met once, with a non-zero count
     out = {(rho,): _sign(sum(rho) - size) * n for rho, n in hits.items()}

@@ -408,17 +408,14 @@ def direct_sum(q: Quiver, reps: Iterable[QuiverRep]) -> QuiverRep:
 
 def orbit_rep(q: Quiver, orbit: OrbitSpec) -> QuiverRep:
     """Canonical representative: multiplicity-many copies of each
-    indecomposable, in root order."""
+    indecomposable, in root order.  A dimension vector that does not fit
+    ``q`` or a vector that is not a positive root raises ``QuiverError``."""
+    q.check_vector(orbit.dim)
+    check_orbit(q, orbit)
     pieces = []
     for root, m in orbit.mults:
         pieces.extend([indecomposable_rep(q, root)] * m)
-    total = direct_sum(q, pieces)
-    if total.dims != orbit.dim:  # only for the empty sum at dim zero
-        total = QuiverRep(
-            orbit.dim,
-            tuple(_zero_matrix(orbit.dim[h - 1], orbit.dim[t - 1]) for t, h in q.arrows),
-        )
-    return total
+    return direct_sum(q, pieces)
 
 
 def _bareiss_rank(matrix: list[list[int]]) -> int:
@@ -504,6 +501,14 @@ def _orbit_hom(q: Quiver, alpha: Vector, orbit: OrbitSpec) -> int:
     return sum(m * max(0, euler[alpha, beta]) for beta, m in orbit.mults)
 
 
+def _check_query(q: Quiver, rep: QuiverRep, orbit: OrbitSpec) -> None:
+    """Raise ``QuiverError`` unless a membership query is well-formed."""
+    validate_rep(q, rep)
+    if rep.dims != orbit.dim:
+        raise QuiverError(f"dimension vectors differ: {rep.dims} vs {orbit.dim}")
+    check_orbit(q, orbit)
+
+
 def hom_table(
     q: Quiver, rep: QuiverRep, orbit: OrbitSpec
 ) -> list[tuple[Vector, int, int]]:
@@ -515,9 +520,10 @@ def hom_table(
     LNM 1099), so between indecomposables Hom and Ext^1 are never both
     non-zero, and dim Hom(M_alpha, M_beta) = max(0, <alpha, beta>) for
     the Euler form.  The orbit column is the sum of that over the
-    orbit's roots, with multiplicity.
+    orbit's roots, with multiplicity.  Inputs are checked as in
+    ``in_orbit_closure``.
     """
-    check_orbit(q, orbit)
+    _check_query(q, rep, orbit)
     return [
         (root, hom_dim(q, indecomposable_rep(q, root), rep), _orbit_hom(q, root, orbit))
         for root in positive_roots(q)
@@ -537,10 +543,7 @@ def in_orbit_closure(q: Quiver, rep: QuiverRep, orbit: OrbitSpec) -> bool:
     A malformed representation, a dimension mismatch or an orbit made of
     vectors that are not positive roots raises ``QuiverError``.
     """
-    validate_rep(q, rep)
-    if rep.dims != orbit.dim:
-        raise QuiverError(f"dimension vectors differ: {rep.dims} vs {orbit.dim}")
-    check_orbit(q, orbit)
+    _check_query(q, rep, orbit)
     inside = True
     for root in positive_roots(q):
         need = _orbit_hom(q, root, orbit)

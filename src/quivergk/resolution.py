@@ -179,15 +179,18 @@ def pair_stages(
         cur[v - 1] -= r
 
 
+def rectangle_width(q: Quiver, stage: Vector, v: int, r: int) -> int:
+    """Width c of the r x c rectangle that step (v, r) over stage vector
+    ``stage`` prepends: the rank of the arrows into v, less s_v - r."""
+    return incoming_rank(q, stage, v) - stage[v - 1] + r
+
+
 def codim(q: Quiver, e: Iterable[int], pair: ResolutionPair) -> int:
     """Codimension of the image of the resolution inside the representation
     space: ambient dimension minus total space dimension.
 
     Each step (v, r) over stage vector s trades r(s_v - r) fibre directions
     for r * rank(M_v) zero-locus equations, with stages consumed left to
-    right.
+    right; the difference is the area r * c of the rectangle it prepends.
     """
-    fiber = 0
-    for v, r, stage in pair_stages(q, e, pair):
-        fiber += r * (stage[v - 1] - r) - r * incoming_rank(q, stage, v)
-    return -fiber
+    return sum(r * rectangle_width(q, stage, v, r) for v, r, stage in pair_stages(q, e, pair))

@@ -9,6 +9,7 @@ from quivergk.engine import (
     CAVEAT_FLAG,
     CoefficientTable,
     a_op,
+    caveat_for,
     check_alternating,
     coefficients,
     cohomological_part,
@@ -271,6 +272,26 @@ def test_caveat_flag_set_for_d4():
     table = quiver_coefficients(d4, (1, 1, 1, 1), orb)
     assert table.caveat == CAVEAT_FLAG
     assert check_alternating(table) == []
+
+
+@pytest.mark.parametrize(
+    "n, arrows, flagged",
+    [
+        (3, ((1, 2), (3, 2)), False),  # A3
+        (3, ((1, 2),), False),  # A2 + A1
+        (4, ((1, 4), (2, 4), (3, 4)), True),  # D4
+        (6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)), True),  # E6
+        (7, ((1, 2), (3, 2), (4, 7), (5, 7), (6, 7)), True),  # A3 + D4
+    ],
+    ids=["A3", "A2+A1", "D4", "E6", "A3+D4"],
+)
+def test_caveat_flags_exactly_d_and_e(n, arrows, flagged):
+    assert caveat_for(Quiver(n, arrows)) == (CAVEAT_FLAG if flagged else None)
+
+
+def test_caveat_rejects_a_quiver_that_is_not_dynkin():
+    with pytest.raises(QuiverError):
+        caveat_for(Quiver(2, ((1, 2), (1, 2))))
 
 
 def test_dual_porteous(a2):

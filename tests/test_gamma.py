@@ -22,7 +22,15 @@ from quivergk.gamma import (
     straighten,
     tensor_mul_at,
 )
-from quivergk.partitions import SkewShape, contains, expand_single, partitions_fitting
+from quivergk.partitions import (
+    SkewShape,
+    contains,
+    content,
+    enumerate_svt,
+    expand_single,
+    partitions_fitting,
+    word,
+)
 
 from conftest import classical_lr, int_seqs, partitions
 
@@ -279,6 +287,36 @@ def test_skew_expand_single_off_corner_box():
 def test_skew_expand_horizontal_domino():
     got = skew_expand(SkewShape((2,)))
     assert got.terms == {((2,),): 1}
+
+
+def _skew_shapes_in_box(rows, cols, max_size):
+    box = list(partitions_fitting(rows, cols))
+    for outer in box:
+        for inner in box:
+            if contains(outer, inner) and 0 < sum(outer) - sum(inner) <= max_size:
+                yield SkewShape(outer, inner)
+
+
+def test_skew_expand_matches_polynomial_expansion():
+    # G_{outer/inner}(x1, x2, x3) summed over set-valued tableaux must equal
+    # the expansion's sum of c * G_rho(x1, x2, x3), up to a fixed degree
+    nvars = 3
+    shapes = list(_skew_shapes_in_box(3, 3, 5))
+    assert len(shapes) == 137
+    for shape in shapes:
+        deg = shape.size + 2
+        direct = {}
+        for t in enumerate_svt(shape, nvars, deg - shape.size):
+            counts = content(word(t))
+            mono = counts + (0,) * (nvars - len(counts))
+            direct[mono] = direct.get(mono, 0) + (-1) ** t.excess
+        direct = {k: v for k, v in direct.items() if v}
+        via_ring = {}
+        for (rho,), c in skew_expand(shape).terms.items():
+            for mono, x in expand_single(rho, nvars, deg).items():
+                via_ring[mono] = via_ring.get(mono, 0) + c * x
+        via_ring = {k: v for k, v in via_ring.items() if v}
+        assert direct == via_ring, shape
 
 
 def test_skew_expand_disconnected():

@@ -1,5 +1,5 @@
-"""Golden contract: ``quivergk coeffs`` and ``quivergk orbits`` JSON must
-stay byte-identical.
+"""Golden contract: ``quivergk coeffs``, ``orbits`` and ``member`` JSON
+must stay byte-identical.
 
 Each case in ``CASES`` names a quiver, an orbit and optionally an explicit
 resolution pair; ``tests/golden/<name>.json`` holds the exact stdout of
@@ -14,6 +14,13 @@ simple-roots-first enumeration, before it walked the tall roots first, so
 an enumeration that changes an orbit, its root order or the order of the
 list fails here.  The D4 and E6 vectors admit orbits with a root that has
 an entry 2.
+
+Each case in ``MEMBER_CASES`` names a quiver, an orbit and one matrix per
+arrow; ``tests/golden/member-<name>.json`` holds the exact stdout of
+``quivergk member`` for it.  Those files were written before
+``hom_table`` and ``in_orbit_closure`` shared one input check, so a
+change to the hom table's rows, their order or the verdict fails here.
+The D4 case uses the root (1,1,1,2).
 
     python tests/test_golden.py      # rewrite every golden file
 
@@ -78,6 +85,26 @@ ORBIT_CASES = {
 }
 
 
+# name -> (arrows, [(root, m), ...], one matrix per arrow)
+MEMBER_CASES = {
+    # both maps rank 1 with one common image: a degeneration of the orbit
+    "a3-in-member": (
+        A3_IN,
+        [((1, 1, 0), 1), ((0, 1, 1), 1), ((1, 0, 0), 1), ((0, 0, 1), 1)],
+        [[[1, 0], [0, 0]], [[1, 1], [0, 0]]],
+    ),
+    # the first map has rank 2, more than the orbit's rank 1
+    "a3-in-nonmember": (
+        A3_IN,
+        [((1, 1, 0), 1), ((0, 1, 1), 1), ((1, 0, 0), 1), ((0, 0, 1), 1)],
+        [[[1, 0], [0, 1]], [[0, 0], [1, 0]]],
+    ),
+    # two equal lines into k^2: every rep of this dimension is in the
+    # closure of the dense orbit of M_(1,1,1,2)
+    "d4-in-1112": (D4_IN, [((1, 1, 1, 2), 1)], [[[1], [0]], [[1], [0]], [[0], [1]]]),
+}
+
+
 def run_cli(argv: list[str]) -> str:
     """Run ``quivergk`` in-process and return stdout; the exit code must be 0."""
     from quivergk.cli import main
@@ -122,6 +149,30 @@ def orbits_stdout(name: str) -> str:
         return run_cli(["orbits", path, "--dim", ",".join(map(str, dim))])
 
 
+def member_stdout(name: str) -> str:
+    """Run ``quivergk member`` in-process on one case and return stdout."""
+    arrows, mults, matrices = MEMBER_CASES[name]
+    n = len(mults[0][0])
+    dim = [sum(m * root[k] for root, m in mults) for k in range(n)]
+    with tempfile.TemporaryDirectory() as tmp:
+
+        def dump(fname, payload):
+            path = os.path.join(tmp, fname)
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
+            return path
+
+        return run_cli(
+            [
+                "member",
+                dump("quiver.json", {"vertices": n, "arrows": arrows}),
+                dump("orbit.json", {"dim": dim, "mults": [{"root": list(r), "m": m} for r, m in mults]}),
+                "--rep",
+                dump("rep.json", {"matrices": matrices}),
+            ]
+        )
+
+
 def golden_path(name: str) -> str:
     return os.path.join(GOLDEN, name + ".json")
 
@@ -140,11 +191,19 @@ def test_orbits_matches_golden(name):
     assert orbits_stdout(name) == expected
 
 
+@pytest.mark.parametrize("name", sorted(MEMBER_CASES))
+def test_member_matches_golden(name):
+    with open(golden_path("member-" + name), "r", encoding="utf-8", newline="") as fh:
+        expected = fh.read()
+    assert member_stdout(name) == expected
+
+
 if __name__ == "__main__":
     sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
     os.makedirs(GOLDEN, exist_ok=True)
     stdouts = [(case, coeffs_stdout(case)) for case in sorted(CASES)]
     stdouts += [("orbits-" + case, orbits_stdout(case)) for case in sorted(ORBIT_CASES)]
+    stdouts += [("member-" + case, member_stdout(case)) for case in sorted(MEMBER_CASES)]
     for name, text in stdouts:
         with open(golden_path(name), "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

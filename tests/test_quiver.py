@@ -371,6 +371,11 @@ def test_orbit_rep_dims(inbound):
             validate_rep(inbound, rep)
 
 
+def test_orbit_rep_rejects_a_dimension_vector_of_the_wrong_length(inbound):
+    with pytest.raises(QuiverError, match="bad dimension vector"):
+        orbit_rep(inbound, OrbitSpec((0, 0), ()))
+
+
 def test_hom_dim_frozen(a2):
     ident = indecomposable_rep(a2, (1, 1))
     assert hom_dim(a2, ident, ident) == 1
@@ -536,6 +541,19 @@ def test_membership_rejects_orbits_not_made_of_roots(inbound):
         hom_table(inbound, rep, fake)
     with pytest.raises(QuiverError, match="not a positive root"):
         in_orbit_closure(inbound, rep, fake)
+
+
+def test_membership_queries_share_one_input_check(inbound):
+    # a well-formed rep of dim (1,1,1) against an orbit of dim (2,2,2)
+    orbit = orbits(inbound, (2, 2, 2))[0]
+    rep = QuiverRep((1, 1, 1), (((1,),), ((1,),)))
+    for query in (hom_table, in_orbit_closure):
+        with pytest.raises(QuiverError, match="dimension vectors differ"):
+            query(inbound, rep, orbit)
+    bad = QuiverRep((2, 2, 2), (((1,),), ((1,),)))
+    for query in (hom_table, in_orbit_closure):
+        with pytest.raises(QuiverError, match="not 2x2"):
+            query(inbound, bad, orbit)
 
 
 @pytest.mark.parametrize(
