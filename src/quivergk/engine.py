@@ -142,6 +142,8 @@ def phi(
     dimension vector ``stage_e``."""
     if not 1 <= i <= q.n:
         raise QuiverError(f"vertex {i} out of range 1..{q.n}")
+    if len(stage_e) != q.n:
+        raise QuiverError(f"stage vector {stage_e} does not have {q.n} entries")
     if r > stage_e[i - 1]:
         raise QuiverError(f"rank {r} exceeds stage dimension at vertex {i}")
     cur = append_unit(p)

@@ -86,6 +86,11 @@ def test_a_op_straightening_kicks_in():
     assert got.terms == {((2, 2),): 1}
 
 
+def test_phi_rejects_a_stage_vector_of_the_wrong_length(inbound):
+    with pytest.raises(QuiverError, match="entries"):
+        phi(TensorElement.unit(3), inbound, (1, 1), 2, 1)
+
+
 def test_phi_respects_stage_bound(a2):
     with pytest.raises(QuiverError):
         phi(TensorElement.unit(2), a2, (1, 1), 1, 2)

@@ -24,6 +24,16 @@ from quivergk.resolution import (
 A11, A12, A13 = (1, 0, 0), (1, 1, 0), (1, 1, 1)
 A22, A23, A33 = (0, 1, 0), (0, 1, 1), (0, 0, 1)
 
+A3_IN = Quiver(3, ((1, 2), (3, 2)))
+A3_OUT = Quiver(3, ((2, 1), (2, 3)))
+D4_IN = Quiver(4, ((1, 4), (2, 4), (3, 4)))
+D4_OUT = Quiver(4, ((4, 1), (4, 2), (4, 3)))
+D4_MIXED = Quiver(4, ((1, 4), (4, 2), (4, 3)))
+E6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)))
+E7 = Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)))
+E8 = Quiver(8, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)))
+KRONECKER = Quiver(2, ((1, 2), (1, 2)))
+
 
 def a2_orbit(m11, m12, m22):
     e = (m11 + m12, m12 + m22)
@@ -57,6 +67,26 @@ def test_rejects_empty_block_and_duplicates(inbound):
         validate_directed(inbound, DirectedPartition(((A22,), ())))
     with pytest.raises(QuiverError):
         validate_directed(inbound, DirectedPartition(((A22,), (A22,))))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda q, v: directed_partition(q, [v]),
+        lambda q, v: greedy_block(q, [v]),
+        lambda q, v: directed_partition_from_blocks(q, [[v]]),
+        lambda q, v: validate_directed(q, DirectedPartition(((v,),))),
+    ],
+    ids=["directed_partition", "greedy_block", "from_blocks", "validate_directed"],
+)
+@pytest.mark.parametrize(
+    "q, vec",
+    [(A3_IN, (2, 1, 0)), (A3_IN, (1, 0)), (KRONECKER, (1, 0))],
+    ids=["A3-not-a-root", "A3-wrong-length", "Kronecker"],
+)
+def test_vectors_that_are_not_roots_raise(call, q, vec):
+    with pytest.raises(QuiverError):
+        call(q, vec)
 
 
 def test_rejects_within_block_violation(a2):
@@ -123,15 +153,62 @@ def test_greedy_block_is_the_unique_largest(mk):
     assert largest[0] == frozenset(greedy_block(q, phi))
 
 
-def test_greedy_partition_blocks_validate(inbound, outbound):
-    for q in (inbound, outbound):
-        for e in itertools.product(range(3), repeat=3):
+def test_greedy_partition_blocks_validate():
+    for q, max_dim in ((A3_IN, 2), (A3_OUT, 2), (D4_IN, 2), (E6, 1)):
+        for e in itertools.product(range(max_dim + 1), repeat=q.n):
             for orb in orbits(q, e):
                 if not orb.support:
                     continue
                 dp = directed_partition(q, orb.support)
                 validate_directed(q, dp)
                 assert set(dp.roots) == set(orb.support)
+
+
+def _reference_partition(q, roots):
+    """The greedy walk as first written: ``euler_form`` on every pair, a
+    restart after each single drop, and a final ``validate_directed``."""
+    rest = {tuple(r) for r in roots}
+    blocks = []
+    while rest:
+        block = {a for a in rest if all(euler_form(q, a, b) >= 0 for b in rest)}
+        changed = True
+        while changed:
+            changed = False
+            outside = rest - block
+            for a in sorted(block):
+                if any(euler_form(q, b, a) > 0 for b in outside):
+                    block.discard(a)
+                    changed = True
+                    break
+        assert block
+        blocks.append(tuple(block))
+        rest -= block
+    dp = DirectedPartition(tuple(blocks))
+    validate_directed(q, dp)
+    return dp
+
+
+@pytest.mark.parametrize(
+    "q, max_dim",
+    [(D4_IN, 2), (D4_OUT, 2), (D4_MIXED, 2), (E6, 1), (E7, 1)],
+    ids=["D4-in", "D4-out", "D4-mixed", "E6", "E7"],
+)
+def test_greedy_partition_matches_the_reference_walk_on_orbit_supports(q, max_dim):
+    supports = {
+        orb.support
+        for e in itertools.product(range(max_dim + 1), repeat=q.n)
+        for orb in orbits(q, e)
+    }
+    for support in supports:
+        assert directed_partition(q, support).blocks == _reference_partition(q, support).blocks
+
+
+@pytest.mark.parametrize(
+    "q", [A3_IN, A3_OUT, D4_IN, E6, E7, E8], ids=["A3-in", "A3-out", "D4", "E6", "E7", "E8"]
+)
+def test_greedy_partition_matches_the_reference_walk_on_all_roots(q):
+    roots = positive_roots(q)
+    assert directed_partition(q, roots).blocks == _reference_partition(q, roots).blocks
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +251,14 @@ def test_pair_requires_cover(inbound):
     orb = OrbitSpec((1, 1, 0), ((A12, 1),))
     dp = DirectedPartition(((A22,),))
     with pytest.raises(QuiverError):
+        resolution_pair(inbound, orb, dp)
+
+
+@pytest.mark.parametrize("vec", [(1, 0, 0, 0), (1, 0, 1)], ids=["wrong-length", "not-a-root"])
+def test_pair_rejects_vectors_that_are_not_roots(inbound, vec):
+    orb = OrbitSpec((1, 0, 0), ((A11, 1),))
+    dp = DirectedPartition(((A11,), (vec,)))
+    with pytest.raises(QuiverError, match="not a positive root"):
         resolution_pair(inbound, orb, dp)
 
 

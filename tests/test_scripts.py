@@ -41,3 +41,13 @@ def test_membership_fuzz():
     lines = run_script("membership_fuzz.py", "1", "5", "1")
     assert len(lines) == 1
     assert ", 0 disagreements," in lines[0]
+
+
+def test_partition_evidence():
+    lines = run_script("partition_evidence.py", "--max-dim", "1")
+    assert [line.split(":")[0] for line in lines] == ["D4 inbound (max-dim 1)", "E6 (max-dim 1)"]
+    # the 242 orbits of E6 at max-dim 1, 82 of them with a second pair
+    assert lines[1].startswith("E6 (max-dim 1): 242 orbits, 82 with a different pair,")
+    for line in lines:
+        count = line.split(": ")[1].split(" ")[0]
+        assert f", {count} full tables equal, {count} pass signs and lowest degree," in line
