@@ -3,7 +3,8 @@
 Enumerates every orbit of the inbound (1->2<-3) and outbound (1<-2->3)
 orientations with dimension entries up to --max-dim, computes the
 coefficient table twice (operator engine, closed form) and reports
-timing plus any mismatches.  Exit status 1 if anything disagrees.
+timing plus any mismatches.  Exit status 1 if anything disagrees, 2 on
+a bad --max-dim.
 
     python scripts/oracle_sweep.py --max-dim 3
 """
@@ -15,6 +16,7 @@ import time
 
 from quivergk.engine import sweep
 from quivergk.oracle_a3 import INBOUND, OUTBOUND
+from quivergk.quiver import QuiverError
 
 
 def report(name, quiver, max_dim):
@@ -38,8 +40,12 @@ def main():
     parser.add_argument("--max-dim", type=int, default=3)
     args = parser.parse_args()
 
-    ok = report("inbound ", INBOUND, args.max_dim)
-    ok &= report("outbound", OUTBOUND, args.max_dim)
+    try:
+        ok = report("inbound ", INBOUND, args.max_dim)
+        ok &= report("outbound", OUTBOUND, args.max_dim)
+    except QuiverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0 if ok else 1
 
 

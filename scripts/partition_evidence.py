@@ -6,7 +6,8 @@ the greedy directed partition of the orbit's support, and from the greedy
 partition of all positive roots.  Per quiver it prints how many orbits
 got a different resolution pair, how many full tables agree, and how many
 tables pass the alternating-sign and lowest-degree-equals-codim checks.
-Exit status 1 if any table disagrees or fails a check.
+Exit status 1 if any table disagrees or fails a check, 2 on a bad
+--max-dim.
 
     python scripts/partition_evidence.py              # about 30 s
     python scripts/partition_evidence.py --max-dim 1  # both caps at most 1
@@ -18,7 +19,7 @@ import time
 
 from quivergk.engine import quiver_coefficients, sweep
 from quivergk.gamma import min_degree
-from quivergk.quiver import Quiver, positive_roots
+from quivergk.quiver import Quiver, QuiverError, positive_roots
 from quivergk.resolution import directed_partition
 
 CORPUS = [
@@ -51,8 +52,12 @@ def main():
     args = parser.parse_args()
 
     ok = True
-    for name, quiver, cap in CORPUS:
-        ok &= report(name, quiver, cap if args.max_dim is None else min(cap, args.max_dim))
+    try:
+        for name, quiver, cap in CORPUS:
+            ok &= report(name, quiver, cap if args.max_dim is None else min(cap, args.max_dim))
+    except QuiverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0 if ok else 1
 
 

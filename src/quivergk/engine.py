@@ -28,7 +28,6 @@ from typing import Callable, Iterable, Iterator
 from .gamma import (
     TensorElement,
     TensorKey,
-    _add_term,
     append_unit,
     coproduct,
     key_degree,
@@ -99,17 +98,21 @@ def psi(p: TensorElement, i: int, max_rows: int | None = None) -> TensorElement:
     elif max_rows < 0:
         raise QuiverError("negative rank")
     out: dict[tuple, int] = {}
+    get = out.get
     for key, c in p.terms.items():
         lam, split = key[-1], key[i - 1]
         if len(lam) > max_rows:
             continue
+        head, mid = key[: i - 1], key[i:-1]
         # clamped so that every bound past len(split) shares one cache entry
         for (sigma, tau), d in coproduct(split, min(max_rows, len(split))).terms.items():
-            for nu, cc in _mul_basis(tau, lam):
+            # G_() is the unit, and the capped coproduct builds no tau past max_rows
+            for nu, cc in _mul_basis(tau, lam) if lam else ((tau, 1),):
                 if len(nu) > max_rows:
                     continue
-                _add_term(out, key[: i - 1] + (sigma,) + key[i:-1] + (nu,), c * d * cc)
-    return TensorElement._trusted(p.arity, out)
+                k = head + (sigma,) + mid + (nu,)
+                out[k] = get(k, 0) + c * d * cc
+    return TensorElement._trusted(p.arity, {k: v for k, v in out.items() if v})
 
 
 def a_op(p: TensorElement, i: int, r: int, c: int) -> TensorElement:
@@ -124,15 +127,17 @@ def a_op(p: TensorElement, i: int, r: int, c: int) -> TensorElement:
     if r < 0:
         raise QuiverError("negative rank")
     out: dict[tuple, int] = {}
+    get = out.get
     for key, coeff in p.terms.items():
         nu = key[-1]
         if len(nu) > r:
             continue
-        padded = tuple(nu) + (0,) * (r - len(nu))
-        seq = tuple(c + x for x in padded) + key[i - 1]
+        seq = tuple([c + x for x in nu] + [c] * (r - len(nu))) + key[i - 1]
+        head, mid = key[: i - 1], key[i:-1]
         for (kappa,), s in straighten(seq).terms.items():
-            _add_term(out, key[: i - 1] + (kappa,) + key[i:-1], coeff * s)
-    return TensorElement._trusted(p.arity - 1, out)
+            k = head + (kappa,) + mid
+            out[k] = get(k, 0) + coeff * s
+    return TensorElement._trusted(p.arity - 1, {k: v for k, v in out.items() if v})
 
 
 def phi(

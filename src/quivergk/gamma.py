@@ -25,6 +25,8 @@ recursion and no depth bound.  Every rewrite either shortens a sequence
 or raises one entry while keeping the entries before it and the range of
 values, so finitely many sequences are reachable and each one sorts after
 the sequence it came from; popping them in that order meets each once.
+Like the coproducts, a straightening is memoised per input sequence and
+the memoised element itself is returned, shared by every caller.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ class TensorElement:
 
     ``arity`` is the number of tensor slots; keys are tuples of
     partitions of that length.  Ring elements are the arity-1 tensors.
+    Elements are never mutated after construction, so the memoised ones
+    (``coproduct``, ``straighten``) can be shared.
     """
 
     __slots__ = ("arity", "terms")
@@ -340,7 +344,7 @@ def skew_expand(shape: SkewShape | Iterable[int]) -> TensorElement:
 # straightening of integer sequences
 
 
-_straighten_cache: dict[tuple[str, tuple[int, ...]], tuple[tuple[TensorKey, int], ...]] = {}
+_straighten_cache: dict[tuple[str, tuple[int, ...]], TensorElement] = {}
 
 
 def straighten(seq: Iterable[int], strategy: str = "leftmost") -> TensorElement:
@@ -363,12 +367,14 @@ def straighten(seq: Iterable[int], strategy: str = "leftmost") -> TensorElement:
     sequences are reachable, and every one sorts after the sequence it
     came from under the key (-length, sequence): popping the smallest key
     first meets each sequence once, with its final coefficient.  No depth
-    bound is needed.  Only the input sequence is memoised.
+    bound is needed.  The input sequence is memoised, not the rewrites,
+    and the memoised element itself is returned and shared, as
+    ``coproduct``'s is.
     """
-    seq = tuple(int(x) for x in seq)
+    seq = tuple(map(int, seq))
     hit = _straighten_cache.get((strategy, seq))
     if hit is not None:
-        return TensorElement._trusted(1, dict(hit))
+        return hit
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -403,9 +409,9 @@ def straighten(seq: Iterable[int], strategy: str = "leftmost") -> TensorElement:
         for k in range(p + 1, q):
             push(head + (q - 1, k) + rest, -c)
 
-    result = tuple(sorted(out.items(), key=lambda kv: (key_degree(kv[0]), kv[0])))
-    _straighten_cache[(strategy, seq)] = result
-    return TensorElement._trusted(1, dict(result))
+    terms = dict(sorted(out.items(), key=lambda kv: (key_degree(kv[0]), kv[0])))
+    result = _straighten_cache[(strategy, seq)] = TensorElement._trusted(1, terms)
+    return result
 
 
 # ---------------------------------------------------------------------------

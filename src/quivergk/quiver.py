@@ -252,6 +252,14 @@ class OrbitSpec:
         if tuple(total) != self.dim:
             raise QuiverError(f"multiplicities sum to {tuple(total)}, dim is {self.dim}")
 
+    @classmethod
+    def _trusted(cls, dim: Vector, mults: tuple[tuple[Vector, int], ...]) -> "OrbitSpec":
+        """Wrap the tuples as is: ``mults`` sorted, positive and summing to ``dim``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "mults", mults)
+        return self
+
     def mult_of(self, root: Vector) -> int:
         for r, m in self.mults:
             if r == root:
@@ -287,7 +295,8 @@ def orbits(q: Quiver, e: Iterable[int]) -> list[OrbitSpec]:
             for k, m in zip(simple, rest):
                 mult[k] = m
             picked = tuple((roots[k], m) for k, m in enumerate(mult) if m)
-            found.append((tuple(mult), OrbitSpec(ev, picked)))
+            # positive_roots order is the sorted order, and the sums are exact
+            found.append((tuple(mult), OrbitSpec._trusted(ev, picked)))
             return
         root = roots[tall[t]]
         top = min(x // y for x, y in zip(rest, root) if y)

@@ -19,7 +19,7 @@ from quivergk.engine import (
     quiver_coefficients,
     sweep,
 )
-from quivergk.gamma import TensorElement, basis, min_degree, tensor_mul_at
+from quivergk.gamma import TensorElement, basis, coproduct, min_degree, tensor_mul_at
 from quivergk.partitions import conjugate, partitions_fitting
 from quivergk.quiver import OrbitSpec, Quiver, QuiverError, orbits, positive_roots
 from quivergk.resolution import ResolutionPair, codim, directed_partition_from_blocks
@@ -134,6 +134,37 @@ def test_psi_row_bound_is_a_restriction():
         for r in range(5):
             assert psi(p, i, r).terms == rows_at_most(single, r), (terms, i, r)
             assert psi(psi(p, 1, r), 2, r).terms == rows_at_most(chained, r), (terms, r)
+
+
+def psi_long_way(p, i, max_rows):
+    """psi built the long way: the full coproduct of slot ``i``, its second
+    factors past ``max_rows`` dropped and the rest multiplied into the
+    working slot, then the working partitions past ``max_rows`` dropped."""
+    out = TensorElement(p.arity)
+    for key, c in p.terms.items():
+        for (sigma, tau), d in coproduct(key[i - 1]).terms.items():
+            if len(tau) <= max_rows:
+                pure = TensorElement(p.arity, {key[: i - 1] + (sigma,) + key[i:]: c * d})
+                out = out + tensor_mul_at(pure, p.arity, basis(tau))
+    return TensorElement(p.arity, rows_at_most(out, max_rows))
+
+
+@pytest.mark.parametrize("working", ["empty", "filled"])
+def test_psi_matches_the_long_way(working):
+    """With an empty working slot psi multiplies by the unit without a
+    product lookup; both slot kinds must give the long way's tensor."""
+    box = list(partitions_fitting(2, 2))
+    filled = [lam for lam in box if lam]
+    rng = random.Random(20070827)
+    for _ in range(40):
+        terms = {}
+        for _ in range(3):
+            lam = () if working == "empty" else rng.choice(filled)
+            terms[(rng.choice(box), rng.choice(box), lam)] = rng.choice((-2, -1, 1, 2))
+        p = TensorElement(3, terms)
+        i = rng.randint(1, 2)
+        for r in range(4):
+            assert psi(p, i, r) == psi_long_way(p, i, r), (terms, i, r)
 
 
 def test_psi_rejects_negative_bound():

@@ -366,6 +366,23 @@ def test_straighten_memoises_only_its_input():
     assert got.terms == straighten((0, 0, 0, 0, 6), strategy="rightmost").terms
 
 
+def test_straighten_shares_its_memo():
+    """The memoised element is returned itself, to every caller and for
+    any iterable; arithmetic on it builds new elements and leaves it be."""
+    seq = (0, 1, 3)
+    clear_caches()
+    first = straighten(seq)
+    expected = dict(first.terms)
+    assert straighten(list(seq)) is first
+    assert first + G(1) != first and (first - first).terms == {}
+    assert (3 * first).terms == {key: 3 * c for key, c in expected.items()}
+    assert (0 * first).terms == {}
+    assert straighten(iter(seq)).terms == expected
+    clear_caches()
+    again = straighten(seq)
+    assert again is not first and again.terms == expected
+
+
 def test_straighten_restores_recursion_limit():
     # the second chain is longer than the default recursion limit
     for n in (21, 2000):

@@ -6,21 +6,36 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(*argv):
+def spawn(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def run_script(*argv):
+    proc = spawn(*argv)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("script", ["oracle_sweep.py", "partition_evidence.py"])
+def test_bad_max_dim_exits_2(script):
+    # a bad argument is exit 2, as in the CLI; exit 1 means a real mismatch
+    proc = spawn(script, "--max-dim", "-1")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == ["error: negative max_dim -1"]
+    assert proc.stdout == ""
 
 
 def test_oracle_sweep():
