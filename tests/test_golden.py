@@ -22,6 +22,13 @@ arrow; ``tests/golden/member-<name>.json`` holds the exact stdout of
 change to the hom table's rows, their order or the verdict fails here.
 The D4 case uses the root (1,1,1,2).
 
+Each case in ``ROOTS_CASES`` names a quiver; ``tests/golden/roots-<name>.json``
+holds the exact stdout of ``quivergk roots`` for it: the Dynkin type label
+and every positive root in order.  Those files were written while the type
+was still read off the graph by a walk over its components, before it was
+read from the Tits form.  ``tests/golden/roots-kronecker.txt`` holds the
+exact stderr of ``quivergk roots`` on the Kronecker quiver, which exits 2.
+
     python tests/test_golden.py      # rewrite every golden file
 
 Rewrite only when the output is meant to change, and say why.
@@ -48,6 +55,8 @@ A4_MIXED = [[1, 2], [3, 2], [3, 4]]
 D4_IN = [[1, 4], [2, 4], [3, 4]]
 D4_OUT = [[4, 1], [4, 2], [4, 3]]
 E6 = [[1, 2], [2, 3], [3, 4], [4, 5], [3, 6]]
+E8 = [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7], [3, 8]]
+KRONECKER = [[1, 2], [1, 2]]
 
 # name -> (arrows, [(root, m), ...], explicit pair or None)
 CASES = {
@@ -105,15 +114,32 @@ MEMBER_CASES = {
 }
 
 
-def run_cli(argv: list[str]) -> str:
-    """Run ``quivergk`` in-process and return stdout; the exit code must be 0."""
+# name -> (vertex count, arrows)
+ROOTS_CASES = {
+    "a3-in": (3, A3_IN),
+    "d4-in": (4, D4_IN),
+    "e6": (6, E6),
+    "e8": (8, E8),
+    "a1-a2": (3, [[2, 3]]),
+    "d4-a2": (6, D4_IN + [[5, 6]]),
+}
+
+
+def run_cli_streams(argv: list[str]) -> tuple[int, str, str]:
+    """Run ``quivergk`` in-process; return the exit code, stdout and stderr."""
     from quivergk.cli import main
 
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_cli(argv: list[str]) -> str:
+    """Run ``quivergk`` in-process and return stdout; the exit code must be 0."""
+    code, out, _ = run_cli_streams(argv)
     assert code == 0, argv
-    return buf.getvalue()
+    return out
 
 
 def coeffs_stdout(name: str) -> str:
@@ -173,8 +199,31 @@ def member_stdout(name: str) -> str:
         )
 
 
-def golden_path(name: str) -> str:
-    return os.path.join(GOLDEN, name + ".json")
+def roots_streams(n: int, arrows: list[list[int]]) -> tuple[int, str, str]:
+    """Run ``quivergk roots`` in-process on one quiver."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "quiver.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"vertices": n, "arrows": arrows}, fh)
+        return run_cli_streams(["roots", path])
+
+
+def roots_stdout(name: str) -> str:
+    """``quivergk roots`` stdout for one case; the exit code must be 0."""
+    code, out, _ = roots_streams(*ROOTS_CASES[name])
+    assert code == 0, name
+    return out
+
+
+def kronecker_roots_stderr() -> str:
+    """``quivergk roots`` stderr on the Kronecker quiver; it must exit 2 with no stdout."""
+    code, out, err = roots_streams(2, KRONECKER)
+    assert (code, out) == (2, "")
+    return err
+
+
+def golden_path(name: str, ext: str = ".json") -> str:
+    return os.path.join(GOLDEN, name + ext)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -198,13 +247,29 @@ def test_member_matches_golden(name):
     assert member_stdout(name) == expected
 
 
+@pytest.mark.parametrize("name", sorted(ROOTS_CASES))
+def test_roots_matches_golden(name):
+    with open(golden_path("roots-" + name), "r", encoding="utf-8", newline="") as fh:
+        expected = fh.read()
+    assert roots_stdout(name) == expected
+
+
+def test_roots_of_kronecker_matches_golden():
+    with open(golden_path("roots-kronecker", ".txt"), "r", encoding="utf-8", newline="") as fh:
+        expected = fh.read()
+    assert kronecker_roots_stderr() == expected
+
+
 if __name__ == "__main__":
     sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
     os.makedirs(GOLDEN, exist_ok=True)
     stdouts = [(case, coeffs_stdout(case)) for case in sorted(CASES)]
     stdouts += [("orbits-" + case, orbits_stdout(case)) for case in sorted(ORBIT_CASES)]
     stdouts += [("member-" + case, member_stdout(case)) for case in sorted(MEMBER_CASES)]
-    for name, text in stdouts:
-        with open(golden_path(name), "w", encoding="utf-8", newline="") as fh:
+    stdouts += [("roots-" + case, roots_stdout(case)) for case in sorted(ROOTS_CASES)]
+    files = [(golden_path(name), text) for name, text in stdouts]
+    files.append((golden_path("roots-kronecker", ".txt"), kronecker_roots_stderr()))
+    for path, text in files:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        print(f"wrote {golden_path(name)}")
+        print(f"wrote {path}")
