@@ -38,7 +38,7 @@ from .quiver import (
     Quiver,
     QuiverError,
     QuiverRep,
-    check_orbit,
+    check_roots,
     dynkin_type,
     hom_table,
     orbits,
@@ -71,7 +71,7 @@ def orbit_from_file(path: str, q: Quiver) -> OrbitSpec:
     except (KeyError, TypeError, ValueError) as exc:
         raise QuiverError(f"bad orbit file {path}: {exc}") from exc
     orbit = OrbitSpec(dim, mults)
-    check_orbit(q, orbit)
+    check_roots(q, orbit.support)
     return orbit
 
 

@@ -41,7 +41,6 @@ from .quiver import (
     OrbitSpec,
     Quiver,
     QuiverError,
-    check_orbit,
     opposite,
     orbits,
     positive_roots,
@@ -177,12 +176,12 @@ def quiver_coefficients(
     The directed partition defaults to the greedy one on the orbit's
     support.  For quivers with a D or E component the table is flagged
     (see ``caveat_for``).  An orbit that uses a vector which is not a
-    positive root of ``q`` raises ``QuiverError``.
+    positive root of ``q`` raises ``QuiverError`` where the directed
+    partition looks it up in the Euler table of positive roots.
     """
     ev = q.check_vector(e)
     if orbit.dim != ev:
         raise QuiverError(f"orbit has dim {orbit.dim}, expected {ev}")
-    check_orbit(q, orbit)
     if dp is None:
         dp = directed_partition(q, orbit.support)
     pair = resolution_pair(q, orbit, dp)

@@ -100,89 +100,54 @@ def source_rank(q: Quiver) -> Vector:
 
 
 # ---------------------------------------------------------------------------
-# Dynkin classification
+# Dynkin type
 
 
-def _components(q: Quiver) -> list[list[int]]:
-    adj: dict[int, set[int]] = {v: set() for v in range(1, q.n + 1)}
+def is_dynkin(q: Quiver) -> bool:
+    """Whether every component of ``q`` is of type A, D or E.
+
+    By Gabriel's theorem these are the quivers whose Tits form is
+    positive definite.  Sylvester's criterion tests that on the symmetric
+    Tits matrix (2 on the diagonal, minus the number of arrows between i
+    and j off it): every leading principal minor must be positive.
+    Fraction-free (Bareiss) elimination without pivoting leaves those
+    minors, exactly, as its pivots.
+    """
+    m = [[2 * (i == j) for j in range(q.n)] for i in range(q.n)]
     for t, h in q.arrows:
-        adj[t].add(h)
-        adj[h].add(t)
-    seen: set[int] = set()
-    comps = []
-    for v in range(1, q.n + 1):
-        if v in seen:
-            continue
-        stack, comp = [v], []
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _component_type(q: Quiver, comp: list[int]) -> str | None:
-    """Simply-laced type of one underlying component, or None."""
-    inside = set(comp)
-    edges = [(t, h) for t, h in q.arrows if t in inside]
-    if len({frozenset(e) for e in edges}) != len(edges):
-        return None  # parallel arrows
-    if len(edges) != len(comp) - 1:
-        return None  # not a tree
-    deg = {v: 0 for v in comp}
-    adj: dict[int, list[int]] = {v: [] for v in comp}
-    for t, h in edges:
-        deg[t] += 1
-        deg[h] += 1
-        adj[t].append(h)
-        adj[h].append(t)
-    big = [v for v in comp if deg[v] >= 3]
-    if not big:
-        return f"A{len(comp)}"
-    if len(big) > 1 or deg[big[0]] > 3:
-        return None
-    center = big[0]
-    arms = []
-    for first in adj[center]:
-        length, prev, cur = 1, center, first
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    a, b, c = arms
-    if (a, b) == (1, 1):
-        return f"D{c + 3}"
-    if (a, b) == (1, 2) and c in (2, 3, 4):
-        return f"E{c + 4}"
-    return None
+        m[t - 1][h - 1] -= 1
+        m[h - 1][t - 1] -= 1
+    prev = 1
+    for k in range(q.n):
+        if m[k][k] <= 0:
+            return False
+        for i in range(k + 1, q.n):
+            for j in range(k + 1, q.n):
+                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return True
 
 
 def dynkin_type(q: Quiver) -> str:
     """Simply-laced type of the underlying graph, per component.
 
-    Returns e.g. "A3", "D4", or "A2+A1" for disconnected quivers; any
-    component outside the ADE list makes the whole answer "not-Dynkin".
+    Returns e.g. "A3", "D4", or "A1+A2" for disconnected quivers, in order
+    of each component's smallest vertex; a Tits form that is not positive
+    definite (Gabriel, see ``is_dynkin``) makes the answer "not-Dynkin".
+    A component is the support of a root whose support no other root's
+    support contains (its highest root), and its n vertices and R roots
+    name it: R = n(n+1)/2 for A_n, n(n-1) for D_n, and 36, 63 or 120 for
+    E6, E7 or E8.  No two types with equally many vertices share R.
     """
+    if not is_dynkin(q):
+        return "not-Dynkin"
+    supports = [frozenset(i for i, x in enumerate(r) if x) for r in positive_roots(q)]
     labels = []
-    for comp in _components(q):
-        label = _component_type(q, comp)
-        if label is None:
-            return "not-Dynkin"
-        labels.append(label)
+    for comp in sorted({s for s in supports if not any(s < t for t in supports)}, key=min):
+        n, count = len(comp), sum(s <= comp for s in supports)
+        letter = "A" if 2 * count == n * (n + 1) else "D" if count == n * (n - 1) else "E"
+        labels.append(f"{letter}{n}")
     return "+".join(labels)
-
-
-def is_dynkin(q: Quiver) -> bool:
-    return dynkin_type(q) != "not-Dynkin"
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +165,13 @@ def positive_roots(q: Quiver) -> tuple[Vector, ...]:
     beta has a simple alpha_i with beta - alpha_i a positive root
     (Bourbaki, Lie Groups VI 1.6), so each root is reached.  A vector
     spread over two components has Tits form at least 2, so disconnected
-    quivers need no special case.  The Dynkin check comes first: on any
-    other quiver the closure never ends.
+    quivers need no special case.  The closure ends because the Tits form
+    is positive definite (Sylvester's criterion in ``is_dynkin``, which
+    runs first): a definite integral form takes the value 1 on finitely
+    many vectors.  On any other quiver it may run forever.
     """
     if not is_dynkin(q):
-        raise QuiverError(f"positive roots need a Dynkin quiver, got {dynkin_type(q)}")
+        raise QuiverError("positive roots need a Dynkin quiver, got not-Dynkin")
     simple = [tuple(int(j == i) for j in range(q.n)) for i in range(q.n)]
     roots = set(simple)
     frontier = simple
@@ -366,8 +333,7 @@ _DRAWS_PER_RANGE = 16
 
 @cache
 def _probe(q: Quiver, rv: Vector) -> QuiverRep:
-    if rv not in positive_roots(q):
-        raise QuiverError(f"{list(rv)} is not a positive root of this quiver")
+    check_roots(q, (rv,))
     if max(rv) == 1:
         return QuiverRep(
             rv,
@@ -420,7 +386,7 @@ def orbit_rep(q: Quiver, orbit: OrbitSpec) -> QuiverRep:
     indecomposable, in root order.  A dimension vector that does not fit
     ``q`` or a vector that is not a positive root raises ``QuiverError``."""
     q.check_vector(orbit.dim)
-    check_orbit(q, orbit)
+    check_roots(q, orbit.support)
     pieces = []
     for root, m in orbit.mults:
         pieces.extend([indecomposable_rep(q, root)] * m)
@@ -488,20 +454,21 @@ def hom_dim(q: Quiver, f_rep: QuiverRep, e_rep: QuiverRep) -> int:
     return ncols - _bareiss_rank(m)
 
 
-def check_orbit(q: Quiver, orbit: OrbitSpec) -> None:
-    """Raise ``QuiverError`` unless every root of the orbit is a positive
-    root of ``q``."""
-    roots = positive_roots(q)
-    for beta, _ in orbit.mults:
-        if beta not in roots:
-            raise QuiverError(f"{list(beta)} is not a positive root of this quiver")
-
-
 @cache
 def _euler_table(q: Quiver) -> dict[tuple[Vector, Vector], int]:
     """<alpha, beta> for every pair of positive roots of ``q``."""
     roots = positive_roots(q)
     return {(a, b): euler_form(q, a, b) for a in roots for b in roots}
+
+
+def check_roots(q: Quiver, vectors: Iterable[Vector]) -> dict[tuple[Vector, Vector], int]:
+    """The Euler table of ``q``; raise ``QuiverError`` unless every one of
+    ``vectors`` is a positive root of ``q``, that is, a key of the table."""
+    form = _euler_table(q)
+    for r in vectors:
+        if (r, r) not in form:
+            raise QuiverError(f"{list(r)} is not a positive root of this quiver")
+    return form
 
 
 def _orbit_hom(q: Quiver, alpha: Vector, orbit: OrbitSpec) -> int:
@@ -515,7 +482,7 @@ def _check_query(q: Quiver, rep: QuiverRep, orbit: OrbitSpec) -> None:
     validate_rep(q, rep)
     if rep.dims != orbit.dim:
         raise QuiverError(f"dimension vectors differ: {rep.dims} vs {orbit.dim}")
-    check_orbit(q, orbit)
+    check_roots(q, orbit.support)
 
 
 def hom_table(

@@ -21,7 +21,7 @@ from .quiver import (
     Quiver,
     QuiverError,
     Vector,
-    _euler_table,
+    check_roots,
     incoming_rank,
     source_rank,
 )
@@ -65,19 +65,10 @@ class ResolutionPair:
         return tuple(zip(self.vertices, self.ranks))
 
 
-def _root_form(q: Quiver, roots: Iterable[Vector]) -> dict[tuple[Vector, Vector], int]:
-    """The Euler table of ``q``; raise unless every one of ``roots`` is in it."""
-    form = _euler_table(q)
-    for r in roots:
-        if (r, r) not in form:
-            raise QuiverError(f"{list(r)} is not a positive root of this quiver")
-    return form
-
-
 def validate_directed(q: Quiver, dp: DirectedPartition) -> None:
     """Raise unless the blocks are non-empty, disjoint and directed."""
     roots = dp.roots
-    form = _root_form(q, roots)
+    form = check_roots(q, roots)
     if not all(dp.blocks):
         raise QuiverError("empty block")
     if len(set(roots)) < len(roots):
@@ -112,7 +103,7 @@ def greedy_block(q: Quiver, roots: Iterable[Vector]) -> tuple[Vector, ...]:
     phi = {tuple(r) for r in roots}
     if not phi:
         raise QuiverError("no roots given")
-    form = _root_form(q, phi)
+    form = check_roots(q, phi)
     block = {a for a in phi if all(form[a, b] >= 0 for b in phi)}
     outside = phi - block
     while drop := {a for a in block if any(form[b, a] > 0 for b in outside)}:
@@ -144,7 +135,7 @@ def resolution_pair(q: Quiver, orbit: OrbitSpec, dp: DirectedPartition) -> Resol
     """
     if set(orbit.support) - set(dp.roots):
         raise QuiverError("directed partition misses roots of the orbit")
-    _root_form(q, dp.roots)
+    check_roots(q, dp.roots)
     topo = source_rank(q)
     verts: list[int] = []
     ranks: list[int] = []

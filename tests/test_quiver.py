@@ -113,6 +113,86 @@ def test_dynkin_type_e_series():
     assert dynkin_type(dn) == "D5"
 
 
+def _arms(*lengths):
+    """A tree on 0..size-1: a centre 0 with a path of each given length hanging off it."""
+    edges, size = [], 1
+    for length in lengths:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, size))
+            prev, size = size, size + 1
+    return size, edges
+
+
+def _dynkin_part(rng):
+    """(size, undirected edges, label) of a random A_n, D_n or E_n tree."""
+    kind = rng.choice("ADE")
+    if kind == "A":
+        n = rng.randint(1, 9)
+        return (*_arms(n - 1), f"A{n}")
+    if kind == "D":
+        n = rng.randint(4, 9)
+        return (*_arms(1, 1, n - 3), f"D{n}")
+    n = rng.randint(6, 8)
+    return (*_arms(1, 2, n - 4), f"E{n}")
+
+
+# graphs whose Tits form is not positive definite, labelled None
+_NOT_DYNKIN = [
+    (*_arms(1, 1, 1, 1), None),  # extended D4
+    (*_arms(2, 2, 2), None),  # extended E6
+    (*_arms(1, 3, 3), None),  # extended E7
+    (*_arms(1, 2, 5), None),  # extended E8
+    (2, [(0, 1), (0, 1)], None),  # Kronecker
+    (3, [(0, 1), (1, 2), (1, 2)], None),  # A3 with one edge doubled
+] + [(k, [(i, (i + 1) % k) for i in range(k)], None) for k in range(3, 9)]  # extended A_(k-1)
+
+
+def _union_quiver(rng, parts):
+    """The disjoint union of ``parts``, each (size, undirected edges, label),
+    with vertices renamed at random and every edge oriented up a random
+    order of the vertices, so no directed cycle arises.  Returns the quiver
+    and its type: the labels in order of each part's smallest vertex, or
+    "not-Dynkin" if a part has none."""
+    n = sum(size for size, _, _ in parts)
+    names = rng.sample(range(1, n + 1), n)
+    height = rng.sample(range(n), n)
+    arrows, firsts, base = [], [], 0
+    for size, edges, label in parts:
+        for a, b in edges:
+            t, h = sorted((base + a, base + b), key=height.__getitem__)
+            arrows.append((names[t], names[h]))
+        firsts.append((min(names[base : base + size]), label))
+        base += size
+    rng.shuffle(arrows)
+    labels = [label for _, label in sorted(firsts)]
+    return Quiver(n, tuple(arrows)), "not-Dynkin" if None in labels else "+".join(labels)
+
+
+def test_dynkin_type_of_random_ade_unions():
+    rng = random.Random(20071)
+    letters = set()
+    for _ in range(80):
+        q, expected = _union_quiver(rng, [_dynkin_part(rng) for _ in range(rng.randint(1, 3))])
+        assert dynkin_type(q) == expected
+        assert is_dynkin(q)
+        letters |= {label[0] for label in expected.split("+")}
+    assert letters == {"A", "D", "E"}
+
+
+def test_dynkin_type_of_extended_dynkin_and_multiple_arrows():
+    rng = random.Random(20072)
+    for part in _NOT_DYNKIN:
+        for extra in range(3):
+            parts = [part] + [_dynkin_part(rng) for _ in range(extra)]
+            rng.shuffle(parts)
+            q, expected = _union_quiver(rng, parts)
+            assert expected == dynkin_type(q) == "not-Dynkin"
+            assert not is_dynkin(q)
+            with pytest.raises(QuiverError, match="need a Dynkin quiver"):
+                positive_roots(q)
+
+
 # ---------------------------------------------------------------------------
 # root systems
 
