@@ -302,3 +302,54 @@ def test_malformed_quiver(capsys, tmp_path):
     code, _, err = run(capsys, ["roots", bad])
     assert code == 2
     assert "bad quiver file" in err
+
+
+# ---------------------------------------------------------------------------
+# the error line of each input file kind, byte for byte
+
+
+def file_argv(kind, path, a2_file, zero_orbit_file):
+    """A command line that reads ``path`` as a file of the given kind."""
+    return {
+        "quiver": ["roots", path],
+        "orbit": ["coeffs", a2_file, path],
+        "pair": ["coeffs", a2_file, zero_orbit_file, "--pair", path],
+        "representation": ["member", a2_file, zero_orbit_file, "--rep", path],
+    }[kind]
+
+
+FILE_KINDS = ("quiver", "orbit", "pair", "representation")
+
+# each kind's file with one required key left out, and the key's repr
+MISSING_KEY = {
+    "quiver": ({"vertices": 2}, "'arrows'"),
+    "orbit": ({"dim": [1, 1]}, "'mults'"),
+    "pair": ({"i": [1]}, "'r'"),
+    "representation": ({}, "'matrices'"),
+}
+
+
+@pytest.mark.parametrize("kind", FILE_KINDS)
+def test_missing_file_error_line(capsys, tmp_path, a2_file, zero_orbit_file, kind):
+    path = str(tmp_path / "absent.json")
+    code, out, err = run(capsys, file_argv(kind, path, a2_file, zero_orbit_file))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {path}: [Errno 2] No such file or directory: '{path}'\n"
+
+
+@pytest.mark.parametrize("kind", FILE_KINDS)
+def test_invalid_json_error_line(capsys, tmp_path, a2_file, zero_orbit_file, kind):
+    path = tmp_path / "broken.json"
+    path.write_text("not json")
+    code, out, err = run(capsys, file_argv(kind, str(path), a2_file, zero_orbit_file))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {path}: Expecting value: line 1 column 1 (char 0)\n"
+
+
+@pytest.mark.parametrize("kind", FILE_KINDS)
+def test_missing_key_error_line(capsys, tmp_path, a2_file, zero_orbit_file, kind):
+    payload, key = MISSING_KEY[kind]
+    path = write_json(tmp_path / "partial.json", payload)
+    code, out, err = run(capsys, file_argv(kind, path, a2_file, zero_orbit_file))
+    assert (code, out) == (2, "")
+    assert err == f"error: bad {kind} file {path}: {key}\n"
