@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence, TypeVar
 
 from .engine import (
     SUITES,
@@ -38,6 +38,8 @@ from .quiver import (
     Quiver,
     QuiverError,
     QuiverRep,
+    Vector,
+    as_ints,
     check_roots,
     dynkin_type,
     hom_table,
@@ -46,53 +48,43 @@ from .quiver import (
 )
 from .resolution import ResolutionPair, codim
 
+T = TypeVar("T")
 
-def _load_json(path: str) -> Any:
+
+def _read(path: str, what: str, parse: Callable[[Any], T]) -> T:
+    """``parse`` applied to the JSON in ``path``; an unreadable file, or
+    data that ``parse`` rejects, raises ``QuiverError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            data = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise QuiverError(f"cannot read {path}: {exc}") from exc
+    try:
+        return parse(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise QuiverError(f"bad {what} file {path}: {exc}") from exc
 
 
 def quiver_from_file(path: str) -> Quiver:
-    data = _load_json(path)
-    try:
-        return Quiver(int(data["vertices"]), tuple((int(t), int(h)) for t, h in data["arrows"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise QuiverError(f"bad quiver file {path}: {exc}") from exc
+    return _read(path, "quiver", lambda data: Quiver(data["vertices"], data["arrows"]))
 
 
 def orbit_from_file(path: str, q: Quiver) -> OrbitSpec:
-    data = _load_json(path)
-    try:
-        dim = tuple(int(x) for x in data["dim"])
-        mults = tuple((tuple(int(x) for x in entry["root"]), int(entry["m"])) for entry in data["mults"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise QuiverError(f"bad orbit file {path}: {exc}") from exc
-    orbit = OrbitSpec(dim, mults)
+    def parse(data: Any) -> tuple[Vector, list[tuple[Vector, int]]]:
+        dim = as_ints(data["dim"])
+        return dim, [(as_ints(m["root"]), as_ints((m["m"],))[0]) for m in data["mults"]]
+
+    orbit = OrbitSpec(*_read(path, "orbit", parse))
     check_roots(q, orbit.support)
     return orbit
 
 
 def pair_from_file(path: str) -> ResolutionPair:
-    data = _load_json(path)
-    try:
-        return ResolutionPair(
-            tuple(int(v) for v in data["i"]), tuple(int(r) for r in data["r"])
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise QuiverError(f"bad pair file {path}: {exc}") from exc
+    return _read(path, "pair", lambda data: ResolutionPair(data["i"], data["r"]))
 
 
 def rep_from_file(path: str, dim: tuple[int, ...]) -> QuiverRep:
-    data = _load_json(path)
-    try:
-        mats = tuple(
-            tuple(tuple(int(x) for x in row) for row in mat) for mat in data["matrices"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise QuiverError(f"bad representation file {path}: {exc}") from exc
+    mats = _read(path, "representation", lambda d: [list(map(as_ints, m)) for m in d["matrices"]])
     return QuiverRep(dim, mats)
 
 

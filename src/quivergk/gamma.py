@@ -237,11 +237,10 @@ def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
 
 @cache
 def _mul_basis(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
-    """Full expansion of a basis product, as sorted (partition, coeff) pairs."""
+    """Full expansion of a basis product, as (partition, coeff) pairs."""
     hits = _lattice_walk(tuple((0, part) for part in lam), mu)
     base = sum(lam) + sum(mu)
-    items = [(nu, _sign(sum(nu) - base) * n) for nu, n in hits.items()]
-    return tuple(sorted(items, key=lambda kv: (sum(kv[0]), kv[0])))
+    return tuple((nu, _sign(sum(nu) - base) * n) for nu, n in hits.items())
 
 
 def mul(a: TensorElement, b: TensorElement) -> TensorElement:
@@ -409,8 +408,7 @@ def straighten(seq: Iterable[int], strategy: str = "leftmost") -> TensorElement:
         for k in range(p + 1, q):
             push(head + (q - 1, k) + rest, -c)
 
-    terms = dict(sorted(out.items(), key=lambda kv: (key_degree(kv[0]), kv[0])))
-    result = _straighten_cache[(strategy, seq)] = TensorElement._trusted(1, terms)
+    result = _straighten_cache[(strategy, seq)] = TensorElement._trusted(1, out)
     return result
 
 

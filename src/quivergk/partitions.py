@@ -283,6 +283,11 @@ def rook_strip_complement(rect: Partition, placed: Partition, rotated: Partition
     is rotated by 180 degrees into the bottom-right corner.  True when the
     two diagrams cover the rectangle and their overlap is a rook strip
     (no two overlap boxes share a row or a column).
+
+    In the p x q rectangle, ``rotated`` leaves uncovered the partition
+    ``rest`` with rest_i = q - rotated_{p+1-i}.  The two diagrams cover
+    the rectangle exactly when ``placed`` contains ``rest``, and their
+    overlap is then the skew diagram placed/rest.
     """
     rect = normalize(rect)
     if rect and len(set(rect)) != 1:
@@ -293,27 +298,5 @@ def rook_strip_complement(rect: Partition, placed: Partition, rotated: Partition
     rotated = normalize(rotated)
     if not contains(rect, placed) or not contains(rect, rotated):
         return False
-
-    def placed_at(i: int) -> int:
-        return placed[i - 1] if i <= len(placed) else 0
-
-    def rotated_at(i: int) -> int:
-        # row i of the rectangle meets the rotated diagram in its last
-        # rotated_at(i) columns
-        j = p + 1 - i
-        return rotated[j - 1] if 1 <= j <= len(rotated) else 0
-
-    used_cols: set[int] = set()
-    for i in range(1, p + 1):
-        a, b = placed_at(i), rotated_at(i)
-        if a + b < q:
-            return False  # a gap in row i
-        over = a + b - q
-        if over > 1:
-            return False  # two overlap boxes in one row
-        if over == 1:
-            col = a  # overlap box sits at column a = q + 1 - b
-            if col in used_cols:
-                return False
-            used_cols.add(col)
-    return True
+    rest = tuple(q - x for x in reversed(rotated + (0,) * (p - len(rotated))))
+    return is_rook_strip(placed, rest)

@@ -12,10 +12,11 @@ for the Euler form, and the orbit side is a sum of those.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable
+from typing import Any, Iterable
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -23,6 +24,15 @@ Matrix = tuple[tuple[int, ...], ...]
 
 class QuiverError(ValueError):
     """Bad quiver/orbit/representation input."""
+
+
+def as_ints(values: Iterable[Any]) -> Vector:
+    """``values`` as exact ints: anything without ``__index__`` (0.5, 2.0,
+    "1") raises ``QuiverError`` rather than being truncated or parsed."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise QuiverError(f"expected integers: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -33,31 +43,17 @@ class Quiver:
     arrows: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", as_ints((self.n,))[0])
         if self.n < 1:
             raise QuiverError("need at least one vertex")
-        object.__setattr__(self, "arrows", tuple((int(t), int(h)) for t, h in self.arrows))
+        object.__setattr__(self, "arrows", tuple(as_ints((t, h)) for t, h in self.arrows))
         for t, h in self.arrows:
             if not (1 <= t <= self.n and 1 <= h <= self.n):
                 raise QuiverError(f"arrow ({t},{h}) out of range 1..{self.n}")
-        # reject directed cycles (Kahn's algorithm)
-        indeg = [0] * (self.n + 1)
-        for _, h in self.arrows:
-            indeg[h] += 1
-        queue = [v for v in range(1, self.n + 1) if indeg[v] == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for t, h in self.arrows:
-                if t == v:
-                    indeg[h] -= 1
-                    if indeg[h] == 0:
-                        queue.append(h)
-        if seen != self.n:
-            raise QuiverError("quiver has a directed cycle")
+        source_rank(self)
 
     def check_vector(self, d: Iterable[int]) -> Vector:
-        vec = tuple(int(x) for x in d)
+        vec = as_ints(d)
         if len(vec) != self.n or any(x < 0 for x in vec):
             raise QuiverError(f"bad dimension vector {vec} for n={self.n}")
         return vec
@@ -89,14 +85,23 @@ def incoming_rank(q: Quiver, e: Iterable[int], i: int) -> int:
 
 
 def source_rank(q: Quiver) -> Vector:
-    """Longest-path distance from the sources, per vertex (a topological rank)."""
+    """Longest-path distance from the sources, per vertex (a topological rank).
+
+    The arrows are relaxed pass by pass until a pass changes nothing.  A
+    longest path has at most n - 1 arrows, so an acyclic quiver settles
+    by pass n; a rank still moving in pass n means a directed cycle, which
+    raises ``QuiverError``.
+    """
     rank = [0] * (q.n + 1)
-    # arrows of an acyclic quiver can be relaxed n times to reach a fixpoint
     for _ in range(q.n):
+        moved = False
         for t, h in q.arrows:
-            if rank[h] < rank[t] + 1:
+            if rank[h] <= rank[t]:
                 rank[h] = rank[t] + 1
-    return tuple(rank[1:])
+                moved = True
+        if not moved:
+            return tuple(rank[1:])
+    raise QuiverError("quiver has a directed cycle")
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +205,9 @@ class OrbitSpec:
     mults: tuple[tuple[Vector, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dim", tuple(self.dim))
-        object.__setattr__(
-            self,
-            "mults",
-            tuple(sorted(((tuple(r), int(m)) for r, m in self.mults), key=lambda rm: (sum(rm[0]), rm[0]))),
-        )
+        object.__setattr__(self, "dim", as_ints(self.dim))
+        mults = ((as_ints(r), as_ints((m,))[0]) for r, m in self.mults)
+        object.__setattr__(self, "mults", tuple(sorted(mults, key=lambda rm: (sum(rm[0]), rm[0]))))
         if any(m < 1 for _, m in self.mults):
             raise QuiverError("orbit multiplicities must be >= 1")
         if len({r for r, _ in self.mults}) != len(self.mults):
@@ -289,10 +291,8 @@ class QuiverRep:
     mats: tuple[Matrix, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(self.dims))
-        object.__setattr__(
-            self, "mats", tuple(tuple(tuple(row) for row in m) for m in self.mats)
-        )
+        object.__setattr__(self, "dims", as_ints(self.dims))
+        object.__setattr__(self, "mats", tuple(tuple(map(as_ints, m)) for m in self.mats))
 
 
 def validate_rep(q: Quiver, rep: QuiverRep) -> None:

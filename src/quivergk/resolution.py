@@ -21,6 +21,7 @@ from .quiver import (
     Quiver,
     QuiverError,
     Vector,
+    as_ints,
     check_roots,
     incoming_rank,
     source_rank,
@@ -53,6 +54,8 @@ class ResolutionPair:
     ranks: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "vertices", as_ints(self.vertices))
+        object.__setattr__(self, "ranks", as_ints(self.ranks))
         if len(self.vertices) != len(self.ranks):
             raise QuiverError("vertex and rank lists differ in length")
         if any(r < 1 for r in self.ranks):

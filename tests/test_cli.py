@@ -353,3 +353,47 @@ def test_missing_key_error_line(capsys, tmp_path, a2_file, zero_orbit_file, kind
     code, out, err = run(capsys, file_argv(kind, path, a2_file, zero_orbit_file))
     assert (code, out) == (2, "")
     assert err == f"error: bad {kind} file {path}: {key}\n"
+
+
+# each kind's file with one entry that is not a JSON integer
+NON_INTEGER = {
+    "quiver": lambda bad: {"vertices": 2, "arrows": [[bad, 2]]},
+    "orbit": lambda bad: {"dim": [1, 1], "mults": [{"root": [1, 1], "m": bad}]},
+    "pair": lambda bad: {"i": [bad], "r": [1]},
+    "representation": lambda bad: {"matrices": [[[bad]]]},
+}
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.7, 2.0, "1"])
+@pytest.mark.parametrize("kind", FILE_KINDS)
+def test_non_integer_entry_is_a_bad_file(capsys, tmp_path, a2_file, zero_orbit_file, kind, bad):
+    path = write_json(tmp_path / "inexact.json", NON_INTEGER[kind](bad))
+    code, out, err = run(capsys, file_argv(kind, path, a2_file, zero_orbit_file))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad {kind} file {path}: ")
+
+
+def test_member_reads_no_fraction_as_zero(capsys, a2_file, zero_orbit_file, tmp_path):
+    # int(0.5) read this map as zero, and the answer was "member": true
+    rep = write_json(tmp_path / "rep.json", {"matrices": [[[0.5]]]})
+    code, out, err = run(capsys, ["member", a2_file, zero_orbit_file, "--rep", rep])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad representation file {rep}: ")
+
+
+def test_orbit_multiplicity_is_not_truncated(capsys, a2_file, tmp_path):
+    # int(1.7) read this as the orbit of the root (1, 1) once
+    orbit = write_json(
+        tmp_path / "orbit.json", {"dim": [1, 1], "mults": [{"root": [1, 1], "m": 1.7}]}
+    )
+    code, out, err = run(capsys, ["coeffs", a2_file, orbit])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad orbit file {orbit}: ")
+
+
+def test_file_that_is_not_utf8_cannot_be_read(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"vertices": 2, "arrows": [], "name": "\xe9"}')
+    code, out, err = run(capsys, ["roots", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")

@@ -35,6 +35,13 @@ def a2_orbit(m11, m12, m22):
 # operator building blocks
 
 
+def test_fractional_pair_vertex_is_an_input_error():
+    # a float vertex used to reach a TypeError inside the engine
+    a2 = Quiver(2, ((1, 2),))
+    with pytest.raises(QuiverError):
+        coefficients(a2, (1, 1), ResolutionPair((1.5,), (1,)))
+
+
 @pytest.mark.parametrize("vertex", [0, 4])
 def test_pair_vertex_out_of_range(vertex):
     # vertex 0 must not wrap round to vertex 3, nor vertex 4 reach an IndexError

@@ -222,6 +222,32 @@ def test_rook_strip_complement_frozen():
     assert rook_strip_complement((2,), (2,), (2,)) is False
 
 
+def tiles_by_boxes(p, q, placed, rotated):
+    """The tiling condition read off box sets: ``placed`` in the top-left
+    corner and ``rotated`` turned by 180 degrees into the bottom-right one
+    stay in the p x q rectangle, cover it, and overlap in boxes with
+    distinct rows and distinct columns."""
+    rect = {(i, j) for i in range(1, p + 1) for j in range(1, q + 1)}
+    top = {(i, j) for i, part in enumerate(placed, 1) for j in range(1, part + 1)}
+    turned = {
+        (p + 1 - i, q + 1 - j) for i, part in enumerate(rotated, 1) for j in range(1, part + 1)
+    }
+    if not top <= rect or not turned <= rect or top | turned != rect:
+        return False
+    overlap = top & turned
+    return len({i for i, _ in overlap}) == len(overlap) == len({j for _, j in overlap})
+
+
+def test_rook_strip_complement_matches_box_sets():
+    # every pair of partitions up to one row and one column past the rectangle
+    for p, q in itertools.product(range(5), repeat=2):
+        shapes = list(partitions_fitting(p + 1, q + 1))
+        for placed, rotated in itertools.product(shapes, repeat=2):
+            assert rook_strip_complement((q,) * p, placed, rotated) == tiles_by_boxes(
+                p, q, placed, rotated
+            ), (p, q, placed, rotated)
+
+
 @given(partitions(max_size=6, max_part=3, max_rows=3), partitions(max_size=6, max_part=3, max_rows=3))
 @settings(max_examples=200)
 def test_rook_strip_complement_symmetric(placed, rotated):

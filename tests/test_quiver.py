@@ -43,6 +43,49 @@ def test_rejects_directed_cycles():
         Quiver(1, ((1, 1),))
     with pytest.raises(QuiverError):
         Quiver(3, ((1, 2), (2, 3), (3, 1)))
+    for arrows in (
+        ((1, 2), (2, 3), (3, 4), (4, 2)),  # a cycle reached from an acyclic part
+        ((1, 2), (2, 3), (4, 5), (5, 4)),  # a cycle in a second component
+        ((1, 2), (2, 4), (4, 4)),  # a self-loop at the last vertex
+        ((3, 4), (2, 3), (1, 2), (4, 1)),  # a long cycle listed against its order
+        ((1, 2), (2, 1), (2, 3)),  # a 2-cycle listed one way...
+        ((2, 1), (1, 2), (2, 3)),  # ...and the other
+    ):
+        with pytest.raises(QuiverError, match="directed cycle"):
+            Quiver(max(max(a) for a in arrows), arrows)
+
+
+def test_parallel_arrows_are_not_a_cycle():
+    q = Quiver(3, ((1, 2), (1, 2), (2, 3), (1, 2)))
+    assert source_rank(q) == (0, 1, 2)
+
+
+def longest_path_rank(n, arrows):
+    """Per vertex, the most arrows on a directed path ending there, by
+    following every path back to a source."""
+
+    def longest(v):
+        return max((longest(t) + 1 for t, h in arrows if h == v), default=0)
+
+    return tuple(longest(v) for v in range(1, n + 1))
+
+
+def test_source_rank_is_the_longest_path():
+    rng = random.Random(20260)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        order = rng.sample(range(1, n + 1), n)
+        density = rng.random()
+        arrows = [
+            (order[a], order[b])
+            for a in range(n)
+            for b in range(a + 1, n)
+            if rng.random() < density
+        ]
+        arrows += rng.sample(arrows, min(len(arrows), rng.randint(0, 2)))  # parallel arrows
+        rng.shuffle(arrows)
+        q = Quiver(n, tuple(arrows))
+        assert source_rank(q) == longest_path_rank(n, arrows), (n, arrows)
 
 
 def test_rejects_bad_arrow_indices():
@@ -392,6 +435,46 @@ def test_a3_orbit_counts_match_oracle(inbound):
         per_dim[m.dim] = per_dim.get(m.dim, 0) + 1
     assert {e: len(orbits(inbound, e)) for e in dims_up_to(inbound, 4)} == per_dim
     assert len(all_mults(4)) == 826
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.7, 2.0, "1"])
+def test_non_integers_are_rejected(a2, bad):
+    builders = [
+        lambda: Quiver(bad, ()),
+        lambda: Quiver(2, ((bad, 2),)),
+        lambda: Quiver(2, ((1, bad),)),
+        lambda: a2.check_vector((bad, 1)),
+        lambda: orbits(a2, (1, bad)),
+        lambda: OrbitSpec((bad, 1), (((1, 0), 1), ((0, 1), 1))),
+        lambda: OrbitSpec((1, 1), (((bad, 1), 1),)),
+        lambda: OrbitSpec((1, 1), (((1, 1), bad),)),
+        lambda: QuiverRep((bad, 1), (((0,),),)),
+        lambda: QuiverRep((1, 1), (((bad,),),)),
+    ]
+    for build in builders:
+        with pytest.raises(QuiverError, match="expected integers"):
+            build()
+
+
+def test_fractional_arrow_end_is_not_truncated():
+    # int(1.7) would read this as the arrow (1, 2)
+    with pytest.raises(QuiverError):
+        Quiver(2, ((1.7, 2),))
+
+
+def test_fractional_dimension_vector_has_no_orbits(a2):
+    # int(1.5) would enumerate the orbits of (1, 1)
+    with pytest.raises(QuiverError):
+        orbits(a2, (1.5, 1))
+
+
+def test_fractional_matrix_entry_is_not_truncated(a2):
+    # [[3, 1], [1, 0.5]] has rank 2, so it lies outside the closure of the
+    # rank-1 orbit; floor division in the elimination would truncate 0.5
+    # and put it inside
+    orbit = OrbitSpec((2, 2), (((1, 0), 1), ((0, 1), 1), ((1, 1), 1)))
+    with pytest.raises(QuiverError):
+        in_orbit_closure(a2, QuiverRep((2, 2), (((3, 1), (1, 0.5)),)), orbit)
 
 
 def test_orbit_spec_validation():

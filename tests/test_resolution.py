@@ -276,6 +276,12 @@ def test_resolution_pair_validates():
         ResolutionPair((1,), (0,))
 
 
+@pytest.mark.parametrize("vertices,ranks", [((1.5,), (1,)), ((1,), (1.0,)), (("1",), (1,))])
+def test_resolution_pair_rejects_non_integers(vertices, ranks):
+    with pytest.raises(QuiverError, match="expected integers"):
+        ResolutionPair(vertices, ranks)
+
+
 # ---------------------------------------------------------------------------
 # codimension
 
