@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Callable, Sequence
 
 from .engine import (
     SUITES,
@@ -48,10 +48,8 @@ from .quiver import (
 )
 from .resolution import ResolutionPair, codim
 
-T = TypeVar("T")
 
-
-def _read(path: str, what: str, parse: Callable[[Any], T]) -> T:
+def _read(path: str, what: str, parse: Callable[[Any], Any]) -> Any:
     """``parse`` applied to the JSON in ``path``; an unreadable file, or
     data that ``parse`` rejects, raises ``QuiverError``."""
     try:
