@@ -11,13 +11,17 @@ Structure constants (products, coproducts, skew expansions) are computed
 by one shared enumerator over set-valued fillings whose reading word,
 with a fixed partition word appended, satisfies the reverse lattice
 condition.  The enumerator walks boxes in reversed reading order
-so the lattice condition can be checked letter by letter, which is what
-keeps the rectangle-sized coproducts used by the orbit engine affordable.
-It builds in Buch's row bound: a letter in row r is at most r + len(tail),
-for the appended partition tail.  A per-letter count cap prunes the walk
-further: ``coproduct(nu, m)`` builds only the terms whose second factor
-has at most m rows, the factor the engine multiplies into its
-row-bounded working slot.
+so the lattice condition can be checked letter by letter, and it builds
+in Buch's row bound: a letter in row r is at most r + len(tail), for the
+appended partition tail.  A coproduct is read off the product of ``nu``
+with the rectangle around it.  The ring is commutative, so Buch's rule
+counts that product with either factor filled; the walk fills ``nu`` and
+appends the rectangle's word, whose letters start at their full counts.
+A per-letter count cap then prunes the walk: ``coproduct(nu, m)`` builds
+only the terms whose second factor has at most m rows, the factor the
+engine multiplies into its row-bounded working slot.  Under the cap the
+filling never holds letters m+1..p (``coproduct`` says why), which cuts
+most of the walk's branches.
 
 Raising-operator sequences (arbitrary integer tuples) are straightened
 into the partition basis by ``straighten``, in one ordered pass with no
@@ -35,7 +39,7 @@ import heapq
 from functools import cache
 from typing import Iterable
 
-from .partitions import Partition, SkewShape, as_shape, normalize
+from .partitions import Partition, SkewShape, as_shape, integers, normalize
 
 _BIG = 1 << 30
 
@@ -150,7 +154,11 @@ def _lattice_walk(
     Returns {content: count} over the full word (tail included).
     ``letter_cap = (v, k)`` drops every word with more than k copies of
     v; counts only grow, so the walk stops as soon as a placement would
-    exceed it.
+    exceed it.  The tail's copies count from the start: if the tail
+    already holds k copies of v, letter v is never placed, and then
+    neither are v+1, v+2, ... while each has as many tail copies as the
+    letter before it, since it would need strictly more copies of that
+    letter.
     """
     nrows = len(bounds)
     boxes: list[tuple[int, int]] = []
@@ -255,14 +263,21 @@ def mul(a: TensorElement, b: TensorElement) -> TensorElement:
 def coproduct(nu: Partition, max_rows: int | None = None) -> TensorElement:
     """Coproduct of a basis class, as an arity-2 tensor.
 
-    Computed through one rectangle enumeration: with R = p x q the
-    tightest rectangle around ``nu``, every filling of R whose content
-    splits as (R + mu, lam) contributes to the (lam, mu) component.
+    Read off one product: with R = p x q the tightest rectangle around
+    ``nu``, the (lam, mu) component is the coefficient of
+    rho = (q + mu, lam) in the product of R and ``nu``.  The ring is
+    commutative, so Buch's rule counts that coefficient with either
+    factor as the filled shape; the walk fills ``nu`` (|nu| boxes, not
+    pq) and appends R's word (q,) * p, so each letter 1..p starts at q
+    copies.
 
     With ``max_rows`` = m set, only the components whose ``mu`` has at
     most m rows are kept.  Since rho_{m+1} = q + mu_{m+1} must not fall
     below q, mu has at most m rows exactly when letter m+1 appears at
-    most q times, so the walk caps that letter and never builds the rest.
+    most q times, so the walk caps that letter at q.  R's word already
+    holds those q copies, so the filling never places letter m+1, nor any
+    letter m+2..p (each would need more than q copies of the letter
+    before it).
     The default m = p is the same cap on letter p+1 that keeps ``lam``
     inside the rectangle.
     """
@@ -272,7 +287,7 @@ def coproduct(nu: Partition, max_rows: int | None = None) -> TensorElement:
     if max_rows is not None and max_rows < 0:
         raise ValueError(f"negative max_rows {max_rows}")
     m = p if max_rows is None else min(max_rows, p)
-    hits = _lattice_walk(tuple((0, q) for _ in range(p)), nu, letter_cap=(m + 1, q))
+    hits = _lattice_walk(tuple((0, x) for x in nu), (q,) * p, letter_cap=(m + 1, q))
     # every content is a term of the product of R and nu, so it contains R
     # and reads rho = (q + mu, lam); that determines (lam, mu), so no two
     # contents meet in one key and every count stays non-zero
@@ -295,7 +310,10 @@ def coproduct_coeff(
 
     Evaluated as a single product structure constant against a rectangle
     containing both ``lam`` and ``mu``; the result does not depend on the
-    choice of rectangle (which a test pins down by varying it).
+    choice of rectangle (which a test pins down by varying it).  The
+    walk fills the rectangle with ``nu``'s word appended, the orientation
+    ``coproduct`` does not use, so the tests can check each against the
+    other.
     """
     lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
     if rect is None:
@@ -370,7 +388,7 @@ def straighten(seq: Iterable[int], strategy: str = "leftmost") -> TensorElement:
     and the memoised element itself is returned and shared, as
     ``coproduct``'s is.
     """
-    seq = tuple(map(int, seq))
+    seq = integers(seq)
     hit = _straighten_cache.get((strategy, seq))
     if hit is not None:
         return hit

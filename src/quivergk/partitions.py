@@ -10,18 +10,29 @@ tables.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
 
 
+def integers(values: Iterable[int]) -> tuple[int, ...]:
+    """``values`` as exact ints: anything without ``__index__`` (0.5, 2.0,
+    "1") raises ValueError rather than being truncated or parsed."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise ValueError(f"expected integers: {exc}") from None
+
+
 def normalize(parts: Iterable[int]) -> Partition:
     """Canonical form of a partition: trailing zeros stripped.
 
-    Raises ValueError if the entries are negative or increase.
+    Raises ValueError if an entry is not an integer, is negative or
+    increases.
     """
-    seq = tuple(parts)
+    seq = integers(parts)
     if any(a < b for a, b in zip(seq, seq[1:])):
         raise ValueError(f"not weakly decreasing: {seq}")
     if seq and seq[-1] < 0:

@@ -12,11 +12,12 @@ for the Euler form, and the orbit side is a sum of those.
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
 from functools import cache
 from typing import Any, Iterable
+
+from .partitions import integers
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -30,9 +31,9 @@ def as_ints(values: Iterable[Any]) -> Vector:
     """``values`` as exact ints: anything without ``__index__`` (0.5, 2.0,
     "1") raises ``QuiverError`` rather than being truncated or parsed."""
     try:
-        return tuple(map(operator.index, values))
-    except TypeError as exc:
-        raise QuiverError(f"expected integers: {exc}") from None
+        return integers(values)
+    except ValueError as exc:
+        raise QuiverError(str(exc)) from None
 
 
 @dataclass(frozen=True)

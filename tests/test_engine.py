@@ -20,6 +20,7 @@ from quivergk.engine import (
     sweep,
 )
 from quivergk.gamma import TensorElement, basis, coproduct, min_degree, tensor_mul_at
+from quivergk.oracle_a3 import A3OrbitMults, inbound_table
 from quivergk.partitions import conjugate, partitions_fitting
 from quivergk.quiver import OrbitSpec, Quiver, QuiverError, orbits, positive_roots
 from quivergk.resolution import ResolutionPair, codim, directed_partition_from_blocks
@@ -271,6 +272,14 @@ def test_alternating_signs_clean_a3(inbound):
         for orb in orbits(inbound, e):
             table = quiver_coefficients(inbound, e, orb)
             assert check_alternating(table) == []
+
+
+def test_dim_5_inbound_orbit_matches_the_closed_form(inbound):
+    """One dim-(5,5,5) orbit, past the small dims the suite's sweeps reach."""
+    m = A3OrbitMults(m11=3, m12=2, m23=3, m33=2)
+    table = quiver_coefficients(inbound, m.dim, m.orbit())
+    assert len(table.tensor.terms) == 6602
+    assert table.tensor == inbound_table(m)
 
 
 def test_check_alternating_flags_violations(a2):

@@ -202,6 +202,24 @@ def test_coproduct_row_cap_is_a_restriction():
             assert coproduct(nu, m).terms == cut, (nu, m)
 
 
+@pytest.mark.parametrize("nu", [*partitions_fitting(3, 3), (4, 4, 2, 1), (4, 4, 4, 1)])
+def test_coproduct_matches_the_rectangle_filling(nu):
+    """``coproduct`` fills nu's shape with the rectangle's word appended;
+    ``coproduct_coeff`` still fills the rectangle with nu's word appended.
+    Buch's rule counts the same constants either way, at every row cap."""
+    p, q = len(nu), (nu[0] if nu else 0)
+    inside = list(partitions_fitting(p, q))
+    table = {}
+    for lam in inside:
+        for mu in inside:
+            c = coproduct_coeff(lam, mu, nu)
+            if c:
+                table[(lam, mu)] = c
+    for m in range(p + 1):
+        cut = {key: c for key, c in table.items() if len(key[1]) <= m}
+        assert coproduct(nu, m).terms == cut, (nu, m)
+
+
 def test_coproduct_rejects_negative_row_cap():
     with pytest.raises(ValueError):
         coproduct((1,), -1)
@@ -357,6 +375,28 @@ def test_straighten_strategies_agree(seq):
 def test_straighten_fixes_partitions():
     for lam in SMALL:
         assert straighten(lam).terms == {(lam,): 1}
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.7, 2.0, "1"])
+def test_ring_layer_rejects_non_integers(bad):
+    """A part that is not an exact integer is refused, not truncated or
+    printed as it came."""
+    with pytest.raises(ValueError):
+        basis((bad,))
+    with pytest.raises(ValueError):
+        TensorElement(1, {((bad,),): 1})
+    with pytest.raises(ValueError):
+        TensorElement(2, {((2, 1), (3, bad)): 1})
+    with pytest.raises(ValueError):
+        straighten((bad, 2))
+    with pytest.raises(ValueError):
+        straighten((2, bad), strategy="rightmost")
+
+
+def test_ring_layer_reads_booleans_as_integers():
+    assert basis((True,)) == G(1)
+    assert TensorElement(1, {((2, True),): 1}) == G(2, 1)
+    assert straighten((True, 2)) == straighten((1, 2))
 
 
 def test_straighten_memoises_only_its_input():

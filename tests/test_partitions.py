@@ -40,6 +40,19 @@ def test_normalize_rejects_non_partitions(bad):
         normalize(bad)
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.7, 2.0, "1"])
+def test_normalize_rejects_non_integers(bad):
+    with pytest.raises(ValueError):
+        normalize((3, bad))
+    with pytest.raises(ValueError):
+        normalize((bad,))
+
+
+def test_normalize_reads_booleans_as_integers():
+    assert normalize((2, True, False)) == (2, 1)
+    assert all(type(part) is int for part in normalize((True,)))
+
+
 @pytest.mark.parametrize(
     "lam,expected",
     [((3, 2), (2, 2, 1)), ((), ()), ((1, 1, 1), (3,)), ((4,), (1, 1, 1, 1))],
