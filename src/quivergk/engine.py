@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable, Iterator
 
 from .gamma import (
@@ -48,7 +49,7 @@ from .quiver import (
 from .resolution import (
     DirectedPartition,
     ResolutionPair,
-    codim,
+    codim,  # unused here; kept so the benchmark tracer can wrap engine.codim
     directed_partition,
     pair_stages,
     rectangle_width,
@@ -58,6 +59,7 @@ from .resolution import (
 CAVEAT_FLAG = "conjectural-under-rational-singularities"
 
 
+@cache
 def caveat_for(q: Quiver) -> str | None:
     """The caveat a table of ``q`` carries: away from type A only its
     degree-equals-codim slice is backed by the positivity/rationality
@@ -118,8 +120,8 @@ def a_op(p: TensorElement, i: int, r: int, c: int) -> TensorElement:
     """Absorb the working slot into slot ``i`` through a shifted rectangle.
 
     Terms whose working partition has more than ``r`` rows vanish; the
-    others prepend (c + nu_1, ..., c + nu_r) to slot ``i`` and are
-    straightened back into the partition basis.  The arity drops by one.
+    others prepend (c + nu_1, ..., c + nu_r) to slot ``i``; only sequences
+    with an ascent need straightening.  The arity drops by one.
     """
     if not 1 <= i < p.arity:
         raise QuiverError(f"a_op slot {i} out of range for arity {p.arity}")
@@ -131,17 +133,20 @@ def a_op(p: TensorElement, i: int, r: int, c: int) -> TensorElement:
         nu = key[-1]
         if len(nu) > r:
             continue
-        seq = tuple([c + x for x in nu] + [c] * (r - len(nu))) + key[i - 1]
+        lam = key[i - 1]
+        seq = tuple([c + x for x in nu] + [c] * (r - len(nu))) + lam
+        if lam and r and seq[r - 1] < lam[0]:
+            expansion = straighten(seq).terms.items()
+        else:  # weakly decreasing, so straightening keeps its positive entries
+            expansion = (((tuple(x for x in seq if x > 0),), 1),)
         head, mid = key[: i - 1], key[i:-1]
-        for (kappa,), s in straighten(seq).terms.items():
+        for (kappa,), s in expansion:
             k = head + (kappa,) + mid
             out[k] = get(k, 0) + coeff * s
     return TensorElement._trusted(p.arity - 1, {k: v for k, v in out.items() if v})
 
 
-def phi(
-    p: TensorElement, q: Quiver, stage_e: tuple[int, ...], i: int, r: int
-) -> TensorElement:
+def phi(p: TensorElement, q: Quiver, stage_e: tuple[int, ...], i: int, r: int) -> TensorElement:
     """One resolution step at vertex ``i`` with rank ``r`` over stage
     dimension vector ``stage_e``."""
     if not 1 <= i <= q.n:
@@ -150,19 +155,28 @@ def phi(
         raise QuiverError(f"stage vector {stage_e} does not have {q.n} entries")
     if r > stage_e[i - 1]:
         raise QuiverError(f"rank {r} exceeds stage dimension at vertex {i}")
-    cur = append_unit(p)
-    for head in sorted(h for t, h in q.arrows if t == i):
-        cur = psi(cur, head, r)
-    return a_op(cur, i, r, rectangle_width(q, stage_e, i, r))
+    return _fold(p, q, [(i, r, rectangle_width(q, stage_e, i, r))])
+
+
+def _fold(p: TensorElement, q: Quiver, steps: list[tuple[int, int, int]]) -> TensorElement:
+    """Apply steps (vertex, rank, rectangle width c) to ``p``, right to left."""
+    for i, r, c in reversed(steps):
+        p = append_unit(p)
+        for head in sorted(h for t, h in q.arrows if t == i):
+            p = psi(p, head, r)
+        p = a_op(p, i, r, c)
+    return p
+
+
+def _expand(q: Quiver, e: tuple[int, ...], pair: ResolutionPair) -> tuple[TensorElement, int]:
+    """Tensor and codim of a step sequence from one stage walk: codim = sum of r * c."""
+    steps = [(v, r, rectangle_width(q, stage, v, r)) for v, r, stage in pair_stages(q, e, pair)]
+    return _fold(TensorElement.unit(q.n), q, steps), sum(r * c for _, r, c in steps)
 
 
 def coefficients(q: Quiver, e: tuple[int, ...], pair: ResolutionPair) -> TensorElement:
     """Expansion tensor for a step sequence, one slot per vertex."""
-    steps = list(pair_stages(q, e, pair))
-    p = TensorElement.unit(q.n)
-    for v, r, stage in reversed(steps):
-        p = phi(p, q, stage, v, r)
-    return p
+    return _expand(q, e, pair)[0]
 
 
 def quiver_coefficients(
@@ -185,12 +199,12 @@ def quiver_coefficients(
     if dp is None:
         dp = directed_partition(q, orbit.support)
     pair = resolution_pair(q, orbit, dp)
-    tensor = coefficients(q, ev, pair)
+    tensor, cd = _expand(q, ev, pair)
     return CoefficientTable(
         quiver=q,
         e=ev,
         tensor=tensor,
-        codim=codim(q, ev, pair),
+        codim=cd,
         pair=pair,
         orbit=orbit,
         caveat=caveat_for(q),

@@ -183,10 +183,7 @@ def _lattice_walk(
     acc: dict[tuple[int, ...], int] = {}
 
     def record() -> None:
-        key = counts[1:-1]
-        while key and key[-1] == 0:
-            key.pop()
-        t = tuple(key)
+        t = tuple(counts)
         acc[t] = acc.get(t, 0) + 1
 
     def grow(bi: int, r: int, c: int, lo: int, last: int) -> None:
@@ -218,7 +215,8 @@ def _lattice_walk(
             counts[v] -= 1
 
     advance(0)
-    return acc
+    # trimmed once per content; a lattice word's content is a partition, zeros last
+    return {t[1 : len(t) - t.count(0)]: n for t, n in acc.items()}
 
 
 def _sign(k: int) -> int:

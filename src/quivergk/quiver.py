@@ -85,6 +85,7 @@ def incoming_rank(q: Quiver, e: Iterable[int], i: int) -> int:
     return sum(ev[t - 1] for t, h in q.arrows if h == i)
 
 
+@cache
 def source_rank(q: Quiver) -> Vector:
     """Longest-path distance from the sources, per vertex (a topological rank).
 

@@ -9,11 +9,13 @@ compute the orbit closure's codimension directly.
 
 Pairings are looked up in the Euler table of positive roots that membership
 reads too, so a vector that is not a positive root raises ``QuiverError``.
+Greedy blocks read it once per quiver, as per-root bitmasks (``greedy_block``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator
 
 from .quiver import (
@@ -21,9 +23,11 @@ from .quiver import (
     Quiver,
     QuiverError,
     Vector,
+    _euler_table,
     as_ints,
     check_roots,
     incoming_rank,
+    positive_roots,
     source_rank,
 )
 
@@ -35,11 +39,15 @@ class DirectedPartition:
     blocks: tuple[tuple[Vector, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "blocks",
-            tuple(tuple(sorted((tuple(r) for r in blk), key=lambda d: (sum(d), d))) for blk in self.blocks),
-        )
+        blocks = (sorted(map(tuple, blk), key=lambda d: (sum(d), d)) for blk in self.blocks)
+        object.__setattr__(self, "blocks", tuple(map(tuple, blocks)))
+
+    @classmethod
+    def _trusted(cls, blocks: tuple[tuple[Vector, ...], ...]) -> "DirectedPartition":
+        """Wrap ``blocks`` as is: tuples of roots, each block in (sum, d) order."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "blocks", blocks)
+        return self
 
     @property
     def roots(self) -> tuple[Vector, ...]:
@@ -88,12 +96,22 @@ def validate_directed(q: Quiver, dp: DirectedPartition) -> None:
                     raise QuiverError(f"<{b},{a}> = {form[b, a]} > 0 across blocks")
 
 
-def directed_partition_from_blocks(
-    q: Quiver, blocks: Iterable[Iterable[Vector]]
-) -> DirectedPartition:
-    dp = DirectedPartition(tuple(tuple(tuple(r) for r in blk) for blk in blocks))
+def directed_partition_from_blocks(q: Quiver, blocks: Iterable[Iterable[Vector]]) -> DirectedPartition:
+    dp = DirectedPartition(tuple(blocks))
     validate_directed(q, dp)
     return dp
+
+
+@cache
+def _root_masks(q: Quiver) -> dict[Vector, tuple[int, int, int, Vector]]:
+    """Per positive root a: (its bit, the bits of the roots b with <a, b> < 0,
+    of those with <b, a> > 0, a); the k-th of ``positive_roots`` has bit 1 << k."""
+    roots, form = positive_roots(q), _euler_table(q)
+    bits = lambda keep: sum(1 << k for k, b in enumerate(roots) if keep(b))
+    return {
+        a: (1 << k, bits(lambda b: form[a, b] < 0), bits(lambda b: form[b, a] > 0), a)
+        for k, a in enumerate(roots)
+    }
 
 
 def greedy_block(q: Quiver, roots: Iterable[Vector]) -> tuple[Vector, ...]:
@@ -102,17 +120,13 @@ def greedy_block(q: Quiver, roots: Iterable[Vector]) -> tuple[Vector, ...]:
     <b, a> > 0 for some b outside, until none is left to drop.  It is never
     empty: the path algebra is representation-directed (Ringel, LNM 1099),
     so Hom(M_b, M_a) != 0 or Ext^1(M_a, M_b) != 0 puts b before a, and a
-    root with none of ``roots`` before it passes both filters."""
-    phi = {tuple(r) for r in roots}
-    if not phi:
+    root with none of ``roots`` before it passes both filters.  Each test
+    ANDs a's bitmask of the b with <a, b> < 0 (<b, a> > 0) with the roots
+    given (outside): the same pairwise test, so the same fixpoint."""
+    blocks = directed_partition(q, roots).blocks
+    if not blocks:
         raise QuiverError("no roots given")
-    form = check_roots(q, phi)
-    block = {a for a in phi if all(form[a, b] >= 0 for b in phi)}
-    outside = phi - block
-    while drop := {a for a in block if any(form[b, a] > 0 for b in outside)}:
-        block -= drop
-        outside |= drop
-    return tuple(sorted(block, key=lambda d: (sum(d), d)))
+    return blocks[0]
 
 
 def directed_partition(q: Quiver, roots: Iterable[Vector]) -> DirectedPartition:
@@ -120,12 +134,20 @@ def directed_partition(q: Quiver, roots: Iterable[Vector]) -> DirectedPartition:
     pairs non-negatively with every root left and none of those dominates
     it, so the output is directed by construction and is not validated."""
     rest = {tuple(r) for r in roots}
+    check_roots(q, rest)
+    todo = sorted(map(_root_masks(q).__getitem__, rest))  # by bit: positive_roots order
+    left = sum(t[0] for t in todo)
     blocks = []
-    while rest:
-        blk = greedy_block(q, rest)
-        blocks.append(blk)
-        rest -= set(blk)
-    return DirectedPartition(tuple(blocks))
+    while todo:
+        block = [t for t in todo if not t[1] & left]
+        outside = left - sum(t[0] for t in block)
+        while drop := [t for t in block if t[2] & outside]:
+            block = [t for t in block if not t[2] & outside]
+            outside += sum(t[0] for t in drop)
+        blocks.append(tuple(t[3] for t in block))
+        left = outside
+        todo = [t for t in todo if t[0] & left]
+    return DirectedPartition._trusted(tuple(blocks))
 
 
 def resolution_pair(q: Quiver, orbit: OrbitSpec, dp: DirectedPartition) -> ResolutionPair:
@@ -136,23 +158,20 @@ def resolution_pair(q: Quiver, orbit: OrbitSpec, dp: DirectedPartition) -> Resol
     order (longest-path rank, ties by vertex index) with p as their ranks.
     Roots of the partition outside the orbit's support simply weigh zero.
     """
-    if set(orbit.support) - set(dp.roots):
+    mult = dict(orbit.mults)
+    if mult.keys() - set(dp.roots):
         raise QuiverError("directed partition misses roots of the orbit")
     check_roots(q, dp.roots)
-    topo = source_rank(q)
-    verts: list[int] = []
-    ranks: list[int] = []
+    order = [v for _, v in sorted(zip(source_rank(q), range(1, q.n + 1)))]
+    steps = []
     for blk in dp.blocks:
         p = [0] * q.n
         for root in blk:
-            m = orbit.mult_of(root)
+            m = mult.get(root, 0)
             for i, x in enumerate(root):
                 p[i] += m * x
-        carriers = [v for v in range(1, q.n + 1) if p[v - 1]]
-        carriers.sort(key=lambda v: (topo[v - 1], v))
-        verts.extend(carriers)
-        ranks.extend(p[v - 1] for v in carriers)
-    return ResolutionPair(tuple(verts), tuple(ranks))
+        steps += [(v, p[v - 1]) for v in order if p[v - 1]]
+    return ResolutionPair(tuple(v for v, _ in steps), tuple(r for _, r in steps))
 
 
 def pair_stages(

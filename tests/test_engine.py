@@ -19,7 +19,8 @@ from quivergk.engine import (
     quiver_coefficients,
     sweep,
 )
-from quivergk.gamma import TensorElement, basis, coproduct, min_degree, tensor_mul_at
+from quivergk import engine
+from quivergk.gamma import TensorElement, basis, coproduct, min_degree, straighten, tensor_mul_at
 from quivergk.oracle_a3 import A3OrbitMults, inbound_table
 from quivergk.partitions import conjugate, partitions_fitting
 from quivergk.quiver import OrbitSpec, Quiver, QuiverError, orbits, positive_roots
@@ -92,6 +93,31 @@ def test_a_op_straightening_kicks_in():
     got = a_op(p, 1, 1, 0)
     assert got.arity == 1
     assert got.terms == {((2, 2),): 1}
+
+
+def test_a_op_passes_partitions_through(monkeypatch):
+    """a_op equals straightening every prepended sequence, for every lam
+    and nu in the 3 x 3 box, r in 0..3 and c in -2..3 (c + nu_r = 0 and
+    negative c included), and only hands ``straighten`` the sequences with
+    an ascent: a weakly decreasing one is its positive entries."""
+    handed = []
+
+    def spy(seq):
+        handed.append(seq)
+        return straighten(seq)
+
+    monkeypatch.setattr(engine, "straighten", spy)
+    box = list(partitions_fitting(3, 3))
+    for lam, nu, r, c in itertools.product(box, box, range(4), range(-2, 4)):
+        got = a_op(TensorElement(2, {(lam, nu): 1}), 1, r, c)
+        want = {}
+        if len(nu) <= r:
+            seq = tuple(c + x for x in nu) + (c,) * (r - len(nu)) + lam
+            want = straighten(seq).terms
+        assert got.terms == want, (lam, nu, r, c)
+    assert handed
+    for seq in handed:
+        assert any(x < y for x, y in zip(seq, seq[1:])), seq
 
 
 def test_phi_rejects_a_stage_vector_of_the_wrong_length(inbound):

@@ -28,6 +28,7 @@ from quivergk.partitions import (
     content,
     enumerate_svt,
     expand_single,
+    normalize,
     partitions_fitting,
     word,
 )
@@ -218,6 +219,21 @@ def test_coproduct_matches_the_rectangle_filling(nu):
     for m in range(p + 1):
         cut = {key: c for key, c in table.items() if len(key[1]) <= m}
         assert coproduct(nu, m).terms == cut, (nu, m)
+
+
+def test_lattice_walk_returns_trimmed_partitions():
+    """The walk trims each content once, after the walk: every key it
+    returns is a partition without trailing zeros, with a positive count,
+    for every nu in the 4 x 4 box at every letter cap and against every
+    tail in the 2 x 2 box."""
+    for nu in partitions_fitting(4, 4):
+        bounds, p, q = tuple((0, x) for x in nu), len(nu), (nu[0] if nu else 0)
+        walks = [gamma._lattice_walk(bounds, (q,) * p, letter_cap=(m + 1, q)) for m in range(p + 1)]
+        walks += [gamma._lattice_walk(bounds, mu) for mu in partitions_fitting(2, 2)]
+        for walk in walks:
+            assert walk
+            for rho, n in walk.items():
+                assert n > 0 and normalize(rho) == rho, (nu, rho)
 
 
 def test_coproduct_rejects_negative_row_cap():

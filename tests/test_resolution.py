@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,6 +7,7 @@ from quivergk.quiver import (
     OrbitSpec,
     Quiver,
     QuiverError,
+    check_roots,
     euler_form,
     orbits,
     positive_roots,
@@ -164,6 +166,14 @@ def test_greedy_partition_blocks_validate():
                 assert set(dp.roots) == set(orb.support)
 
 
+def _supports(q, max_dim):
+    return {
+        orb.support
+        for e in itertools.product(range(max_dim + 1), repeat=q.n)
+        for orb in orbits(q, e)
+    }
+
+
 def _reference_partition(q, roots):
     """The greedy walk as first written: ``euler_form`` on every pair, a
     restart after each single drop, and a final ``validate_directed``."""
@@ -194,12 +204,7 @@ def _reference_partition(q, roots):
     ids=["D4-in", "D4-out", "D4-mixed", "E6", "E7"],
 )
 def test_greedy_partition_matches_the_reference_walk_on_orbit_supports(q, max_dim):
-    supports = {
-        orb.support
-        for e in itertools.product(range(max_dim + 1), repeat=q.n)
-        for orb in orbits(q, e)
-    }
-    for support in supports:
+    for support in _supports(q, max_dim):
         assert directed_partition(q, support).blocks == _reference_partition(q, support).blocks
 
 
@@ -209,6 +214,49 @@ def test_greedy_partition_matches_the_reference_walk_on_orbit_supports(q, max_di
 def test_greedy_partition_matches_the_reference_walk_on_all_roots(q):
     roots = positive_roots(q)
     assert directed_partition(q, roots).blocks == _reference_partition(q, roots).blocks
+
+
+def _set_based_partition(q, roots):
+    """The greedy partition on sets of roots, the reference the bitmask
+    peel must equal: per block, keep the a with <a, b> >= 0 for every b
+    left, then drop every a with <b, a> > 0 for some b outside, until
+    none drops."""
+    rest = {tuple(r) for r in roots}
+    form = check_roots(q, rest)
+    blocks = []
+    while rest:
+        block = {a for a in rest if all(form[a, b] >= 0 for b in rest)}
+        outside = rest - block
+        while drop := {a for a in block if any(form[b, a] > 0 for b in outside)}:
+            block -= drop
+            outside |= drop
+        blocks.append(tuple(sorted(block, key=lambda d: (sum(d), d))))
+        rest = outside
+    return tuple(blocks)
+
+
+@pytest.mark.parametrize(
+    "q, max_dim",
+    [(A3_IN, 3), (A3_OUT, 3), (D4_IN, 2), (D4_OUT, 2), (D4_MIXED, 2), (E6, 1)],
+    ids=["A3-in", "A3-out", "D4-in", "D4-out", "D4-mixed", "E6"],
+)
+def test_bitmask_partition_matches_the_set_based_one_on_orbit_supports(q, max_dim):
+    for support in _supports(q, max_dim):
+        dp = directed_partition(q, support)
+        assert dp.blocks == _set_based_partition(q, support), support
+        validate_directed(q, dp)
+
+
+def test_bitmask_partition_matches_the_set_based_one_on_random_e8_subsets():
+    roots = positive_roots(E8)
+    rng = random.Random(20260)
+    for _ in range(200):
+        subset = rng.sample(roots, rng.randint(1, len(roots)))
+        dp = directed_partition(E8, subset)
+        assert dp.blocks == _set_based_partition(E8, subset)
+        assert sorted(dp.roots) == sorted(subset)
+        validate_directed(E8, dp)
+        assert greedy_block(E8, subset) == dp.blocks[0]
 
 
 # ---------------------------------------------------------------------------
