@@ -158,11 +158,18 @@ def phi(p: TensorElement, q: Quiver, stage_e: tuple[int, ...], i: int, r: int) -
     return _fold(p, q, [(i, r, rectangle_width(q, stage_e, i, r))])
 
 
+@cache
+def _out_heads(q: Quiver) -> tuple[tuple[int, ...], ...]:
+    """Per vertex i (index i; index 0 unused): the heads of i's out-arrows, sorted."""
+    return tuple(tuple(sorted(h for t, h in q.arrows if t == i)) for i in range(q.n + 1))
+
+
 def _fold(p: TensorElement, q: Quiver, steps: list[tuple[int, int, int]]) -> TensorElement:
     """Apply steps (vertex, rank, rectangle width c) to ``p``, right to left."""
+    heads = _out_heads(q)
     for i, r, c in reversed(steps):
         p = append_unit(p)
-        for head in sorted(h for t, h in q.arrows if t == i):
+        for head in heads[i]:
             p = psi(p, head, r)
         p = a_op(p, i, r, c)
     return p

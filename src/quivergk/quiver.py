@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 from typing import Any, Iterable
 
 from .partitions import integers
@@ -306,10 +307,6 @@ def validate_rep(q: Quiver, rep: QuiverRep) -> None:
             raise QuiverError(f"matrix for arrow ({t},{h}) is not {rows}x{cols}")
 
 
-def _zero_matrix(rows: int, cols: int) -> Matrix:
-    return tuple((0,) * cols for _ in range(rows))
-
-
 def indecomposable_rep(q: Quiver, root: Iterable[int]) -> QuiverRep:
     """The indecomposable representation M_root of a positive root.
 
@@ -336,14 +333,8 @@ _DRAWS_PER_RANGE = 16
 @cache
 def _probe(q: Quiver, rv: Vector) -> QuiverRep:
     check_roots(q, (rv,))
-    if max(rv) == 1:
-        return QuiverRep(
-            rv,
-            tuple(
-                ((1,),) if rv[t - 1] and rv[h - 1] else _zero_matrix(rv[h - 1], rv[t - 1])
-                for t, h in q.arrows
-            ),
-        )
+    if max(rv) == 1:  # [1] on arrows inside the support; the rest have a side 0
+        return QuiverRep(rv, tuple(((1,) * rv[t - 1],) * rv[h - 1] for t, h in q.arrows))
     rng = random.Random(repr((q.arrows, rv)))
     draws = 0
     while True:
@@ -356,30 +347,22 @@ def _probe(q: Quiver, rv: Vector) -> QuiverRep:
                 for t, h in q.arrows
             ),
         )
-        if hom_dim(q, rep, rep) == 1:
+        if _solve(_layout(q, rep, rv), rep) == 1:
             return rep
 
 
 def direct_sum(q: Quiver, reps: Iterable[QuiverRep]) -> QuiverRep:
     """Block-diagonal sum of representations."""
     parts = list(reps)
-    if not parts:
-        return QuiverRep((0,) * q.n, tuple(_zero_matrix(0, 0) for _ in q.arrows))
     dims = tuple(sum(r.dims[i] for r in parts) for i in range(q.n))
     mats = []
     for k, (t, h) in enumerate(q.arrows):
-        rows = dims[h - 1]
-        cols = dims[t - 1]
-        block = [[0] * cols for _ in range(rows)]
-        roff = coff = 0
+        rows, left = [], 0
         for r in parts:
-            sub = r.mats[k]
-            for x, row in enumerate(sub):
-                for y, val in enumerate(row):
-                    block[roff + x][coff + y] = val
-            roff += r.dims[h - 1]
-            coff += r.dims[t - 1]
-        mats.append(tuple(tuple(row) for row in block))
+            right = dims[t - 1] - left - r.dims[t - 1]
+            rows += [(0,) * left + row + (0,) * right for row in r.mats[k]]
+            left += r.dims[t - 1]
+        mats.append(tuple(rows))
     return QuiverRep(dims, tuple(mats))
 
 
@@ -395,9 +378,8 @@ def orbit_rep(q: Quiver, orbit: OrbitSpec) -> QuiverRep:
     return direct_sum(q, pieces)
 
 
-def _bareiss_rank(matrix: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free Gaussian elimination."""
-    m = [row[:] for row in matrix]
+def _bareiss_rank(m: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free elimination, in place."""
     if not m or not m[0]:
         return 0
     rows, cols = len(m), len(m[0])
@@ -421,39 +403,57 @@ def _bareiss_rank(matrix: list[list[int]]) -> int:
     return rank
 
 
+Layout = tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, int, slice], ...]]
+
+
+def _layout(q: Quiver, f_rep: QuiverRep, e: Vector) -> Layout:
+    """Hom(``f_rep``, V) for every V of dims ``e``, V's entries left out.
+    The unknowns are beta_i (e_i x f_i), vertex by vertex; arrow k = (t, h)
+    gives rows (phi_k beta_t - beta_h psi_k)[x, y] = 0, x < e_h, y < f_t.
+    Per row: a base (-psi_k placed, zeros elsewhere) and a fill (k, x, the
+    slice of beta_t[:, y] where row x of phi_k goes; t != h, so it misses
+    the base's entries).  Returns (number of unknowns, bases, fills)."""
+    f = f_rep.dims
+    off = [0, *accumulate(x * y for x, y in zip(e, f))]
+    bases, fills = [], []
+    for k, (t, h) in enumerate(q.arrows):
+        for x in range(e[h - 1]):
+            for y in range(f[t - 1]):
+                base = [0] * off[-1]
+                at = off[h - 1] + x * f[h - 1]
+                base[at : at + f[h - 1]] = (-row[y] for row in f_rep.mats[k])
+                bases.append(tuple(base))
+                fills.append((k, x, slice(off[t - 1] + y, off[t], f[t - 1])))
+    return off[-1], tuple(bases), tuple(fills)
+
+
+def _solve(layout: Layout, rep: QuiverRep) -> int:
+    """dim Hom(F, ``rep``) from F's ``_layout`` for rep.dims; ``rep`` is
+    trusted to fit the quiver, as ``validate_rep`` checks."""
+    ncols, bases, fills = layout
+    m = list(map(list, bases))
+    for row, (k, x, cut) in zip(m, fills):
+        row[cut] = rep.mats[k][x]
+    return ncols - _bareiss_rank(m)
+
+
+@cache
+def _probe_layout(q: Quiver, root: Vector, e: Vector) -> Layout:
+    """``_layout`` of the probe M_root (a positive root of ``q``) for dims ``e``."""
+    return _layout(q, _probe(q, root), e)
+
+
 def hom_dim(q: Quiver, f_rep: QuiverRep, e_rep: QuiverRep) -> int:
     """Dimension of the space of homomorphisms from ``f_rep`` to ``e_rep``.
 
     A morphism is a tuple of matrices (one per vertex) intertwining the
-    arrow maps; the intertwining conditions are assembled into one linear
-    system whose kernel dimension is returned.
+    arrow maps.  Once both are checked, ``f_rep``'s half of that linear
+    system is laid out (``_layout``), ``e_rep``'s matrices fill the rest
+    and the kernel dimension is returned (``_solve``).
     """
     validate_rep(q, f_rep)
     validate_rep(q, e_rep)
-    f, e = f_rep.dims, e_rep.dims
-    col_off = []
-    acc = 0
-    for i in range(q.n):
-        col_off.append(acc)
-        acc += e[i] * f[i]
-    ncols = acc
-    nrows = sum(e[h - 1] * f[t - 1] for t, h in q.arrows)
-    if ncols == 0:
-        return 0
-    m = [[0] * ncols for _ in range(nrows)]
-    row = 0
-    for k, (t, h) in enumerate(q.arrows):
-        psi_m = f_rep.mats[k]  # f_h x f_t
-        phi_m = e_rep.mats[k]  # e_h x e_t
-        for x in range(e[h - 1]):
-            for y in range(f[t - 1]):
-                # (beta_h psi)[x,y] - (phi beta_t)[x,y] = 0
-                for z in range(f[h - 1]):
-                    m[row][col_off[h - 1] + x * f[h - 1] + z] += psi_m[z][y]
-                for w in range(e[t - 1]):
-                    m[row][col_off[t - 1] + w * f[t - 1] + y] -= phi_m[x][w]
-                row += 1
-    return ncols - _bareiss_rank(m)
+    return _solve(_layout(q, f_rep, e_rep.dims), e_rep)
 
 
 @cache
@@ -498,12 +498,12 @@ def hom_table(
     LNM 1099), so between indecomposables Hom and Ext^1 are never both
     non-zero, and dim Hom(M_alpha, M_beta) = max(0, <alpha, beta>) for
     the Euler form.  The orbit column is the sum of that over the
-    orbit's roots, with multiplicity.  Inputs are checked as in
-    ``in_orbit_closure``.
+    orbit's roots, with multiplicity.  Inputs are checked once, as in
+    ``in_orbit_closure``, which solves the first column the same way.
     """
     _check_query(q, rep, orbit)
     return [
-        (root, hom_dim(q, indecomposable_rep(q, root), rep), _orbit_hom(q, root, orbit))
+        (root, _solve(_probe_layout(q, root, rep.dims), rep), _orbit_hom(q, root, orbit))
         for root in positive_roots(q)
     ]
 
@@ -519,12 +519,14 @@ def in_orbit_closure(q: Quiver, rep: QuiverRep, orbit: OrbitSpec) -> bool:
     failed, so the solves a query costs depend on its orbit alone and
     not on the representation.
     A malformed representation, a dimension mismatch or an orbit made of
-    vectors that are not positive roots raises ``QuiverError``.
+    vectors that are not positive roots raises ``QuiverError``, checked
+    once per query; each solve fills M_alpha's system for rep.dims, laid
+    out and memoised per (quiver, alpha, dims), with rep's matrices.
     """
     _check_query(q, rep, orbit)
     inside = True
     for root in positive_roots(q):
         need = _orbit_hom(q, root, orbit)
-        if need and hom_dim(q, indecomposable_rep(q, root), rep) < need:
+        if need and _solve(_probe_layout(q, root, rep.dims), rep) < need:
             inside = False
     return inside

@@ -69,6 +69,14 @@ class ResolutionPair:
         if any(r < 1 for r in self.ranks):
             raise QuiverError("ranks must be positive")
 
+    @classmethod
+    def _trusted(cls, vertices: tuple[int, ...], ranks: tuple[int, ...]) -> "ResolutionPair":
+        """Wrap the tuples as is: ints, equally long, ranks positive."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "ranks", ranks)
+        return self
+
     def __len__(self) -> int:
         return len(self.vertices)
 
@@ -171,7 +179,7 @@ def resolution_pair(q: Quiver, orbit: OrbitSpec, dp: DirectedPartition) -> Resol
             for i, x in enumerate(root):
                 p[i] += m * x
         steps += [(v, p[v - 1]) for v in order if p[v - 1]]
-    return ResolutionPair(tuple(v for v, _ in steps), tuple(r for _, r in steps))
+    return ResolutionPair._trusted(tuple(v for v, _ in steps), tuple(r for _, r in steps))
 
 
 def pair_stages(

@@ -420,3 +420,10 @@ def test_sweep_rejects_unknown_suite(a2):
     # the CLI narrows --suite to the SUITES names; a library caller may not
     with pytest.raises(QuiverError, match="unknown suite"):
         next(sweep(a2, 1, "nope"))
+
+
+def test_out_arrow_heads_are_one_table_per_quiver():
+    # parallel arrows repeat a head; index 0 stands for no vertex
+    q = Quiver(4, ((1, 3), (1, 2), (4, 2), (1, 2)))
+    assert engine._out_heads(q) == ((), (2, 2, 3), (), (), (2,))
+    assert engine._out_heads(Quiver(4, q.arrows)) is engine._out_heads(q)

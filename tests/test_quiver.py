@@ -745,3 +745,82 @@ def test_membership_on_d_and_e(q, max_dim):
             for i, rep in enumerate(reps):
                 if i != j and in_orbit_closure(q, rep, orb):
                     assert codims[j] < codims[i], (orbs[i], orb)
+
+
+# ---------------------------------------------------------------------------
+# membership solves from per-(quiver, root, dims) layouts
+
+
+def _random_rep(q, e, rng):
+    return QuiverRep(
+        e,
+        tuple(
+            tuple(tuple(rng.randint(-2, 2) for _ in range(e[t - 1])) for _ in range(e[h - 1]))
+            for t, h in q.arrows
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "q, max_dim",
+    [
+        (Quiver(3, ((1, 2), (3, 2))), 2),
+        (Quiver(4, ((1, 4), (2, 4), (3, 4))), 2),
+        (Quiver(4, ((4, 1), (4, 2), (4, 3))), 2),
+        (Quiver(4, ((1, 4), (4, 2), (3, 4))), 2),
+        (Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6))), 1),
+    ],
+    ids=["A3-in", "D4-in", "D4-out", "D4-mixed", "E6"],
+)
+def test_membership_matches_the_public_hom_dim_route(q, max_dim):
+    # the reference solves every probe through the checked public route;
+    # E6 <= 1 probes with its roots that have an entry 2
+    from quivergk.quiver import _orbit_hom
+
+    rng = random.Random(q.n * 1000 + len(q.arrows))
+    by_dim = {}
+    for orb in all_orbits(q, max_dim):
+        by_dim.setdefault(orb.dim, []).append(orb)
+    for e, orbs in by_dim.items():
+        reps = [orbit_rep(q, o) for o in orbs] + [_random_rep(q, e, rng) for _ in range(2)]
+        for i, rep in enumerate(reps):
+            seen = [(a, hom_dim(q, indecomposable_rep(q, a), rep)) for a in positive_roots(q)]
+            table = [(a, h, _orbit_hom(q, a, orbs[i % len(orbs)])) for a, h in seen]
+            assert hom_table(q, rep, orbs[i % len(orbs)]) == table, rep
+            for orb in orbs:
+                inside = all(h >= _orbit_hom(q, a, orb) for a, h in seen)
+                assert in_orbit_closure(q, rep, orb) == inside, (rep, orb)
+
+
+def test_clear_caches_empties_the_probe_layouts(inbound):
+    from quivergk import clear_caches
+    from quivergk.quiver import _probe_layout
+
+    orbit = orbits(inbound, (1, 2, 1))[0]
+    in_orbit_closure(inbound, orbit_rep(inbound, orbit), orbit)
+    assert _probe_layout.cache_info().currsize > 0
+    clear_caches()
+    assert _probe_layout.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "rep, message",
+    [
+        (QuiverRep((2, 2), (((1, 0), (0, 1)),)), "representation shape does not match quiver"),
+        (QuiverRep((2, 2, 2), (((1, 0), (0, 1)),)), "representation shape does not match quiver"),
+        (QuiverRep((2, 2, 2), (((1,),), ((1,),))), "matrix for arrow (1,2) is not 2x2"),
+        (QuiverRep((2, 2, 2), (((1, 0), (0, 1)), ((1, 0), (0,)))), "matrix for arrow (3,2) is not 2x2"),
+        (QuiverRep((2, 2, 2), (((1, 0), (0, 1)), ((1, 0),))), "matrix for arrow (3,2) is not 2x2"),
+        (QuiverRep((1, 1, 1), (((1,),), ((1,),))), "dimension vectors differ: (1, 1, 1) vs (2, 2, 2)"),
+    ],
+)
+def test_membership_rejects_malformed_reps_with_the_same_text(inbound, rep, message):
+    orbit = orbits(inbound, (2, 2, 2))[0]
+    for query in (hom_table, in_orbit_closure):
+        with pytest.raises(QuiverError) as err:
+            query(inbound, rep, orbit)
+        assert str(err.value) == message
+    if not message.startswith("dimension"):
+        with pytest.raises(QuiverError) as err:
+            hom_dim(inbound, indecomposable_rep(inbound, A13), rep)
+        assert str(err.value) == message

@@ -324,6 +324,22 @@ def test_resolution_pair_validates():
         ResolutionPair((1,), (0,))
 
 
+def test_resolution_pair_builds_the_pair_the_checked_constructor_would(inbound):
+    # resolution_pair wraps its own int tuples without re-checking them
+    d4 = Quiver(4, ((1, 4), (2, 4), (3, 4)))
+    for q, top in ((inbound, 3), (d4, 2)):
+        for e in itertools.product(range(top + 1), repeat=q.n):
+            for orb in orbits(q, e):
+                pair = resolution_pair(q, orb, directed_partition(q, orb.support))
+                assert pair == ResolutionPair(pair.vertices, pair.ranks)
+                assert all(type(x) is int and x > 0 for x in pair.vertices + pair.ranks)
+                assert type(pair.vertices) is type(pair.ranks) is tuple
+    with pytest.raises(QuiverError, match="^vertex and rank lists differ in length$"):
+        ResolutionPair((1, 2), (1,))
+    with pytest.raises(QuiverError, match="^ranks must be positive$"):
+        ResolutionPair((1,), (0,))
+
+
 @pytest.mark.parametrize("vertices,ranks", [((1.5,), (1,)), ((1,), (1.0,)), (("1",), (1,))])
 def test_resolution_pair_rejects_non_integers(vertices, ranks):
     with pytest.raises(QuiverError, match="expected integers"):
