@@ -5,15 +5,18 @@ of stable Grothendieck classes, one tensor slot per vertex.  The
 expansion is driven by the steps of a resolution pair, consumed right to
 left: each step splits off a coproduct along every arrow leaving its
 vertex, then absorbs the working slot through a straightened
-rectangle-shift.  The lowest total degree of the result is the
-codimension of the orbit closure, and for Dynkin type A the table is
-independent of the chosen directed partition.
+rectangle-shift.  The last split runs fused with the absorption, term by
+term, so its working slot is never stored; within a step each (split,
+working partition) pair is expanded once and each shifted row built once.
+The lowest total degree of the result is the codimension of the orbit
+closure, and for Dynkin type A the table is independent of the chosen
+directed partition.
 
 A step of rank r keeps only the terms whose working partition has at
 most r rows.  Every partition in a product of stable Grothendieck classes
 contains both factors (Buch's Littlewood-Richardson rule for K-theory),
 so the working slot never loses rows on its way through the splits; the
-bound is therefore applied where terms are made, in ``psi`` and in the
+bound is therefore applied where terms are made, in the splits and in the
 row-capped ``coproduct``, and the expansion is exactly the one that
 building every term and dropping the long ones at ``a_op`` would give.
 """
@@ -38,6 +41,7 @@ from .gamma import (
     straighten,
 )
 from .oracle_a3 import INBOUND, OUTBOUND, inbound_table, mults_from_orbit, outbound_table
+from .partitions import Partition
 from .quiver import (
     OrbitSpec,
     Quiver,
@@ -128,21 +132,52 @@ def a_op(p: TensorElement, i: int, r: int, c: int) -> TensorElement:
     if r < 0:
         raise QuiverError("negative rank")
     out: dict[tuple, int] = {}
-    get = out.get
     for key, coeff in p.terms.items():
-        nu = key[-1]
-        if len(nu) > r:
-            continue
-        lam = key[i - 1]
-        seq = tuple([c + x for x in nu] + [c] * (r - len(nu))) + lam
-        if lam and r and seq[r - 1] < lam[0]:
-            expansion = straighten(seq).terms.items()
-        else:  # weakly decreasing, so straightening keeps its positive entries
-            expansion = (((tuple(x for x in seq if x > 0),), 1),)
-        head, mid = key[: i - 1], key[i:-1]
-        for (kappa,), s in expansion:
+        if len(key[-1]) <= r:
+            _absorb(out, key[: i - 1], key[i:-1], *_shifted(key[-1], r, c), key[i - 1], coeff)
+    return TensorElement._trusted(p.arity - 1, {k: v for k, v in out.items() if v})
+
+
+def _shifted(nu: Partition, r: int, c: int) -> tuple[tuple[int, ...], Partition]:
+    """The row (c + nu_1, ..., c + nu_r) for ``nu`` of at most r rows, and its positive part."""
+    row = tuple([c + x for x in nu] + [c] * (r - len(nu)))
+    return row, row if c > 0 else tuple(x for x in row if x > 0)
+
+
+def _absorb(out: dict, head: tuple, mid: tuple, row: tuple, pos: tuple, lam: tuple, n: int) -> None:
+    """Add ``n`` times the straightened ``row + lam`` to ``out`` between ``head`` and ``mid``; a
+    row ending at or above lam_1 straightens to its positive part ``pos`` followed by lam."""
+    if lam and row and row[-1] < lam[0]:
+        for (kappa,), s in straighten(row + lam).terms.items():
             k = head + (kappa,) + mid
-            out[k] = get(k, 0) + coeff * s
+            out[k] = out.get(k, 0) + n * s
+    else:  # pos is the row itself when lam is not empty, and shared when it is
+        k = head + (pos + lam,) + mid
+        out[k] = out.get(k, 0) + n
+
+
+def _split_absorb(p: TensorElement, h: int, i: int, r: int, c: int) -> TensorElement:
+    """``a_op(psi(p, h, r), i, r, c)`` in one pass for slots h != i, so no working slot is
+    stored; each (split, working partition) pair is expanded once, each shifted row built once."""
+    out: dict[tuple, int] = {}
+    parts_of: dict[tuple[Partition, Partition], list] = {}
+    shifts: dict[Partition, tuple] = {}
+    lo, hi = min(h, i), max(h, i)
+    for key, coeff in p.terms.items():
+        work, split, lam = key[-1], key[h - 1], key[i - 1]
+        parts = parts_of.get((split, work))
+        # G_() is the unit; every nu contains the working partition, so one past r gives none
+        if parts is None:
+            parts = parts_of[split, work] = [
+                (sigma, d * cc, *(shifts.get(nu) or shifts.setdefault(nu, _shifted(nu, r, c))))
+                for (sigma, tau), d in coproduct(split, min(r, len(split))).terms.items()
+                for nu, cc in (_mul_basis(tau, work) if work else ((tau, 1),))
+                if len(nu) <= r
+            ]
+        a, b, z = key[: lo - 1], key[lo : hi - 1], key[hi:-1]
+        for sigma, d, row, pos in parts:
+            head, mid = (a + (sigma,) + b, z) if h < i else (a, b + (sigma,) + z)
+            _absorb(out, head, mid, row, pos, lam, coeff * d)
     return TensorElement._trusted(p.arity - 1, {k: v for k, v in out.items() if v})
 
 
@@ -169,9 +204,9 @@ def _fold(p: TensorElement, q: Quiver, steps: list[tuple[int, int, int]]) -> Ten
     heads = _out_heads(q)
     for i, r, c in reversed(steps):
         p = append_unit(p)
-        for head in heads[i]:
+        for head in heads[i][:-1]:
             p = psi(p, head, r)
-        p = a_op(p, i, r, c)
+        p = _split_absorb(p, heads[i][-1], i, r, c) if heads[i] else a_op(p, i, r, c)
     return p
 
 

@@ -52,7 +52,11 @@ class Quiver:
         for t, h in self.arrows:
             if not (1 <= t <= self.n and 1 <= h <= self.n):
                 raise QuiverError(f"arrow ({t},{h}) out of range 1..{self.n}")
+        object.__setattr__(self, "_hash", hash((self.n, self.arrows)))
         source_rank(self)
+
+    def __hash__(self) -> int:  # every cache keyed on a quiver hashes it
+        return self._hash
 
     def check_vector(self, d: Iterable[int]) -> Vector:
         vec = as_ints(d)

@@ -206,6 +206,74 @@ def test_psi_rejects_negative_bound():
         psi(TensorElement.unit(2), 1, -1)
 
 
+@st.composite
+def fused_cases(draw):
+    """(p, h, i, r, c) for the fused last split: arity 3 or 4, two distinct
+    non-working slots, a working slot that is empty in every term or
+    filled in some, and slot partitions long enough that a shifted row
+    can end below lam_1."""
+    from conftest import partitions
+
+    arity = draw(st.integers(min_value=3, max_value=4))
+    h, i = draw(st.permutations(range(1, arity)))[:2]
+    filled = draw(st.booleans())
+    terms = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        key = tuple(draw(partitions(max_size=4, max_part=3, max_rows=2)) for _ in range(arity - 1))
+        work = draw(partitions(max_size=2, max_part=2, max_rows=2)) if filled else ()
+        terms[key + (work,)] = draw(st.integers(min_value=-2, max_value=2))
+    r = draw(st.integers(min_value=0, max_value=3))
+    return TensorElement(arity, terms), h, i, r, draw(st.sampled_from((-1, 0, 1, 2)))
+
+
+@given(fused_cases())
+@settings(max_examples=200, deadline=None)
+def test_split_absorb_is_a_op_after_psi(case):
+    p, h, i, r, c = case
+    assert engine._split_absorb(p, h, i, r, c) == a_op(psi(p, h, r), i, r, c)
+
+
+def test_split_absorb_straightens_rows_that_end_below_lam(monkeypatch):
+    """Both slot orders, empty and filled working slots, and slot-i
+    partitions whose first row beats the shifted row's last entry, so
+    the fused pass reaches ``straighten``."""
+    handed = []
+
+    def spy(seq):
+        handed.append(seq)
+        return straighten(seq)
+
+    monkeypatch.setattr(engine, "straighten", spy)
+    p = TensorElement(3, {((2, 1), (3, 3), ()): 1, ((1,), (3,), ()): -2, ((2,), (1,), (1,)): 3})
+    cases = [(h, i, r, c) for h, i in ((1, 2), (2, 1)) for r in range(4) for c in (-1, 0, 1, 2)]
+    fused = [engine._split_absorb(p, *case) for case in cases]
+    assert handed
+    for got, (h, i, r, c) in zip(fused, cases):
+        assert got == a_op(psi(p, h, r), i, r, c), (h, i, r, c)
+
+
+def test_fold_at_a_vertex_with_three_out_arrows(monkeypatch):
+    """The centre of D4 with every arrow outwards splits along arrows to
+    1 and 3 with ``psi`` and fuses the split to 4: a step there, and every
+    table up to dimension 2, equal the step-by-step composition."""
+    q = Quiver(4, ((2, 1), (2, 3), (2, 4)))
+    assert engine._out_heads(q)[2] == (1, 3, 4)
+    box = list(partitions_fitting(2, 2))
+    rng = random.Random(20070828)
+    for _ in range(30):
+        keys = [tuple(rng.choice(box) for _ in range(4)) for _ in range(3)]
+        p = TensorElement(4, {key: rng.choice((-2, -1, 1, 2)) for key in keys})
+        r, c = rng.randint(0, 3), rng.randint(-1, 2)
+        step = TensorElement(5, {key + ((),): v for key, v in p.terms.items()})
+        for h in (1, 3, 4):
+            step = psi(step, h, r)
+        assert engine._fold(p, q, [(2, r, c)]) == a_op(step, 2, r, c), (p, r, c)
+    found = [(e, orb) for e in itertools.product(range(3), repeat=4) for orb in orbits(q, e)]
+    fused = [quiver_coefficients(q, e, orb).tensor for e, orb in found]
+    monkeypatch.setattr(engine, "_split_absorb", lambda p, h, i, r, c: a_op(psi(p, h, r), i, r, c))
+    assert [quiver_coefficients(q, e, orb).tensor for e, orb in found] == fused
+
+
 # ---------------------------------------------------------------------------
 # full expansions, frozen
 

@@ -792,6 +792,62 @@ def test_membership_matches_the_public_hom_dim_route(q, max_dim):
                 assert in_orbit_closure(q, rep, orb) == inside, (rep, orb)
 
 
+@pytest.mark.parametrize(
+    "arrows, rep_mults, orbit_mults",
+    [
+        (
+            ((1, 2), (3, 2), (4, 2)),
+            (((0, 1, 0, 1), 1), ((0, 1, 1, 0), 1), ((1, 1, 0, 0), 1)),
+            (((0, 1, 0, 0), 1), ((1, 2, 1, 1), 1)),
+        ),
+        (
+            ((2, 1), (2, 3), (2, 4)),
+            (((0, 1, 1, 1), 1), ((1, 1, 0, 1), 1), ((1, 1, 1, 0), 1)),
+            (((1, 1, 1, 1), 1), ((1, 2, 1, 1), 1)),
+        ),
+        (
+            ((1, 2), (2, 3), (2, 4)),
+            (((0, 1, 0, 1), 1), ((0, 1, 1, 0), 1), ((1, 1, 1, 1), 1)),
+            (((0, 1, 1, 1), 1), ((1, 2, 1, 1), 1)),
+        ),
+    ],
+    ids=["D4-in", "D4-out", "D4-mixed"],
+)
+def test_membership_decided_by_the_highest_root_alone(arrows, rep_mults, orbit_mults):
+    """On each D4 orientation, a representation outside an orbit closure
+    that only the probe of the highest root (1, 2, 1, 1) rules out: every
+    other root sees as many homs as the orbit needs.  Inwards at
+    (1, 3, 1, 1) these are three independent lines in C^3 against three
+    coplanar ones, where the map onto the centre has rank 3 against at
+    most 2 in the closure."""
+    q = Quiver(4, arrows)
+    dims = tuple(map(sum, zip(*(root for root, _ in rep_mults))))
+    rep = orbit_rep(q, OrbitSpec(dims, rep_mults))
+    orbit = OrbitSpec(dims, orbit_mults)
+    assert not in_orbit_closure(q, rep, orbit)
+    short = [root for root, have, need in hom_table(q, rep, orbit) if have < need]
+    assert short == [(1, 2, 1, 1)]
+    if arrows == ((1, 2), (3, 2), (4, 2)):
+        # the 3 x 3 matrix [a | b | c] of the three arrows into the centre
+        centre = lambda r: [sum(rows, ()) for rows in zip(*r.mats)]  # noqa: E731
+        assert fraction_rank(centre(rep)) == 3
+        assert fraction_rank(centre(orbit_rep(q, orbit))) == 2
+
+
+def test_equal_quivers_built_apart_share_cache_entries():
+    a = Quiver(4, ((1, 2), (3, 2), (4, 2)))
+    b = Quiver(4, [[1, 2], [3, 2], [4, 2]])
+    assert a == b and a is not b
+    assert hash(a) == hash(b) == hash((4, ((1, 2), (3, 2), (4, 2))))
+    assert a != Quiver(4, ((3, 2), (1, 2), (4, 2)))
+    assert repr(a) == "Quiver(n=4, arrows=((1, 2), (3, 2), (4, 2)))"
+    roots = positive_roots(a)
+    before = positive_roots.cache_info()
+    assert positive_roots(b) is roots
+    after = positive_roots.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
 def test_clear_caches_empties_the_probe_layouts(inbound):
     from quivergk import clear_caches
     from quivergk.quiver import _probe_layout
