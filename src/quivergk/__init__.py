@@ -103,8 +103,8 @@ def clear_caches() -> None:
     """Empty every memo of the package: the ``functools.cache`` tables of
     all its modules (structure constants, coproducts, positive roots, the
     Euler form on pairs of roots and its bitmasks, the indecomposables and
-    their system layouts, topological ranks, out-arrows, caveats) and the
-    straightening memo."""
+    their system layouts, each orbit's membership probes, topological
+    ranks, out-arrows, caveats) and the straightening memo."""
     for module in (engine, gamma, oracle_a3, partitions, quiver, resolution):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):

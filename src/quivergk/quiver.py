@@ -517,20 +517,27 @@ def in_orbit_closure(q: Quiver, rep: QuiverRep, orbit: OrbitSpec) -> bool:
     the orbit iff every indecomposable M_alpha sees at least as many homs
     into it as into the orbit representative.
 
-    The orbit side is the closed form of ``hom_table``; a root that needs
-    no homs passes without a linear solve, because a hom dimension is
-    never negative.  Every other root is solved, also after one has
-    failed, so the solves a query costs depend on its orbit alone and
-    not on the representation.
     A malformed representation, a dimension mismatch or an orbit made of
     vectors that are not positive roots raises ``QuiverError``, checked
-    once per query; each solve fills M_alpha's system for rep.dims, laid
-    out and memoised per (quiver, alpha, dims), with rep's matrices.
+    once per query.  Only the roots of the orbit's ``_closure_probes``
+    are solved, in root order, and the query stops at the first that
+    falls short.
     """
     _check_query(q, rep, orbit)
-    inside = True
-    for root in positive_roots(q):
-        need = _orbit_hom(q, root, orbit)
-        if need and _solve(_probe_layout(q, root, rep.dims), rep) < need:
-            inside = False
-    return inside
+    return all(_solve(layout, rep) >= need for layout, need in _closure_probes(q, orbit))
+
+
+@cache
+def _closure_probes(q: Quiver, orbit: OrbitSpec) -> tuple[tuple[Layout, int], ...]:
+    """(layout, need) per positive root alpha that a representation of
+    dims e = orbit.dim can fail: its orbit side ``need`` (as in
+    ``hom_table``) exceeds max(0, <alpha, e>).  No other root can fail,
+    because dim Hom(M_alpha, V) - dim Ext^1(M_alpha, V) = <alpha, e> on
+    a hereditary algebra (Ringel, LNM 1099).  Layouts are ``_probe_layout``'s.
+    """
+    e = orbit.dim
+    return tuple(
+        (_probe_layout(q, root, e), need)
+        for root in positive_roots(q)
+        if (need := _orbit_hom(q, root, orbit)) > max(0, euler_form(q, root, e))
+    )

@@ -26,6 +26,9 @@ from quivergk.quiver import (
     validate_rep,
 )
 
+from quivergk import quiver
+from quivergk.quiver import _closure_probes, _probe_layout, _solve
+
 from conftest import fraction_rank
 
 A11, A12, A13 = (1, 0, 0), (1, 1, 0), (1, 1, 1)
@@ -793,6 +796,32 @@ def test_membership_matches_the_public_hom_dim_route(q, max_dim):
 
 
 @pytest.mark.parametrize(
+    "q, max_dim",
+    [
+        (Quiver(3, ((1, 2), (3, 2))), 3),
+        (Quiver(4, ((1, 4), (2, 4), (3, 4))), 2),
+        (Quiver(4, ((1, 4), (4, 2), (3, 4))), 2),
+        (Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6))), 1),
+    ],
+    ids=["A3-in", "D4-in", "D4-mixed", "E6"],
+)
+def test_hom_dim_is_at_least_the_euler_bound(q, max_dim):
+    # dim Hom(M_alpha, V) - dim Ext^1(M_alpha, V) = <alpha, e>, so no
+    # representation of dims e sees fewer than max(0, <alpha, e>) homs:
+    # the fact that lets membership skip the roots the bound satisfies
+    rng = random.Random(q.n * 1000 + len(q.arrows))
+    probes = [(a, indecomposable_rep(q, a)) for a in positive_roots(q)]
+    by_dim = {}
+    for orb in all_orbits(q, max_dim):
+        by_dim.setdefault(orb.dim, []).append(orb)
+    for e, orbs in by_dim.items():
+        reps = [orbit_rep(q, o) for o in orbs] + [_random_rep(q, e, rng) for _ in range(2)]
+        for rep in reps:
+            for a, probe in probes:
+                assert hom_dim(q, probe, rep) >= max(0, euler_form(q, a, e)), (a, rep)
+
+
+@pytest.mark.parametrize(
     "arrows, rep_mults, orbit_mults",
     [
         (
@@ -813,7 +842,7 @@ def test_membership_matches_the_public_hom_dim_route(q, max_dim):
     ],
     ids=["D4-in", "D4-out", "D4-mixed"],
 )
-def test_membership_decided_by_the_highest_root_alone(arrows, rep_mults, orbit_mults):
+def test_membership_decided_by_the_highest_root_alone(arrows, rep_mults, orbit_mults, monkeypatch):
     """On each D4 orientation, a representation outside an orbit closure
     that only the probe of the highest root (1, 2, 1, 1) rules out: every
     other root sees as many homs as the orbit needs.  Inwards at
@@ -824,7 +853,13 @@ def test_membership_decided_by_the_highest_root_alone(arrows, rep_mults, orbit_m
     dims = tuple(map(sum, zip(*(root for root, _ in rep_mults))))
     rep = orbit_rep(q, OrbitSpec(dims, rep_mults))
     orbit = OrbitSpec(dims, orbit_mults)
+    _closure_probes(q, orbit)
+    solved = []
+    monkeypatch.setattr(quiver, "_solve", lambda layout, r: solved.append(layout) or _solve(layout, r))
     assert not in_orbit_closure(q, rep, orbit)
+    # the query solves the highest root, and stops there
+    assert solved[-1] is _probe_layout(q, (1, 2, 1, 1), dims)
+    monkeypatch.undo()
     short = [root for root, have, need in hom_table(q, rep, orbit) if have < need]
     assert short == [(1, 2, 1, 1)]
     if arrows == ((1, 2), (3, 2), (4, 2)):
@@ -850,13 +885,52 @@ def test_equal_quivers_built_apart_share_cache_entries():
 
 def test_clear_caches_empties_the_probe_layouts(inbound):
     from quivergk import clear_caches
-    from quivergk.quiver import _probe_layout
 
     orbit = orbits(inbound, (1, 2, 1))[0]
     in_orbit_closure(inbound, orbit_rep(inbound, orbit), orbit)
     assert _probe_layout.cache_info().currsize > 0
+    assert _closure_probes.cache_info().currsize > 0
     clear_caches()
     assert _probe_layout.cache_info().currsize == 0
+    assert _closure_probes.cache_info().currsize == 0
+
+
+def test_membership_stops_at_the_first_failing_root(monkeypatch):
+    # every failing query of D4-in <= 2 solves its orbit's probes in
+    # order up to the first that falls short, and no further
+    q = Quiver(4, ((1, 4), (2, 4), (3, 4)))
+    rng = random.Random(4)
+    calls = [0]
+
+    def counted(layout, rep):
+        calls[0] += 1
+        return _solve(layout, rep)
+
+    failed = 0
+    for orbit in all_orbits(q, 2):
+        probes = _closure_probes(q, orbit)
+        for rep in (_random_rep(q, orbit.dim, rng), orbit_rep(q, orbits(q, orbit.dim)[-1])):
+            short = [k for k, (layout, need) in enumerate(probes) if _solve(layout, rep) < need]
+            calls[0] = 0
+            monkeypatch.setattr(quiver, "_solve", counted)
+            inside = in_orbit_closure(q, rep, orbit)
+            monkeypatch.undo()
+            assert inside == (not short)
+            assert calls[0] == (short[0] + 1 if short else len(probes)), (rep, orbit)
+            failed += bool(short)
+    assert failed > 100
+
+
+def test_a_failed_probe_list_is_not_memoised():
+    d4 = Quiver(4, ((1, 4), (2, 4), (3, 4)))
+    fake = OrbitSpec((1, 1, 1, 3), (((1, 1, 1, 3), 1),))
+    rep = QuiverRep((1, 1, 1, 3), (((0,),) * 3,) * 3)
+    before = _closure_probes.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(QuiverError) as err:
+            in_orbit_closure(d4, rep, fake)
+        assert str(err.value) == "[1, 1, 1, 3] is not a positive root of this quiver"
+    assert _closure_probes.cache_info().currsize == before
 
 
 @pytest.mark.parametrize(
