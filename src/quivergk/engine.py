@@ -46,6 +46,7 @@ from .quiver import (
     OrbitSpec,
     Quiver,
     QuiverError,
+    as_ints,
     opposite,
     orbits,
     positive_roots,
@@ -96,11 +97,13 @@ def psi(p: TensorElement, i: int, max_rows: int | None = None) -> TensorElement:
     rows: a term past the bound here would stay past it in every later
     ``psi`` and be dropped by ``a_op`` anyway.
     """
-    if not 1 <= i < p.arity:
-        raise QuiverError(f"psi slot {i} out of range for arity {p.arity}")
     if max_rows is None:
         max_rows = sys.maxsize
-    elif max_rows < 0:
+    if type(i) is not int or type(max_rows) is not int:  # plain ints skip the call, as in a_op
+        i, max_rows = as_ints((i, max_rows))
+    if not 1 <= i < p.arity:
+        raise QuiverError(f"psi slot {i} out of range for arity {p.arity}")
+    if max_rows < 0:
         raise QuiverError("negative rank")
     out: dict[tuple, int] = {}
     get = out.get
@@ -127,6 +130,8 @@ def a_op(p: TensorElement, i: int, r: int, c: int) -> TensorElement:
     others prepend (c + nu_1, ..., c + nu_r) to slot ``i``; only sequences
     with an ascent need straightening.  The arity drops by one.
     """
+    if type(i) is not int or type(r) is not int or type(c) is not int:  # plain ints skip the call
+        i, r, c = as_ints((i, r, c))
     if not 1 <= i < p.arity:
         raise QuiverError(f"a_op slot {i} out of range for arity {p.arity}")
     if r < 0:
@@ -183,14 +188,18 @@ def _split_absorb(p: TensorElement, h: int, i: int, r: int, c: int) -> TensorEle
 
 def phi(p: TensorElement, q: Quiver, stage_e: tuple[int, ...], i: int, r: int) -> TensorElement:
     """One resolution step at vertex ``i`` with rank ``r`` over stage
-    dimension vector ``stage_e``."""
+    dimension vector ``stage_e``, on a tensor with a slot per vertex."""
+    i, r = as_ints((i, r))
+    if p.arity != q.n:
+        raise QuiverError(f"tensor arity {p.arity} does not match {q.n} vertices")
     if not 1 <= i <= q.n:
         raise QuiverError(f"vertex {i} out of range 1..{q.n}")
     if len(stage_e) != q.n:
         raise QuiverError(f"stage vector {stage_e} does not have {q.n} entries")
-    if r > stage_e[i - 1]:
-        raise QuiverError(f"rank {r} exceeds stage dimension at vertex {i}")
-    return _fold(p, q, [(i, r, rectangle_width(q, stage_e, i, r))])
+    stage = q.check_vector(stage_e)
+    if not 0 <= r <= stage[i - 1]:
+        raise QuiverError(f"rank {r} is not in 0..{stage[i - 1]} at vertex {i}")
+    return _fold(p, q, [(i, r, rectangle_width(q, stage, i, r))])
 
 
 @cache

@@ -7,7 +7,9 @@ dim Hom(M_alpha, rep(orbit)) for every positive root alpha.  The left
 side is solved by fraction-free integer elimination.  The right side
 needs no matrices: a Dynkin path algebra is representation-directed
 (Ringel, LNM 1099), so dim Hom(M_alpha, M_beta) = max(0, <alpha, beta>)
-for the Euler form, and the orbit side is a sum of those.
+for the Euler form, and the orbit side is a sum of those.  It is built
+once per (quiver, orbit), with the orbit's roots checked; a query checks
+only its representation.
 """
 
 from __future__ import annotations
@@ -408,6 +410,7 @@ def _bareiss_rank(m: list[list[int]]) -> int:
 
 
 Layout = tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, int, slice], ...]]
+Side = tuple[Vector, tuple[tuple[Layout, int], ...]]  # an orbit's hom column and open probes
 
 
 def _layout(q: Quiver, f_rep: QuiverRep, e: Vector) -> Layout:
@@ -477,38 +480,42 @@ def check_roots(q: Quiver, vectors: Iterable[Vector]) -> dict[tuple[Vector, Vect
     return form
 
 
-def _orbit_hom(q: Quiver, alpha: Vector, orbit: OrbitSpec) -> int:
-    """dim Hom(M_alpha, rep(orbit)) = sum of m * max(0, <alpha, beta>)."""
-    euler = _euler_table(q)
-    return sum(m * max(0, euler[alpha, beta]) for beta, m in orbit.mults)
+@cache
+def _orbit_side(q: Quiver, orbit: OrbitSpec) -> Side:
+    """The orbit's side of membership, once per (quiver, orbit): the roots
+    are checked (a failure raises ``QuiverError``, memoising nothing), then
+    per positive root alpha, need = dim Hom(M_alpha, rep(orbit)) = sum of
+    m * max(0, <alpha, beta>) over the orbit.  Returns that column and
+    (``_probe_layout``, need) for each alpha with need > max(0, <alpha, e>),
+    e = orbit.dim: as dim Hom(M_alpha, V) - dim Ext^1(M_alpha, V) =
+    <alpha, e> on a hereditary algebra (Ringel), no other root can fail."""
+    form, roots = check_roots(q, orbit.support), positive_roots(q)
+    column = tuple(sum(m * max(0, form[a, b]) for b, m in orbit.mults) for a in roots)
+    return column, tuple(
+        (_probe_layout(q, a, orbit.dim), need)
+        for a, need in zip(roots, column)
+        if need > max(0, sum(m * form[a, b] for b, m in orbit.mults))
+    )
 
 
-def _check_query(q: Quiver, rep: QuiverRep, orbit: OrbitSpec) -> None:
-    """Raise ``QuiverError`` unless a membership query is well-formed."""
+def _check_query(q: Quiver, rep: QuiverRep, orbit: OrbitSpec) -> Side:
+    """``_orbit_side(q, orbit)`` once ``rep`` fits ``q`` and has the orbit's
+    dims; ``QuiverError`` otherwise, shape first, then dims, then roots."""
     validate_rep(q, rep)
     if rep.dims != orbit.dim:
         raise QuiverError(f"dimension vectors differ: {rep.dims} vs {orbit.dim}")
-    check_roots(q, orbit.support)
+    return _orbit_side(q, orbit)
 
 
-def hom_table(
-    q: Quiver, rep: QuiverRep, orbit: OrbitSpec
-) -> list[tuple[Vector, int, int]]:
+def hom_table(q: Quiver, rep: QuiverRep, orbit: OrbitSpec) -> list[tuple[Vector, int, int]]:
     """Per positive root alpha: (alpha, dim Hom(M_alpha, rep),
-    dim Hom(M_alpha, rep(orbit))).
-
-    The first count solves a linear system; the second is in closed
-    form.  A Dynkin path algebra is representation-directed (Ringel,
-    LNM 1099), so between indecomposables Hom and Ext^1 are never both
-    non-zero, and dim Hom(M_alpha, M_beta) = max(0, <alpha, beta>) for
-    the Euler form.  The orbit column is the sum of that over the
-    orbit's roots, with multiplicity.  Inputs are checked once, as in
-    ``in_orbit_closure``, which solves the first column the same way.
-    """
-    _check_query(q, rep, orbit)
+    dim Hom(M_alpha, rep(orbit))), the first solved from M_alpha's
+    memoised layout, the second the orbit's column of ``_orbit_side``.
+    Inputs are checked as in ``in_orbit_closure``."""
+    column = _check_query(q, rep, orbit)[0]
     return [
-        (root, _solve(_probe_layout(q, root, rep.dims), rep), _orbit_hom(q, root, orbit))
-        for root in positive_roots(q)
+        (root, _solve(_probe_layout(q, root, rep.dims), rep), need)
+        for root, need in zip(positive_roots(q), column)
     ]
 
 
@@ -518,26 +525,9 @@ def in_orbit_closure(q: Quiver, rep: QuiverRep, orbit: OrbitSpec) -> bool:
     into it as into the orbit representative.
 
     A malformed representation, a dimension mismatch or an orbit made of
-    vectors that are not positive roots raises ``QuiverError``, checked
-    once per query.  Only the roots of the orbit's ``_closure_probes``
-    are solved, in root order, and the query stops at the first that
-    falls short.
+    vectors that are not positive roots raises ``QuiverError``, in that
+    order.  Only the orbit's open probes (see ``_orbit_side``) are
+    solved, in root order, and the query stops at the first that falls
+    short.
     """
-    _check_query(q, rep, orbit)
-    return all(_solve(layout, rep) >= need for layout, need in _closure_probes(q, orbit))
-
-
-@cache
-def _closure_probes(q: Quiver, orbit: OrbitSpec) -> tuple[tuple[Layout, int], ...]:
-    """(layout, need) per positive root alpha that a representation of
-    dims e = orbit.dim can fail: its orbit side ``need`` (as in
-    ``hom_table``) exceeds max(0, <alpha, e>).  No other root can fail,
-    because dim Hom(M_alpha, V) - dim Ext^1(M_alpha, V) = <alpha, e> on
-    a hereditary algebra (Ringel, LNM 1099).  Layouts are ``_probe_layout``'s.
-    """
-    e = orbit.dim
-    return tuple(
-        (_probe_layout(q, root, e), need)
-        for root in positive_roots(q)
-        if (need := _orbit_hom(q, root, orbit)) > max(0, euler_form(q, root, e))
-    )
+    return all(_solve(layout, rep) >= need for layout, need in _check_query(q, rep, orbit)[1])

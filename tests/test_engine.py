@@ -24,7 +24,7 @@ from quivergk.gamma import TensorElement, basis, coproduct, min_degree, straight
 from quivergk.oracle_a3 import A3OrbitMults, inbound_table
 from quivergk.partitions import conjugate, partitions_fitting
 from quivergk.quiver import OrbitSpec, Quiver, QuiverError, orbits, positive_roots
-from quivergk.resolution import ResolutionPair, codim, directed_partition_from_blocks
+from quivergk.resolution import ResolutionPair, codim, directed_partition_from_blocks, pair_stages
 
 
 def a2_orbit(m11, m12, m22):
@@ -128,6 +128,78 @@ def test_phi_rejects_a_stage_vector_of_the_wrong_length(inbound):
 def test_phi_respects_stage_bound(a2):
     with pytest.raises(QuiverError):
         phi(TensorElement.unit(2), a2, (1, 1), 1, 2)
+
+
+@pytest.mark.parametrize(
+    "arity, stage, vertex, rank",
+    [
+        (2, (1, 1, 1), 2, 1),  # a tensor without one slot per vertex
+        (4, (1, 1, 1), 2, 1),
+        (3, (1, 1, 1), 1, -1),  # negative rank at a vertex with an out-arrow
+        (3, (1, 1, 1), 2, -1),  # and at a sink
+        (3, (1, 1, 1), 1.5, 1),
+        (3, (1, 1, 1), 2.0, 1),
+        (3, (1, 1, 1), 2, 0.5),
+        (3, (1, 1, 1), 2, 1.0),
+        (3, (1, -1, 1), 1, 1),
+        (3, (1, 1.5, 1), 1, 1),
+        (3, (1, "1", 1), 1, 1),
+    ],
+)
+def test_phi_rejects_bad_input(inbound, arity, stage, vertex, rank):
+    with pytest.raises(QuiverError):
+        phi(TensorElement.unit(arity), inbound, stage, vertex, rank)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: psi(p, 1.0, 1),
+        lambda p: psi(p, 1, 1.5),
+        lambda p: a_op(p, 1.0, 1, 0),
+        lambda p: a_op(p, 1, 1.0, 0),
+        lambda p: a_op(p, 1, 1, 0.5),
+    ],
+    ids=["psi-slot", "psi-rows", "a_op-slot", "a_op-rank", "a_op-width"],
+)
+def test_operators_reject_non_integer_arguments(call):
+    # a_op(unit, 1, 1, 0.5) used to return a tensor keyed by G[0.5]
+    with pytest.raises(QuiverError, match="expected integers"):
+        call(TensorElement.unit(3))
+
+
+def test_operators_check_their_arguments_once_per_call(monkeypatch):
+    # plain ints pass without a conversion; anything else (True here)
+    # is converted once per call, not once per term
+    p = TensorElement(3, {((k,), (), (j,)): 1 for k in range(4) for j in range(2)})
+    want = psi(p, 1, 2), a_op(p, 1, 2, 1)
+    seen = []
+    convert = engine.as_ints
+    monkeypatch.setattr(engine, "as_ints", lambda v: seen.append(v) or convert(v))
+    assert (psi(p, 1, 2), a_op(p, 1, 2, 1)) == want and seen == []
+    assert (psi(p, True, 2), a_op(p, True, 2, True)) == want
+    assert seen == [(True, 2), (True, 2, True)]
+
+
+@pytest.mark.parametrize(
+    "q, max_dim",
+    [
+        (Quiver(3, ((1, 2), (3, 2))), 2),
+        (Quiver(3, ((2, 1), (2, 3))), 2),
+        (Quiver(4, ((4, 1), (4, 2), (4, 3))), 1),
+        (Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6))), 1),
+    ],
+    ids=["A3-in", "A3-out", "D4-out", "E6"],
+)
+def test_phi_folds_to_the_engine_table(q, max_dim):
+    # phi applied right to left along the greedy pair's stages is the engine
+    for e in itertools.product(range(max_dim + 1), repeat=q.n):
+        for orbit in orbits(q, e):
+            table = quiver_coefficients(q, e, orbit)
+            p = TensorElement.unit(q.n)
+            for v, r, stage in reversed(list(pair_stages(q, e, table.pair))):
+                p = phi(p, q, stage, v, r)
+            assert p == table.tensor, orbit
 
 
 @st.composite

@@ -27,7 +27,7 @@ from quivergk.quiver import (
 )
 
 from quivergk import quiver
-from quivergk.quiver import _closure_probes, _probe_layout, _solve
+from quivergk.quiver import _orbit_side, _probe_layout, _solve
 
 from conftest import fraction_rank
 
@@ -777,8 +777,10 @@ def _random_rep(q, e, rng):
 )
 def test_membership_matches_the_public_hom_dim_route(q, max_dim):
     # the reference solves every probe through the checked public route;
-    # E6 <= 1 probes with its roots that have an entry 2
-    from quivergk.quiver import _orbit_hom
+    # E6 <= 1 probes with its roots that have an entry 2; the orbit side
+    # is the sum of m * max(0, <alpha, beta>) over the orbit's roots
+    def orbit_hom(a, orb):
+        return sum(m * max(0, euler_form(q, a, b)) for b, m in orb.mults)
 
     rng = random.Random(q.n * 1000 + len(q.arrows))
     by_dim = {}
@@ -788,10 +790,10 @@ def test_membership_matches_the_public_hom_dim_route(q, max_dim):
         reps = [orbit_rep(q, o) for o in orbs] + [_random_rep(q, e, rng) for _ in range(2)]
         for i, rep in enumerate(reps):
             seen = [(a, hom_dim(q, indecomposable_rep(q, a), rep)) for a in positive_roots(q)]
-            table = [(a, h, _orbit_hom(q, a, orbs[i % len(orbs)])) for a, h in seen]
+            table = [(a, h, orbit_hom(a, orbs[i % len(orbs)])) for a, h in seen]
             assert hom_table(q, rep, orbs[i % len(orbs)]) == table, rep
             for orb in orbs:
-                inside = all(h >= _orbit_hom(q, a, orb) for a, h in seen)
+                inside = all(h >= orbit_hom(a, orb) for a, h in seen)
                 assert in_orbit_closure(q, rep, orb) == inside, (rep, orb)
 
 
@@ -853,7 +855,7 @@ def test_membership_decided_by_the_highest_root_alone(arrows, rep_mults, orbit_m
     dims = tuple(map(sum, zip(*(root for root, _ in rep_mults))))
     rep = orbit_rep(q, OrbitSpec(dims, rep_mults))
     orbit = OrbitSpec(dims, orbit_mults)
-    _closure_probes(q, orbit)
+    _orbit_side(q, orbit)
     solved = []
     monkeypatch.setattr(quiver, "_solve", lambda layout, r: solved.append(layout) or _solve(layout, r))
     assert not in_orbit_closure(q, rep, orbit)
@@ -889,10 +891,10 @@ def test_clear_caches_empties_the_probe_layouts(inbound):
     orbit = orbits(inbound, (1, 2, 1))[0]
     in_orbit_closure(inbound, orbit_rep(inbound, orbit), orbit)
     assert _probe_layout.cache_info().currsize > 0
-    assert _closure_probes.cache_info().currsize > 0
+    assert _orbit_side.cache_info().currsize > 0
     clear_caches()
     assert _probe_layout.cache_info().currsize == 0
-    assert _closure_probes.cache_info().currsize == 0
+    assert _orbit_side.cache_info().currsize == 0
 
 
 def test_membership_stops_at_the_first_failing_root(monkeypatch):
@@ -908,7 +910,7 @@ def test_membership_stops_at_the_first_failing_root(monkeypatch):
 
     failed = 0
     for orbit in all_orbits(q, 2):
-        probes = _closure_probes(q, orbit)
+        probes = _orbit_side(q, orbit)[1]
         for rep in (_random_rep(q, orbit.dim, rng), orbit_rep(q, orbits(q, orbit.dim)[-1])):
             short = [k for k, (layout, need) in enumerate(probes) if _solve(layout, rep) < need]
             calls[0] = 0
@@ -925,12 +927,35 @@ def test_a_failed_probe_list_is_not_memoised():
     d4 = Quiver(4, ((1, 4), (2, 4), (3, 4)))
     fake = OrbitSpec((1, 1, 1, 3), (((1, 1, 1, 3), 1),))
     rep = QuiverRep((1, 1, 1, 3), (((0,),) * 3,) * 3)
-    before = _closure_probes.cache_info().currsize
+    before = _orbit_side.cache_info().currsize
     for _ in range(2):
         with pytest.raises(QuiverError) as err:
             in_orbit_closure(d4, rep, fake)
         assert str(err.value) == "[1, 1, 1, 3] is not a positive root of this quiver"
-    assert _closure_probes.cache_info().currsize == before
+    assert _orbit_side.cache_info().currsize == before
+
+
+@pytest.mark.parametrize(
+    "rep, message",
+    [
+        (QuiverRep((1, 1, 1, 3), (((0,),),) * 3), "matrix for arrow (1,4) is not 3x1"),
+        (QuiverRep((1, 1, 1, 3), (((0,),) * 3,) * 2), "representation shape does not match quiver"),
+        (
+            QuiverRep((1, 1, 1, 2), (((0,),) * 2,) * 3),
+            "dimension vectors differ: (1, 1, 1, 2) vs (1, 1, 1, 3)",
+        ),
+        (QuiverRep((1, 1, 1, 3), (((0,),) * 3,) * 3), "[1, 1, 1, 3] is not a positive root of this quiver"),
+    ],
+)
+def test_a_bad_representation_is_reported_before_a_bad_orbit(rep, message):
+    # the orbit's roots are checked once per orbit, after the per-query
+    # shape and dims checks, so the order stays shape, dims, roots
+    d4 = Quiver(4, ((1, 4), (2, 4), (3, 4)))
+    fake = OrbitSpec((1, 1, 1, 3), (((1, 1, 1, 3), 1),))
+    for query in (hom_table, in_orbit_closure):
+        with pytest.raises(QuiverError) as err:
+            query(d4, rep, fake)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
