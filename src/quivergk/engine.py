@@ -371,10 +371,11 @@ def sweep(q: Quiver, max_dim: int, suite: str) -> Iterator[tuple[CoefficientTabl
     Yields ``(table, failure)`` per orbit, dimension vectors in
     ``itertools.product`` order and the orbits of each in ``orbits``
     order.  ``table`` is the greedy ``CoefficientTable``; ``failure`` is
-    None, or a dict whose ``"orbit"`` key names the orbit.  A negative
-    ``max_dim``, an unknown suite or a quiver the suite cannot check
-    raises ``QuiverError`` as iteration starts, before any orbit.
+    None, or a dict whose ``"orbit"`` key names the orbit.  A negative or
+    non-integer ``max_dim``, an unknown suite or a quiver the suite cannot
+    check raises ``QuiverError`` as iteration starts, before any orbit.
     """
+    (max_dim,) = as_ints((max_dim,))
     if max_dim < 0:
         raise QuiverError(f"negative max_dim {max_dim}")
     if suite not in SUITES:

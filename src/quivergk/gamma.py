@@ -282,7 +282,7 @@ def coproduct(nu: Partition, max_rows: int | None = None) -> TensorElement:
     nu = normalize(nu)
     p = len(nu)
     q = nu[0] if nu else 0
-    if max_rows is not None and max_rows < 0:
+    if max_rows is not None and integers((max_rows,))[0] < 0:
         raise ValueError(f"negative max_rows {max_rows}")
     m = p if max_rows is None else min(max_rows, p)
     hits = _lattice_walk(tuple((0, x) for x in nu), (q,) * p, letter_cap=(m + 1, q))

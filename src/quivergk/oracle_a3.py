@@ -1,10 +1,10 @@
 """Closed-form coefficient tables for the two extreme A3 orientations.
 
-These are independent of the recursive engine: the tables come from
-coproducts of explicit rectangles, with each structure constant also
-available through a direct tableau count.  They exist to cross-examine
-the engine — every equality between the two routes is a theorem being
-retested numerically.
+These are independent of the recursive engine: each table is computed by
+contracting coproducts of explicit rectangles, each coefficient by a
+signed count of set-valued tableaux (``inbound_c``, ``outbound_d``).
+The tests certify the tables key by key against the counts — every
+equality between the two routes is a theorem being retested numerically.
 
 Vertex layout: 1 - 2 - 3, with both arrows pointing in ("inbound",
 1 -> 2 <- 3) or both pointing out ("outbound", 1 <- 2 -> 3).  Orbits are
@@ -31,7 +31,7 @@ from .partitions import (
     u_word,
     word,
 )
-from .quiver import OrbitSpec, Quiver, QuiverError
+from .quiver import OrbitSpec, Quiver, QuiverError, as_ints
 
 INBOUND = Quiver(3, ((1, 2), (3, 2)))
 OUTBOUND = Quiver(3, ((2, 1), (2, 3)))
@@ -57,6 +57,8 @@ class A3OrbitMults:
     m33: int = 0
 
     def __post_init__(self) -> None:
+        for (i, j), m in zip(self.as_dict(), as_ints(self.as_dict().values())):
+            object.__setattr__(self, f"m{i}{j}", m)
         if min(self.as_dict().values()) < 0:
             raise QuiverError("multiplicities must be non-negative")
 
@@ -127,51 +129,44 @@ def porteous(e1: int, e2: int, r: int) -> TensorElement:
 # inbound orientation, 1 -> 2 <- 3
 
 
+def _lattice_fillings(shape: SkewShape, mu: Partition, tail: tuple[int, ...] = ()) -> int:
+    """Set-valued tableaux of ``shape`` whose reading word followed by
+    ``tail`` has content ``mu`` and is a reverse lattice word."""
+    excess = sum(mu) - shape.size - len(tail)
+    if excess < 0:
+        return 0
+    count = 0
+    for t in enumerate_svt(shape, len(mu), excess):
+        w = word(t) + tail
+        if content(w) == mu and is_reverse_lattice(w):
+            count += 1
+    return count
+
+
 def inbound_c(
     lam: Partition,
     mu: Partition,
     nu: Partition,
     m: A3OrbitMults,
-    impl: str = "algebraic",
 ) -> int:
-    """Coefficient of the reduced key (lam, mu, nu) for an inbound orbit.
+    """Coefficient of the reduced key (lam, mu, nu) for an inbound orbit,
+    by a signed tableau count; ``inbound_table`` reaches it by contraction.
 
     ``mu`` is the middle-slot partition *after* removing the forced
-    rectangle prefix.  The two implementations — bialgebra contraction
-    versus signed tableau count — must agree everywhere.
+    rectangle prefix.
     """
     lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
     r1 = _rectangle(m.m33, m.m12)
     r2 = _rectangle(m.m11, m.m23)
-    if impl == "algebraic":
-        total = 0
-        for (a, sigma), d1 in coproduct(r1).terms.items():
-            if a != lam:
-                continue
-            for (tau, b), d2 in coproduct(r2).terms.items():
-                if b != nu:
-                    continue
-                total += d1 * d2 * dict(_mul_basis(sigma, tau)).get(mu, 0)
-        return total
-    if impl == "tableau":
-        count = 0
-        for sigma in partitions_fitting(m.m12, m.m33):
-            if not rook_strip_complement(r1, sigma, lam):
-                continue
-            for theta in partitions_fitting(m.m23, m.m11):
-                if not rook_strip_complement(r2, theta, nu):
-                    continue
-                excess = sum(mu) - sum(sigma) - sum(theta)
-                if excess < 0:
-                    continue
-                tail = u_word(sigma)
-                for t in enumerate_svt(SkewShape(theta), len(mu), excess):
-                    w = word(t) + tail
-                    if content(w) == mu and is_reverse_lattice(w):
-                        count += 1
-        sign = sum(lam) + sum(mu) + sum(nu) - m.m33 * m.m12 - m.m11 * m.m23
-        return (-1 if sign % 2 else 1) * count
-    raise QuiverError(f"unknown implementation {impl!r}")
+    count = 0
+    for sigma in partitions_fitting(m.m12, m.m33):
+        if not rook_strip_complement(r1, sigma, lam):
+            continue
+        for theta in partitions_fitting(m.m23, m.m11):
+            if rook_strip_complement(r2, theta, nu):
+                count += _lattice_fillings(SkewShape(theta), mu, u_word(sigma))
+    sign = sum(lam) + sum(mu) + sum(nu) - m.m33 * m.m12 - m.m11 * m.m23
+    return (-1 if sign % 2 else 1) * count
 
 
 def inbound_table(m: A3OrbitMults) -> TensorElement:
@@ -202,46 +197,29 @@ def outbound_d(
     lam: Partition,
     mu: Partition,
     nu: Partition,
-    impl: str = "algebraic",
 ) -> int:
     """Coefficient of (lam, mu, nu) in the double coproduct of a rectangle
-    class; the tableau route counts skew fillings between two partitions
-    interleaved in the rectangle."""
+    class, by a signed count of skew fillings between two partitions
+    interleaved in the rectangle; ``outbound_table`` reads it from ``coproduct2``."""
     rect = normalize(rect)
     if rect and len(set(rect)) != 1:
         raise QuiverError(f"need a rectangle, got {rect}")
     lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
-    if impl == "algebraic":
-        return coproduct2(rect).terms.get((lam, mu, nu), 0)
-    if impl == "tableau":
-        p = len(rect)
-        q = rect[0] if rect else 0
-        count = 0
-        for tau in partitions_fitting(p, q):
-            # lam must sit inside tau: the rook strip lam/sigma is the part
-            # of lam carried over from the first tensor slot, and it lives
-            # in the subdiagram that tau contributes.  Dropping this
-            # containment overcounts pairs with tau = sigma.
-            if not (rook_strip_complement(rect, tau, nu) and contains(tau, lam)):
-                continue
-            for sigma in partitions_fitting(p, q):
-                if not (
-                    contains(tau, sigma)
-                    and contains(lam, sigma)
-                    and is_rook_strip(lam, sigma)
-                ):
-                    continue
-                shape = SkewShape(tau, sigma)
-                excess = sum(mu) - shape.size
-                if excess < 0:
-                    continue
-                for t in enumerate_svt(shape, len(mu), excess):
-                    w = word(t)
-                    if content(w) == mu and is_reverse_lattice(w):
-                        count += 1
-        sign = sum(lam) + sum(mu) + sum(nu) - p * q
-        return (-1 if sign % 2 else 1) * count
-    raise QuiverError(f"unknown implementation {impl!r}")
+    p = len(rect)
+    q = rect[0] if rect else 0
+    count = 0
+    for tau in partitions_fitting(p, q):
+        # lam must sit inside tau: the rook strip lam/sigma is the part
+        # of lam carried over from the first tensor slot, and it lives
+        # in the subdiagram that tau contributes.  Dropping this
+        # containment overcounts pairs with tau = sigma.
+        if not (rook_strip_complement(rect, tau, nu) and contains(tau, lam)):
+            continue
+        for sigma in partitions_fitting(p, q):
+            if contains(tau, sigma) and contains(lam, sigma) and is_rook_strip(lam, sigma):
+                count += _lattice_fillings(SkewShape(tau, sigma), mu)
+    sign = sum(lam) + sum(mu) + sum(nu) - p * q
+    return (-1 if sign % 2 else 1) * count
 
 
 def outbound_table(m: A3OrbitMults) -> TensorElement:

@@ -23,7 +23,7 @@ from quivergk import engine
 from quivergk.gamma import TensorElement, basis, coproduct, min_degree, straighten, tensor_mul_at
 from quivergk.oracle_a3 import A3OrbitMults, inbound_table
 from quivergk.partitions import conjugate, partitions_fitting
-from quivergk.quiver import OrbitSpec, Quiver, QuiverError, orbits, positive_roots
+from quivergk.quiver import OrbitSpec, Quiver, QuiverError, check_roots, orbits, positive_roots
 from quivergk.resolution import ResolutionPair, codim, directed_partition_from_blocks, pair_stages
 
 
@@ -433,6 +433,32 @@ def test_min_degree_equals_codim_a2(a2):
         assert min_degree(table.tensor) == table.codim
 
 
+@pytest.mark.parametrize(
+    "q, max_dim",
+    [
+        (Quiver(3, ((1, 2), (3, 2))), 3),
+        (Quiver(3, ((2, 1), (2, 3))), 3),
+        (Quiver(3, ((1, 2), (2, 3))), 3),
+        (Quiver(4, ((1, 4), (2, 4), (3, 4))), 2),
+        (Quiver(4, ((4, 1), (4, 2), (4, 3))), 2),
+        (Quiver(4, ((1, 4), (4, 2), (4, 3))), 2),
+        (Quiver(5, ((1, 2), (2, 3), (3, 4), (3, 5))), 1),
+        (Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6))), 1),
+        (Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7))), 1),
+    ],
+    ids=["A3-in", "A3-out", "A3-linear", "D4-in", "D4-out", "D4-mixed", "D5", "E6", "E7"],
+)
+def test_codim_is_the_dimension_of_self_extensions(q, max_dim):
+    # the codimension of an orbit closure is dim Ext^1(M, M) (Voigt's lemma),
+    # and a Dynkin quiver is representation-directed, so between indecomposables
+    # dim Ext^1(M_b, M_g) = max(0, -<b, g>); the step walk that gives codim is not used
+    for e in itertools.product(range(max_dim + 1), repeat=q.n):
+        for orbit in orbits(q, e):
+            form = check_roots(q, orbit.support)
+            ext = sum(m * k * max(0, -form[b, g]) for b, m in orbit.mults for g, k in orbit.mults)
+            assert quiver_coefficients(q, e, orbit).codim == ext, orbit
+
+
 def test_alternating_signs_clean_a3(inbound):
     for e in itertools.product(range(3), repeat=3):
         for orb in orbits(inbound, e):
@@ -560,6 +586,13 @@ def test_sweep_rejects_unknown_suite(a2):
     # the CLI narrows --suite to the SUITES names; a library caller may not
     with pytest.raises(QuiverError, match="unknown suite"):
         next(sweep(a2, 1, "nope"))
+
+
+@pytest.mark.parametrize("max_dim", [1.5, 2.0, "2", None])
+def test_sweep_rejects_a_non_integer_max_dim(a2, max_dim):
+    orbits_left = sweep(a2, max_dim, "signs")  # a generator: nothing runs yet
+    with pytest.raises(QuiverError, match="expected integers"):
+        next(orbits_left)
 
 
 def test_out_arrow_heads_are_one_table_per_quiver():

@@ -203,6 +203,15 @@ def test_coproduct_row_cap_is_a_restriction():
             assert coproduct(nu, m).terms == cut, (nu, m)
 
 
+@pytest.mark.parametrize("bound", [1.5, "1"])
+def test_coproduct_rejects_a_non_integer_row_cap(bound):
+    # checked on a cache miss only: 2.0 == 2 would find the entry of 2
+    with pytest.raises(ValueError, match="expected integers"):
+        coproduct((2, 1), bound)
+    with pytest.raises(ValueError, match="negative max_rows"):
+        coproduct((2, 1), -1)
+
+
 @pytest.mark.parametrize("nu", [*partitions_fitting(3, 3), (4, 4, 2, 1), (4, 4, 4, 1)])
 def test_coproduct_matches_the_rectangle_filling(nu):
     """``coproduct`` fills nu's shape with the rectangle's word appended;

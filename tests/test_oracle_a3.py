@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivergk.gamma import min_degree
+from quivergk.gamma import coproduct2, min_degree
 from quivergk.oracle_a3 import (
     INBOUND,
     OUTBOUND,
@@ -18,7 +18,7 @@ from quivergk.oracle_a3 import (
     outbound_table,
     porteous,
 )
-from quivergk.partitions import partitions_fitting
+from quivergk.partitions import contains, normalize, partitions_fitting
 from quivergk.quiver import QuiverError
 from quivergk.resolution import codim, directed_partition, resolution_pair
 
@@ -53,6 +53,13 @@ def test_dim_vector():
 def test_rejects_negative_multiplicity():
     with pytest.raises(QuiverError):
         A3OrbitMults(m11=-1)
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, "1", None])
+def test_rejects_non_integer_multiplicity(value):
+    # as OrbitSpec does; a float must not reach a table
+    with pytest.raises(QuiverError, match="expected integers"):
+        A3OrbitMults(m23=value)
 
 
 def test_orbit_round_trip():
@@ -117,13 +124,34 @@ def test_inbound_dense_orbit():
     assert inbound_table(m).terms == {((), (), ()): 1}
 
 
-def test_inbound_c_implementations_agree():
-    lams = list(partitions_fitting(2, 2))
-    for m in SAMPLE[:4]:
-        for lam, mu, nu in itertools.product(lams[:4], repeat=3):
-            a = inbound_c(lam, mu, nu, m, impl="algebraic")
-            b = inbound_c(lam, mu, nu, m, impl="tableau")
-            assert a == b, (m, lam, mu, nu)
+def test_inbound_table_is_the_tableau_count():
+    """Every key of every inbound table with dims <= 3 is its tableau
+    count, and so is every absent key near it: lam and nu over their
+    rectangles, mu over the table's middle keys (prefix stripped) and the
+    2 x 2 box.  A mu wider than the prefix has no key."""
+    for m in all_mults(3):
+        table = inbound_table(m).terms
+        width = m.m11 + m.m13 + m.m33
+        lams = partitions_fitting(m.m12, m.m33)
+        mus = set(partitions_fitting(2, 2)) | {mid[m.m22 :] for _, mid, _ in table}
+        seen = set()
+        for lam, mu, nu in itertools.product(lams, mus, partitions_fitting(m.m23, m.m11)):
+            want = 0
+            if not mu or mu[0] <= width:
+                key = (lam, normalize((width,) * m.m22 + mu), nu)
+                want = table.get(key, 0)
+                seen.add(key)
+            assert inbound_c(lam, mu, nu, m) == want, (m, lam, mu, nu)
+        assert seen >= table.keys(), m
+
+
+def test_inbound_c_vanishes_outside_the_rectangles():
+    # lam lives in the m12 x m33 rectangle and nu in the m23 x m11 one
+    box = list(partitions_fitting(2, 2))
+    for m in SAMPLE:
+        for lam, mu, nu in itertools.product(box, repeat=3):
+            if not (contains((m.m33,) * m.m12, lam) and contains((m.m11,) * m.m23, nu)):
+                assert inbound_c(lam, mu, nu, m) == 0, (m, lam, mu, nu)
 
 
 def test_inbound_sign_law():
@@ -168,14 +196,16 @@ def test_outbound_no_middle_overlap():
     assert outbound_table(m).terms == {want: 1}
 
 
-def test_outbound_d_implementations_agree():
-    for rect in [(2, 2), (1, 1), (3,), (2, 2, 2)]:
-        p, q = len(rect), rect[0]
-        parts = list(partitions_fitting(p, q))
-        for lam, mu, nu in itertools.product(parts, repeat=3):
-            a = outbound_d(rect, lam, mu, nu, impl="algebraic")
-            b = outbound_d(rect, lam, mu, nu, impl="tableau")
-            assert a == b, (rect, lam, mu, nu)
+def test_rectangle_double_coproducts_are_the_tableau_count():
+    # outbound_table reads coproduct2(rect); every triple in the rectangle
+    # is certified, and the table has no key outside it
+    for rect in [(), (1,), (2,), (1, 1), (2, 2), (3,), (2, 2, 2)]:
+        p, q = len(rect), rect[0] if rect else 0
+        triples = list(itertools.product(partitions_fitting(p, q), repeat=3))
+        table = coproduct2(rect).terms
+        for key in triples:
+            assert outbound_d(rect, *key) == table.get(key, 0), (rect, key)
+        assert set(triples) >= table.keys(), rect
 
 
 def test_outbound_d_frozen():
