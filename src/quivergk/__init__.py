@@ -15,7 +15,6 @@ from .engine import (
     check_alternating,
     coefficients,
     cohomological_part,
-    dual_coefficients,
     phi,
     psi,
     quiver_coefficients,
@@ -33,7 +32,6 @@ from .gamma import (
     min_degree,
     mul,
     project_degree,
-    skew_expand,
     straighten,
     tensor_mul_at,
 )

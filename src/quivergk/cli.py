@@ -25,10 +25,10 @@ from typing import Any, Callable, Sequence
 
 from .engine import (
     SUITES,
-    _expand,
     _orbit_payload,
     _terms_payload,
     caveat_for,
+    coefficients,
     quiver_coefficients,
     sweep,
 )
@@ -144,7 +144,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
         table = quiver_coefficients(q, orbit.dim, orbit)
         tensor, cd, caveat = table.tensor, table.codim, table.caveat
     else:
-        tensor, cd = _expand(q, orbit.dim, pair_from_file(args.pair))
+        tensor, cd = coefficients(q, orbit.dim, pair_from_file(args.pair))
         caveat = caveat_for(q)
     if args.cohomological:
         tensor = project_degree(tensor, cd)

@@ -47,7 +47,6 @@ from .quiver import (
     Quiver,
     QuiverError,
     as_ints,
-    opposite,
     orbits,
     positive_roots,
 )
@@ -219,15 +218,10 @@ def _fold(p: TensorElement, q: Quiver, steps: list[tuple[int, int, int]]) -> Ten
     return p
 
 
-def _expand(q: Quiver, e: tuple[int, ...], pair: ResolutionPair) -> tuple[TensorElement, int]:
-    """Tensor and codim of a step sequence from one stage walk: codim = sum of r * c."""
+def coefficients(q: Quiver, e: tuple[int, ...], pair: ResolutionPair) -> tuple[TensorElement, int]:
+    """Tensor (one slot per vertex) and codim (the steps' sum of r * c) of a resolution pair."""
     steps = [(v, r, rectangle_width(q, stage, v, r)) for v, r, stage in pair_stages(q, e, pair)]
     return _fold(TensorElement.unit(q.n), q, steps), sum(r * c for _, r, c in steps)
-
-
-def coefficients(q: Quiver, e: tuple[int, ...], pair: ResolutionPair) -> TensorElement:
-    """Expansion tensor for a step sequence, one slot per vertex."""
-    return _expand(q, e, pair)[0]
 
 
 def quiver_coefficients(
@@ -250,7 +244,7 @@ def quiver_coefficients(
     if dp is None:
         dp = directed_partition(q, orbit.support)
     pair = resolution_pair(q, orbit, dp)
-    tensor, cd = _expand(q, ev, pair)
+    tensor, cd = coefficients(q, ev, pair)
     return CoefficientTable(
         quiver=q,
         e=ev,
@@ -276,20 +270,6 @@ def check_alternating(table: CoefficientTable) -> list[tuple[tuple, int]]:
         if c * expected < 0:
             bad.append((key, c))
     return bad
-
-
-def dual_coefficients(
-    q: Quiver,
-    e: tuple[int, ...],
-    orbit: OrbitSpec,
-    dp: DirectedPartition | None = None,
-) -> CoefficientTable:
-    """Expansion of the corresponding orbit of the arrow-reversed quiver.
-
-    Root multiplicities transfer verbatim: transposing all matrices fixes
-    dimension vectors and matches indecomposables across the reversal.
-    """
-    return quiver_coefficients(opposite(q), e, orbit, dp=dp)
 
 
 # ---------------------------------------------------------------------------

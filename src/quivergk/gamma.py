@@ -7,10 +7,10 @@ the public constructor normalises and merges keys; everything built
 inside the package goes through ``_trusted``, with zero coefficients
 dropped as they arise.
 
-Structure constants (products, coproducts, skew expansions) are computed
-by one shared enumerator over set-valued fillings whose reading word,
-with a fixed partition word appended, satisfies the reverse lattice
-condition.  The enumerator walks boxes in reversed reading order
+Structure constants (products and coproducts) are computed by one
+shared enumerator over set-valued fillings of a partition whose reading
+word, with a fixed partition word appended, satisfies the reverse
+lattice condition.  The enumerator walks boxes in reversed reading order
 so the lattice condition can be checked letter by letter, and it builds
 in Buch's row bound: a letter in row r is at most r + len(tail), for the
 appended partition tail.  A coproduct is read off the product of ``nu``
@@ -39,7 +39,7 @@ import heapq
 from functools import cache
 from typing import Iterable
 
-from .partitions import Partition, SkewShape, as_shape, integers, normalize
+from .partitions import Partition, integers, normalize
 
 _BIG = 1 << 30
 
@@ -67,7 +67,9 @@ class TensorElement:
     __slots__ = ("arity", "terms")
 
     def __init__(self, arity: int, terms: dict[TensorKey, int] | None = None):
-        self.arity = arity
+        (self.arity,) = integers((arity,))
+        if self.arity < 0:
+            raise ValueError(f"negative arity {arity}")
         clean: dict[TensorKey, int] = {}
         for key, c in (terms or {}).items():
             if len(key) != arity:
@@ -137,11 +139,11 @@ def basis(lam: Iterable[int]) -> TensorElement:
 
 
 def _lattice_walk(
-    bounds: tuple[tuple[int, int], ...],
+    shape: Partition,
     tail: Partition,
     letter_cap: tuple[int, int] | None = None,
 ) -> dict[tuple[int, ...], int]:
-    """Count set-valued fillings of a skew shape by reading-word content.
+    """Count set-valued fillings of the partition ``shape`` by word content.
 
     Boxes are visited in reversed reading order (top row first, right to
     left, set elements decreasing); the fixed word of ``tail`` is treated
@@ -160,11 +162,8 @@ def _lattice_walk(
     letter before it, since it would need strictly more copies of that
     letter.
     """
-    nrows = len(bounds)
-    boxes: list[tuple[int, int]] = []
-    for r in range(1, nrows + 1):
-        start, stop = bounds[r - 1]
-        boxes.extend((r, c) for c in range(stop, start, -1))
+    nrows = len(shape)
+    boxes = [(r, c) for r in range(1, nrows + 1) for c in range(shape[r - 1], 0, -1)]
     nboxes = len(boxes)
     ltail = len(tail)
 
@@ -176,7 +175,7 @@ def _lattice_walk(
         v, k = letter_cap
         limit[v] = k
 
-    maxcol = max((stop for _, stop in bounds), default=0)
+    maxcol = shape[0] if shape else 0
     maxgrid = [[0] * (maxcol + 2) for _ in range(nrows + 2)]
     mingrid = [[_BIG] * (maxcol + 2) for _ in range(nrows + 2)]
 
@@ -244,7 +243,7 @@ def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
 @cache
 def _mul_basis(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
     """Full expansion of a basis product, as (partition, coeff) pairs."""
-    hits = _lattice_walk(tuple((0, part) for part in lam), mu)
+    hits = _lattice_walk(lam, mu)
     base = sum(lam) + sum(mu)
     return tuple((nu, _sign(sum(nu) - base) * n) for nu, n in hits.items())
 
@@ -285,7 +284,7 @@ def coproduct(nu: Partition, max_rows: int | None = None) -> TensorElement:
     if max_rows is not None and integers((max_rows,))[0] < 0:
         raise ValueError(f"negative max_rows {max_rows}")
     m = p if max_rows is None else min(max_rows, p)
-    hits = _lattice_walk(tuple((0, x) for x in nu), (q,) * p, letter_cap=(m + 1, q))
+    hits = _lattice_walk(nu, (q,) * p, letter_cap=(m + 1, q))
     # every content is a term of the product of R and nu, so it contains R
     # and reads rho = (q + mu, lam); that determines (lam, mu), so no two
     # contents meet in one key and every count stays non-zero
@@ -339,20 +338,6 @@ def coproduct2(nu: Partition) -> TensorElement:
         for (m1, m2), c2 in coproduct(kappa).terms.items():
             _add_term(out, (m1, m2, m3), c1 * c2)
     return TensorElement._trusted(3, out)
-
-
-def skew_expand(shape: SkewShape | Iterable[int]) -> TensorElement:
-    """Expansion of a skew class in the partition basis.
-
-    Counts set-valued fillings of the skew shape with reverse lattice
-    word, signed by excess; entries in row r never exceed r.
-    """
-    sh = as_shape(shape)
-    hits = _lattice_walk(sh.row_bounds(), ())
-    size = sh.size
-    # each content is a partition, met once, with a non-zero count
-    out = {(rho,): _sign(sum(rho) - size) * n for rho, n in hits.items()}
-    return TensorElement._trusted(1, out)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +420,7 @@ def straighten(seq: Iterable[int], strategy: str = "leftmost") -> TensorElement:
 def tensor_mul_at(p: TensorElement, slot: int, g: TensorElement) -> TensorElement:
     """Multiply tensor slot ``slot`` (1-based) by a ring element (an
     arity-1 tensor)."""
+    (slot,) = integers((slot,))
     if not 1 <= slot <= p.arity:
         raise ValueError(f"slot {slot} out of range for arity {p.arity}")
     if g.arity != 1:

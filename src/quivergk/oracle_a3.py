@@ -119,6 +119,7 @@ def _rectangle(width: int, rows: int) -> Partition:
 def porteous(e1: int, e2: int, r: int) -> TensorElement:
     """Expansion of the rank <= r locus of e2 x e1 matrices: a single
     rectangle term of e2 - r rows and width e1 - r in the second slot."""
+    e1, e2, r = as_ints((e1, e2, r))
     if not 0 <= r <= min(e1, e2):
         raise QuiverError(f"rank {r} out of range for {(e1, e2)}")
     key = ((), _rectangle(e1 - r, e2 - r))

@@ -62,6 +62,7 @@ def partitions_fitting(rows: int, cols: int) -> Iterator[Partition]:
     Emitted in graded order (by size, then lexicographically) so callers
     iterating a rectangle get a stable sequence.
     """
+    rows, cols = integers((rows, cols))
 
     def fill(size: int, rows: int, cap: int) -> Iterator[Partition]:
         # partitions of ``size`` in a rows x cap box, smallest first part first
@@ -212,6 +213,7 @@ def enumerate_svt(
     sh = as_shape(shape)
     boxes = sh.boxes()
     bounds = sh.row_bounds()
+    max_entry, max_excess = integers((max_entry, max_excess))
     if max_entry < 0 or max_excess < 0:
         raise ValueError("bounds must be non-negative")
 
@@ -255,6 +257,7 @@ def expand_single(lam: Partition, num_vars: int, max_deg: int) -> dict[tuple[int
     (-1)^(excess) x^(multiset of entries).
     """
     lam = normalize(lam)
+    num_vars, max_deg = integers((num_vars, max_deg))
     out: dict[tuple[int, ...], int] = {}
     if sum(lam) > max_deg or len(lam) > num_vars:
         return out

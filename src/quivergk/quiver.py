@@ -68,7 +68,8 @@ class Quiver:
 
 
 def opposite(q: Quiver) -> Quiver:
-    """The quiver with every arrow reversed."""
+    """The quiver with every arrow reversed.  An orbit carries over with its root
+    multiplicities: transposing fixes dimension vectors and matches indecomposables."""
     return Quiver(q.n, tuple((h, t) for t, h in q.arrows))
 
 

@@ -1,6 +1,11 @@
-"""End-to-end checks of the command-line surface, run in-process."""
+"""End-to-end checks of the command-line surface, run in-process, and
+once through the real entry point ``python -m quivergk``."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +59,26 @@ def test_roots(capsys, a2_file):
     assert code == 0
     data = json.loads(out)
     assert data == {"type": "A2", "roots": [[0, 1], [1, 0], [1, 1]]}
+
+
+def test_module_entry_point(capsys, a2_file, tmp_path):
+    # the same stdout and exit code as main(), and a bad file is one error line
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def spawn(*argv):
+        cmd = [sys.executable, "-m", "quivergk", *argv]
+        return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+
+    proc = spawn("roots", a2_file)
+    code, out, _ = run(capsys, ["roots", a2_file])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "") and code == 0
+    missing = str(tmp_path / "missing.json")
+    proc = spawn("roots", missing)
+    assert proc.returncode == 2 and proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"error: cannot read {missing}: ")
 
 
 def test_roots_rejects_wild_quiver(capsys, tmp_path):

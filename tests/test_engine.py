@@ -13,7 +13,6 @@ from quivergk.engine import (
     check_alternating,
     coefficients,
     cohomological_part,
-    dual_coefficients,
     phi,
     psi,
     quiver_coefficients,
@@ -23,7 +22,15 @@ from quivergk import engine
 from quivergk.gamma import TensorElement, basis, coproduct, min_degree, straighten, tensor_mul_at
 from quivergk.oracle_a3 import A3OrbitMults, inbound_table
 from quivergk.partitions import conjugate, partitions_fitting
-from quivergk.quiver import OrbitSpec, Quiver, QuiverError, check_roots, orbits, positive_roots
+from quivergk.quiver import (
+    OrbitSpec,
+    Quiver,
+    QuiverError,
+    check_roots,
+    opposite,
+    orbits,
+    positive_roots,
+)
 from quivergk.resolution import ResolutionPair, codim, directed_partition_from_blocks, pair_stages
 
 
@@ -401,6 +408,15 @@ def test_row_bound_by_dimension(inbound):
                     assert len(part) <= cap
 
 
+def test_coefficients_returns_the_tensor_and_its_codim(inbound):
+    # the codim is the one the resolution layer computes on its own
+    for e in [(1, 1, 1), (2, 1, 2), (2, 2, 2)]:
+        for orb in orbits(inbound, e):
+            table = quiver_coefficients(inbound, e, orb)
+            want = (table.tensor, codim(inbound, e, table.pair))
+            assert coefficients(inbound, e, table.pair) == want
+
+
 def test_coefficients_rejects_overconsumption(a2):
     with pytest.raises(QuiverError):
         coefficients(a2, (1, 1), ResolutionPair((1, 1), (1, 1)))
@@ -417,7 +433,7 @@ def test_orbit_of_non_roots_rejected(inbound):
     with pytest.raises(QuiverError, match="not a positive root"):
         quiver_coefficients(inbound, (1, 0, 1), fake)
     with pytest.raises(QuiverError, match="not a positive root"):
-        dual_coefficients(inbound, (1, 0, 1), fake)
+        quiver_coefficients(opposite(inbound), (1, 0, 1), fake)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +560,7 @@ def test_dual_porteous(a2):
     for e1, e2 in [(2, 2), (3, 2), (3, 3)]:
         for r in range(min(e1, e2) + 1):
             orb = a2_orbit(e1 - r, r, e2 - r)
-            dual = dual_coefficients(a2, (e1, e2), orb)
+            dual = quiver_coefficients(opposite(a2), (e1, e2), orb)
             want = ((e2 - r,) * (e1 - r) if e2 > r else (), ())
             assert dual.tensor.terms == {want: 1}
             assert dual.codim == (e1 - r) * (e2 - r)
@@ -557,7 +573,7 @@ def test_duality_on_equioriented_a3():
     for e in [(1, 1, 1), (2, 2, 1), (2, 2, 2)]:
         for orb in orbits(q, e):
             table = quiver_coefficients(q, e, orb).tensor.terms
-            dual = dual_coefficients(q, e, orb).tensor.terms
+            dual = quiver_coefficients(opposite(q), e, orb).tensor.terms
             lhs = {k: c for k, c in table.items() if k[0] == ()}
             rhs = {k: c for k, c in dual.items() if k[2] == ()}
             assert lhs == {

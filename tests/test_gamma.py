@@ -18,18 +18,18 @@ from quivergk.gamma import (
     min_degree,
     mul,
     project_degree,
-    skew_expand,
     straighten,
     tensor_mul_at,
 )
 from quivergk.partitions import (
-    SkewShape,
     contains,
     content,
     enumerate_svt,
     expand_single,
+    is_reverse_lattice,
     normalize,
     partitions_fitting,
+    u_word,
     word,
 )
 
@@ -236,13 +236,46 @@ def test_lattice_walk_returns_trimmed_partitions():
     for every nu in the 4 x 4 box at every letter cap and against every
     tail in the 2 x 2 box."""
     for nu in partitions_fitting(4, 4):
-        bounds, p, q = tuple((0, x) for x in nu), len(nu), (nu[0] if nu else 0)
-        walks = [gamma._lattice_walk(bounds, (q,) * p, letter_cap=(m + 1, q)) for m in range(p + 1)]
-        walks += [gamma._lattice_walk(bounds, mu) for mu in partitions_fitting(2, 2)]
+        p, q = len(nu), (nu[0] if nu else 0)
+        walks = [gamma._lattice_walk(nu, (q,) * p, letter_cap=(m + 1, q)) for m in range(p + 1)]
+        walks += [gamma._lattice_walk(nu, mu) for mu in partitions_fitting(2, 2)]
         for walk in walks:
             assert walk
             for rho, n in walk.items():
                 assert n > 0 and normalize(rho) == rho, (nu, rho)
+
+
+def _brute_walk(shape, tail, letter_cap=None):
+    """The walk's tally by brute force: every set-valued tableau of
+    ``shape`` with entries up to len(shape) + len(tail), its word with
+    ``tail``'s word appended, kept when reverse lattice and within the
+    cap, counted by content."""
+    top = len(shape) + len(tail)
+    out = {}
+    for t in enumerate_svt(shape, top, sum(shape) * max(top - 1, 0)):
+        w = word(t) + u_word(tail)
+        if not is_reverse_lattice(w):
+            continue
+        if letter_cap is not None and w.count(letter_cap[0]) > letter_cap[1]:
+            continue
+        rho = content(w)
+        out[rho] = out.get(rho, 0) + 1
+    return out
+
+
+def test_lattice_walk_is_the_brute_force_tally():
+    """Pins the walk to an enumerator that shares no code with it: every
+    product walk with lam in the 2 x 2 box and mu in the 3 x 3 box, and
+    every coproduct walk of nu in the 2 x 3 box at every letter cap."""
+    box = list(partitions_fitting(3, 3))
+    cases = [(lam, mu, None) for lam in partitions_fitting(2, 2) for mu in box]
+    for nu in partitions_fitting(2, 3):
+        p, q = len(nu), (nu[0] if nu else 0)
+        cases += [(nu, (q,) * p, (m + 1, q)) for m in range(p + 1)]
+    assert len(cases) == 145
+    for shape, tail, cap in cases:
+        got = gamma._lattice_walk(shape, tail, cap)
+        assert got == _brute_walk(shape, tail, cap), (shape, tail, cap)
 
 
 def test_coproduct_rejects_negative_row_cap():
@@ -309,63 +342,6 @@ def test_coproduct_coassociative_small():
 
 def test_double_coproduct_of_one_box():
     assert coproduct2((1,)).terms.get(((1,), (1,), (1,))) == 1
-
-
-# ---------------------------------------------------------------------------
-# skew expansion
-
-
-def test_skew_expand_straight_shape():
-    for lam in [(2, 1), (3,), ()]:
-        lam = tuple(p for p in lam if p)
-        assert skew_expand(SkewShape(lam)).terms == {(lam,): 1}
-
-
-def test_skew_expand_single_off_corner_box():
-    # the box sits in row 2, so a lattice reading word can only use 1s;
-    # a set cannot repeat a letter, hence exactly one filling
-    assert skew_expand(SkewShape((1, 1), (1,))).terms == {((1,),): 1}
-
-
-def test_skew_expand_horizontal_domino():
-    got = skew_expand(SkewShape((2,)))
-    assert got.terms == {((2,),): 1}
-
-
-def _skew_shapes_in_box(rows, cols, max_size):
-    box = list(partitions_fitting(rows, cols))
-    for outer in box:
-        for inner in box:
-            if contains(outer, inner) and 0 < sum(outer) - sum(inner) <= max_size:
-                yield SkewShape(outer, inner)
-
-
-def test_skew_expand_matches_polynomial_expansion():
-    # G_{outer/inner}(x1, x2, x3) summed over set-valued tableaux must equal
-    # the expansion's sum of c * G_rho(x1, x2, x3), up to a fixed degree
-    nvars = 3
-    shapes = list(_skew_shapes_in_box(3, 3, 5))
-    assert len(shapes) == 137
-    for shape in shapes:
-        deg = shape.size + 2
-        direct = {}
-        for t in enumerate_svt(shape, nvars, deg - shape.size):
-            counts = content(word(t))
-            mono = counts + (0,) * (nvars - len(counts))
-            direct[mono] = direct.get(mono, 0) + (-1) ** t.excess
-        direct = {k: v for k, v in direct.items() if v}
-        via_ring = {}
-        for (rho,), c in skew_expand(shape).terms.items():
-            for mono, x in expand_single(rho, nvars, deg).items():
-                via_ring[mono] = via_ring.get(mono, 0) + c * x
-        via_ring = {k: v for k, v in via_ring.items() if v}
-        assert direct == via_ring, shape
-
-
-def test_skew_expand_disconnected():
-    got = skew_expand(SkewShape((2, 1), (1,)))
-    # two boxes, rows 1 and 2: contents (2) impossible (row 2 box must hold 1)
-    assert got.terms.get(((1, 1),), 0) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +483,20 @@ def test_trusted_arithmetic_drops_zeros():
 def test_tensor_mul_at_bad_slot():
     with pytest.raises(ValueError):
         tensor_mul_at(TensorElement.unit(2), 3, G(1))
+
+
+@pytest.mark.parametrize("slot", [1.5, 1.0, "1", None])
+def test_tensor_mul_at_rejects_a_non_integer_slot(slot):
+    with pytest.raises(ValueError, match="expected integers"):
+        tensor_mul_at(TensorElement.unit(2), slot, G(1))
+
+
+@pytest.mark.parametrize(
+    "arity,match", [(1.5, "expected integers"), ("1", "expected integers"), (-1, "negative arity")]
+)
+def test_tensor_element_rejects_a_bad_arity(arity, match):
+    with pytest.raises(ValueError, match=match):
+        TensorElement(arity, {})
 
 
 def test_append_unit():

@@ -88,6 +88,12 @@ def test_porteous_frozen():
         porteous(2, 2, 3)
 
 
+@pytest.mark.parametrize("args", [(1.5, 1, 1), (2, 2.0, 1), (2, 2, "1"), (2, 2, None)])
+def test_porteous_rejects_non_integer_arguments(args):
+    with pytest.raises(QuiverError, match="expected integers"):
+        porteous(*args)
+
+
 # ---------------------------------------------------------------------------
 # inbound orientation
 

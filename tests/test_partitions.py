@@ -207,6 +207,23 @@ def test_expand_single_vanishes_past_length():
     assert expand_single((1, 1), 1, 4) == {}
 
 
+@pytest.mark.parametrize(
+    "func,args",
+    [
+        (partitions_fitting, (1.5, 2)),
+        (partitions_fitting, (2, "2")),
+        (enumerate_svt, ((1,), 1.5, 0)),
+        (enumerate_svt, ((1,), 1, 0.5)),
+        (expand_single, ((1,), 2.0, 1)),
+        (expand_single, ((1,), 2, 1.5)),
+    ],
+)
+def test_counts_must_be_integers(func, args):
+    # the error normalize raises, not a TypeError from inside range()
+    with pytest.raises(ValueError, match="expected integers"):
+        list(func(*args))
+
+
 # ---------------------------------------------------------------------------
 # rook strips
 
