@@ -102,7 +102,8 @@ def clear_caches() -> None:
     all its modules (structure constants, coproducts, positive roots, the
     Euler form on pairs of roots and its bitmasks, the indecomposables, their
     layouts, each orbit's checked roots, hom column and probes, topological
-    ranks, out-arrows, caveats) and the straightening memo."""
+    ranks, the step tables of ``resolution._step_table``, caveats) and the
+    straightening memo."""
     for module in (engine, gamma, oracle_a3, partitions, quiver, resolution):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):

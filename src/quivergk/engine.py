@@ -53,6 +53,7 @@ from .quiver import (
 from .resolution import (
     DirectedPartition,
     ResolutionPair,
+    _step_table,
     codim,  # unused here; kept so the benchmark tracer can wrap engine.codim
     directed_partition,
     pair_stages,
@@ -201,20 +202,22 @@ def phi(p: TensorElement, q: Quiver, stage_e: tuple[int, ...], i: int, r: int) -
     return _fold(p, q, [(i, r, rectangle_width(q, stage, i, r))])
 
 
-@cache
-def _out_heads(q: Quiver) -> tuple[tuple[int, ...], ...]:
-    """Per vertex i (index i; index 0 unused): the heads of i's out-arrows, sorted."""
-    return tuple(tuple(sorted(h for t, h in q.arrows if t == i)) for i in range(q.n + 1))
-
-
 def _fold(p: TensorElement, q: Quiver, steps: list[tuple[int, int, int]]) -> TensorElement:
-    """Apply steps (vertex, rank, rectangle width c) to ``p``, right to left."""
-    heads = _out_heads(q)
+    """Apply steps (vertex, rank, rectangle width c) to ``p``, right to left.  A vertex without
+    out-arrows would keep a unit working slot, so its row (c)^r goes straight into slot i."""
+    heads = _step_table(q)[2]
     for i, r, c in reversed(steps):
+        if not heads[i]:
+            out: dict[tuple, int] = {}
+            row = _shifted((), r, c)
+            for key, coeff in p.terms.items():
+                _absorb(out, key[: i - 1], key[i:], *row, key[i - 1], coeff)
+            p = TensorElement._trusted(p.arity, {k: v for k, v in out.items() if v})
+            continue
         p = append_unit(p)
         for head in heads[i][:-1]:
             p = psi(p, head, r)
-        p = _split_absorb(p, heads[i][-1], i, r, c) if heads[i] else a_op(p, i, r, c)
+        p = _split_absorb(p, heads[i][-1], i, r, c)
     return p
 
 

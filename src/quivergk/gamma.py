@@ -36,7 +36,7 @@ the memoised element itself is returned, shared by every caller.
 from __future__ import annotations
 
 import heapq
-from functools import cache
+from functools import cache, lru_cache
 from typing import Iterable
 
 from .partitions import Partition, integers, normalize
@@ -256,7 +256,7 @@ def mul(a: TensorElement, b: TensorElement) -> TensorElement:
     return tensor_mul_at(a, 1, b)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # typed: a float max_rows misses and reaches the int check
 def coproduct(nu: Partition, max_rows: int | None = None) -> TensorElement:
     """Coproduct of a basis class, as an arity-2 tensor.
 

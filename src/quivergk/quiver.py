@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
+from operator import mul
 from typing import Any, Iterable
 
 from .partitions import integers
@@ -256,15 +257,18 @@ def orbits(q: Quiver, e: Iterable[int]) -> list[OrbitSpec]:
     multiplicity vectors over ``positive_roots`` order.
 
     The walk picks the multiplicities of the non-simple roots, tallest
-    first, each from its largest possible value down to 0.  No branch is
-    wasted: once they are fixed, the remainder is a non-negative vector,
-    and a non-negative vector is exactly one sum of simple roots, so each
-    leaf closes in one step and is an orbit.  The number of leaves is the
-    number of orbits, Kostant's partition function of ``e``.
+    first, each from its largest possible value down to 0.  Roots that do
+    not fit under ``e`` are dropped up front, and a multiplicity of 0 hands
+    the remainder on as it is.  Once the multiplicities are fixed, the
+    remainder is a non-negative vector, and a non-negative vector is
+    exactly one sum of simple roots, so each leaf closes in one step and is
+    an orbit.  The number of leaves is the number of orbits, Kostant's
+    partition function of ``e``.
     """
     ev = q.check_vector(e)
     roots = positive_roots(q)
-    tall = sorted((k for k, r in enumerate(roots) if sum(r) > 1), key=lambda k: -sum(roots[k]))
+    fits = [k for k, r in enumerate(roots) if sum(r) > 1 and all(map(int.__le__, r, ev))]
+    tall = sorted(fits, key=lambda k: -sum(roots[k]))
     simple = [roots.index(tuple(int(j == i) for j in range(q.n))) for i in range(q.n)]
     mult = [0] * len(roots)
     found: list[tuple[tuple[int, ...], OrbitSpec]] = []
@@ -278,10 +282,9 @@ def orbits(q: Quiver, e: Iterable[int]) -> list[OrbitSpec]:
             found.append((tuple(mult), OrbitSpec._trusted(ev, picked)))
             return
         root = roots[tall[t]]
-        top = min(x // y for x, y in zip(rest, root) if y)
-        for m in range(top, -1, -1):
+        for m in range(min(x // y for x, y in zip(rest, root) if y), -1, -1):
             mult[tall[t]] = m
-            dfs(t + 1, [x - m * y for x, y in zip(rest, root)])
+            dfs(t + 1, [x - m * y for x, y in zip(rest, root)] if m else rest)
 
     dfs(0, list(ev))
     found.sort(key=lambda pair: pair[0])
@@ -466,9 +469,11 @@ def hom_dim(q: Quiver, f_rep: QuiverRep, e_rep: QuiverRep) -> int:
 
 @cache
 def _euler_table(q: Quiver) -> dict[tuple[Vector, Vector], int]:
-    """<alpha, beta> for every pair of positive roots of ``q``."""
+    """<alpha, beta> for every pair of positive roots of ``q``, from each alpha's linear
+    form, built once: <alpha, beta> = sum_j (alpha_j - sum_{t -> j} alpha_t) * beta_j."""
     roots = positive_roots(q)
-    return {(a, b): euler_form(q, a, b) for a in roots for b in roots}
+    lin = [(a, [x - incoming_rank(q, a, j) for j, x in enumerate(a, 1)]) for a in roots]
+    return {(a, b): sum(map(mul, la, b)) for a, la in lin for b in roots}
 
 
 def check_roots(q: Quiver, vectors: Iterable[Vector]) -> dict[tuple[Vector, Vector], int]:

@@ -26,7 +26,6 @@ from .quiver import (
     _euler_table,
     as_ints,
     check_roots,
-    incoming_rank,
     positive_roots,
     source_rank,
 )
@@ -158,26 +157,37 @@ def directed_partition(q: Quiver, roots: Iterable[Vector]) -> DirectedPartition:
     return DirectedPartition._trusted(tuple(blocks))
 
 
+@cache
+def _step_table(q: Quiver) -> tuple[tuple[int, ...], tuple[Vector, ...], tuple[Vector, ...]]:
+    """Per-quiver facts of the steps: the vertices in topological order
+    (longest-path rank, ties by vertex index), then per vertex v (index v;
+    index 0 unused) the tails of its in-arrows and the sorted heads of its
+    out-arrows, a parallel arrow once per copy."""
+    order = tuple(v for _, v in sorted(zip(source_rank(q), range(1, q.n + 1))))
+    tails = tuple(tuple(t for t, h in q.arrows if h == v) for v in range(q.n + 1))
+    heads = tuple(tuple(sorted(h for t, h in q.arrows if t == v)) for v in range(q.n + 1))
+    return order, tails, heads
+
+
 def resolution_pair(q: Quiver, orbit: OrbitSpec, dp: DirectedPartition) -> ResolutionPair:
     """Steps of the resolution attached to an orbit and a directed partition.
 
     Every block contributes its weighted root sum p = sum of m_alpha alpha;
     the vertices carrying a non-zero coordinate are listed in topological
-    order (longest-path rank, ties by vertex index) with p as their ranks.
-    Roots of the partition outside the orbit's support simply weigh zero.
+    order (``_step_table``) with p as their ranks.  Roots of the partition
+    outside the orbit's support weigh zero and add nothing.
     """
-    mult = dict(orbit.mults)
-    if mult.keys() - set(dp.roots):
+    mult, roots = dict(orbit.mults), dp.roots
+    if mult.keys() - set(roots):
         raise QuiverError("directed partition misses roots of the orbit")
-    check_roots(q, dp.roots)
-    order = [v for _, v in sorted(zip(source_rank(q), range(1, q.n + 1)))]
+    check_roots(q, roots)
+    order = _step_table(q)[0]
     steps = []
     for blk in dp.blocks:
         p = [0] * q.n
         for root in blk:
-            m = mult.get(root, 0)
-            for i, x in enumerate(root):
-                p[i] += m * x
+            if m := mult.get(root):
+                p = [x + m * y for x, y in zip(p, root)]
         steps += [(v, p[v - 1]) for v in order if p[v - 1]]
     return ResolutionPair._trusted(tuple(v for v, _ in steps), tuple(r for _, r in steps))
 
@@ -205,7 +215,7 @@ def pair_stages(
 def rectangle_width(q: Quiver, stage: Vector, v: int, r: int) -> int:
     """Width c of the r x c rectangle that step (v, r) over stage vector
     ``stage`` prepends: the rank of the arrows into v, less s_v - r."""
-    return incoming_rank(q, stage, v) - stage[v - 1] + r
+    return sum([stage[t - 1] for t in _step_table(q)[1][v]]) - stage[v - 1] + r
 
 
 def codim(q: Quiver, e: Iterable[int], pair: ResolutionPair) -> int:

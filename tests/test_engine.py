@@ -19,7 +19,15 @@ from quivergk.engine import (
     sweep,
 )
 from quivergk import engine
-from quivergk.gamma import TensorElement, basis, coproduct, min_degree, straighten, tensor_mul_at
+from quivergk.gamma import (
+    TensorElement,
+    append_unit,
+    basis,
+    coproduct,
+    min_degree,
+    straighten,
+    tensor_mul_at,
+)
 from quivergk.oracle_a3 import A3OrbitMults, inbound_table
 from quivergk.partitions import conjugate, partitions_fitting
 from quivergk.quiver import (
@@ -336,7 +344,7 @@ def test_fold_at_a_vertex_with_three_out_arrows(monkeypatch):
     1 and 3 with ``psi`` and fuses the split to 4: a step there, and every
     table up to dimension 2, equal the step-by-step composition."""
     q = Quiver(4, ((2, 1), (2, 3), (2, 4)))
-    assert engine._out_heads(q)[2] == (1, 3, 4)
+    assert engine._step_table(q)[2][2] == (1, 3, 4)
     box = list(partitions_fitting(2, 2))
     rng = random.Random(20070828)
     for _ in range(30):
@@ -351,6 +359,33 @@ def test_fold_at_a_vertex_with_three_out_arrows(monkeypatch):
     fused = [quiver_coefficients(q, e, orb).tensor for e, orb in found]
     monkeypatch.setattr(engine, "_split_absorb", lambda p, h, i, r, c: a_op(psi(p, h, r), i, r, c))
     assert [quiver_coefficients(q, e, orb).tensor for e, orb in found] == fused
+
+
+def test_fold_at_a_vertex_without_out_arrows(monkeypatch):
+    """A step at a sink absorbs the row (c)^r straight into its slot: it
+    equals ``a_op(append_unit(p), i, r, c)`` and calls neither."""
+    cases = [
+        (Quiver(3, ((1, 2), (3, 2))), 2),
+        (Quiver(4, ((1, 4), (2, 4), (3, 4))), 4),
+        (Quiver(4, ((2, 1), (2, 3), (2, 4))), 3),
+    ]
+    box = list(partitions_fitting(3, 3))
+    rng = random.Random(20070829)
+    straightened = zeros = 0
+    for q, i in cases:
+        assert engine._step_table(q)[2][i] == ()
+        for _ in range(40):
+            keys = [tuple(rng.choice(box) for _ in range(q.n)) for _ in range(4)]
+            p = TensorElement(q.n, {key: rng.choice((-2, -1, 1, 2)) for key in keys})
+            r, c = rng.randint(0, 3), rng.randint(-1, 2)
+            want = a_op(append_unit(p), i, r, c)
+            with monkeypatch.context() as m:
+                for name in ("a_op", "append_unit"):
+                    m.setattr(engine, name, lambda *args: pytest.fail("the unit slot was built"))
+                assert engine._fold(p, q, [(i, r, c)]) == want, (q, i, p, r, c)
+            straightened += r > 0 and any(key[i - 1][:1] > (c,) for key in p.terms)
+            zeros += c == 0
+    assert straightened > 20 and zeros > 20
 
 
 # ---------------------------------------------------------------------------
@@ -614,5 +649,5 @@ def test_sweep_rejects_a_non_integer_max_dim(a2, max_dim):
 def test_out_arrow_heads_are_one_table_per_quiver():
     # parallel arrows repeat a head; index 0 stands for no vertex
     q = Quiver(4, ((1, 3), (1, 2), (4, 2), (1, 2)))
-    assert engine._out_heads(q) == ((), (2, 2, 3), (), (), (2,))
-    assert engine._out_heads(Quiver(4, q.arrows)) is engine._out_heads(q)
+    assert engine._step_table(q)[2] == ((), (2, 2, 3), (), (), (2,))
+    assert engine._step_table(Quiver(4, q.arrows)) is engine._step_table(q)

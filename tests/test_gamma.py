@@ -205,11 +205,19 @@ def test_coproduct_row_cap_is_a_restriction():
 
 @pytest.mark.parametrize("bound", [1.5, "1"])
 def test_coproduct_rejects_a_non_integer_row_cap(bound):
-    # checked on a cache miss only: 2.0 == 2 would find the entry of 2
     with pytest.raises(ValueError, match="expected integers"):
         coproduct((2, 1), bound)
     with pytest.raises(ValueError, match="negative max_rows"):
         coproduct((2, 1), -1)
+
+
+def test_coproduct_rejects_a_float_row_cap_after_its_int_is_cached():
+    """The memo keys carry their types, so 2.0 misses the entry of 2 and
+    reaches the integer check, whatever was computed before it."""
+    assert coproduct((2, 1), 2) == coproduct((2, 1))
+    with pytest.raises(ValueError, match="expected integers"):
+        coproduct((2, 1), 2.0)
+    assert coproduct.cache_info().currsize > 0  # still a functools memo
 
 
 @pytest.mark.parametrize("nu", [*partitions_fitting(3, 3), (4, 4, 2, 1), (4, 4, 4, 1)])

@@ -7,10 +7,13 @@ from quivergk.quiver import (
     OrbitSpec,
     Quiver,
     QuiverError,
+    _euler_table,
     check_roots,
     euler_form,
+    incoming_rank,
     orbits,
     positive_roots,
+    source_rank,
 )
 from quivergk.resolution import (
     DirectedPartition,
@@ -19,6 +22,8 @@ from quivergk.resolution import (
     directed_partition,
     directed_partition_from_blocks,
     greedy_block,
+    pair_stages,
+    rectangle_width,
     resolution_pair,
     validate_directed,
 )
@@ -344,6 +349,38 @@ def test_resolution_pair_builds_the_pair_the_checked_constructor_would(inbound):
 def test_resolution_pair_rejects_non_integers(vertices, ranks):
     with pytest.raises(QuiverError, match="expected integers"):
         ResolutionPair(vertices, ranks)
+
+
+@pytest.mark.parametrize(
+    "q", [A3_IN, A3_OUT, Quiver(3, ((1, 2), (2, 3))), D4_IN, D4_OUT, D4_MIXED, E6, E7, E8]
+)
+def test_euler_table_is_the_euler_form(q):
+    # the table builds each root's linear form once; euler_form loops over the arrows
+    roots = positive_roots(q)
+    table = _euler_table(q)
+    assert len(table) == len(roots) ** 2
+    assert all(table[a, b] == euler_form(q, a, b) for a in roots for b in roots)
+
+
+def test_step_tables_give_the_old_widths_and_pairs():
+    """On every step of every orbit of D4 <= 2 and E6 <= 1, from the greedy
+    partition and from the all-roots one (where most roots weigh zero),
+    the width read from the per-quiver tails is incoming_rank - s_v + r,
+    and the pair is the block sums in (source_rank, vertex) order."""
+    for q, top in ((D4_IN, 2), (D4_OUT, 2), (D4_MIXED, 2), (E6, 1)):
+        order = sorted(range(1, q.n + 1), key=lambda v: (source_rank(q)[v - 1], v))
+        every = directed_partition(q, positive_roots(q))
+        for e in itertools.product(range(top + 1), repeat=q.n):
+            for orb in orbits(q, e):
+                for dp in (directed_partition(q, orb.support), every):
+                    pair = resolution_pair(q, orb, dp)
+                    steps = []
+                    for blk in dp.blocks:
+                        p = [sum(orb.mult_of(a) * a[j] for a in blk) for j in range(q.n)]
+                        steps += [(v, p[v - 1]) for v in order if p[v - 1]]
+                    assert pair.steps() == tuple(steps), (q, orb)
+                    for v, r, s in pair_stages(q, e, pair):
+                        assert rectangle_width(q, s, v, r) == incoming_rank(q, s, v) - s[v - 1] + r
 
 
 # ---------------------------------------------------------------------------
