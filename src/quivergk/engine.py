@@ -106,21 +106,23 @@ def psi(p: TensorElement, i: int, max_rows: int | None = None) -> TensorElement:
     if max_rows < 0:
         raise QuiverError("negative rank")
     out: dict[tuple, int] = {}
-    get = out.get
     for key, c in p.terms.items():
-        lam, split = key[-1], key[i - 1]
-        if len(lam) > max_rows:
-            continue
         head, mid = key[: i - 1], key[i:-1]
-        # clamped so that every bound past len(split) shares one cache entry
-        for (sigma, tau), d in coproduct(split, min(max_rows, len(split))).terms.items():
-            # G_() is the unit, and the capped coproduct builds no tau past max_rows
-            for nu, cc in _mul_basis(tau, lam) if lam else ((tau, 1),):
-                if len(nu) > max_rows:
-                    continue
-                k = head + (sigma,) + mid + (nu,)
-                out[k] = get(k, 0) + c * d * cc
+        for sigma, nu, d in _split_terms(key[i - 1], key[-1], max_rows):
+            k = head + (sigma,) + mid + (nu,)
+            out[k] = out.get(k, 0) + c * d
     return TensorElement._trusted(p.arity, {k: v for k, v in out.items() if v})
+
+
+def _split_terms(split: Partition, work: Partition, r: int) -> list[tuple[Partition, Partition, int]]:
+    """The terms (sigma, nu, coeff) of ``split``'s coproduct sigma (x) tau, tau times ``work``
+    expanded (G_() the unit), nu of at most ``r`` rows; r past len(split) shares one memo entry."""
+    return [
+        (sigma, nu, d * cc)
+        for (sigma, tau), d in coproduct(split, min(r, len(split))).terms.items()
+        for nu, cc in (_mul_basis(tau, work) if work else ((tau, 1),))
+        if len(nu) <= r
+    ]
 
 
 def a_op(p: TensorElement, i: int, r: int, c: int) -> TensorElement:
@@ -171,13 +173,10 @@ def _split_absorb(p: TensorElement, h: int, i: int, r: int, c: int) -> TensorEle
     for key, coeff in p.terms.items():
         work, split, lam = key[-1], key[h - 1], key[i - 1]
         parts = parts_of.get((split, work))
-        # G_() is the unit; every nu contains the working partition, so one past r gives none
         if parts is None:
             parts = parts_of[split, work] = [
-                (sigma, d * cc, *(shifts.get(nu) or shifts.setdefault(nu, _shifted(nu, r, c))))
-                for (sigma, tau), d in coproduct(split, min(r, len(split))).terms.items()
-                for nu, cc in (_mul_basis(tau, work) if work else ((tau, 1),))
-                if len(nu) <= r
+                (sigma, d, *(shifts.get(nu) or shifts.setdefault(nu, _shifted(nu, r, c))))
+                for sigma, nu, d in _split_terms(split, work, r)
             ]
         a, b, z = key[: lo - 1], key[lo : hi - 1], key[hi:-1]
         for sigma, d, row, pos in parts:

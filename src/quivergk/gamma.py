@@ -11,17 +11,17 @@ Structure constants (products and coproducts) are computed by one
 shared enumerator over set-valued fillings of a partition whose reading
 word, with a fixed partition word appended, satisfies the reverse
 lattice condition.  The enumerator walks boxes in reversed reading order
-so the lattice condition can be checked letter by letter, and it builds
-in Buch's row bound: a letter in row r is at most r + len(tail), for the
-appended partition tail.  A coproduct is read off the product of ``nu``
-with the rectangle around it.  The ring is commutative, so Buch's rule
-counts that product with either factor filled; the walk fills ``nu`` and
-appends the rectangle's word, whose letters start at their full counts.
+and keeps three pieces of state: the letter counts, which check the
+lattice condition letter by letter and give Buch's row bound (a letter
+in row r is at most r + len(tail), for the appended partition tail); the
+per-column maxima, which keep columns strict; and the right neighbour's
+minimum, passed down to bound a box's entries.  A coproduct is read off
+the product of ``nu`` with the rectangle around it: the ring is
+commutative, so the walk fills ``nu`` and appends the rectangle's word.
 A per-letter count cap then prunes the walk: ``coproduct(nu, m)`` builds
 only the terms whose second factor has at most m rows, the factor the
-engine multiplies into its row-bounded working slot.  Under the cap the
-filling never holds letters m+1..p (``coproduct`` says why), which cuts
-most of the walk's branches.
+engine multiplies into its row-bounded working slot, and under the cap
+the filling never holds letters m+1..p (``coproduct`` says why).
 
 Raising-operator sequences (arbitrary integer tuples) are straightened
 into the partition basis by ``straighten``, in one ordered pass with no
@@ -146,74 +146,60 @@ def _lattice_walk(
     """Count set-valued fillings of the partition ``shape`` by word content.
 
     Boxes are visited in reversed reading order (top row first, right to
-    left, set elements decreasing); the fixed word of ``tail`` is treated
-    as already placed.  A letter v can only be placed while the letters
-    placed so far (the suffix of the final word) contain strictly more
-    copies of v-1 than of v, which is exactly the reverse lattice
-    condition.  So a letter in row r is at most r + len(tail): a copy of
-    v-1 placed before v sits in the tail or in a row above it.
+    left, set elements decreasing), with the word of ``tail`` counted as
+    placed first.  The walk keeps three pieces of state.  The letter
+    counts: v can be placed only while the letters so far (the suffix of
+    the final word) hold more copies of v-1 than of v, the reverse lattice
+    condition, so a letter in row r is at most r + len(tail), each copy of
+    v-1 before v sitting in the tail or in a row above.  The per-column
+    maxima: a box's entries exceed the largest entry of the box above it.
+    The right neighbour's minimum, passed down: it bounds a box's largest
+    entry, and a row's first box starts at r + len(tail).
 
     Returns {content: count} over the full word (tail included).
     ``letter_cap = (v, k)`` drops every word with more than k copies of
-    v; counts only grow, so the walk stops as soon as a placement would
-    exceed it.  The tail's copies count from the start: if the tail
-    already holds k copies of v, letter v is never placed, and then
-    neither are v+1, v+2, ... while each has as many tail copies as the
-    letter before it, since it would need strictly more copies of that
-    letter.
+    v, tail copies included; counts only grow, so the walk stops as soon
+    as a placement would exceed it.
     """
-    nrows = len(shape)
-    boxes = [(r, c) for r in range(1, nrows + 1) for c in range(shape[r - 1], 0, -1)]
-    nboxes = len(boxes)
-    ltail = len(tail)
-
-    # limit[v] bounds the copies of letter v; counts[0] = _BIG lets letter 1
-    # pass the lattice test
-    counts = [_BIG, *tail] + [0] * (nrows + 1)
+    boxes = []  # (column, bound of its largest entry), 0 taking the right neighbour's minimum
+    for top, row in enumerate(shape, len(tail) + 1):
+        boxes += [(row, top)] + [(c, 0) for c in range(row - 1, 0, -1)]
+    # counts[0] = _BIG lets letter 1 pass the lattice test; limit[v] caps letter v's copies
+    counts = [_BIG, *tail] + [0] * (len(shape) + 1)
     limit = [_BIG] * len(counts)
     if letter_cap is not None:
-        v, k = letter_cap
-        limit[v] = k
-
-    maxcol = shape[0] if shape else 0
-    maxgrid = [[0] * (maxcol + 2) for _ in range(nrows + 2)]
-    mingrid = [[_BIG] * (maxcol + 2) for _ in range(nrows + 2)]
-
+        limit[letter_cap[0]] = letter_cap[1]
+    colmax = [0] * (shape[0] + 1 if shape else 1)  # largest entry of the lowest box placed
     acc: dict[tuple[int, ...], int] = {}
 
-    def record() -> None:
-        t = tuple(counts)
-        acc[t] = acc.get(t, 0) + 1
-
-    def grow(bi: int, r: int, c: int, lo: int, last: int) -> None:
+    # bi counts the boxes left: boxes[-bi] is the next one, and 0 closes a filling
+    def grow(bi: int, lo: int, last: int) -> None:
         # box bi currently ends with element `last`; close it or extend down
-        mingrid[r][c] = last
-        advance(bi + 1)
+        advance(bi - 1, last)
         for v in range(last - 1, lo, -1):
             if counts[v - 1] <= counts[v] or counts[v] >= limit[v]:
                 continue
             counts[v] += 1
-            grow(bi, r, c, lo, v)
+            grow(bi, lo, v)
             counts[v] -= 1
 
-    def advance(bi: int) -> None:
-        if bi == nboxes:
-            record()
+    def advance(bi: int, bound: int) -> None:
+        if not bi:
+            t = tuple(counts)
+            acc[t] = acc.get(t, 0) + 1
             return
-        r, c = boxes[bi]
-        lo = maxgrid[r - 1][c]
-        hi = mingrid[r][c + 1]
-        if hi > r + ltail:
-            hi = r + ltail
-        for v in range(hi, lo, -1):
+        c, start = boxes[-bi]
+        lo = colmax[c]
+        for v in range(start or bound, lo, -1):
             if counts[v - 1] <= counts[v] or counts[v] >= limit[v]:
                 continue
             counts[v] += 1
-            maxgrid[r][c] = v
-            grow(bi, r, c, lo, v)
+            colmax[c] = v
+            grow(bi, lo, v)
             counts[v] -= 1
+        colmax[c] = lo
 
-    advance(0)
+    advance(len(boxes), 0)
     # trimmed once per content; a lattice word's content is a partition, zeros last
     return {t[1 : len(t) - t.count(0)]: n for t, n in acc.items()}
 
@@ -324,8 +310,7 @@ def coproduct_coeff(
         q = rect[0] if rect else 0
         if (lam and (len(lam) > p or lam[0] > q)) or (mu and (len(mu) > p or mu[0] > q)):
             raise ValueError(f"rectangle {rect} does not contain {lam} and {mu}")
-    padded_mu = tuple(mu) + (0,) * (p - len(mu))
-    rho = tuple(q + m for m in padded_mu) + lam
+    rho = tuple(q + m for m in mu) + (q,) * (p - len(mu)) + lam
     return lr_coeff((q,) * p, nu, normalize(rho))
 
 
@@ -383,11 +368,9 @@ def straighten(seq: Iterable[int], strategy: str = "leftmost") -> TensorElement:
     out: dict[TensorKey, int] = {}
 
     def push(s: tuple[int, ...], c: int) -> None:
-        if s in pending:
-            pending[s] += c
-        else:
-            pending[s] = c
+        if s not in pending:
             heapq.heappush(heap, (-len(s), s))
+        pending[s] = pending.get(s, 0) + c
 
     while heap:
         s = heapq.heappop(heap)[1]

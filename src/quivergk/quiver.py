@@ -77,6 +77,8 @@ def opposite(q: Quiver) -> Quiver:
 def euler_form(q: Quiver, a: Iterable[int], b: Iterable[int]) -> int:
     """The (non-symmetric) homological bilinear form of the quiver."""
     av, bv = tuple(a), tuple(b)
+    if len(av) != q.n or len(bv) != q.n:
+        raise QuiverError(f"vectors {av}, {bv} do not both have {q.n} entries")
     total = sum(x * y for x, y in zip(av, bv))
     for t, h in q.arrows:
         total -= av[t - 1] * bv[h - 1]
@@ -90,6 +92,8 @@ def tits_form(q: Quiver, d: Iterable[int]) -> int:
 
 def incoming_rank(q: Quiver, e: Iterable[int], i: int) -> int:
     """Dimension of the source sum of all arrows into vertex i."""
+    if not 1 <= i <= q.n:
+        raise QuiverError(f"vertex {i} out of range 1..{q.n}")
     ev = tuple(e)
     return sum(ev[t - 1] for t, h in q.arrows if h == i)
 

@@ -274,13 +274,18 @@ def _brute_walk(shape, tail, letter_cap=None):
 def test_lattice_walk_is_the_brute_force_tally():
     """Pins the walk to an enumerator that shares no code with it: every
     product walk with lam in the 2 x 2 box and mu in the 3 x 3 box, and
-    every coproduct walk of nu in the 2 x 3 box at every letter cap."""
+    every coproduct walk of nu in the 2 x 3 box at every letter cap.  The
+    3-row shapes below keep a column's maximum across more than two rows:
+    lam in {(1,1,1), (2,1,1), (2,2,1)} against mu in the 2 x 2 box up to
+    (2, 1), and nu = (1, 1, 1) at every cap."""
     box = list(partitions_fitting(3, 3))
     cases = [(lam, mu, None) for lam in partitions_fitting(2, 2) for mu in box]
-    for nu in partitions_fitting(2, 3):
+    for nu in [*partitions_fitting(2, 3), (1, 1, 1)]:
         p, q = len(nu), (nu[0] if nu else 0)
         cases += [(nu, (q,) * p, (m + 1, q)) for m in range(p + 1)]
-    assert len(cases) == 145
+    small = [(), (1,), (2,), (1, 1), (2, 1)]
+    cases += [(lam, mu, None) for lam in [(1, 1, 1), (2, 1, 1), (2, 2, 1)] for mu in small]
+    assert len(cases) == 164
     for shape, tail, cap in cases:
         got = gamma._lattice_walk(shape, tail, cap)
         assert got == _brute_walk(shape, tail, cap), (shape, tail, cap)
@@ -306,6 +311,7 @@ def test_clear_caches_empties_every_memo():
         assert in_orbit_closure(q, orbit_rep(q, orbit), orbit)
     coproduct_coeff((1,), (1,), (1,))
     coproduct2((2, 1))
+    straighten((1, 2))  # the A3 tables above may need no straightening
     memos = []
     for info in pkgutil.iter_modules(quivergk.__path__):
         if info.name == "__main__":

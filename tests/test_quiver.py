@@ -134,6 +134,28 @@ def test_incoming_and_source_rank(inbound, outbound):
     assert source_rank(outbound) == (1, 0, 1)
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [((1,), (1, 1, 1)), ((1, 1, 1, 1), (1, 1, 1)), ((1, 1, 1), ()), ((1, 1, 1), (1, 1, 1, 0))],
+)
+def test_euler_form_rejects_a_vector_of_the_wrong_length(inbound, a, b):
+    """A short vector used to raise IndexError and a long one was cut by zip."""
+    with pytest.raises(QuiverError):
+        euler_form(inbound, a, b)
+
+
+def test_tits_form_rejects_a_vector_of_the_wrong_length(inbound):
+    for d in ((1, 1, 1, 5), (1, 1), ()):
+        with pytest.raises(QuiverError):
+            tits_form(inbound, d)
+
+
+@pytest.mark.parametrize("i", [0, -1, 4])
+def test_incoming_rank_rejects_a_vertex_out_of_range(inbound, i):
+    with pytest.raises(QuiverError):
+        incoming_rank(inbound, (2, 5, 3), i)
+
+
 # ---------------------------------------------------------------------------
 # classification
 
