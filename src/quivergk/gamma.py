@@ -24,18 +24,15 @@ engine multiplies into its row-bounded working slot, and under the cap
 the filling never holds letters m+1..p (``coproduct`` says why).
 
 Raising-operator sequences (arbitrary integer tuples) are straightened
-into the partition basis by ``straighten``, in one ordered pass with no
-recursion and no depth bound.  Every rewrite either shortens a sequence
-or raises one entry while keeping the entries before it and the range of
-values, so finitely many sequences are reachable and each one sorts after
-the sequence it came from; popping them in that order meets each once.
-Like the coproducts, a straightening is memoised per input sequence and
-the memoised element itself is returned, shared by every caller.
+into the partition basis by ``straighten``, which inserts the entries
+from right to left, each in front of an already straightened tail, so
+only the front pair can ascend; insertions nest at most (value range + 1)
+deep and are memoised for one call.  Like the coproducts, a
+straightening is memoised per input sequence and shared by every caller.
 """
 
 from __future__ import annotations
 
-import heapq
 from functools import cache, lru_cache
 from typing import Iterable
 
@@ -46,7 +43,7 @@ _BIG = 1 << 30
 TensorKey = tuple[Partition, ...]
 
 
-def _add_term(out: dict[TensorKey, int], key: TensorKey, c: int) -> None:
+def _add_term(out: dict[tuple, int], key: tuple, c: int) -> None:
     """Add ``c`` to ``out[key]``, dropping the key when it reaches zero."""
     val = out.get(key, 0) + c
     if val:
@@ -74,6 +71,7 @@ class TensorElement:
         for key, c in (terms or {}).items():
             if len(key) != arity:
                 raise ValueError(f"key {key} does not match arity {arity}")
+            (c,) = integers((c,))
             if c:
                 _add_term(clean, tuple(normalize(part) for part in key), c)
         self.terms = clean
@@ -329,71 +327,57 @@ def coproduct2(nu: Partition) -> TensorElement:
 # straightening of integer sequences
 
 
-_straighten_cache: dict[tuple[str, tuple[int, ...]], TensorElement] = {}
+_straighten_cache: dict[tuple[int, ...], TensorElement] = {}
 
 
-def straighten(seq: Iterable[int], strategy: str = "leftmost") -> TensorElement:
-    """Rewrite the class of an arbitrary integer sequence into the basis.
-
-    Repeatedly resolves an ascent (p, q) at adjacent positions through
+def straighten(seq: Iterable[int]) -> TensorElement:
+    """Rewrite the class of an arbitrary integer sequence into the basis,
+    by the law at an ascent p < q of adjacent entries
 
         G[..., p, q, ...] = sum(G[..., q, k, ...] for k in p+1..q)
-                          - sum(G[..., q-1, k, ...] for k in p+1..q-1)
+                          - sum(G[..., q-1, k, ...] for k in p+1..q-1),
 
-    drops trailing negative entries, and stops at weakly decreasing
-    non-negative sequences.  ``strategy`` picks which ascent to resolve
-    first; both choices give the same result (a property the tests
-    exercise); the orbit engine uses the default.
+    dropping a trailing negative entry; a partition is its own class.
 
-    The rewrites run as one ordered pass over a worklist.  Each rewrite
-    either shortens a sequence or keeps its length and raises entry t
-    (from p to q, or to q-1 > p) while the entries before t stay put, and
-    new entries stay inside [min(seq), max(seq)].  So finitely many
-    sequences are reachable, and every one sorts after the sequence it
-    came from under the key (-length, sequence): popping the smallest key
-    first meets each sequence once, with its final coefficient.  No depth
-    bound is needed.  The input sequence is memoised, not the rewrites,
-    and the memoised element itself is returned and shared, as
+    The entries are inserted from right to left, each in front of the
+    straightened tail, a combination of partitions mu, so only the front
+    can ascend.  Inserting a is final when mu is empty or a >= mu_1; else
+    the law inserts each k into mu_2... and then mu_1 (or mu_1 - 1) in
+    front.  Every nested insertion raises the front entry, never above
+    max(seq), so they nest at most (value range + 1) deep, whatever the
+    length.  The insertions are memoised for one call; the input sequence
+    is memoised across calls and its element returned itself, shared as
     ``coproduct``'s is.
     """
     seq = integers(seq)
-    hit = _straighten_cache.get((strategy, seq))
-    if hit is not None:
-        return hit
-    if strategy not in ("leftmost", "rightmost"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+    if seq in _straighten_cache:
+        return _straighten_cache[seq]
+    memo: dict[tuple[int, Partition], dict[Partition, int]] = {}
 
-    pending = {seq: 1}
-    heap = [(-len(seq), seq)]
-    out: dict[TensorKey, int] = {}
+    def insert(a: int, mu: Partition) -> dict[Partition, int]:
+        if not mu or a >= mu[0]:
+            return {(a,) + mu if a > 0 else mu: 1}
+        out = memo.get((a, mu))
+        if out is None:
+            out = memo[a, mu] = {}
+            q = mu[0]
+            for k in range(a + 1, q + 1):
+                for nu, c in insert(k, mu[1:]).items():
+                    _add_term(out, (q,) + nu, c)  # nu_1 <= q: final
+                    if k < q:
+                        for lam, d in insert(q - 1, nu).items():
+                            _add_term(out, lam, -c * d)
+        return out
 
-    def push(s: tuple[int, ...], c: int) -> None:
-        if s not in pending:
-            heapq.heappush(heap, (-len(s), s))
-        pending[s] = pending.get(s, 0) + c
-
-    while heap:
-        s = heapq.heappop(heap)[1]
-        c = pending.pop(s)
-        if not c:
-            continue
-        if s and s[-1] < 0:
-            push(s[:-1], c)
-            continue
-        ascents = [t for t in range(len(s) - 1) if s[t] < s[t + 1]]
-        if not ascents:
-            _add_term(out, (normalize(s),), c)
-            continue
-        t = ascents[0] if strategy == "leftmost" else ascents[-1]
-        p, q = s[t], s[t + 1]
-        head, rest = s[:t], s[t + 2 :]
-        for k in range(p + 1, q + 1):
-            push(head + (q, k) + rest, c)
-        for k in range(p + 1, q):
-            push(head + (q - 1, k) + rest, -c)
-
-    result = _straighten_cache[(strategy, seq)] = TensorElement._trusted(1, out)
-    return result
+    tail: dict[Partition, int] = {(): 1}
+    for a in reversed(seq):
+        placed: dict[Partition, int] = {}
+        for mu, c in tail.items():
+            for lam, d in insert(a, mu).items():
+                _add_term(placed, lam, c * d)
+        tail = placed
+    _straighten_cache[seq] = TensorElement._trusted(1, {(lam,): c for lam, c in tail.items()})
+    return _straighten_cache[seq]
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +411,7 @@ def key_degree(key: TensorKey) -> int:
 
 def project_degree(p: TensorElement, d: int) -> TensorElement:
     """The exact-degree-``d`` slice of a tensor."""
+    (d,) = integers((d,))
     return TensorElement._trusted(
         p.arity, {key: c for key, c in p.terms.items() if key_degree(key) == d}
     )

@@ -51,10 +51,10 @@ class Quiver:
         object.__setattr__(self, "n", as_ints((self.n,))[0])
         if self.n < 1:
             raise QuiverError("need at least one vertex")
-        object.__setattr__(self, "arrows", tuple(as_ints((t, h)) for t, h in self.arrows))
-        for t, h in self.arrows:
-            if not (1 <= t <= self.n and 1 <= h <= self.n):
-                raise QuiverError(f"arrow ({t},{h}) out of range 1..{self.n}")
+        object.__setattr__(self, "arrows", tuple(map(as_ints, self.arrows)))
+        for arrow in self.arrows:
+            if len(arrow) != 2 or not all(1 <= v <= self.n for v in arrow):
+                raise QuiverError(f"arrow {arrow} is not a pair in 1..{self.n}")
         object.__setattr__(self, "_hash", hash((self.n, self.arrows)))
         source_rank(self)
 
@@ -76,7 +76,7 @@ def opposite(q: Quiver) -> Quiver:
 
 def euler_form(q: Quiver, a: Iterable[int], b: Iterable[int]) -> int:
     """The (non-symmetric) homological bilinear form of the quiver."""
-    av, bv = tuple(a), tuple(b)
+    av, bv = as_ints(a), as_ints(b)
     if len(av) != q.n or len(bv) != q.n:
         raise QuiverError(f"vectors {av}, {bv} do not both have {q.n} entries")
     total = sum(x * y for x, y in zip(av, bv))
@@ -86,15 +86,15 @@ def euler_form(q: Quiver, a: Iterable[int], b: Iterable[int]) -> int:
 
 
 def tits_form(q: Quiver, d: Iterable[int]) -> int:
-    dv = tuple(d)
+    dv = as_ints(d)
     return euler_form(q, dv, dv)
 
 
 def incoming_rank(q: Quiver, e: Iterable[int], i: int) -> int:
     """Dimension of the source sum of all arrows into vertex i."""
-    if not 1 <= i <= q.n:
-        raise QuiverError(f"vertex {i} out of range 1..{q.n}")
-    ev = tuple(e)
+    ev = as_ints(e)
+    if len(ev) != q.n or not 1 <= i <= q.n:
+        raise QuiverError(f"vector {ev} or vertex {i} does not fit n={q.n}")
     return sum(ev[t - 1] for t, h in q.arrows if h == i)
 
 

@@ -38,7 +38,7 @@ class DirectedPartition:
     blocks: tuple[tuple[Vector, ...], ...]
 
     def __post_init__(self) -> None:
-        blocks = (sorted(map(tuple, blk), key=lambda d: (sum(d), d)) for blk in self.blocks)
+        blocks = (sorted(map(as_ints, blk), key=lambda d: (sum(d), d)) for blk in self.blocks)
         object.__setattr__(self, "blocks", tuple(map(tuple, blocks)))
 
     @classmethod

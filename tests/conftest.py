@@ -16,6 +16,7 @@ import pytest
 from hypothesis import strategies as st
 
 from quivergk import Quiver
+from quivergk.gamma import TensorElement, basis, straighten
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -119,6 +120,32 @@ def classical_lr(lam, mu, nu) -> int:
         ):
             count += 1
     return count
+
+
+def straightening_law(seq):
+    """Yield each class that the straightening law equates with
+    ``straighten(seq)``: the signed sum of the rewrites at every ascent
+    (not only the leftmost or rightmost), the class without a trailing
+    negative entry, and a partition's own basis class.
+
+    Every rewrite raises one entry and keeps those before it, and the drop
+    shortens the sequence, so each rule refers only to sequences later in
+    the order (-length, sequence); together the rules fix ``straighten``.
+    """
+    if seq and seq[-1] < 0:
+        yield straighten(seq[:-1])
+    elif all(a >= b for a, b in zip(seq, seq[1:])):
+        yield basis(seq)
+    for t in range(len(seq) - 1):
+        p, q = seq[t], seq[t + 1]
+        if p < q:
+            head, rest = seq[:t], seq[t + 2 :]
+            rhs = TensorElement(1)
+            for k in range(p + 1, q + 1):
+                rhs += straighten(head + (q, k) + rest)
+            for k in range(p + 1, q):
+                rhs -= straighten(head + (q - 1, k) + rest)
+            yield rhs
 
 
 def hook_content_count(lam, k) -> int:

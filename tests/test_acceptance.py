@@ -13,7 +13,7 @@ import random
 import time
 from functools import cache
 
-from conftest import classical_lr, fraction_rank
+from conftest import classical_lr, fraction_rank, straightening_law
 from quivergk.engine import (
     CAVEAT_FLAG,
     check_alternating,
@@ -292,13 +292,18 @@ def test_criterion_06_lowest_degree_is_classical():
             )
 
 
-def test_criterion_07_straightening_strategies_agree():
-    rng = random.Random(5002026)
-    for _ in range(500):
-        seq = tuple(rng.randint(-3, 5) for _ in range(rng.randint(0, 5)))
-        a = straighten(seq, strategy="leftmost")
-        b = straighten(seq, strategy="rightmost")
-        assert a == b, seq
+def test_criterion_07_straightening_obeys_its_law():
+    """On every sequence of length <= 4 with entries in -2..4, the law
+    holds at every ascent, a trailing negative entry drops and a partition
+    is fixed; by the well-founded order these rules fix ``straighten``."""
+    identities = 0
+    for n in range(5):
+        for seq in itertools.product(range(-2, 5), repeat=n):
+            got = straighten(seq)
+            for rhs in straightening_law(seq):
+                assert got == rhs, seq
+                identities += 1
+    assert identities == 4328  # 3,402 ascents, 800 trailing negatives, 126 partitions
 
 
 def test_criterion_08_lowest_degree_equals_codimension():

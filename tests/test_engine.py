@@ -559,6 +559,15 @@ def test_partition_choice_does_not_matter(inbound):
             assert greedy.codim == full.codim
 
 
+def test_a_float_root_in_a_given_partition_is_an_input_error(inbound):
+    """It used to raise TypeError: can't multiply sequence by non-int."""
+    from quivergk.resolution import DirectedPartition
+
+    orb = orbits(inbound, (1, 1, 1))[0]
+    with pytest.raises(QuiverError):
+        quiver_coefficients(inbound, (1, 1, 1), orb, dp=DirectedPartition((((1.0, 1, 1),),)))
+
+
 def test_caveat_flag_set_for_d4():
     d4 = Quiver(4, ((1, 4), (2, 4), (3, 4)))
     orb = OrbitSpec(

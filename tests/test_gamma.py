@@ -1,5 +1,6 @@
 import itertools
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,7 @@ from quivergk.partitions import (
     word,
 )
 
-from conftest import classical_lr, int_seqs, partitions
+from conftest import classical_lr, int_seqs, partitions, straightening_law
 
 
 def G(*parts):
@@ -379,12 +380,26 @@ def test_straighten_frozen(seq, expected):
 
 @given(int_seqs)
 @settings(max_examples=150, deadline=None)
-def test_straighten_strategies_agree(seq):
-    left = straighten(seq, strategy="leftmost")
-    right = straighten(seq, strategy="rightmost")
-    assert left.terms == right.terms
-    for (lam,) in left.terms:
+def test_straighten_obeys_its_law(seq):
+    got = straighten(seq)
+    for rhs in straightening_law(seq):
+        assert got == rhs, seq
+    for (lam,) in got.terms:
         assert all(p > 0 for p in lam)
+
+
+def test_straighten_a_run_of_zeros_before_one_large_entry():
+    """1,716 terms, reached in time that follows the output, not the
+    599,357 sequences that the rewrite graph of this input holds."""
+    clear_caches()
+    start = time.perf_counter()
+    got = straighten((0,) * 6 + (7,)).terms
+    assert time.perf_counter() - start < 2.0
+    assert len(got) == 1716 and sum(got.values()) == 1
+    pins = [((1,) * 7, 1), ((2,) + (1,) * 6, -6), ((4,) + (1,) * 6, -20), ((7,) * 7, 1)]
+    for lam, c in pins:
+        assert got[(lam,)] == c, lam
+    assert ((7,),) not in got and ((4, 3),) not in got
 
 
 def test_straighten_fixes_partitions():
@@ -405,7 +420,11 @@ def test_ring_layer_rejects_non_integers(bad):
     with pytest.raises(ValueError):
         straighten((bad, 2))
     with pytest.raises(ValueError):
-        straighten((2, bad), strategy="rightmost")
+        straighten((2, bad))
+    with pytest.raises(ValueError):
+        TensorElement(1, {((1,),): bad})
+    with pytest.raises(ValueError):
+        project_degree(G(1), bad)
 
 
 def test_ring_layer_reads_booleans_as_integers():
@@ -417,8 +436,8 @@ def test_ring_layer_reads_booleans_as_integers():
 def test_straighten_memoises_only_its_input():
     clear_caches()
     got = straighten((0, 0, 0, 0, 6))
-    assert len(gamma._straighten_cache) == 1
-    assert got.terms == straighten((0, 0, 0, 0, 6), strategy="rightmost").terms
+    assert list(gamma._straighten_cache) == [(0, 0, 0, 0, 6)]
+    assert straighten((0, 0, 0, 0, 6)) is got
 
 
 def test_straighten_shares_its_memo():

@@ -98,6 +98,13 @@ def test_rejects_bad_arrow_indices():
         Quiver(2, ((0, 1),))
 
 
+@pytest.mark.parametrize("arrow", [(1, 2, 3), (1,), (), 1])
+def test_rejects_an_arrow_that_is_not_a_pair(arrow):
+    """(1, 2, 3) used to raise a bare ValueError from unpacking, 1 a TypeError."""
+    with pytest.raises(QuiverError):
+        Quiver(2, (arrow,))
+
+
 def test_opposite_roundtrip(inbound, outbound):
     from quivergk.quiver import opposite
 
@@ -154,6 +161,24 @@ def test_tits_form_rejects_a_vector_of_the_wrong_length(inbound):
 def test_incoming_rank_rejects_a_vertex_out_of_range(inbound, i):
     with pytest.raises(QuiverError):
         incoming_rank(inbound, (2, 5, 3), i)
+
+
+@pytest.mark.parametrize("e", [(1,), (1, 1, 1, 9), (1.5, 1, 1), "111"])
+def test_incoming_rank_rejects_a_bad_vector(inbound, e):
+    """(1,) used to raise IndexError; (1, 1, 1, 9) gave 2 and (1.5, 1, 1) 2.5."""
+    with pytest.raises(QuiverError):
+        incoming_rank(inbound, e, 2)
+
+
+@pytest.mark.parametrize("bad", [(0.5, 1, 1), "111", (1, 1, 2.0), 3])
+def test_euler_and_tits_forms_reject_non_integer_vectors(inbound, bad):
+    """(0.5, 1, 1) used to give 1.0 and 0.75, "111" a TypeError."""
+    with pytest.raises(QuiverError):
+        euler_form(inbound, bad, (1, 1, 1))
+    with pytest.raises(QuiverError):
+        euler_form(inbound, (1, 1, 1), bad)
+    with pytest.raises(QuiverError):
+        tits_form(inbound, bad)
 
 
 # ---------------------------------------------------------------------------

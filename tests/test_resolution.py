@@ -300,6 +300,13 @@ def test_pair_for_the_inbound_partition(inbound):
     assert pair.ranks == (1, 2, 2, 3, 1, 1)
 
 
+@pytest.mark.parametrize("root", [(1.0, 1, 1), "ab", ("1", 1, 1), 1])
+def test_directed_partition_rejects_a_root_that_is_not_ints(root):
+    """("ab",) and a float root used to raise TypeError while sorting a block."""
+    with pytest.raises(QuiverError):
+        DirectedPartition(((root,),))
+
+
 def test_pair_requires_cover(inbound):
     orb = OrbitSpec((1, 1, 0), ((A12, 1),))
     dp = DirectedPartition(((A22,),))
