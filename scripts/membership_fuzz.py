@@ -8,7 +8,8 @@ three defining rank inequalities
     rank(phi3) <= m23 + m13
     rank([phi1 phi3]) <= m12 + m23 + m13
 
-and complain about any point where the two answers differ.  Usage:
+and complain about any point where the two answers differ.  Exit status
+1 on a disagreement, 2 on a negative or non-integer argument.  Usage:
 
     python scripts/membership_fuzz.py [MAX_DIM] [SAMPLES] [SEED]
 """
@@ -19,7 +20,7 @@ import time
 from fractions import Fraction
 
 from quivergk.oracle_a3 import INBOUND, all_mults
-from quivergk.quiver import QuiverRep, in_orbit_closure
+from quivergk.quiver import QuiverError, QuiverRep, in_orbit_closure
 
 
 def rank(mat):
@@ -39,11 +40,16 @@ def rank(mat):
 
 
 def main(argv):
-    max_dim = int(argv[1]) if len(argv) > 1 else 3
-    samples = int(argv[2]) if len(argv) > 2 else 100
-    rng = random.Random(int(argv[3]) if len(argv) > 3 else 1153)
-
-    orbits = all_mults(max_dim)
+    try:
+        given = [int(a) for a in argv[1:4]]
+        max_dim, samples, seed = given + [3, 100, 1153][len(given) :]
+        if samples < 0:
+            raise QuiverError(f"negative samples {samples}")
+        orbits = all_mults(max_dim)
+    except ValueError as exc:  # int() and QuiverError alike: a bad argument
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    rng = random.Random(seed)
     t0 = time.monotonic()
     points = members = bad = 0
     for m in orbits:

@@ -38,8 +38,6 @@ from .quiver import (
     Quiver,
     QuiverError,
     QuiverRep,
-    Vector,
-    as_ints,
     check_roots,
     dynkin_type,
     hom_table,
@@ -68,11 +66,8 @@ def quiver_from_file(path: str) -> Quiver:
 
 
 def orbit_from_file(path: str, q: Quiver) -> OrbitSpec:
-    def parse(data: Any) -> tuple[Vector, list[tuple[Vector, int]]]:
-        dim = as_ints(data["dim"])
-        return dim, [(as_ints(m["root"]), as_ints((m["m"],))[0]) for m in data["mults"]]
-
-    orbit = OrbitSpec(*_read(path, "orbit", parse))
+    parse = lambda data: OrbitSpec(data["dim"], [(m["root"], m["m"]) for m in data["mults"]])
+    orbit = _read(path, "orbit", parse)
     check_roots(q, orbit.support)
     return orbit
 
@@ -82,8 +77,7 @@ def pair_from_file(path: str) -> ResolutionPair:
 
 
 def rep_from_file(path: str, dim: tuple[int, ...]) -> QuiverRep:
-    mats = _read(path, "representation", lambda d: [list(map(as_ints, m)) for m in d["matrices"]])
-    return QuiverRep(dim, mats)
+    return _read(path, "representation", lambda data: QuiverRep(dim, data["matrices"]))
 
 
 def _emit(payload: Any) -> None:

@@ -41,15 +41,8 @@ from .gamma import (
     straighten,
 )
 from .oracle_a3 import INBOUND, OUTBOUND, inbound_table, mults_from_orbit, outbound_table
-from .partitions import Partition
-from .quiver import (
-    OrbitSpec,
-    Quiver,
-    QuiverError,
-    as_ints,
-    orbits,
-    positive_roots,
-)
+from .partitions import Partition, QuiverError, integers
+from .quiver import OrbitSpec, Quiver, orbits, positive_roots
 from .resolution import (
     DirectedPartition,
     ResolutionPair,
@@ -100,7 +93,7 @@ def psi(p: TensorElement, i: int, max_rows: int | None = None) -> TensorElement:
     if max_rows is None:
         max_rows = sys.maxsize
     if type(i) is not int or type(max_rows) is not int:  # plain ints skip the call, as in a_op
-        i, max_rows = as_ints((i, max_rows))
+        i, max_rows = integers((i, max_rows))
     if not 1 <= i < p.arity:
         raise QuiverError(f"psi slot {i} out of range for arity {p.arity}")
     if max_rows < 0:
@@ -133,7 +126,7 @@ def a_op(p: TensorElement, i: int, r: int, c: int) -> TensorElement:
     with an ascent need straightening.  The arity drops by one.
     """
     if type(i) is not int or type(r) is not int or type(c) is not int:  # plain ints skip the call
-        i, r, c = as_ints((i, r, c))
+        i, r, c = integers((i, r, c))
     if not 1 <= i < p.arity:
         raise QuiverError(f"a_op slot {i} out of range for arity {p.arity}")
     if r < 0:
@@ -188,7 +181,7 @@ def _split_absorb(p: TensorElement, h: int, i: int, r: int, c: int) -> TensorEle
 def phi(p: TensorElement, q: Quiver, stage_e: tuple[int, ...], i: int, r: int) -> TensorElement:
     """One resolution step at vertex ``i`` with rank ``r`` over stage
     dimension vector ``stage_e``, on a tensor with a slot per vertex."""
-    i, r = as_ints((i, r))
+    i, r = integers((i, r))
     if p.arity != q.n:
         raise QuiverError(f"tensor arity {p.arity} does not match {q.n} vertices")
     if not 1 <= i <= q.n:
@@ -240,7 +233,7 @@ def quiver_coefficients(
     positive root of ``q`` raises ``QuiverError`` where the directed
     partition looks it up in the Euler table of positive roots.
     """
-    ev = q.check_vector(e)
+    ev = integers(e)  # pair_stages checks it against q
     if orbit.dim != ev:
         raise QuiverError(f"orbit has dim {orbit.dim}, expected {ev}")
     if dp is None:
@@ -357,7 +350,7 @@ def sweep(q: Quiver, max_dim: int, suite: str) -> Iterator[tuple[CoefficientTabl
     non-integer ``max_dim``, an unknown suite or a quiver the suite cannot
     check raises ``QuiverError`` as iteration starts, before any orbit.
     """
-    (max_dim,) = as_ints((max_dim,))
+    (max_dim,) = integers((max_dim,))
     if max_dim < 0:
         raise QuiverError(f"negative max_dim {max_dim}")
     if suite not in SUITES:

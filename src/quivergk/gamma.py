@@ -36,7 +36,7 @@ from __future__ import annotations
 from functools import cache, lru_cache
 from typing import Iterable
 
-from .partitions import Partition, integers, normalize
+from .partitions import Partition, QuiverError, integers, normalize, sequence
 
 _BIG = 1 << 30
 
@@ -66,11 +66,10 @@ class TensorElement:
     def __init__(self, arity: int, terms: dict[TensorKey, int] | None = None):
         (self.arity,) = integers((arity,))
         if self.arity < 0:
-            raise ValueError(f"negative arity {arity}")
+            raise QuiverError(f"negative arity {arity}")
         clean: dict[TensorKey, int] = {}
         for key, c in (terms or {}).items():
-            if len(key) != arity:
-                raise ValueError(f"key {key} does not match arity {arity}")
+            key = sequence(key, self.arity)
             (c,) = integers((c,))
             if c:
                 _add_term(clean, tuple(normalize(part) for part in key), c)
@@ -94,7 +93,7 @@ class TensorElement:
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
         if self.arity != other.arity:
-            raise ValueError("arity mismatch")
+            raise QuiverError("arity mismatch")
         out = dict(self.terms)
         for key, c in other.terms.items():
             _add_term(out, key, c)
@@ -236,7 +235,7 @@ def mul(a: TensorElement, b: TensorElement) -> TensorElement:
     """Product of two ring elements (arity-1 tensors) in the basis of
     stable classes."""
     if a.arity != 1:
-        raise ValueError(f"ring element expected, got arity {a.arity}")
+        raise QuiverError(f"ring element expected, got arity {a.arity}")
     return tensor_mul_at(a, 1, b)
 
 
@@ -266,7 +265,7 @@ def coproduct(nu: Partition, max_rows: int | None = None) -> TensorElement:
     p = len(nu)
     q = nu[0] if nu else 0
     if max_rows is not None and integers((max_rows,))[0] < 0:
-        raise ValueError(f"negative max_rows {max_rows}")
+        raise QuiverError(f"negative max_rows {max_rows}")
     m = p if max_rows is None else min(max_rows, p)
     hits = _lattice_walk(nu, (q,) * p, letter_cap=(m + 1, q))
     # every content is a term of the product of R and nu, so it contains R
@@ -303,11 +302,11 @@ def coproduct_coeff(
     else:
         rect = normalize(rect)
         if rect and len(set(rect)) != 1:
-            raise ValueError(f"rect must be rectangular, got {rect}")
+            raise QuiverError(f"rect must be rectangular, got {rect}")
         p = len(rect)
         q = rect[0] if rect else 0
         if (lam and (len(lam) > p or lam[0] > q)) or (mu and (len(mu) > p or mu[0] > q)):
-            raise ValueError(f"rectangle {rect} does not contain {lam} and {mu}")
+            raise QuiverError(f"rectangle {rect} does not contain {lam} and {mu}")
     rho = tuple(q + m for m in mu) + (q,) * (p - len(mu)) + lam
     return lr_coeff((q,) * p, nu, normalize(rho))
 
@@ -389,9 +388,9 @@ def tensor_mul_at(p: TensorElement, slot: int, g: TensorElement) -> TensorElemen
     arity-1 tensor)."""
     (slot,) = integers((slot,))
     if not 1 <= slot <= p.arity:
-        raise ValueError(f"slot {slot} out of range for arity {p.arity}")
+        raise QuiverError(f"slot {slot} out of range for arity {p.arity}")
     if g.arity != 1:
-        raise ValueError(f"ring element expected, got arity {g.arity}")
+        raise QuiverError(f"ring element expected, got arity {g.arity}")
     out: dict[TensorKey, int] = {}
     for key, c in p.terms.items():
         for (lam,), cg in g.terms.items():

@@ -23,6 +23,7 @@ from .partitions import (
     contains,
     content,
     enumerate_svt,
+    integers,
     is_reverse_lattice,
     is_rook_strip,
     normalize,
@@ -31,7 +32,7 @@ from .partitions import (
     u_word,
     word,
 )
-from .quiver import OrbitSpec, Quiver, QuiverError, as_ints
+from .quiver import OrbitSpec, Quiver, QuiverError
 
 INBOUND = Quiver(3, ((1, 2), (3, 2)))
 OUTBOUND = Quiver(3, ((2, 1), (2, 3)))
@@ -57,7 +58,7 @@ class A3OrbitMults:
     m33: int = 0
 
     def __post_init__(self) -> None:
-        for (i, j), m in zip(self.as_dict(), as_ints(self.as_dict().values())):
+        for (i, j), m in zip(self.as_dict(), integers(self.as_dict().values())):
             object.__setattr__(self, f"m{i}{j}", m)
         if min(self.as_dict().values()) < 0:
             raise QuiverError("multiplicities must be non-negative")
@@ -100,6 +101,9 @@ def mults_from_orbit(orbit: OrbitSpec) -> A3OrbitMults:
 
 def all_mults(max_dim: int) -> list[A3OrbitMults]:
     """Every orbit with all three dimensions at most ``max_dim``."""
+    (max_dim,) = integers((max_dim,))
+    if max_dim < 0:
+        raise QuiverError(f"negative max_dim {max_dim}")
     out = []
     for values in itertools.product(range(max_dim + 1), repeat=6):
         m = A3OrbitMults(*values)
@@ -119,7 +123,7 @@ def _rectangle(width: int, rows: int) -> Partition:
 def porteous(e1: int, e2: int, r: int) -> TensorElement:
     """Expansion of the rank <= r locus of e2 x e1 matrices: a single
     rectangle term of e2 - r rows and width e1 - r in the second slot."""
-    e1, e2, r = as_ints((e1, e2, r))
+    e1, e2, r = integers((e1, e2, r))
     if not 0 <= r <= min(e1, e2):
         raise QuiverError(f"rank {r} out of range for {(e1, e2)}")
     key = ((), _rectangle(e1 - r, e2 - r))

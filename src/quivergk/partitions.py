@@ -12,41 +12,57 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 Partition = tuple[int, ...]
 
 
+class QuiverError(ValueError):
+    """Bad input to any part of the package: every module raises and re-exports this one."""
+
+
 def integers(values: Iterable[int]) -> tuple[int, ...]:
-    """``values`` as exact ints: anything without ``__index__`` (0.5, 2.0,
-    "1") raises ValueError rather than being truncated or parsed."""
+    """``values`` as exact ints, the package's one reader of integer input:
+    anything without ``__index__`` (0.5, 2.0, "1"), or ``values`` not
+    iterable, raises QuiverError rather than being truncated or parsed."""
     try:
         return tuple(map(operator.index, values))
     except TypeError as exc:
-        raise ValueError(f"expected integers: {exc}") from None
+        raise QuiverError(f"expected integers: {exc}") from None
+
+
+def sequence(values: Any, length: int | None = None) -> tuple:
+    """``values`` as a tuple of ``length`` entries (any if None), else QuiverError:
+    the reader of nested input's outer levels, whose innermost ``integers`` reads."""
+    try:
+        seq = tuple(values)
+    except TypeError as exc:
+        raise QuiverError(str(exc)) from None
+    if length is not None and len(seq) != length:
+        raise QuiverError(f"expected {length} entries, got {seq}")
+    return seq
 
 
 def normalize(parts: Iterable[int]) -> Partition:
     """Canonical form of a partition: trailing zeros stripped.
 
-    Raises ValueError if an entry is not an integer, is negative or
+    Raises QuiverError if an entry is not an integer, is negative or
     increases.
     """
     seq = integers(parts)
     if any(a < b for a, b in zip(seq, seq[1:])):
-        raise ValueError(f"not weakly decreasing: {seq}")
+        raise QuiverError(f"not weakly decreasing: {seq}")
     if seq and seq[-1] < 0:
-        raise ValueError(f"negative part in {seq}")
+        raise QuiverError(f"negative part in {seq}")
     while seq and seq[-1] == 0:
         seq = seq[:-1]
     return seq
 
 
 def conjugate(lam: Partition) -> Partition:
-    """Transpose of the Young diagram of ``lam``."""
-    if not lam:
-        return ()
-    return tuple(sum(1 for part in lam if part >= j) for j in range(1, lam[0] + 1))
+    """Transpose of the Young diagram of ``lam``, a partition (checked)."""
+    lam = normalize(lam)
+    return tuple(sum(1 for part in lam if part >= j) for j in range(1, lam[0] + 1)) if lam else ()
 
 
 def contains(outer: Partition, inner: Partition) -> bool:
@@ -63,6 +79,8 @@ def partitions_fitting(rows: int, cols: int) -> Iterator[Partition]:
     iterating a rectangle get a stable sequence.
     """
     rows, cols = integers((rows, cols))
+    if rows < 0 or cols < 0:
+        raise QuiverError(f"negative box {rows} x {cols}")
 
     def fill(size: int, rows: int, cap: int) -> Iterator[Partition]:
         # partitions of ``size`` in a rows x cap box, smallest first part first
@@ -88,7 +106,7 @@ class SkewShape:
         object.__setattr__(self, "outer", normalize(self.outer))
         object.__setattr__(self, "inner", normalize(self.inner))
         if not contains(self.outer, self.inner):
-            raise ValueError(f"inner {self.inner} not contained in outer {self.outer}")
+            raise QuiverError(f"inner {self.inner} not contained in outer {self.outer}")
 
     @property
     def size(self) -> int:
@@ -108,9 +126,7 @@ class SkewShape:
 
 
 def as_shape(shape: SkewShape | Iterable[int]) -> SkewShape:
-    if isinstance(shape, SkewShape):
-        return shape
-    return SkewShape(tuple(shape))
+    return shape if isinstance(shape, SkewShape) else SkewShape(shape)
 
 
 @dataclass(frozen=True)
@@ -128,22 +144,22 @@ class SetValuedTableau:
     def __post_init__(self) -> None:
         bounds = self.shape.row_bounds()
         if len(self.rows) != len(bounds):
-            raise ValueError("row count does not match shape")
+            raise QuiverError("row count does not match shape")
         grid: dict[tuple[int, int], tuple[int, ...]] = {}
         for r, (row, (start, stop)) in enumerate(zip(self.rows, bounds), start=1):
             if len(row) != stop - start:
-                raise ValueError(f"row {r} has {len(row)} cells, expected {stop - start}")
+                raise QuiverError(f"row {r} has {len(row)} cells, expected {stop - start}")
             for k, cell in enumerate(row):
                 if not cell or list(cell) != sorted(set(cell)) or cell[0] < 1:
-                    raise ValueError(f"bad cell {cell!r}")
+                    raise QuiverError(f"bad cell {cell!r}")
                 grid[(r, start + 1 + k)] = cell
         for (r, c), cell in grid.items():
             right = grid.get((r, c + 1))
             if right is not None and cell[-1] > right[0]:
-                raise ValueError(f"row condition fails at {(r, c)}")
+                raise QuiverError(f"row condition fails at {(r, c)}")
             below = grid.get((r + 1, c))
             if below is not None and cell[-1] >= below[0]:
-                raise ValueError(f"column condition fails at {(r, c)}")
+                raise QuiverError(f"column condition fails at {(r, c)}")
 
     @property
     def size(self) -> int:
@@ -179,9 +195,9 @@ def content(w: Iterable[int]) -> tuple[int, ...]:
     """
     counts: dict[int, int] = {}
     top = 0
-    for v in w:
+    for v in integers(w):
         if v < 1:
-            raise ValueError(f"letters must be positive, got {v}")
+            raise QuiverError(f"letters must be positive, got {v}")
         counts[v] = counts.get(v, 0) + 1
         top = max(top, v)
     return tuple(counts.get(i, 0) for i in range(1, top + 1))
@@ -190,9 +206,8 @@ def content(w: Iterable[int]) -> tuple[int, ...]:
 def is_reverse_lattice(w: Iterable[int]) -> bool:
     """True if every i >= 2 is followed, strictly after it, by more
     occurrences of i-1 than of i."""
-    seq = tuple(w)
     counts: dict[int, int] = {}
-    for v in reversed(seq):
+    for v in reversed(integers(w)):
         if v >= 2 and counts.get(v - 1, 0) <= counts.get(v, 0):
             return False
         counts[v] = counts.get(v, 0) + 1
@@ -215,7 +230,7 @@ def enumerate_svt(
     bounds = sh.row_bounds()
     max_entry, max_excess = integers((max_entry, max_excess))
     if max_entry < 0 or max_excess < 0:
-        raise ValueError("bounds must be non-negative")
+        raise QuiverError("bounds must be non-negative")
 
     grid: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -258,6 +273,8 @@ def expand_single(lam: Partition, num_vars: int, max_deg: int) -> dict[tuple[int
     """
     lam = normalize(lam)
     num_vars, max_deg = integers((num_vars, max_deg))
+    if num_vars < 0 or max_deg < 0:
+        raise QuiverError("bounds must be non-negative")
     out: dict[tuple[int, ...], int] = {}
     if sum(lam) > max_deg or len(lam) > num_vars:
         return out
@@ -305,7 +322,7 @@ def rook_strip_complement(rect: Partition, placed: Partition, rotated: Partition
     """
     rect = normalize(rect)
     if rect and len(set(rect)) != 1:
-        raise ValueError(f"not a rectangle: {rect}")
+        raise QuiverError(f"not a rectangle: {rect}")
     p = len(rect)
     q = rect[0] if rect else 0
     placed = normalize(placed)

@@ -19,25 +19,12 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 from operator import mul
-from typing import Any, Iterable
+from typing import Iterable
 
-from .partitions import integers
+from .partitions import QuiverError, integers, sequence
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
-
-
-class QuiverError(ValueError):
-    """Bad quiver/orbit/representation input."""
-
-
-def as_ints(values: Iterable[Any]) -> Vector:
-    """``values`` as exact ints: anything without ``__index__`` (0.5, 2.0,
-    "1") raises ``QuiverError`` rather than being truncated or parsed."""
-    try:
-        return integers(values)
-    except ValueError as exc:
-        raise QuiverError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -48,10 +35,10 @@ class Quiver:
     arrows: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", as_ints((self.n,))[0])
+        object.__setattr__(self, "n", integers((self.n,))[0])
         if self.n < 1:
             raise QuiverError("need at least one vertex")
-        object.__setattr__(self, "arrows", tuple(map(as_ints, self.arrows)))
+        object.__setattr__(self, "arrows", tuple(map(integers, sequence(self.arrows))))
         for arrow in self.arrows:
             if len(arrow) != 2 or not all(1 <= v <= self.n for v in arrow):
                 raise QuiverError(f"arrow {arrow} is not a pair in 1..{self.n}")
@@ -62,7 +49,7 @@ class Quiver:
         return self._hash
 
     def check_vector(self, d: Iterable[int]) -> Vector:
-        vec = as_ints(d)
+        vec = integers(d)
         if len(vec) != self.n or any(x < 0 for x in vec):
             raise QuiverError(f"bad dimension vector {vec} for n={self.n}")
         return vec
@@ -76,7 +63,7 @@ def opposite(q: Quiver) -> Quiver:
 
 def euler_form(q: Quiver, a: Iterable[int], b: Iterable[int]) -> int:
     """The (non-symmetric) homological bilinear form of the quiver."""
-    av, bv = as_ints(a), as_ints(b)
+    av, bv = integers(a), integers(b)
     if len(av) != q.n or len(bv) != q.n:
         raise QuiverError(f"vectors {av}, {bv} do not both have {q.n} entries")
     total = sum(x * y for x, y in zip(av, bv))
@@ -86,13 +73,13 @@ def euler_form(q: Quiver, a: Iterable[int], b: Iterable[int]) -> int:
 
 
 def tits_form(q: Quiver, d: Iterable[int]) -> int:
-    dv = as_ints(d)
+    dv = integers(d)
     return euler_form(q, dv, dv)
 
 
 def incoming_rank(q: Quiver, e: Iterable[int], i: int) -> int:
     """Dimension of the source sum of all arrows into vertex i."""
-    ev = as_ints(e)
+    ev = integers(e)
     if len(ev) != q.n or not 1 <= i <= q.n:
         raise QuiverError(f"vector {ev} or vertex {i} does not fit n={q.n}")
     return sum(ev[t - 1] for t, h in q.arrows if h == i)
@@ -220,8 +207,9 @@ class OrbitSpec:
     mults: tuple[tuple[Vector, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dim", as_ints(self.dim))
-        mults = ((as_ints(r), as_ints((m,))[0]) for r, m in self.mults)
+        object.__setattr__(self, "dim", integers(self.dim))
+        pairs = (sequence(rm, 2) for rm in sequence(self.mults))
+        mults = ((integers(r), integers((m,))[0]) for r, m in pairs)
         object.__setattr__(self, "mults", tuple(sorted(mults, key=lambda rm: (sum(rm[0]), rm[0]))))
         if any(m < 1 for _, m in self.mults):
             raise QuiverError("orbit multiplicities must be >= 1")
@@ -308,8 +296,9 @@ class QuiverRep:
     mats: tuple[Matrix, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", as_ints(self.dims))
-        object.__setattr__(self, "mats", tuple(tuple(map(as_ints, m)) for m in self.mats))
+        object.__setattr__(self, "dims", integers(self.dims))
+        mats = tuple(tuple(map(integers, sequence(m))) for m in sequence(self.mats))
+        object.__setattr__(self, "mats", mats)
 
 
 def validate_rep(q: Quiver, rep: QuiverRep) -> None:

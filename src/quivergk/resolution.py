@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Iterator
 
+from .partitions import integers, sequence
 from .quiver import (
     OrbitSpec,
     Quiver,
     QuiverError,
     Vector,
     _euler_table,
-    as_ints,
     check_roots,
     positive_roots,
     source_rank,
@@ -38,7 +38,8 @@ class DirectedPartition:
     blocks: tuple[tuple[Vector, ...], ...]
 
     def __post_init__(self) -> None:
-        blocks = (sorted(map(as_ints, blk), key=lambda d: (sum(d), d)) for blk in self.blocks)
+        blocks = (map(integers, sequence(blk)) for blk in sequence(self.blocks))
+        blocks = (sorted(blk, key=lambda d: (sum(d), d)) for blk in blocks)
         object.__setattr__(self, "blocks", tuple(map(tuple, blocks)))
 
     @classmethod
@@ -61,8 +62,8 @@ class ResolutionPair:
     ranks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", as_ints(self.vertices))
-        object.__setattr__(self, "ranks", as_ints(self.ranks))
+        object.__setattr__(self, "vertices", integers(self.vertices))
+        object.__setattr__(self, "ranks", integers(self.ranks))
         if len(self.vertices) != len(self.ranks):
             raise QuiverError("vertex and rank lists differ in length")
         if any(r < 1 for r in self.ranks):
@@ -140,7 +141,7 @@ def directed_partition(q: Quiver, roots: Iterable[Vector]) -> DirectedPartition:
     """Greedy directed partition: peel greedy blocks until exhausted.  Each
     pairs non-negatively with every root left and none of those dominates
     it, so the output is directed by construction and is not validated."""
-    rest = {tuple(r) for r in roots}
+    rest = set(map(integers, sequence(roots)))
     check_roots(q, rest)
     todo = sorted(map(_root_masks(q).__getitem__, rest))  # by bit: positive_roots order
     left = sum(t[0] for t in todo)

@@ -416,6 +416,14 @@ def test_orbit_multiplicity_is_not_truncated(capsys, a2_file, tmp_path):
     assert err.startswith(f"error: bad orbit file {orbit}: ")
 
 
+def test_orbit_that_does_not_sum_to_its_dim_is_a_bad_file(capsys, a2_file, tmp_path):
+    # the orbit is built while its file is read, so the error names the file
+    orbit = write_json(tmp_path / "orbit.json", {"dim": [1, 2], "mults": [{"root": [1, 1], "m": 1}]})
+    code, out, err = run(capsys, ["coeffs", a2_file, orbit])
+    assert (code, out) == (2, "")
+    assert err == f"error: bad orbit file {orbit}: multiplicities sum to (1, 1), dim is (1, 2)\n"
+
+
 def test_file_that_is_not_utf8_cannot_be_read(capsys, tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"vertices": 2, "arrows": [], "name": "\xe9"}')

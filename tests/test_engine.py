@@ -189,8 +189,8 @@ def test_operators_check_their_arguments_once_per_call(monkeypatch):
     p = TensorElement(3, {((k,), (), (j,)): 1 for k in range(4) for j in range(2)})
     want = psi(p, 1, 2), a_op(p, 1, 2, 1)
     seen = []
-    convert = engine.as_ints
-    monkeypatch.setattr(engine, "as_ints", lambda v: seen.append(v) or convert(v))
+    convert = engine.integers
+    monkeypatch.setattr(engine, "integers", lambda v: seen.append(v) or convert(v))
     assert (psi(p, 1, 2), a_op(p, 1, 2, 1)) == want and seen == []
     assert (psi(p, True, 2), a_op(p, True, 2, True)) == want
     assert seen == [(True, 2), (True, 2, True)]

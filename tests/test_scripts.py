@@ -29,12 +29,28 @@ def run_script(*argv):
     return proc.stdout.splitlines()
 
 
-@pytest.mark.parametrize("script", ["oracle_sweep.py", "partition_evidence.py"])
-def test_bad_max_dim_exits_2(script):
-    # a bad argument is exit 2, as in the CLI; exit 1 means a real mismatch
-    proc = spawn(script, "--max-dim", "-1")
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["oracle_sweep.py", "--max-dim", "-1"], "negative max_dim -1"),
+        (["partition_evidence.py", "--max-dim", "-1"], "negative max_dim -1"),
+        (["membership_fuzz.py", "-1", "5"], "negative max_dim -1"),
+        (["membership_fuzz.py", "2", "-3"], "negative samples -3"),
+        (["membership_fuzz.py", "abc"], "invalid literal for int() with base 10: 'abc'"),
+    ],
+    ids=[
+        "oracle_sweep.py",
+        "partition_evidence.py",
+        "membership_fuzz.py-max-dim",
+        "membership_fuzz.py-samples",
+        "membership_fuzz.py-not-an-int",
+    ],
+)
+def test_bad_max_dim_exits_2(argv, error):
+    # a bad argument is exit 2 with one error line, as in the CLI; exit 1 means a real mismatch
+    proc = spawn(*argv)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.splitlines() == ["error: negative max_dim -1"]
+    assert proc.stderr.splitlines() == [f"error: {error}"]
     assert proc.stdout == ""
 
 
