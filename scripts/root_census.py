@@ -3,7 +3,8 @@
 Prints the root count and enumeration time for A_n, D_n and E_n members,
 checks every root against the Tits form, and compares the counts to the
 classical closed forms: n(n+1)/2 for A_n, n(n-1) for D_n, 36/63/120 for
-E6/E7/E8.
+E6/E7/E8.  Exit status 1 if any count or root is wrong, 2 on a --max-a
+below 1 or a --max-d below 4, which would skip a whole family.
 """
 
 import argparse
@@ -43,6 +44,10 @@ def main():
     parser.add_argument("--max-a", type=int, default=8)
     parser.add_argument("--max-d", type=int, default=8)
     args = parser.parse_args()
+    for flag, value, least in (("--max-a", args.max_a, 1), ("--max-d", args.max_d, 4)):
+        if value < least:
+            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
+            return 2
 
     ok = True
     for n in range(1, args.max_a + 1):

@@ -40,30 +40,12 @@ from .oracle_a3 import (
     A3OrbitMults,
     INBOUND,
     OUTBOUND,
-    inbound_c,
     inbound_table,
     mults_from_orbit,
-    outbound_d,
     outbound_table,
     porteous,
 )
-from .partitions import (
-    Partition,
-    SetValuedTableau,
-    SkewShape,
-    conjugate,
-    contains,
-    content,
-    enumerate_svt,
-    expand_single,
-    is_reverse_lattice,
-    is_rook_strip,
-    normalize,
-    partitions_fitting,
-    rook_strip_complement,
-    u_word,
-    word,
-)
+from .partitions import Partition, normalize
 from .quiver import (
     OrbitSpec,
     Quiver,

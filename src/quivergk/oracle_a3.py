@@ -1,10 +1,11 @@
 """Closed-form coefficient tables for the two extreme A3 orientations.
 
 These are independent of the recursive engine: each table is computed by
-contracting coproducts of explicit rectangles, each coefficient by a
-signed count of set-valued tableaux (``inbound_c``, ``outbound_d``).
-The tests certify the tables key by key against the counts — every
-equality between the two routes is a theorem being retested numerically.
+contracting coproducts of explicit rectangles.  The tests certify the
+tables key by key against signed counts of set-valued tableaux (the
+reference routes ``inbound_c`` and ``outbound_d`` in ``tests/reference.py``)
+— every equality between the two routes is a theorem being retested
+numerically.
 
 Vertex layout: 1 - 2 - 3, with both arrows pointing in ("inbound",
 1 -> 2 <- 3) or both pointing out ("outbound", 1 <- 2 -> 3).  Orbits are
@@ -17,21 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 from .gamma import TensorElement, _add_term, _mul_basis, coproduct, coproduct2
-from .partitions import (
-    Partition,
-    SkewShape,
-    contains,
-    content,
-    enumerate_svt,
-    integers,
-    is_reverse_lattice,
-    is_rook_strip,
-    normalize,
-    partitions_fitting,
-    rook_strip_complement,
-    u_word,
-    word,
-)
+from .partitions import Partition, integers, normalize
 from .quiver import OrbitSpec, Quiver, QuiverError
 
 INBOUND = Quiver(3, ((1, 2), (3, 2)))
@@ -134,46 +121,6 @@ def porteous(e1: int, e2: int, r: int) -> TensorElement:
 # inbound orientation, 1 -> 2 <- 3
 
 
-def _lattice_fillings(shape: SkewShape, mu: Partition, tail: tuple[int, ...] = ()) -> int:
-    """Set-valued tableaux of ``shape`` whose reading word followed by
-    ``tail`` has content ``mu`` and is a reverse lattice word."""
-    excess = sum(mu) - shape.size - len(tail)
-    if excess < 0:
-        return 0
-    count = 0
-    for t in enumerate_svt(shape, len(mu), excess):
-        w = word(t) + tail
-        if content(w) == mu and is_reverse_lattice(w):
-            count += 1
-    return count
-
-
-def inbound_c(
-    lam: Partition,
-    mu: Partition,
-    nu: Partition,
-    m: A3OrbitMults,
-) -> int:
-    """Coefficient of the reduced key (lam, mu, nu) for an inbound orbit,
-    by a signed tableau count; ``inbound_table`` reaches it by contraction.
-
-    ``mu`` is the middle-slot partition *after* removing the forced
-    rectangle prefix.
-    """
-    lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
-    r1 = _rectangle(m.m33, m.m12)
-    r2 = _rectangle(m.m11, m.m23)
-    count = 0
-    for sigma in partitions_fitting(m.m12, m.m33):
-        if not rook_strip_complement(r1, sigma, lam):
-            continue
-        for theta in partitions_fitting(m.m23, m.m11):
-            if rook_strip_complement(r2, theta, nu):
-                count += _lattice_fillings(SkewShape(theta), mu, u_word(sigma))
-    sign = sum(lam) + sum(mu) + sum(nu) - m.m33 * m.m12 - m.m11 * m.m23
-    return (-1 if sign % 2 else 1) * count
-
-
 def inbound_table(m: A3OrbitMults) -> TensorElement:
     """Full expansion of an inbound orbit closure, assembled from the
     rectangle coproducts; middle keys carry their rectangle prefix."""
@@ -195,36 +142,6 @@ def inbound_table(m: A3OrbitMults) -> TensorElement:
 
 # ---------------------------------------------------------------------------
 # outbound orientation, 1 <- 2 -> 3
-
-
-def outbound_d(
-    rect: Partition,
-    lam: Partition,
-    mu: Partition,
-    nu: Partition,
-) -> int:
-    """Coefficient of (lam, mu, nu) in the double coproduct of a rectangle
-    class, by a signed count of skew fillings between two partitions
-    interleaved in the rectangle; ``outbound_table`` reads it from ``coproduct2``."""
-    rect = normalize(rect)
-    if rect and len(set(rect)) != 1:
-        raise QuiverError(f"need a rectangle, got {rect}")
-    lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
-    p = len(rect)
-    q = rect[0] if rect else 0
-    count = 0
-    for tau in partitions_fitting(p, q):
-        # lam must sit inside tau: the rook strip lam/sigma is the part
-        # of lam carried over from the first tensor slot, and it lives
-        # in the subdiagram that tau contributes.  Dropping this
-        # containment overcounts pairs with tau = sigma.
-        if not (rook_strip_complement(rect, tau, nu) and contains(tau, lam)):
-            continue
-        for sigma in partitions_fitting(p, q):
-            if contains(tau, sigma) and contains(lam, sigma) and is_rook_strip(lam, sigma):
-                count += _lattice_fillings(SkewShape(tau, sigma), mu)
-    sign = sum(lam) + sum(mu) + sum(nu) - p * q
-    return (-1 if sign % 2 else 1) * count
 
 
 def outbound_table(m: A3OrbitMults) -> TensorElement:

@@ -1,0 +1,460 @@
+"""Reference answers that the tests check the package against.
+
+Nothing here runs in the package.  Each routine is a slow, direct route to
+a number that ``quivergk`` computes another way:
+
+- brute-force tableau combinatorics: skew shapes, set-valued tableaux and
+  their one enumerator ``enumerate_svt``, reading words, rook strips, and
+  the single-class polynomial expansion ``expand_single``;
+- the A3 count routes ``inbound_c`` and ``outbound_d``, signed counts of
+  set-valued tableaux that the closed-form tables of ``oracle_a3`` must
+  equal key by key;
+- classical Littlewood-Richardson numbers, the same tableau count at
+  excess 0;
+- the straightening law at every ascent, the hook-content formula, and
+  rank by Fraction row reduction.
+
+Reference code need not meet the package's input contract: some routines
+check their input with ``normalize`` and ``integers``, others trust it.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Iterator
+
+from quivergk.gamma import TensorElement, basis, straighten
+from quivergk.oracle_a3 import A3OrbitMults
+from quivergk.partitions import Partition, QuiverError, integers, normalize
+
+# ---------------------------------------------------------------------------
+# partitions, set-valued tableaux and their words
+
+
+def conjugate(lam: Partition) -> Partition:
+    """Transpose of the Young diagram of ``lam``, a partition (checked)."""
+    lam = normalize(lam)
+    return tuple(sum(1 for part in lam if part >= j) for j in range(1, lam[0] + 1)) if lam else ()
+
+
+def contains(outer: Partition, inner: Partition) -> bool:
+    """Containment of Young diagrams, inner inside outer."""
+    if len(inner) > len(outer):
+        return False
+    return all(o >= i for o, i in zip(outer, inner))
+
+
+def partitions_fitting(rows: int, cols: int) -> Iterator[Partition]:
+    """All partitions with at most ``rows`` parts, each at most ``cols``.
+
+    Emitted in graded order (by size, then lexicographically) so callers
+    iterating a rectangle get a stable sequence.
+    """
+    rows, cols = integers((rows, cols))
+    if rows < 0 or cols < 0:
+        raise QuiverError(f"negative box {rows} x {cols}")
+
+    def fill(size: int, rows: int, cap: int) -> Iterator[Partition]:
+        # partitions of ``size`` in a rows x cap box, smallest first part first
+        if size == 0:
+            yield ()
+        elif size <= rows * cap:
+            for first in range(1, min(size, cap) + 1):
+                for rest in fill(size - first, rows - 1, first):
+                    yield (first,) + rest
+
+    for size in range(rows * cols + 1):
+        yield from fill(size, rows, cols)
+
+
+@dataclass(frozen=True)
+class SkewShape:
+    """A skew diagram outer/inner; ``inner == ()`` gives a straight shape."""
+
+    outer: Partition
+    inner: Partition = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "outer", normalize(self.outer))
+        object.__setattr__(self, "inner", normalize(self.inner))
+        if not contains(self.outer, self.inner):
+            raise QuiverError(f"inner {self.inner} not contained in outer {self.outer}")
+
+    @property
+    def size(self) -> int:
+        return sum(self.outer) - sum(self.inner)
+
+    def row_bounds(self) -> tuple[tuple[int, int], ...]:
+        """Per row, the half-open column range (start, stop) of its boxes."""
+        inner = self.inner + (0,) * (len(self.outer) - len(self.inner))
+        return tuple(zip(inner, self.outer))
+
+    def boxes(self) -> tuple[tuple[int, int], ...]:
+        """Boxes as (row, col), 1-indexed, in row-major reading order."""
+        out = []
+        for r, (start, stop) in enumerate(self.row_bounds(), start=1):
+            out.extend((r, c) for c in range(start + 1, stop + 1))
+        return tuple(out)
+
+
+def as_shape(shape: SkewShape | Iterable[int]) -> SkewShape:
+    return shape if isinstance(shape, SkewShape) else SkewShape(shape)
+
+
+@dataclass(frozen=True)
+class SetValuedTableau:
+    """A filling of a skew shape by finite non-empty sets of positive ints.
+
+    ``rows[i]`` holds the cells of row i+1 left to right, each cell a
+    sorted tuple.  Semistandardness (row max <= right min, column
+    max < below min) is checked on construction.
+    """
+
+    shape: SkewShape
+    rows: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def __post_init__(self) -> None:
+        bounds = self.shape.row_bounds()
+        if len(self.rows) != len(bounds):
+            raise QuiverError("row count does not match shape")
+        grid: dict[tuple[int, int], tuple[int, ...]] = {}
+        for r, (row, (start, stop)) in enumerate(zip(self.rows, bounds), start=1):
+            if len(row) != stop - start:
+                raise QuiverError(f"row {r} has {len(row)} cells, expected {stop - start}")
+            for k, cell in enumerate(row):
+                if not cell or list(cell) != sorted(set(cell)) or cell[0] < 1:
+                    raise QuiverError(f"bad cell {cell!r}")
+                grid[(r, start + 1 + k)] = cell
+        for (r, c), cell in grid.items():
+            right = grid.get((r, c + 1))
+            if right is not None and cell[-1] > right[0]:
+                raise QuiverError(f"row condition fails at {(r, c)}")
+            below = grid.get((r + 1, c))
+            if below is not None and cell[-1] >= below[0]:
+                raise QuiverError(f"column condition fails at {(r, c)}")
+
+    @property
+    def size(self) -> int:
+        """Total number of entries, multiplicity of sets included."""
+        return sum(len(cell) for row in self.rows for cell in row)
+
+    @property
+    def excess(self) -> int:
+        return self.size - self.shape.size
+
+
+def word(tableau: SetValuedTableau) -> tuple[int, ...]:
+    """Reading word: rows bottom to top, each left to right, sets increasing."""
+    out: list[int] = []
+    for row in reversed(tableau.rows):
+        for cell in row:
+            out.extend(cell)
+    return tuple(out)
+
+
+def u_word(mu: Partition) -> tuple[int, ...]:
+    """The word (l^{mu_l}, ..., 2^{mu_2}, 1^{mu_1}) for a partition mu."""
+    out: list[int] = []
+    for i in range(len(mu), 0, -1):
+        out.extend([i] * mu[i - 1])
+    return tuple(out)
+
+
+def content(w: Iterable[int]) -> tuple[int, ...]:
+    """Occurrence counts of 1, 2, ... in ``w`` (a composition).
+
+    The length is the largest letter appearing; internal zeros are kept.
+    """
+    counts: dict[int, int] = {}
+    top = 0
+    for v in integers(w):
+        if v < 1:
+            raise QuiverError(f"letters must be positive, got {v}")
+        counts[v] = counts.get(v, 0) + 1
+        top = max(top, v)
+    return tuple(counts.get(i, 0) for i in range(1, top + 1))
+
+
+def is_reverse_lattice(w: Iterable[int]) -> bool:
+    """True if every i >= 2 is followed, strictly after it, by more
+    occurrences of i-1 than of i."""
+    counts: dict[int, int] = {}
+    for v in reversed(integers(w)):
+        if v >= 2 and counts.get(v - 1, 0) <= counts.get(v, 0):
+            return False
+        counts[v] = counts.get(v, 0) + 1
+    return True
+
+
+def enumerate_svt(
+    shape: SkewShape | Iterable[int],
+    max_entry: int,
+    max_excess: int,
+) -> Iterator[SetValuedTableau]:
+    """All set-valued tableaux of ``shape`` with entries <= max_entry and
+    excess <= max_excess, boxes filled in row-major order.
+
+    The enumeration is deterministic: boxes row-major, and each box runs
+    through its admissible sets in lexicographic order.
+    """
+    sh = as_shape(shape)
+    boxes = sh.boxes()
+    bounds = sh.row_bounds()
+    max_entry, max_excess = integers((max_entry, max_excess))
+    if max_entry < 0 or max_excess < 0:
+        raise QuiverError("bounds must be non-negative")
+
+    grid: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def admissible_sets(r: int, c: int, budget: int) -> Iterator[tuple[int, ...]]:
+        left = grid.get((r, c - 1))
+        above = grid.get((r - 1, c))
+        lo = 1 if left is None else left[-1]
+        if above is not None:
+            lo = max(lo, above[-1] + 1)
+        pool = range(lo, max_entry + 1)
+        for k in range(1, budget + 2):
+            yield from itertools.combinations(pool, k)
+
+    def rows_from_grid() -> tuple[tuple[tuple[int, ...], ...], ...]:
+        return tuple(
+            tuple(grid[(r, c)] for c in range(start + 1, stop + 1))
+            for r, (start, stop) in enumerate(bounds, start=1)
+        )
+
+    def fill(idx: int, excess: int) -> Iterator[SetValuedTableau]:
+        if idx == len(boxes):
+            yield SetValuedTableau(sh, rows_from_grid())
+            return
+        r, c = boxes[idx]
+        for cell in admissible_sets(r, c, max_excess - excess):
+            grid[(r, c)] = cell
+            yield from fill(idx + 1, excess + len(cell) - 1)
+        grid.pop((r, c), None)
+
+    return fill(0, 0)
+
+
+def expand_single(lam: Partition, num_vars: int, max_deg: int) -> dict[tuple[int, ...], int]:
+    """Truncation of the stable Grothendieck series of ``lam`` in
+    ``num_vars`` variables, up to total degree ``max_deg``.
+
+    Returns a sparse polynomial keyed by exponent vectors of length
+    ``num_vars``; each set-valued tableau T contributes
+    (-1)^(excess) x^(multiset of entries).
+    """
+    lam = normalize(lam)
+    num_vars, max_deg = integers((num_vars, max_deg))
+    if num_vars < 0 or max_deg < 0:
+        raise QuiverError("bounds must be non-negative")
+    out: dict[tuple[int, ...], int] = {}
+    if sum(lam) > max_deg or len(lam) > num_vars:
+        return out
+    for t in enumerate_svt(SkewShape(lam), num_vars, max_deg - sum(lam)):
+        counts = content(word(t))
+        expo = counts + (0,) * (num_vars - len(counts))
+        sign = -1 if t.excess % 2 else 1
+        out[expo] = out.get(expo, 0) + sign
+        if out[expo] == 0:
+            del out[expo]
+    return out
+
+
+def is_rook_strip(outer: Partition, inner: Partition) -> bool:
+    """True if the skew diagram outer/inner has at most one box in every
+    row and every column."""
+    outer = normalize(outer)
+    inner = normalize(inner)
+    if not contains(outer, inner):
+        return False
+
+    def inner_at(i: int) -> int:
+        return inner[i - 1] if i <= len(inner) else 0
+
+    for i in range(1, len(outer) + 1):
+        if outer[i - 1] - inner_at(i) > 1:
+            return False  # two boxes in row i
+        if i >= 2 and outer[i - 1] > inner_at(i - 1):
+            return False  # boxes stacked in one column
+    return True
+
+
+def rook_strip_complement(rect: Partition, placed: Partition, rotated: Partition) -> bool:
+    """Test a rectangle-tiling condition for a pair of partitions.
+
+    ``placed`` sits in the top-left of the rectangle ``rect``; ``rotated``
+    is rotated by 180 degrees into the bottom-right corner.  True when the
+    two diagrams cover the rectangle and their overlap is a rook strip
+    (no two overlap boxes share a row or a column).
+
+    In the p x q rectangle, ``rotated`` leaves uncovered the partition
+    ``rest`` with rest_i = q - rotated_{p+1-i}.  The two diagrams cover
+    the rectangle exactly when ``placed`` contains ``rest``, and their
+    overlap is then the skew diagram placed/rest.
+    """
+    rect = normalize(rect)
+    if rect and len(set(rect)) != 1:
+        raise QuiverError(f"not a rectangle: {rect}")
+    p = len(rect)
+    q = rect[0] if rect else 0
+    placed = normalize(placed)
+    rotated = normalize(rotated)
+    if not contains(rect, placed) or not contains(rect, rotated):
+        return False
+    rest = tuple(q - x for x in reversed(rotated + (0,) * (p - len(rotated))))
+    return is_rook_strip(placed, rest)
+
+
+# ---------------------------------------------------------------------------
+# the A3 count routes
+
+
+def _lattice_fillings(shape: SkewShape, mu: Partition, tail: tuple[int, ...] = ()) -> int:
+    """Set-valued tableaux of ``shape`` whose reading word followed by
+    ``tail`` has content ``mu`` and is a reverse lattice word."""
+    excess = sum(mu) - shape.size - len(tail)
+    if excess < 0:
+        return 0
+    count = 0
+    for t in enumerate_svt(shape, len(mu), excess):
+        w = word(t) + tail
+        if content(w) == mu and is_reverse_lattice(w):
+            count += 1
+    return count
+
+
+def inbound_c(
+    lam: Partition,
+    mu: Partition,
+    nu: Partition,
+    m: A3OrbitMults,
+) -> int:
+    """Coefficient of the reduced key (lam, mu, nu) for an inbound orbit,
+    by a signed tableau count; ``inbound_table`` reaches it by contraction.
+
+    ``mu`` is the middle-slot partition *after* removing the forced
+    rectangle prefix.
+    """
+    lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
+    r1 = (m.m33,) * m.m12
+    r2 = (m.m11,) * m.m23
+    count = 0
+    for sigma in partitions_fitting(m.m12, m.m33):
+        if not rook_strip_complement(r1, sigma, lam):
+            continue
+        for theta in partitions_fitting(m.m23, m.m11):
+            if rook_strip_complement(r2, theta, nu):
+                count += _lattice_fillings(SkewShape(theta), mu, u_word(sigma))
+    sign = sum(lam) + sum(mu) + sum(nu) - m.m33 * m.m12 - m.m11 * m.m23
+    return (-1 if sign % 2 else 1) * count
+
+
+def outbound_d(
+    rect: Partition,
+    lam: Partition,
+    mu: Partition,
+    nu: Partition,
+) -> int:
+    """Coefficient of (lam, mu, nu) in the double coproduct of a rectangle
+    class, by a signed count of skew fillings between two partitions
+    interleaved in the rectangle; ``outbound_table`` reads it from ``coproduct2``."""
+    rect = normalize(rect)
+    if rect and len(set(rect)) != 1:
+        raise QuiverError(f"need a rectangle, got {rect}")
+    lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
+    p = len(rect)
+    q = rect[0] if rect else 0
+    count = 0
+    for tau in partitions_fitting(p, q):
+        # lam must sit inside tau: the rook strip lam/sigma is the part
+        # of lam carried over from the first tensor slot, and it lives
+        # in the subdiagram that tau contributes.  Dropping this
+        # containment overcounts pairs with tau = sigma.
+        if not (rook_strip_complement(rect, tau, nu) and contains(tau, lam)):
+            continue
+        for sigma in partitions_fitting(p, q):
+            if contains(tau, sigma) and contains(lam, sigma) and is_rook_strip(lam, sigma):
+                count += _lattice_fillings(SkewShape(tau, sigma), mu)
+    sign = sum(lam) + sum(mu) + sum(nu) - p * q
+    return (-1 if sign % 2 else 1) * count
+
+
+# ---------------------------------------------------------------------------
+# classical and linear-algebra oracles
+
+
+def classical_lr(lam, mu, nu) -> int:
+    """Littlewood-Richardson number c^nu_{lam,mu}: the set-valued count at
+    excess 0, i.e. the semistandard fillings of nu/lam with content mu
+    whose reading word is reverse lattice."""
+    lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
+    if sum(nu) != sum(lam) + sum(mu) or not contains(nu, lam):
+        return 0
+    return _lattice_fillings(SkewShape(nu, lam), mu)
+
+
+def straightening_law(seq):
+    """Yield each class that the straightening law equates with
+    ``straighten(seq)``: the signed sum of the rewrites at every ascent
+    (not only the leftmost or rightmost), the class without a trailing
+    negative entry, and a partition's own basis class.
+
+    Every rewrite raises one entry and keeps those before it, and the drop
+    shortens the sequence, so each rule refers only to sequences later in
+    the order (-length, sequence); together the rules fix ``straighten``.
+    """
+    if seq and seq[-1] < 0:
+        yield straighten(seq[:-1])
+    elif all(a >= b for a, b in zip(seq, seq[1:])):
+        yield basis(seq)
+    for t in range(len(seq) - 1):
+        p, q = seq[t], seq[t + 1]
+        if p < q:
+            head, rest = seq[:t], seq[t + 2 :]
+            rhs = TensorElement(1)
+            for k in range(p + 1, q + 1):
+                rhs += straighten(head + (q, k) + rest)
+            for k in range(p + 1, q):
+                rhs -= straighten(head + (q - 1, k) + rest)
+            yield rhs
+
+
+def hook_content_count(lam, k) -> int:
+    """Number of semistandard tableaux of straight shape lam with entries
+    <= k, via the hook content formula s_lam(1^k)."""
+    lam = tuple(lam)
+    if len(lam) > k:
+        return 0
+    num = Fraction(1)
+    conj = [sum(1 for p in lam if p > j) for j in range(lam[0] if lam else 0)]
+    for i, row in enumerate(lam):
+        for j in range(row):
+            hook = (row - j) + (conj[j] - i) - 1
+            num *= Fraction(k + j - i, hook)
+    assert num.denominator == 1
+    return int(num)
+
+
+def fraction_rank(mat) -> int:
+    """Rank of an integer matrix by Gaussian elimination over Fraction.
+
+    Kept separate from the library's fraction-free elimination so rank
+    claims are checked by a second, unrelated routine.
+    """
+    m = [[Fraction(x) for x in row] for row in mat]
+    rank = 0
+    cols = len(m[0]) if m else 0
+    for c in range(cols):
+        piv = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = m[rank][c]
+        for r in range(len(m)):
+            if r != rank and m[r][c] != 0:
+                f = m[r][c] / inv
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank

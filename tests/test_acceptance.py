@@ -13,7 +13,7 @@ import random
 import time
 from functools import cache
 
-from conftest import classical_lr, fraction_rank, straightening_law
+from reference import classical_lr, fraction_rank, straightening_law
 from quivergk.engine import (
     CAVEAT_FLAG,
     check_alternating,

@@ -29,7 +29,6 @@ from quivergk.gamma import (
     tensor_mul_at,
 )
 from quivergk.oracle_a3 import A3OrbitMults, inbound_table
-from quivergk.partitions import conjugate, partitions_fitting
 from quivergk.quiver import (
     OrbitSpec,
     Quiver,
@@ -40,6 +39,8 @@ from quivergk.quiver import (
     positive_roots,
 )
 from quivergk.resolution import ResolutionPair, codim, directed_partition_from_blocks, pair_stages
+
+from reference import conjugate, partitions_fitting
 
 
 def a2_orbit(m11, m12, m22):

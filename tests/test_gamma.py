@@ -22,19 +22,22 @@ from quivergk.gamma import (
     straighten,
     tensor_mul_at,
 )
-from quivergk.partitions import (
+from quivergk.partitions import normalize
+
+from conftest import int_seqs, partitions
+from reference import (
+    classical_lr,
     contains,
     content,
     enumerate_svt,
     expand_single,
     is_reverse_lattice,
-    normalize,
     partitions_fitting,
+    rook_strip_complement,
+    straightening_law,
     u_word,
     word,
 )
-
-from conftest import classical_lr, int_seqs, partitions, straightening_law
 
 
 def G(*parts):
@@ -219,6 +222,22 @@ def test_coproduct_rejects_a_float_row_cap_after_its_int_is_cached():
     with pytest.raises(ValueError, match="expected integers"):
         coproduct((2, 1), 2.0)
     assert coproduct.cache_info().currsize > 0  # still a functools memo
+
+
+@pytest.mark.parametrize("p, q", itertools.product(range(5), repeat=2))
+def test_rectangle_coproduct_is_the_rook_strip_rule(p, q):
+    """Buch's closed form for a rectangle R = (q,) * p: G_lam (x) G_mu
+    appears in coproduct(R), with sign (-1)^(|lam|+|mu|-|R|), exactly when
+    lam and mu turned into the far corner cover R and overlap in a rook
+    strip.  Both sides of the ``oracle-a3`` check read these coproducts."""
+    rect = (q,) * p
+    box = list(partitions_fitting(p, q))
+    rule = {
+        (lam, mu): (-1) ** (sum(lam) + sum(mu) - p * q)
+        for lam, mu in itertools.product(box, repeat=2)
+        if rook_strip_complement(rect, lam, mu)
+    }
+    assert coproduct(rect).terms == rule
 
 
 @pytest.mark.parametrize("nu", [*partitions_fitting(3, 3), (4, 4, 2, 1), (4, 4, 4, 1)])

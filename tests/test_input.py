@@ -16,19 +16,22 @@ from quivergk import (
     QuiverRep,
     TensorElement,
     basis,
-    conjugate,
-    content,
     coproduct,
     directed_partition,
-    enumerate_svt,
-    expand_single,
-    is_reverse_lattice,
     mul,
-    partitions_fitting,
     straighten,
     tensor_mul_at,
 )
 from quivergk.oracle_a3 import all_mults
+
+from reference import (
+    conjugate,
+    content,
+    enumerate_svt,
+    expand_single,
+    is_reverse_lattice,
+    partitions_fitting,
+)
 
 # each call once raised TypeError, a bare ValueError, or returned a wrong answer
 BAD_CALLS = {

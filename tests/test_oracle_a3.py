@@ -10,17 +10,17 @@ from quivergk.oracle_a3 import (
     OUTBOUND,
     A3OrbitMults,
     all_mults,
-    inbound_c,
     inbound_table,
     interval_root,
     mults_from_orbit,
-    outbound_d,
     outbound_table,
     porteous,
 )
-from quivergk.partitions import contains, normalize, partitions_fitting
+from quivergk.partitions import normalize
 from quivergk.quiver import QuiverError
 from quivergk.resolution import codim, directed_partition, resolution_pair
+
+from reference import contains, inbound_c, outbound_d, partitions_fitting
 
 
 SAMPLE = [

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivergk.partitions import (
+from quivergk.partitions import normalize
+
+from conftest import partitions
+from reference import (
     SetValuedTableau,
     SkewShape,
     conjugate,
@@ -12,16 +15,14 @@ from quivergk.partitions import (
     content,
     enumerate_svt,
     expand_single,
+    hook_content_count,
     is_reverse_lattice,
     is_rook_strip,
-    normalize,
     partitions_fitting,
     rook_strip_complement,
     u_word,
     word,
 )
-
-from conftest import hook_content_count, partitions
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from quivergk.quiver import (
 from quivergk import quiver
 from quivergk.quiver import _orbit_side, _probe_layout, _solve
 
-from conftest import fraction_rank
+from reference import fraction_rank
 
 A11, A12, A13 = (1, 0, 0), (1, 1, 0), (1, 1, 1)
 A22, A23, A33 = (0, 1, 0), (0, 1, 1), (0, 0, 1)

@@ -37,6 +37,8 @@ def run_script(*argv):
         (["membership_fuzz.py", "-1", "5"], "negative max_dim -1"),
         (["membership_fuzz.py", "2", "-3"], "negative samples -3"),
         (["membership_fuzz.py", "abc"], "invalid literal for int() with base 10: 'abc'"),
+        (["root_census.py", "--max-a", "-1"], "--max-a must be at least 1, got -1"),
+        (["root_census.py", "--max-d", "2"], "--max-d must be at least 4, got 2"),
     ],
     ids=[
         "oracle_sweep.py",
@@ -44,6 +46,8 @@ def run_script(*argv):
         "membership_fuzz.py-max-dim",
         "membership_fuzz.py-samples",
         "membership_fuzz.py-not-an-int",
+        "root_census.py-max-a",
+        "root_census.py-max-d",
     ],
 )
 def test_bad_max_dim_exits_2(argv, error):
