@@ -1,16 +1,17 @@
 """Recursive operator computation of orbit-closure classes.
 
 The class of an orbit closure is expanded in the basis of tensor products
-of stable Grothendieck classes, one tensor slot per vertex.  The
-expansion is driven by the steps of a resolution pair, consumed right to
-left: each step splits off a coproduct along every arrow leaving its
-vertex, then absorbs the working slot through a straightened
-rectangle-shift.  The last split runs fused with the absorption, term by
-term, so its working slot is never stored; within a step each (split,
-working partition) pair is expanded once and each shifted row built once.
-The lowest total degree of the result is the codimension of the orbit
-closure, and for Dynkin type A the table is independent of the chosen
-directed partition.
+of stable Grothendieck classes, one tensor slot per vertex.  The expansion
+is driven by the steps (vertex, rank, rectangle width) that
+``resolution.orbit_steps`` reads off an orbit in one pass, the table's
+pair and codim included.  They are consumed right to left: each step
+splits off a coproduct along every arrow leaving its vertex, then absorbs
+the working slot through a straightened rectangle-shift.  The last split
+runs fused with the absorption, term by term, so its working slot is never
+stored; within a step each (split, working partition) pair is expanded
+once and each shifted row built once.  The lowest total degree of the
+result is the codimension of the orbit closure, and for Dynkin type A the
+table is independent of the chosen directed partition.
 
 A step of rank r keeps only the terms whose working partition has at
 most r rows.  Every partition in a product of stable Grothendieck classes
@@ -41,16 +42,17 @@ from .gamma import (
     straighten,
 )
 from .oracle_a3 import INBOUND, OUTBOUND, inbound_table, mults_from_orbit, outbound_table
-from .partitions import Partition, QuiverError, integers
+from .partitions import Partition, QuiverError, instance, integers
 from .quiver import OrbitSpec, Quiver, orbits, positive_roots
 from .resolution import (
     DirectedPartition,
     ResolutionPair,
     _step_table,
-    codim,  # unused here; kept so the benchmark tracer can wrap engine.codim
+    _walk,
+    codim,  # unused here, as resolution_pair: kept so the benchmark tracer can wrap them
     directed_partition,
-    pair_stages,
-    rectangle_width,
+    orbit_steps,
+    pair_steps,
     resolution_pair,
 )
 
@@ -184,14 +186,9 @@ def phi(p: TensorElement, q: Quiver, stage_e: tuple[int, ...], i: int, r: int) -
     i, r = integers((i, r))
     if p.arity != q.n:
         raise QuiverError(f"tensor arity {p.arity} does not match {q.n} vertices")
-    if not 1 <= i <= q.n:
-        raise QuiverError(f"vertex {i} out of range 1..{q.n}")
     if len(stage_e) != q.n:
         raise QuiverError(f"stage vector {stage_e} does not have {q.n} entries")
-    stage = q.check_vector(stage_e)
-    if not 0 <= r <= stage[i - 1]:
-        raise QuiverError(f"rank {r} is not in 0..{stage[i - 1]} at vertex {i}")
-    return _fold(p, q, [(i, r, rectangle_width(q, stage, i, r))])
+    return _fold(p, q, _walk(q, list(q.check_vector(stage_e)), [(i, r)]))
 
 
 def _fold(p: TensorElement, q: Quiver, steps: list[tuple[int, int, int]]) -> TensorElement:
@@ -215,7 +212,7 @@ def _fold(p: TensorElement, q: Quiver, steps: list[tuple[int, int, int]]) -> Ten
 
 def coefficients(q: Quiver, e: tuple[int, ...], pair: ResolutionPair) -> tuple[TensorElement, int]:
     """Tensor (one slot per vertex) and codim (the steps' sum of r * c) of a resolution pair."""
-    steps = [(v, r, rectangle_width(q, stage, v, r)) for v, r, stage in pair_stages(q, e, pair)]
+    steps = pair_steps(q, e, pair)
     return _fold(TensorElement.unit(q.n), q, steps), sum(r * c for _, r, c in steps)
 
 
@@ -227,28 +224,19 @@ def quiver_coefficients(
 ) -> CoefficientTable:
     """Full expansion of one orbit closure.
 
-    The directed partition defaults to the greedy one on the orbit's
-    support.  For quivers with a D or E component the table is flagged
-    (see ``caveat_for``).  An orbit that uses a vector which is not a
-    positive root of ``q`` raises ``QuiverError`` where the directed
-    partition looks it up in the Euler table of positive roots.
+    The steps come from ``orbit_steps`` in one pass; the directed partition
+    defaults to the greedy one on the orbit's support, and the pair and the
+    codim are read off the same steps.  For quivers with a D or E component
+    the table is flagged (see ``caveat_for``).  An orbit that uses a vector
+    which is not a positive root of ``q`` raises ``QuiverError`` where the
+    pass looks it up in the bitmasks of the positive roots.
     """
-    ev = integers(e)  # pair_stages checks it against q
-    if orbit.dim != ev:
+    ev = q.check_vector(e)
+    if instance(orbit, OrbitSpec).dim != ev:
         raise QuiverError(f"orbit has dim {orbit.dim}, expected {ev}")
-    if dp is None:
-        dp = directed_partition(q, orbit.support)
-    pair = resolution_pair(q, orbit, dp)
-    tensor, cd = coefficients(q, ev, pair)
-    return CoefficientTable(
-        quiver=q,
-        e=ev,
-        tensor=tensor,
-        codim=cd,
-        pair=pair,
-        orbit=orbit,
-        caveat=caveat_for(q),
-    )
+    steps = orbit_steps(q, orbit, dp)
+    tensor, cd = _fold(TensorElement.unit(q.n), q, steps), sum(r * c for _, r, c in steps)
+    return CoefficientTable(q, ev, tensor, cd, ResolutionPair._of(steps), orbit, caveat_for(q))
 
 
 def cohomological_part(table: CoefficientTable) -> TensorElement:

@@ -40,6 +40,13 @@ def sequence(values: Any, length: int | None = None) -> tuple:
     return seq
 
 
+def instance(value: Any, cls: type) -> Any:
+    """``value`` if it is a ``cls``, else QuiverError: the reader of the package's own types."""
+    if not isinstance(value, cls):
+        raise QuiverError(f"expected {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def normalize(parts: Iterable[int]) -> Partition:
     """Canonical form of a partition: trailing zeros stripped.
 

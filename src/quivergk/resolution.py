@@ -7,18 +7,20 @@ one-directional across blocks.  Each block contributes a segment of
 formula in :mod:`quivergk.engine`, and also carry enough information to
 compute the orbit closure's codimension directly.
 
-Pairings are looked up in the Euler table of positive roots that membership
-reads too, so a vector that is not a positive root raises ``QuiverError``.
-Greedy blocks read it once per quiver, as per-root bitmasks (``greedy_block``).
+An orbit's steps come in one pass (``orbit_steps``): its roots are looked up in
+per-quiver bitmasks of the Euler form (a vector that is not a positive root raises
+``QuiverError``), greedy blocks are peeled on them, and each block's weighted root
+sum gives steps walked over a stage vector that runs down from the orbit's dimension
+vector.  ``directed_partition`` shares the peel; ``pair_steps`` and ``codim`` the walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
 
-from .partitions import integers, sequence
+from .partitions import instance, integers, sequence
 from .quiver import (
     OrbitSpec,
     Quiver,
@@ -70,11 +72,11 @@ class ResolutionPair:
             raise QuiverError("ranks must be positive")
 
     @classmethod
-    def _trusted(cls, vertices: tuple[int, ...], ranks: tuple[int, ...]) -> "ResolutionPair":
-        """Wrap the tuples as is: ints, equally long, ranks positive."""
+    def _of(cls, steps: list[tuple[int, int, int]]) -> "ResolutionPair":
+        """The pair of walked steps (v, r, c), as is: v and r ints, r positive."""
         self = object.__new__(cls)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "vertices", tuple(s[0] for s in steps))
+        object.__setattr__(self, "ranks", tuple(s[1] for s in steps))
         return self
 
     def __len__(self) -> int:
@@ -137,25 +139,36 @@ def greedy_block(q: Quiver, roots: Iterable[Vector]) -> tuple[Vector, ...]:
     return blocks[0]
 
 
-def directed_partition(q: Quiver, roots: Iterable[Vector]) -> DirectedPartition:
-    """Greedy directed partition: peel greedy blocks until exhausted.  Each
-    pairs non-negatively with every root left and none of those dominates
-    it, so the output is directed by construction and is not validated."""
-    rest = set(map(integers, sequence(roots)))
-    check_roots(q, rest)
-    todo = sorted(map(_root_masks(q).__getitem__, rest))  # by bit: positive_roots order
-    left = sum(t[0] for t in todo)
-    blocks = []
-    while todo:
+def _weigh(q: Quiver, mults: Sequence[tuple[Vector, int]]) -> list[tuple]:
+    """Each (root, multiplicity) as its ``_root_masks`` entry, the multiplicity appended.
+    The lookup is the root check: a vector that is not a positive root raises QuiverError."""
+    masks = _root_masks(q)
+    try:
+        return [masks[r] + (m,) for r, m in mults]
+    except KeyError:
+        check_roots(q, [r for r, _ in mults])  # names the vector that is not a root
+        raise
+
+
+def _peel(todo: list[tuple]) -> list[list[tuple]]:
+    """The greedy blocks (``greedy_block``) of ``_weigh``'s entries, each in the order given.
+    Each pairs non-negatively with every root left, none of which dominates it: directed."""
+    blocks, left = [], sum([t[0] for t in todo])
+    while left:
         block = [t for t in todo if not t[1] & left]
-        outside = left - sum(t[0] for t in block)
+        outside = left - sum([t[0] for t in block])
         while drop := [t for t in block if t[2] & outside]:
             block = [t for t in block if not t[2] & outside]
-            outside += sum(t[0] for t in drop)
-        blocks.append(tuple(t[3] for t in block))
-        left = outside
-        todo = [t for t in todo if t[0] & left]
-    return DirectedPartition._trusted(tuple(blocks))
+            outside += sum([t[0] for t in drop])
+        blocks.append(block)
+        left, todo = outside, [t for t in todo if t[0] & outside]
+    return blocks
+
+
+def directed_partition(q: Quiver, roots: Iterable[Vector]) -> DirectedPartition:
+    """Greedy directed partition: peel greedy blocks until exhausted."""
+    todo = sorted(_weigh(q, [(r, 1) for r in set(map(integers, sequence(roots)))]))
+    return DirectedPartition._trusted(tuple(tuple(t[3] for t in blk) for blk in _peel(todo)))
 
 
 @cache
@@ -170,53 +183,60 @@ def _step_table(q: Quiver) -> tuple[tuple[int, ...], tuple[Vector, ...], tuple[V
     return order, tails, heads
 
 
-def resolution_pair(q: Quiver, orbit: OrbitSpec, dp: DirectedPartition) -> ResolutionPair:
-    """Steps of the resolution attached to an orbit and a directed partition.
-
-    Every block contributes its weighted root sum p = sum of m_alpha alpha;
-    the vertices carrying a non-zero coordinate are listed in topological
-    order (``_step_table``) with p as their ranks.  Roots of the partition
-    outside the orbit's support weigh zero and add nothing.
-    """
-    mult, roots = dict(orbit.mults), dp.roots
-    if mult.keys() - set(roots):
-        raise QuiverError("directed partition misses roots of the orbit")
-    check_roots(q, roots)
-    order = _step_table(q)[0]
-    steps = []
-    for blk in dp.blocks:
-        p = [0] * q.n
-        for root in blk:
-            if m := mult.get(root):
-                p = [x + m * y for x, y in zip(p, root)]
-        steps += [(v, p[v - 1]) for v in order if p[v - 1]]
-    return ResolutionPair._trusted(tuple(v for v, _ in steps), tuple(r for _, r in steps))
-
-
-def pair_stages(
-    q: Quiver, e: Iterable[int], pair: ResolutionPair
-) -> Iterator[tuple[int, int, Vector]]:
-    """Walk the steps of ``pair`` left to right over the dimension vector
-    ``e``: yield each step's vertex v, rank r and the stage vector it acts
-    on, then take r away at v.
-
-    Raises QuiverError when v is not a vertex of ``q`` or r exceeds the
-    stage dimension at v.
-    """
-    cur = list(q.check_vector(e))
-    for v, r in pair.steps():
+def _walk(q: Quiver, cur: list[int], steps: Iterable[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """Steps (v, r) as (v, r, c), left to right over the stage vector ``cur``, which loses r at v
+    after each: c is the width of the r x c rectangle the step prepends, the rank of the arrows
+    into v less s_v - r.  A v outside 1..n or an r outside 0..s_v raises QuiverError."""
+    tails, out = _step_table(q)[1], []
+    for v, r in steps:
         if not 1 <= v <= q.n:
             raise QuiverError(f"step vertex {v} out of range 1..{q.n}")
-        if r > cur[v - 1]:
-            raise QuiverError(f"rank {r} exceeds stage dimension {cur[v - 1]} at vertex {v}")
-        yield v, r, tuple(cur)
+        if not 0 <= r <= cur[v - 1]:
+            raise QuiverError(f"rank {r} is not in 0..{cur[v - 1]} at vertex {v}")
+        out.append((v, r, sum([cur[t - 1] for t in tails[v]]) - cur[v - 1] + r))
         cur[v - 1] -= r
+    return out
 
 
-def rectangle_width(q: Quiver, stage: Vector, v: int, r: int) -> int:
-    """Width c of the r x c rectangle that step (v, r) over stage vector
-    ``stage`` prepends: the rank of the arrows into v, less s_v - r."""
-    return sum([stage[t - 1] for t in _step_table(q)[1][v]]) - stage[v - 1] + r
+def orbit_steps(q: Quiver, orbit: OrbitSpec, dp: DirectedPartition | None = None) -> list[tuple]:
+    """The steps (v, r, c) of the resolution of an orbit and a directed partition, by default
+    the greedy one of its support, in one pass: each block's weighted root sum p = sum of
+    m_alpha alpha gives the vertices with p_v != 0 in topological order, ranks p_v, walked
+    down from ``orbit.dim``.  Roots of ``dp`` outside the support weigh zero."""
+    mults, order = instance(orbit, OrbitSpec).mults, _step_table(q)[0]
+    if dp is None:
+        blocks = _peel(_weigh(q, mults))
+    else:
+        mult = dict(mults)
+        if mult.keys() - set(instance(dp, DirectedPartition).roots):
+            raise QuiverError("directed partition misses roots of the orbit")
+        blocks = [_weigh(q, [(r, mult.get(r, 0)) for r in blk]) for blk in dp.blocks]
+    steps = []
+    for blk in blocks:
+        p = [0] * q.n
+        for t in blk:
+            p = [x + t[4] * y for x, y in zip(p, t[3])]
+        steps += [(v, p[v - 1]) for v in order if p[v - 1]]
+    return _walk(q, list(orbit.dim), steps)
+
+
+def resolution_pair(q: Quiver, orbit: OrbitSpec, dp: DirectedPartition) -> ResolutionPair:
+    """The (vertex, rank) steps of ``orbit_steps(q, orbit, dp)``."""
+    return ResolutionPair._of(orbit_steps(q, orbit, instance(dp, DirectedPartition)))
+
+
+def pair_steps(q: Quiver, e: Iterable[int], pair: ResolutionPair) -> list[tuple[int, int, int]]:
+    """The steps (v, r, c) of ``pair`` walked over the dimension vector ``e``."""
+    return _walk(q, list(q.check_vector(e)), instance(pair, ResolutionPair).steps())
+
+
+def pair_stages(q: Quiver, e: Iterable[int], pair: ResolutionPair) -> list[tuple[int, int, Vector]]:
+    """Each step's vertex v, rank r and the stage vector it acts on, walked as by ``pair_steps``."""
+    cur, stages = list(q.check_vector(e)), []
+    for v, r, _ in pair_steps(q, e, pair):
+        stages.append((v, r, tuple(cur)))
+        cur[v - 1] -= r
+    return stages
 
 
 def codim(q: Quiver, e: Iterable[int], pair: ResolutionPair) -> int:
@@ -227,4 +247,4 @@ def codim(q: Quiver, e: Iterable[int], pair: ResolutionPair) -> int:
     for r * rank(M_v) zero-locus equations, with stages consumed left to
     right; the difference is the area r * c of the rectangle it prepends.
     """
-    return sum(r * rectangle_width(q, stage, v, r) for v, r, stage in pair_stages(q, e, pair))
+    return sum(r * c for _, r, c in pair_steps(q, e, pair))

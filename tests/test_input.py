@@ -1,7 +1,9 @@
 """The package's one input boundary: every public layer reads exact
 integer input through ``partitions.integers`` (nested input through
-``partitions.sequence``) and rejects bad input with the one
-``QuiverError``, a ``ValueError``."""
+``partitions.sequence``, the package's own types through
+``partitions.instance``) and rejects bad input with the one
+``QuiverError``, a ``ValueError``.  The reference layer's input checks
+are tested beside it, in ``test_partitions.py``."""
 
 import pytest
 
@@ -14,24 +16,25 @@ from quivergk import (
     Quiver,
     QuiverError,
     QuiverRep,
+    ResolutionPair,
     TensorElement,
     basis,
+    codim,
+    coefficients,
     coproduct,
     directed_partition,
     mul,
+    quiver_coefficients,
+    resolution_pair,
     straighten,
     tensor_mul_at,
 )
 from quivergk.oracle_a3 import all_mults
+from quivergk.resolution import pair_stages
 
-from reference import (
-    conjugate,
-    content,
-    enumerate_svt,
-    expand_single,
-    is_reverse_lattice,
-    partitions_fitting,
-)
+ORBIT = OrbitSpec((1, 1, 1), (((1, 1, 1), 1),))
+BLOCKS = (((1, 1, 1),),)
+PAIR = ResolutionPair((1, 2, 3), (1, 1, 1))
 
 # each call once raised TypeError, a bare ValueError, or returned a wrong answer
 BAD_CALLS = {
@@ -44,16 +47,8 @@ BAD_CALLS = {
     "blocks not a sequence": lambda: DirectedPartition(5),
     "roots not a sequence": lambda: directed_partition(INBOUND, 5),
     "float root": lambda: directed_partition(A2, ((1.0, 1),)),
-    "negative box rows": lambda: list(partitions_fitting(-1, 2)),
-    "negative box columns": lambda: list(partitions_fitting(2, -1)),
-    "negative variable count": lambda: expand_single((1,), -1, 2),
-    "negative degree": lambda: expand_single((1,), 1, -1),
-    "conjugate of an increasing sequence": lambda: conjugate((1, 2)),
     "negative max_dim": lambda: all_mults(-1),
     "float max_dim": lambda: all_mults(1.5),
-    "float letter": lambda: content([1.5]),
-    "string letter": lambda: is_reverse_lattice(["a"]),
-    "shape not a sequence": lambda: enumerate_svt(5, 1, 0),
     "mul on arity 2": lambda: mul(TensorElement(2), basis((1,))),
     "negative max_rows": lambda: coproduct((1,), -1),
     "key not a partition": lambda: TensorElement(1, {((1, 2),): 1}),
@@ -61,6 +56,16 @@ BAD_CALLS = {
     "straighten letters": lambda: straighten("ab"),
     "slot 0": lambda: tensor_mul_at(TensorElement.unit(2), 0, basis((1,))),
     "arity mismatch": lambda: TensorElement.unit(1) + TensorElement.unit(2),
+    # each of these once raised AttributeError, or checked nothing until the first next()
+    "orbit not an OrbitSpec": lambda: quiver_coefficients(INBOUND, (1, 1, 1), ((1, 1, 1),)),
+    "partition not a DirectedPartition": lambda: quiver_coefficients(INBOUND, (1, 1, 1), ORBIT, BLOCKS),
+    "pair of coefficients not a ResolutionPair": lambda: coefficients(INBOUND, (1, 1, 1), ((2,), (1,))),
+    "pair of codim not a ResolutionPair": lambda: codim(INBOUND, (1, 1, 1), ((2,), (1,))),
+    "partition of resolution_pair not a DirectedPartition": lambda: resolution_pair(INBOUND, ORBIT, BLOCKS),
+    "orbit of resolution_pair not an OrbitSpec": lambda: resolution_pair(
+        INBOUND, ((1, 1, 1),), DirectedPartition(BLOCKS)
+    ),
+    "stages over a short dimension vector": lambda: pair_stages(INBOUND, (1, 1), PAIR),
 }
 
 

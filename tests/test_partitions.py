@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivergk.partitions import normalize
+from quivergk.partitions import QuiverError, normalize
 
 from conftest import partitions
 from reference import (
@@ -52,6 +52,26 @@ def test_normalize_rejects_non_integers(bad):
 def test_normalize_reads_booleans_as_integers():
     assert normalize((2, True, False)) == (2, 1)
     assert all(type(part) is int for part in normalize((True,)))
+
+
+# the reference layer's own input checks: each once raised TypeError, a bare ValueError,
+# or returned a wrong answer
+REFERENCE_BAD_CALLS = {
+    "negative box rows": lambda: list(partitions_fitting(-1, 2)),
+    "negative box columns": lambda: list(partitions_fitting(2, -1)),
+    "negative variable count": lambda: expand_single((1,), -1, 2),
+    "negative degree": lambda: expand_single((1,), 1, -1),
+    "conjugate of an increasing sequence": lambda: conjugate((1, 2)),
+    "float letter": lambda: content([1.5]),
+    "string letter": lambda: is_reverse_lattice(["a"]),
+    "shape not a sequence": lambda: enumerate_svt(5, 1, 0),
+}
+
+
+@pytest.mark.parametrize("call", REFERENCE_BAD_CALLS.values(), ids=REFERENCE_BAD_CALLS)
+def test_reference_bad_input_raises_quiver_error(call):
+    with pytest.raises(QuiverError):
+        call()
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from quivergk.engine import coefficients, quiver_coefficients
 from quivergk.quiver import (
     OrbitSpec,
     Quiver,
@@ -23,7 +24,7 @@ from quivergk.resolution import (
     directed_partition_from_blocks,
     greedy_block,
     pair_stages,
-    rectangle_width,
+    pair_steps,
     resolution_pair,
     validate_directed,
 )
@@ -252,6 +253,47 @@ def test_bitmask_partition_matches_the_set_based_one_on_orbit_supports(q, max_di
         validate_directed(q, dp)
 
 
+def _reference_pair(q, orbit, blocks):
+    """The pair of ``blocks`` as the resolution is defined: per block the
+    weighted root sum p, then the vertices with p_v != 0 by (source_rank, v)."""
+    order = sorted(range(1, q.n + 1), key=lambda v: (source_rank(q)[v - 1], v))
+    steps = []
+    for blk in blocks:
+        p = [sum(orbit.mult_of(a) * a[j] for a in blk) for j in range(q.n)]
+        steps += [(v, p[v - 1]) for v in order if p[v - 1]]
+    return ResolutionPair(tuple(v for v, _ in steps), tuple(r for _, r in steps))
+
+
+@pytest.mark.parametrize(
+    "q, max_dim, given",
+    [
+        (A3_IN, 3, False),
+        (A3_OUT, 3, False),
+        (D4_IN, 2, False),
+        (D4_OUT, 2, False),
+        (D4_MIXED, 2, False),
+        (E6, 1, False),
+        (E7, 1, False),
+        (A3_IN, 2, True),
+        (A3_OUT, 2, True),
+        (D4_IN, 1, True),
+    ],
+    ids=["A3-in", "A3-out", "D4-in", "D4-out", "D4-mixed", "E6", "E7", "A3-in-dp", "A3-out-dp", "D4-in-dp"],
+)
+def test_one_pass_pair_is_the_reference_partitions_pair(q, max_dim, given):
+    """The engine's one pass gives each orbit the pair of the set-based greedy
+    partition of its support (with ``given``, of all positive roots, passed as
+    ``dp``), and ``coefficients`` on that pair gives the same tensor and codim."""
+    every = directed_partition(q, positive_roots(q)) if given else None
+    for e in itertools.product(range(max_dim + 1), repeat=q.n):
+        for orb in orbits(q, e):
+            table = quiver_coefficients(q, e, orb, every)
+            blocks = _set_based_partition(q, positive_roots(q) if given else orb.support)
+            want = resolution_pair(q, orb, DirectedPartition(blocks))
+            assert table.pair == want == _reference_pair(q, orb, blocks), orb
+            assert coefficients(q, e, table.pair) == (table.tensor, table.codim), orb
+
+
 def test_bitmask_partition_matches_the_set_based_one_on_random_e8_subsets():
     roots = positive_roots(E8)
     rng = random.Random(20260)
@@ -375,19 +417,16 @@ def test_step_tables_give_the_old_widths_and_pairs():
     the width read from the per-quiver tails is incoming_rank - s_v + r,
     and the pair is the block sums in (source_rank, vertex) order."""
     for q, top in ((D4_IN, 2), (D4_OUT, 2), (D4_MIXED, 2), (E6, 1)):
-        order = sorted(range(1, q.n + 1), key=lambda v: (source_rank(q)[v - 1], v))
         every = directed_partition(q, positive_roots(q))
         for e in itertools.product(range(top + 1), repeat=q.n):
             for orb in orbits(q, e):
                 for dp in (directed_partition(q, orb.support), every):
                     pair = resolution_pair(q, orb, dp)
-                    steps = []
-                    for blk in dp.blocks:
-                        p = [sum(orb.mult_of(a) * a[j] for a in blk) for j in range(q.n)]
-                        steps += [(v, p[v - 1]) for v in order if p[v - 1]]
-                    assert pair.steps() == tuple(steps), (q, orb)
-                    for v, r, s in pair_stages(q, e, pair):
-                        assert rectangle_width(q, s, v, r) == incoming_rank(q, s, v) - s[v - 1] + r
+                    assert pair == _reference_pair(q, orb, dp.blocks), (q, orb)
+                    stages = pair_stages(q, e, pair)
+                    assert [(v, r) for v, r, _ in stages] == list(pair.steps())
+                    for (v, r, s), (_, _, c) in zip(stages, pair_steps(q, e, pair), strict=True):
+                        assert c == incoming_rank(q, s, v) - s[v - 1] + r
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ def run_script(*argv):
         (["membership_fuzz.py", "abc"], "invalid literal for int() with base 10: 'abc'"),
         (["root_census.py", "--max-a", "-1"], "--max-a must be at least 1, got -1"),
         (["root_census.py", "--max-d", "2"], "--max-d must be at least 4, got 2"),
+        (["bench_pairs.py", "no-such-revision"], "unknown revision no-such-revision"),
     ],
     ids=[
         "oracle_sweep.py",
@@ -48,6 +49,7 @@ def run_script(*argv):
         "membership_fuzz.py-not-an-int",
         "root_census.py-max-a",
         "root_census.py-max-d",
+        "bench_pairs.py-revision",
     ],
 )
 def test_bad_max_dim_exits_2(argv, error):
