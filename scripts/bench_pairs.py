@@ -107,6 +107,15 @@ def main():
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC", help="the claimed gain, for the record")
     args = parser.parse_args()
 
+    better = {
+        m["name"]: (lambda a, b: a > b) if m["better"] == "higher" else (lambda a, b: a < b)
+        for m in spec["end_to_end"]
+    }
+    claim = dict(zip(("workload", "metric"), args.claim.split(":", 1))) if args.claim else None
+    if claim and (claim["workload"] not in workloads or claim.get("metric") not in better):
+        print(f"error: --claim {args.claim} is not a workload and an end-to-end metric of "
+              "BENCHMARK.json, as WORKLOAD:METRIC", file=sys.stderr)
+        return 2
     sha = git("rev-parse", "--verify", "--quiet", f"{args.rev}^{{commit}}")
     if sha is None:
         print(f"error: unknown revision {args.rev}", file=sys.stderr)
@@ -115,10 +124,6 @@ def main():
         print(f"error: --pairs must be at least 1, got {args.pairs}", file=sys.stderr)
         return 2
     chosen = args.workload or workloads
-    better = {
-        m["name"]: (lambda a, b: a > b) if m["better"] == "higher" else (lambda a, b: a < b)
-        for m in spec["end_to_end"]
-    }
     runs = {w: {side: {} for side in ("parent", "change", "parent_net", "change_net")} for w in chosen}
     correct = True
     with tempfile.TemporaryDirectory() as tmp:
@@ -145,7 +150,6 @@ def main():
             net = summary(sides["parent_net"][key], sides["change_net"][key], better[key])
             row.update({f"{k}_net": v for k, v in net.items()})
             medians[w][key] = row
-    claim = dict(zip(("workload", "metric"), args.claim.split(":", 1))) if args.claim else None
     record = {
         "change": args.note,
         "command": "python3 perfbench/run.py --workload W",

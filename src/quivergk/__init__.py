@@ -36,14 +36,12 @@ from .gamma import (
     tensor_mul_at,
 )
 from .oracle_a3 import (
-    A2,
     A3OrbitMults,
     INBOUND,
     OUTBOUND,
     inbound_table,
     mults_from_orbit,
     outbound_table,
-    porteous,
 )
 from .partitions import Partition, normalize
 from .quiver import (
@@ -83,9 +81,9 @@ def clear_caches() -> None:
     """Empty every memo of the package: the ``functools.cache`` tables of
     all its modules (structure constants, coproducts, positive roots, the
     Euler form on pairs of roots and its bitmasks, the indecomposables, their
-    layouts, each orbit's checked roots, hom column and probes, topological
-    ranks, the step tables of ``resolution._step_table``, caveats) and the
-    straightening memo."""
+    layouts, each orbit's checked roots, hom column and probes, the step
+    tables of ``resolution._step_table``, caveats) and the straightening
+    memo."""
     for module in (engine, gamma, oracle_a3, partitions, quiver, resolution):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):

@@ -92,10 +92,7 @@ def psi(p: TensorElement, i: int, max_rows: int | None = None) -> TensorElement:
     rows: a term past the bound here would stay past it in every later
     ``psi`` and be dropped by ``a_op`` anyway.
     """
-    if max_rows is None:
-        max_rows = sys.maxsize
-    if type(i) is not int or type(max_rows) is not int:  # plain ints skip the call, as in a_op
-        i, max_rows = integers((i, max_rows))
+    i, max_rows = integers((i, sys.maxsize if max_rows is None else max_rows))
     if not 1 <= i < p.arity:
         raise QuiverError(f"psi slot {i} out of range for arity {p.arity}")
     if max_rows < 0:
@@ -127,8 +124,7 @@ def a_op(p: TensorElement, i: int, r: int, c: int) -> TensorElement:
     others prepend (c + nu_1, ..., c + nu_r) to slot ``i``; only sequences
     with an ascent need straightening.  The arity drops by one.
     """
-    if type(i) is not int or type(r) is not int or type(c) is not int:  # plain ints skip the call
-        i, r, c = integers((i, r, c))
+    i, r, c = integers((i, r, c))
     if not 1 <= i < p.arity:
         raise QuiverError(f"a_op slot {i} out of range for arity {p.arity}")
     if r < 0:
@@ -186,8 +182,6 @@ def phi(p: TensorElement, q: Quiver, stage_e: tuple[int, ...], i: int, r: int) -
     i, r = integers((i, r))
     if p.arity != q.n:
         raise QuiverError(f"tensor arity {p.arity} does not match {q.n} vertices")
-    if len(stage_e) != q.n:
-        raise QuiverError(f"stage vector {stage_e} does not have {q.n} entries")
     return _fold(p, q, _walk(q, list(q.check_vector(stage_e)), [(i, r)]))
 
 
@@ -341,7 +335,7 @@ def sweep(q: Quiver, max_dim: int, suite: str) -> Iterator[tuple[CoefficientTabl
     (max_dim,) = integers((max_dim,))
     if max_dim < 0:
         raise QuiverError(f"negative max_dim {max_dim}")
-    if suite not in SUITES:
+    if not isinstance(suite, str) or suite not in SUITES:
         raise QuiverError(f"unknown suite {suite!r}")
     setup, check = SUITES[suite]
     context = setup(q)

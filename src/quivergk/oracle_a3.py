@@ -23,11 +23,11 @@ from .quiver import OrbitSpec, Quiver, QuiverError
 
 INBOUND = Quiver(3, ((1, 2), (3, 2)))
 OUTBOUND = Quiver(3, ((2, 1), (2, 3)))
-A2 = Quiver(2, ((1, 2),))
 
 
 def interval_root(i: int, j: int) -> tuple[int, int, int]:
     """The A3 positive root supported on vertices i..j."""
+    i, j = integers((i, j))
     if not 1 <= i <= j <= 3:
         raise QuiverError(f"bad interval ({i},{j})")
     return tuple(1 if i <= p <= j else 0 for p in (1, 2, 3))
@@ -101,20 +101,6 @@ def all_mults(max_dim: int) -> list[A3OrbitMults]:
 
 def _rectangle(width: int, rows: int) -> Partition:
     return normalize((width,) * rows)
-
-
-# ---------------------------------------------------------------------------
-# the A2 closed form
-
-
-def porteous(e1: int, e2: int, r: int) -> TensorElement:
-    """Expansion of the rank <= r locus of e2 x e1 matrices: a single
-    rectangle term of e2 - r rows and width e1 - r in the second slot."""
-    e1, e2, r = integers((e1, e2, r))
-    if not 0 <= r <= min(e1, e2):
-        raise QuiverError(f"rank {r} out of range for {(e1, e2)}")
-    key = ((), _rectangle(e1 - r, e2 - r))
-    return TensorElement(2, {key: 1})
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ class Quiver:
             if len(arrow) != 2 or not all(1 <= v <= self.n for v in arrow):
                 raise QuiverError(f"arrow {arrow} is not a pair in 1..{self.n}")
         object.__setattr__(self, "_hash", hash((self.n, self.arrows)))
-        source_rank(self)
+        source_rank(self)  # raises on a directed cycle
 
     def __hash__(self) -> int:  # every cache keyed on a quiver hashes it
         return self._hash
@@ -79,13 +79,12 @@ def tits_form(q: Quiver, d: Iterable[int]) -> int:
 
 def incoming_rank(q: Quiver, e: Iterable[int], i: int) -> int:
     """Dimension of the source sum of all arrows into vertex i."""
-    ev = integers(e)
+    ev, (i,) = integers(e), integers((i,))
     if len(ev) != q.n or not 1 <= i <= q.n:
         raise QuiverError(f"vector {ev} or vertex {i} does not fit n={q.n}")
     return sum(ev[t - 1] for t, h in q.arrows if h == i)
 
 
-@cache
 def source_rank(q: Quiver) -> Vector:
     """Longest-path distance from the sources, per vertex (a topological rank).
 

@@ -44,13 +44,6 @@ class DirectedPartition:
         blocks = (sorted(blk, key=lambda d: (sum(d), d)) for blk in blocks)
         object.__setattr__(self, "blocks", tuple(map(tuple, blocks)))
 
-    @classmethod
-    def _trusted(cls, blocks: tuple[tuple[Vector, ...], ...]) -> "DirectedPartition":
-        """Wrap ``blocks`` as is: tuples of roots, each block in (sum, d) order."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "blocks", blocks)
-        return self
-
     @property
     def roots(self) -> tuple[Vector, ...]:
         return tuple(r for blk in self.blocks for r in blk)
@@ -78,9 +71,6 @@ class ResolutionPair:
         object.__setattr__(self, "vertices", tuple(s[0] for s in steps))
         object.__setattr__(self, "ranks", tuple(s[1] for s in steps))
         return self
-
-    def __len__(self) -> int:
-        return len(self.vertices)
 
     def steps(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self.vertices, self.ranks))
@@ -168,7 +158,7 @@ def _peel(todo: list[tuple]) -> list[list[tuple]]:
 def directed_partition(q: Quiver, roots: Iterable[Vector]) -> DirectedPartition:
     """Greedy directed partition: peel greedy blocks until exhausted."""
     todo = sorted(_weigh(q, [(r, 1) for r in set(map(integers, sequence(roots)))]))
-    return DirectedPartition._trusted(tuple(tuple(t[3] for t in blk) for blk in _peel(todo)))
+    return DirectedPartition(tuple(tuple(t[3] for t in blk) for blk in _peel(todo)))
 
 
 @cache
@@ -228,15 +218,6 @@ def resolution_pair(q: Quiver, orbit: OrbitSpec, dp: DirectedPartition) -> Resol
 def pair_steps(q: Quiver, e: Iterable[int], pair: ResolutionPair) -> list[tuple[int, int, int]]:
     """The steps (v, r, c) of ``pair`` walked over the dimension vector ``e``."""
     return _walk(q, list(q.check_vector(e)), instance(pair, ResolutionPair).steps())
-
-
-def pair_stages(q: Quiver, e: Iterable[int], pair: ResolutionPair) -> list[tuple[int, int, Vector]]:
-    """Each step's vertex v, rank r and the stage vector it acts on, walked as by ``pair_steps``."""
-    cur, stages = list(q.check_vector(e)), []
-    for v, r, _ in pair_steps(q, e, pair):
-        stages.append((v, r, tuple(cur)))
-        cur[v - 1] -= r
-    return stages
 
 
 def codim(q: Quiver, e: Iterable[int], pair: ResolutionPair) -> int:

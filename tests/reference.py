@@ -9,6 +9,10 @@ a number that ``quivergk`` computes another way:
 - the A3 count routes ``inbound_c`` and ``outbound_d``, signed counts of
   set-valued tableaux that the closed-form tables of ``oracle_a3`` must
   equal key by key;
+- the A2 closed form ``porteous``: a rank stratum of two vertices is one
+  rectangle class;
+- ``pair_stages``, the stage vector each step of a resolution pair acts
+  on, for ``engine.phi``;
 - classical Littlewood-Richardson numbers, the same tableau count at
   excess 0;
 - the straightening law at every ascent, the hook-content formula, and
@@ -28,6 +32,10 @@ from typing import Iterable, Iterator
 from quivergk.gamma import TensorElement, basis, straighten
 from quivergk.oracle_a3 import A3OrbitMults
 from quivergk.partitions import Partition, QuiverError, integers, normalize
+from quivergk.quiver import Quiver
+from quivergk.resolution import ResolutionPair, pair_steps
+
+A2 = Quiver(2, ((1, 2),))
 
 # ---------------------------------------------------------------------------
 # partitions, set-valued tableaux and their words
@@ -379,6 +387,28 @@ def outbound_d(
                 count += _lattice_fillings(SkewShape(tau, sigma), mu)
     sign = sum(lam) + sum(mu) + sum(nu) - p * q
     return (-1 if sign % 2 else 1) * count
+
+
+# ---------------------------------------------------------------------------
+# the A2 closed form and the stages of a resolution pair
+
+
+def porteous(e1: int, e2: int, r: int) -> TensorElement:
+    """Expansion of the rank <= r locus of e2 x e1 matrices: a single
+    rectangle term of e2 - r rows and width e1 - r in the second slot."""
+    e1, e2, r = integers((e1, e2, r))
+    if not 0 <= r <= min(e1, e2):
+        raise QuiverError(f"rank {r} out of range for {(e1, e2)}")
+    return TensorElement(2, {((), normalize((e1 - r,) * (e2 - r))): 1})
+
+
+def pair_stages(q: Quiver, e: Iterable[int], pair: ResolutionPair) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Each step's vertex v, rank r and the stage vector it acts on, walked as by ``pair_steps``."""
+    cur, stages = list(q.check_vector(e)), []
+    for v, r, _ in pair_steps(q, e, pair):
+        stages.append((v, r, tuple(cur)))
+        cur[v - 1] -= r
+    return stages
 
 
 # ---------------------------------------------------------------------------

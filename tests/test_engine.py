@@ -38,9 +38,9 @@ from quivergk.quiver import (
     orbits,
     positive_roots,
 )
-from quivergk.resolution import ResolutionPair, codim, directed_partition_from_blocks, pair_stages
+from quivergk.resolution import ResolutionPair, codim, directed_partition_from_blocks
 
-from reference import conjugate, partitions_fitting
+from reference import conjugate, pair_stages, partitions_fitting
 
 
 def a2_orbit(m11, m12, m22):
@@ -137,7 +137,7 @@ def test_a_op_passes_partitions_through(monkeypatch):
 
 
 def test_phi_rejects_a_stage_vector_of_the_wrong_length(inbound):
-    with pytest.raises(QuiverError, match="entries"):
+    with pytest.raises(QuiverError, match="bad dimension vector"):
         phi(TensorElement.unit(3), inbound, (1, 1), 2, 1)
 
 
@@ -185,16 +185,17 @@ def test_operators_reject_non_integer_arguments(call):
 
 
 def test_operators_check_their_arguments_once_per_call(monkeypatch):
-    # plain ints pass without a conversion; anything else (True here)
-    # is converted once per call, not once per term
+    # the arguments, plain ints or not (True here), are converted once
+    # per call, not once per term
     p = TensorElement(3, {((k,), (), (j,)): 1 for k in range(4) for j in range(2)})
     want = psi(p, 1, 2), a_op(p, 1, 2, 1)
     seen = []
     convert = engine.integers
     monkeypatch.setattr(engine, "integers", lambda v: seen.append(v) or convert(v))
-    assert (psi(p, 1, 2), a_op(p, 1, 2, 1)) == want and seen == []
+    assert (psi(p, 1, 2), a_op(p, 1, 2, 1)) == want
+    assert seen == [(1, 2), (1, 2, 1)]
     assert (psi(p, True, 2), a_op(p, True, 2, True)) == want
-    assert seen == [(True, 2), (True, 2, True)]
+    assert seen[2:] == [(True, 2), (True, 2, True)]
 
 
 @pytest.mark.parametrize(
@@ -644,9 +645,11 @@ def test_sweep_yields_greedy_tables_in_order(inbound):
 
 
 def test_sweep_rejects_unknown_suite(a2):
-    # the CLI narrows --suite to the SUITES names; a library caller may not
-    with pytest.raises(QuiverError, match="unknown suite"):
-        next(sweep(a2, 1, "nope"))
+    # the CLI narrows --suite to the SUITES names; a library caller may not,
+    # and a suite that is not a str (unhashable here) is unknown too
+    for suite in ("nope", ["signs"]):
+        with pytest.raises(QuiverError, match="unknown suite"):
+            next(sweep(a2, 1, suite))
 
 
 @pytest.mark.parametrize("max_dim", [1.5, 2.0, "2", None])

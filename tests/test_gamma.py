@@ -316,13 +316,25 @@ def test_coproduct_rejects_negative_row_cap():
         coproduct((1,), -1)
 
 
-def test_clear_caches_empties_every_memo():
-    """One call empties each functools memo of every package module and
-    the straightening memo."""
+def _package_memos():
+    """Every functools memo of every package module."""
     import importlib
     import pkgutil
 
     import quivergk
+
+    memos = []
+    for info in pkgutil.iter_modules(quivergk.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"quivergk.{info.name}")
+        memos += [obj for obj in vars(module).values() if hasattr(obj, "cache_info")]
+    return memos
+
+
+def test_clear_caches_empties_every_memo():
+    """One call empties each functools memo of every package module and
+    the straightening memo."""
     from quivergk import in_orbit_closure, orbit_rep, orbits, quiver_coefficients, Quiver
 
     q = Quiver(3, ((1, 2), (3, 2)))
@@ -332,16 +344,23 @@ def test_clear_caches_empties_every_memo():
     coproduct_coeff((1,), (1,), (1,))
     coproduct2((2, 1))
     straighten((1, 2))  # the A3 tables above may need no straightening
-    memos = []
-    for info in pkgutil.iter_modules(quivergk.__path__):
-        if info.name == "__main__":
-            continue
-        module = importlib.import_module(f"quivergk.{info.name}")
-        memos += [obj for obj in vars(module).values() if hasattr(obj, "cache_info")]
+    memos = _package_memos()
     assert any(memo.cache_info().currsize for memo in memos)
     assert gamma._straighten_cache
     clear_caches()
     for memo in memos:
+        assert memo.cache_info().currsize == 0, memo
+    assert gamma._straighten_cache == {}
+
+
+def test_building_a_quiver_fills_no_memo():
+    # the constructor's cycle check (source_rank) is not memoised, so a
+    # quiver is built without writing to any package memo
+    from quivergk import Quiver
+
+    clear_caches()
+    Quiver(4, ((1, 4), (4, 2), (4, 3)))
+    for memo in _package_memos():
         assert memo.cache_info().currsize == 0, memo
     assert gamma._straighten_cache == {}
 

@@ -9,7 +9,6 @@ import pytest
 
 import quivergk
 from quivergk import (
-    A2,
     INBOUND,
     DirectedPartition,
     OrbitSpec,
@@ -24,13 +23,17 @@ from quivergk import (
     coproduct,
     directed_partition,
     mul,
+    phi,
     quiver_coefficients,
     resolution_pair,
     straighten,
     tensor_mul_at,
 )
-from quivergk.oracle_a3 import all_mults
-from quivergk.resolution import pair_stages
+from quivergk.oracle_a3 import all_mults, interval_root
+from quivergk.quiver import incoming_rank
+from quivergk.resolution import pair_steps
+
+from reference import A2
 
 ORBIT = OrbitSpec((1, 1, 1), (((1, 1, 1), 1),))
 BLOCKS = (((1, 1, 1),),)
@@ -65,7 +68,11 @@ BAD_CALLS = {
     "orbit of resolution_pair not an OrbitSpec": lambda: resolution_pair(
         INBOUND, ((1, 1, 1),), DirectedPartition(BLOCKS)
     ),
-    "stages over a short dimension vector": lambda: pair_stages(INBOUND, (1, 1), PAIR),
+    "stages over a short dimension vector": lambda: pair_steps(INBOUND, (1, 1), PAIR),
+    # each of these once raised TypeError, or read a float as an int
+    "stage vector not a sequence": lambda: phi(TensorElement.unit(3), INBOUND, 5, 1, 1),
+    "float vertex of incoming_rank": lambda: incoming_rank(INBOUND, (1, 1, 1), 2.0),
+    "float end of interval_root": lambda: interval_root(1.5, 2),
 }
 
 

@@ -14,13 +14,12 @@ from quivergk.oracle_a3 import (
     interval_root,
     mults_from_orbit,
     outbound_table,
-    porteous,
 )
 from quivergk.partitions import normalize
 from quivergk.quiver import QuiverError
 from quivergk.resolution import codim, directed_partition, resolution_pair
 
-from reference import contains, inbound_c, outbound_d, partitions_fitting
+from reference import contains, inbound_c, outbound_d, partitions_fitting, porteous
 
 
 SAMPLE = [

@@ -23,11 +23,12 @@ from quivergk.resolution import (
     directed_partition,
     directed_partition_from_blocks,
     greedy_block,
-    pair_stages,
     pair_steps,
     resolution_pair,
     validate_directed,
 )
+
+from reference import pair_stages
 
 A11, A12, A13 = (1, 0, 0), (1, 1, 0), (1, 1, 1)
 A22, A23, A33 = (0, 1, 0), (0, 1, 1), (0, 0, 1)

@@ -40,6 +40,11 @@ def run_script(*argv):
         (["root_census.py", "--max-a", "-1"], "--max-a must be at least 1, got -1"),
         (["root_census.py", "--max-d", "2"], "--max-d must be at least 4, got 2"),
         (["bench_pairs.py", "no-such-revision"], "unknown revision no-such-revision"),
+        (
+            ["bench_pairs.py", "HEAD", "--claim", "a3-outbound"],
+            "--claim a3-outbound is not a workload and an end-to-end metric of BENCHMARK.json, "
+            "as WORKLOAD:METRIC",
+        ),
     ],
     ids=[
         "oracle_sweep.py",
@@ -50,6 +55,7 @@ def run_script(*argv):
         "root_census.py-max-a",
         "root_census.py-max-d",
         "bench_pairs.py-revision",
+        "bench_pairs.py-claim",
     ],
 )
 def test_bad_max_dim_exits_2(argv, error):
