@@ -81,9 +81,8 @@ def clear_caches() -> None:
     """Empty every memo of the package: the ``functools.cache`` tables of
     all its modules (structure constants, coproducts, positive roots, the
     Euler form on pairs of roots and its bitmasks, the indecomposables, their
-    layouts, each orbit's checked roots, hom column and probes, the step
-    tables of ``resolution._step_table``, caveats) and the straightening
-    memo."""
+    layouts, each orbit's checked roots, hom column and probes, caveats) and
+    the straightening memo.  A quiver's step facts are its own attributes."""
     for module in (engine, gamma, oracle_a3, partitions, quiver, resolution):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):

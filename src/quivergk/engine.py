@@ -47,7 +47,6 @@ from .quiver import OrbitSpec, Quiver, orbits, positive_roots
 from .resolution import (
     DirectedPartition,
     ResolutionPair,
-    _step_table,
     _walk,
     codim,  # unused here, as resolution_pair: kept so the benchmark tracer can wrap them
     directed_partition,
@@ -188,7 +187,7 @@ def phi(p: TensorElement, q: Quiver, stage_e: tuple[int, ...], i: int, r: int) -
 def _fold(p: TensorElement, q: Quiver, steps: list[tuple[int, int, int]]) -> TensorElement:
     """Apply steps (vertex, rank, rectangle width c) to ``p``, right to left.  A vertex without
     out-arrows would keep a unit working slot, so its row (c)^r goes straight into slot i."""
-    heads = _step_table(q)[2]
+    heads = q.heads
     for i, r, c in reversed(steps):
         if not heads[i]:
             out: dict[tuple, int] = {}

@@ -36,7 +36,7 @@ from __future__ import annotations
 from functools import cache, lru_cache
 from typing import Iterable
 
-from .partitions import Partition, QuiverError, integers, normalize, sequence
+from .partitions import Partition, QuiverError, instance, integers, normalize, sequence
 
 _BIG = 1 << 30
 
@@ -92,7 +92,7 @@ class TensorElement:
         return sorted(self.terms.items(), key=lambda kv: (key_degree(kv[0]), kv[0]))
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
-        if self.arity != other.arity:
+        if self.arity != instance(other, TensorElement).arity:
             raise QuiverError("arity mismatch")
         out = dict(self.terms)
         for key, c in other.terms.items():
@@ -103,6 +103,7 @@ class TensorElement:
         return self + (-1) * other
 
     def __rmul__(self, scalar: int) -> "TensorElement":
+        (scalar,) = integers((scalar,))
         terms = {k: scalar * c for k, c in self.terms.items()} if scalar else {}
         return TensorElement._trusted(self.arity, terms)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .gamma import TensorElement, _add_term, _mul_basis, coproduct, coproduct2
 from .partitions import Partition, integers, normalize
-from .quiver import OrbitSpec, Quiver, QuiverError
+from .quiver import OrbitSpec, Quiver, QuiverError, orbits
 
 INBOUND = Quiver(3, ((1, 2), (3, 2)))
 OUTBOUND = Quiver(3, ((2, 1), (2, 3)))
@@ -87,16 +87,14 @@ def mults_from_orbit(orbit: OrbitSpec) -> A3OrbitMults:
 
 
 def all_mults(max_dim: int) -> list[A3OrbitMults]:
-    """Every orbit with all three dimensions at most ``max_dim``."""
+    """Every orbit with all three dimensions at most ``max_dim``, from ``orbits``, sorted by
+    the six multiplicities (m11, m12, m13, m22, m23, m33)."""
     (max_dim,) = integers((max_dim,))
     if max_dim < 0:
         raise QuiverError(f"negative max_dim {max_dim}")
-    out = []
-    for values in itertools.product(range(max_dim + 1), repeat=6):
-        m = A3OrbitMults(*values)
-        if max(m.dim) <= max_dim:
-            out.append(m)
-    return out
+    dims = itertools.product(range(max_dim + 1), repeat=3)
+    found = [mults_from_orbit(orbit) for e in dims for orbit in orbits(INBOUND, e)]
+    return sorted(found, key=lambda m: tuple(m.as_dict().values()))
 
 
 def _rectangle(width: int, rows: int) -> Partition:

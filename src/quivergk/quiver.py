@@ -21,7 +21,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Iterable
 
-from .partitions import QuiverError, integers, sequence
+from .partitions import QuiverError, instance, integers, sequence
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -29,7 +29,10 @@ Matrix = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class Quiver:
-    """A finite quiver without directed cycles; parallel arrows allowed."""
+    """A finite quiver without directed cycles; parallel arrows allowed.  It keeps, read-only,
+    the facts the resolution steps read: ``order``, the vertices in topological order (by
+    ``source_rank``, then index), and per vertex v at index v (0 unused) ``tails[v]``, its
+    in-arrows' tails, and ``heads[v]``, its out-arrows' sorted heads, one per parallel arrow."""
 
     n: int
     arrows: tuple[tuple[int, int], ...]
@@ -43,7 +46,10 @@ class Quiver:
             if len(arrow) != 2 or not all(1 <= v <= self.n for v in arrow):
                 raise QuiverError(f"arrow {arrow} is not a pair in 1..{self.n}")
         object.__setattr__(self, "_hash", hash((self.n, self.arrows)))
-        source_rank(self)  # raises on a directed cycle
+        rank, vs, arrows = source_rank(self), range(self.n + 1), self.arrows  # raises on a cycle
+        object.__setattr__(self, "order", tuple(sorted(vs[1:], key=lambda v: (rank[v - 1], v))))
+        object.__setattr__(self, "tails", tuple(tuple(t for t, h in arrows if h == v) for v in vs))
+        object.__setattr__(self, "heads", tuple(tuple(sorted(h for t, h in arrows if t == v)) for v in vs))
 
     def __hash__(self) -> int:  # every cache keyed on a quiver hashes it
         return self._hash
@@ -82,7 +88,7 @@ def incoming_rank(q: Quiver, e: Iterable[int], i: int) -> int:
     ev, (i,) = integers(e), integers((i,))
     if len(ev) != q.n or not 1 <= i <= q.n:
         raise QuiverError(f"vector {ev} or vertex {i} does not fit n={q.n}")
-    return sum(ev[t - 1] for t, h in q.arrows if h == i)
+    return sum(ev[t - 1] for t in q.tails[i])
 
 
 def source_rank(q: Quiver) -> Vector:
@@ -301,7 +307,7 @@ class QuiverRep:
 
 
 def validate_rep(q: Quiver, rep: QuiverRep) -> None:
-    if len(rep.dims) != q.n or len(rep.mats) != len(q.arrows):
+    if len(instance(rep, QuiverRep).dims) != q.n or len(rep.mats) != len(q.arrows):
         raise QuiverError("representation shape does not match quiver")
     for (t, h), mat in zip(q.arrows, rep.mats):
         rows, cols = rep.dims[h - 1], rep.dims[t - 1]
@@ -354,8 +360,10 @@ def _probe(q: Quiver, rv: Vector) -> QuiverRep:
 
 
 def direct_sum(q: Quiver, reps: Iterable[QuiverRep]) -> QuiverRep:
-    """Block-diagonal sum of representations."""
-    parts = list(reps)
+    """Block-diagonal sum of representations, each checked to fit ``q``."""
+    parts = sequence(reps)
+    for r in parts:
+        validate_rep(q, r)
     dims = tuple(sum(r.dims[i] for r in parts) for i in range(q.n))
     mats = []
     for k, (t, h) in enumerate(q.arrows):
@@ -372,7 +380,7 @@ def orbit_rep(q: Quiver, orbit: OrbitSpec) -> QuiverRep:
     """Canonical representative: multiplicity-many copies of each
     indecomposable, in root order.  A dimension vector that does not fit
     ``q`` or a vector that is not a positive root raises ``QuiverError``."""
-    q.check_vector(orbit.dim)
+    q.check_vector(instance(orbit, OrbitSpec).dim)
     check_roots(q, orbit.support)
     pieces = []
     for root, m in orbit.mults:
@@ -500,7 +508,7 @@ def _check_query(q: Quiver, rep: QuiverRep, orbit: OrbitSpec) -> Side:
     """``_orbit_side(q, orbit)`` once ``rep`` fits ``q`` and has the orbit's
     dims; ``QuiverError`` otherwise, shape first, then dims, then roots."""
     validate_rep(q, rep)
-    if rep.dims != orbit.dim:
+    if rep.dims != instance(orbit, OrbitSpec).dim:
         raise QuiverError(f"dimension vectors differ: {rep.dims} vs {orbit.dim}")
     return _orbit_side(q, orbit)
 

@@ -29,7 +29,6 @@ from .quiver import (
     _euler_table,
     check_roots,
     positive_roots,
-    source_rank,
 )
 
 
@@ -77,23 +76,9 @@ class ResolutionPair:
 
 
 def validate_directed(q: Quiver, dp: DirectedPartition) -> None:
-    """Raise unless the blocks are non-empty, disjoint and directed."""
-    roots = dp.roots
-    form = check_roots(q, roots)
-    if not all(dp.blocks):
-        raise QuiverError("empty block")
-    if len(set(roots)) < len(roots):
-        raise QuiverError("a root appears twice")
-    done = 0
-    for blk in dp.blocks:
-        done += len(blk)
-        for a in blk:
-            for b in blk + roots[done:]:
-                if form[a, b] < 0:
-                    raise QuiverError(f"<{a},{b}> = {form[a, b]} < 0")
-            for b in roots[done:]:
-                if form[b, a] > 0:
-                    raise QuiverError(f"<{b},{a}> = {form[b, a]} > 0 across blocks")
+    """Raise unless the blocks are non-empty, disjoint and directed (``_check_directed``)."""
+    blocks = instance(dp, DirectedPartition).blocks
+    _check_directed(q, [_weigh(q, [(r, 0) for r in blk]) for blk in blocks])
 
 
 def directed_partition_from_blocks(q: Quiver, blocks: Iterable[Iterable[Vector]]) -> DirectedPartition:
@@ -140,6 +125,25 @@ def _weigh(q: Quiver, mults: Sequence[tuple[Vector, int]]) -> list[tuple]:
         raise
 
 
+def _check_directed(q: Quiver, blocks: list[list[tuple]]) -> None:
+    """Raise unless the blocks of ``_weigh`` entries are non-empty, hold no root twice and are
+    directed: no root a has <a, b> < 0 for a b in its own block or a later one, nor <b, a> > 0
+    for a b in a later one.  Each test ANDs one of a's bitmasks with the roots from there on."""
+    bits = [t[0] for blk in blocks for t in blk]
+    if not all(blocks):
+        raise QuiverError("empty block")
+    if len(set(bits)) < len(bits):
+        raise QuiverError("a root appears twice")
+    left = sum(bits)
+    for blk in blocks:
+        later = left - sum([t[0] for t in blk])
+        for _, neg, pos, a, _ in blk:
+            if neg & left or pos & later:
+                b = positive_roots(q)[(neg & left or pos & later).bit_length() - 1]
+                raise QuiverError(f"<{a},{b}> < 0" if neg & left else f"<{b},{a}> > 0 across blocks")
+        left = later
+
+
 def _peel(todo: list[tuple]) -> list[list[tuple]]:
     """The greedy blocks (``greedy_block``) of ``_weigh``'s entries, each in the order given.
     Each pairs non-negatively with every root left, none of which dominates it: directed."""
@@ -161,23 +165,11 @@ def directed_partition(q: Quiver, roots: Iterable[Vector]) -> DirectedPartition:
     return DirectedPartition(tuple(tuple(t[3] for t in blk) for blk in _peel(todo)))
 
 
-@cache
-def _step_table(q: Quiver) -> tuple[tuple[int, ...], tuple[Vector, ...], tuple[Vector, ...]]:
-    """Per-quiver facts of the steps: the vertices in topological order
-    (longest-path rank, ties by vertex index), then per vertex v (index v;
-    index 0 unused) the tails of its in-arrows and the sorted heads of its
-    out-arrows, a parallel arrow once per copy."""
-    order = tuple(v for _, v in sorted(zip(source_rank(q), range(1, q.n + 1))))
-    tails = tuple(tuple(t for t, h in q.arrows if h == v) for v in range(q.n + 1))
-    heads = tuple(tuple(sorted(h for t, h in q.arrows if t == v)) for v in range(q.n + 1))
-    return order, tails, heads
-
-
 def _walk(q: Quiver, cur: list[int], steps: Iterable[tuple[int, int]]) -> list[tuple[int, int, int]]:
     """Steps (v, r) as (v, r, c), left to right over the stage vector ``cur``, which loses r at v
     after each: c is the width of the r x c rectangle the step prepends, the rank of the arrows
     into v less s_v - r.  A v outside 1..n or an r outside 0..s_v raises QuiverError."""
-    tails, out = _step_table(q)[1], []
+    tails, out = q.tails, []
     for v, r in steps:
         if not 1 <= v <= q.n:
             raise QuiverError(f"step vertex {v} out of range 1..{q.n}")
@@ -192,8 +184,9 @@ def orbit_steps(q: Quiver, orbit: OrbitSpec, dp: DirectedPartition | None = None
     """The steps (v, r, c) of the resolution of an orbit and a directed partition, by default
     the greedy one of its support, in one pass: each block's weighted root sum p = sum of
     m_alpha alpha gives the vertices with p_v != 0 in topological order, ranks p_v, walked
-    down from ``orbit.dim``.  Roots of ``dp`` outside the support weigh zero."""
-    mults, order = instance(orbit, OrbitSpec).mults, _step_table(q)[0]
+    down from ``orbit.dim``.  Roots of ``dp`` outside the support weigh zero, and a ``dp`` that
+    is not directed raises ``QuiverError`` (``_check_directed``); the greedy one is by making."""
+    mults = instance(orbit, OrbitSpec).mults
     if dp is None:
         blocks = _peel(_weigh(q, mults))
     else:
@@ -201,12 +194,13 @@ def orbit_steps(q: Quiver, orbit: OrbitSpec, dp: DirectedPartition | None = None
         if mult.keys() - set(instance(dp, DirectedPartition).roots):
             raise QuiverError("directed partition misses roots of the orbit")
         blocks = [_weigh(q, [(r, mult.get(r, 0)) for r in blk]) for blk in dp.blocks]
+        _check_directed(q, blocks)
     steps = []
     for blk in blocks:
         p = [0] * q.n
         for t in blk:
             p = [x + t[4] * y for x, y in zip(p, t[3])]
-        steps += [(v, p[v - 1]) for v in order if p[v - 1]]
+        steps += [(v, p[v - 1]) for v in q.order if p[v - 1]]
     return _walk(q, list(orbit.dim), steps)
 
 

@@ -13,6 +13,9 @@ a number that ``quivergk`` computes another way:
   rectangle class;
 - ``pair_stages``, the stage vector each step of a resolution pair acts
   on, for ``engine.phi``;
+- ``validate_directed_pairwise``, the directedness rule of a partition
+  tested pair by pair on the Euler table, which the bitmask test of
+  ``resolution.validate_directed`` must agree with;
 - classical Littlewood-Richardson numbers, the same tableau count at
   excess 0;
 - the straightening law at every ascent, the hook-content formula, and
@@ -32,8 +35,8 @@ from typing import Iterable, Iterator
 from quivergk.gamma import TensorElement, basis, straighten
 from quivergk.oracle_a3 import A3OrbitMults
 from quivergk.partitions import Partition, QuiverError, integers, normalize
-from quivergk.quiver import Quiver
-from quivergk.resolution import ResolutionPair, pair_steps
+from quivergk.quiver import Quiver, check_roots
+from quivergk.resolution import DirectedPartition, ResolutionPair, pair_steps
 
 A2 = Quiver(2, ((1, 2),))
 
@@ -390,7 +393,7 @@ def outbound_d(
 
 
 # ---------------------------------------------------------------------------
-# the A2 closed form and the stages of a resolution pair
+# the A2 closed form, the stages of a resolution pair, directedness pair by pair
 
 
 def porteous(e1: int, e2: int, r: int) -> TensorElement:
@@ -409,6 +412,27 @@ def pair_stages(q: Quiver, e: Iterable[int], pair: ResolutionPair) -> list[tuple
         stages.append((v, r, tuple(cur)))
         cur[v - 1] -= r
     return stages
+
+
+def validate_directed_pairwise(q: Quiver, dp: DirectedPartition) -> None:
+    """Raise unless the blocks are non-empty, disjoint and directed, pair by pair: no root a
+    has <a, b> < 0 for a b in its own block or a later one, nor <b, a> > 0 for a later b."""
+    roots = dp.roots
+    form = check_roots(q, roots)
+    if not all(dp.blocks):
+        raise QuiverError("empty block")
+    if len(set(roots)) < len(roots):
+        raise QuiverError("a root appears twice")
+    done = 0
+    for blk in dp.blocks:
+        done += len(blk)
+        for a in blk:
+            for b in blk + roots[done:]:
+                if form[a, b] < 0:
+                    raise QuiverError(f"<{a},{b}> = {form[a, b]} < 0")
+            for b in roots[done:]:
+                if form[b, a] > 0:
+                    raise QuiverError(f"<{b},{a}> = {form[b, a]} > 0 across blocks")
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,13 @@ from quivergk import (
     codim,
     coefficients,
     coproduct,
+    direct_sum,
     directed_partition,
+    hom_dim,
+    hom_table,
+    in_orbit_closure,
     mul,
+    orbit_rep,
     phi,
     quiver_coefficients,
     resolution_pair,
@@ -38,6 +43,11 @@ from reference import A2
 ORBIT = OrbitSpec((1, 1, 1), (((1, 1, 1), 1),))
 BLOCKS = (((1, 1, 1),),)
 PAIR = ResolutionPair((1, 2, 3), (1, 1, 1))
+REP = QuiverRep((1, 1, 1), (((1,),), ((1,),)))
+SPLIT = OrbitSpec((1, 1, 1), (((1, 0, 0), 1), ((0, 1, 1), 1)))
+# <(1,0,0),(0,1,1)> = -1 inside a block; a block left empty
+NOT_DIRECTED = DirectedPartition((((1, 0, 0), (0, 1, 1)),))
+EMPTY_BLOCK = DirectedPartition((((0, 1, 1),), (), ((1, 0, 0),)))
 
 # each call once raised TypeError, a bare ValueError, or returned a wrong answer
 BAD_CALLS = {
@@ -73,6 +83,24 @@ BAD_CALLS = {
     "stage vector not a sequence": lambda: phi(TensorElement.unit(3), INBOUND, 5, 1, 1),
     "float vertex of incoming_rank": lambda: incoming_rank(INBOUND, (1, 1, 1), 2.0),
     "float end of interval_root": lambda: interval_root(1.5, 2),
+    # each of these once kept a scalar that is not an integer, or raised AttributeError
+    "float scalar": lambda: 2.5 * TensorElement.unit(1),
+    "string scalar": lambda: "ab" * TensorElement.unit(1),
+    "int added to a tensor": lambda: TensorElement.unit(1) + 5,
+    "int subtracted from a tensor": lambda: TensorElement.unit(1) - 5,
+    # each of these once raised AttributeError or IndexError
+    "rep of in_orbit_closure not a QuiverRep": lambda: in_orbit_closure(INBOUND, 5, ORBIT),
+    "reps of hom_dim not QuiverReps": lambda: hom_dim(INBOUND, 5, 5),
+    "orbit of hom_table not an OrbitSpec": lambda: hom_table(INBOUND, REP, 5),
+    "orbit of orbit_rep not an OrbitSpec": lambda: orbit_rep(INBOUND, 5),
+    "part of direct_sum of the wrong shape": lambda: direct_sum(INBOUND, [QuiverRep((1,), ())]),
+    # each of these once returned a table or a pair
+    "non-directed partition of quiver_coefficients": lambda: quiver_coefficients(
+        INBOUND, (1, 1, 1), SPLIT, dp=NOT_DIRECTED
+    ),
+    "non-directed partition of resolution_pair": lambda: resolution_pair(INBOUND, SPLIT, NOT_DIRECTED),
+    "empty block of quiver_coefficients": lambda: quiver_coefficients(INBOUND, (1, 1, 1), SPLIT, dp=EMPTY_BLOCK),
+    "empty block of resolution_pair": lambda: resolution_pair(INBOUND, SPLIT, EMPTY_BLOCK),
 }
 
 

@@ -28,7 +28,7 @@ from quivergk.resolution import (
     validate_directed,
 )
 
-from reference import pair_stages
+from reference import pair_stages, validate_directed_pairwise
 
 A11, A12, A13 = (1, 0, 0), (1, 1, 0), (1, 1, 1)
 A22, A23, A33 = (0, 1, 0), (0, 1, 1), (0, 0, 1)
@@ -102,6 +102,67 @@ def test_rejects_within_block_violation(a2):
     # <(0,1),(1,1)> = 1 - 1 = 0 ok, but <(1,0),(0,1)> = -1 on 1->2
     with pytest.raises(QuiverError):
         directed_partition_from_blocks(a2, [[(1, 0), (0, 1)]])
+
+
+def _ordered_set_partitions(items):
+    """Every ordered set partition of ``items``, each once: the first item
+    either joins a block of a partition of the rest or is a block of its own."""
+    if not items:
+        yield ()
+        return
+    first = items[0]
+    for part in _ordered_set_partitions(items[1:]):
+        for k in range(len(part)):
+            yield part[:k] + ((first,) + part[k],) + part[k + 1 :]
+        for k in range(len(part) + 1):
+            yield part[:k] + ((first,),) + part[k:]
+
+
+def _accepts(call):
+    try:
+        call()
+    except QuiverError:
+        return False
+    return True
+
+
+def _directedness_agrees(q, blocks):
+    """Whether the bitmask test accepts ``blocks`` as the pairwise rule does, called
+    as ``validate_directed`` and inside ``resolution_pair`` on an orbit of all the
+    partition's roots, each once; returns the pairwise verdict."""
+    dp = DirectedPartition(blocks)
+    roots = set(dp.roots)
+    orbit = OrbitSpec(tuple(map(sum, zip(*roots))), tuple((r, 1) for r in roots))
+    want = _accepts(lambda: validate_directed_pairwise(q, dp))
+    assert _accepts(lambda: validate_directed(q, dp)) == want, blocks
+    assert _accepts(lambda: resolution_pair(q, orbit, dp)) == want, blocks
+    return want
+
+
+@pytest.mark.parametrize("q", [A3_IN, A3_OUT], ids=["A3-in", "A3-out"])
+def test_bitmask_directedness_is_the_pairwise_rule_on_every_a3_partition(q):
+    """Every ordered set partition of the six positive roots of A3."""
+    verdicts = [_directedness_agrees(q, p) for p in _ordered_set_partitions(positive_roots(q))]
+    assert len(verdicts) == 4683
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("q", [D4_IN, D4_OUT, E6], ids=["D4-in", "D4-out", "E6"])
+def test_bitmask_directedness_is_the_pairwise_rule_on_moved_roots(q):
+    """Greedy partitions of seeded random root subsets, each also with one
+    root moved to another block, or to a block of its own at the end; a
+    block the move leaves empty stays, so the empty-block rule is compared too."""
+    roots, rng = positive_roots(q), random.Random(20261019)
+    moved = []
+    for _ in range(150):
+        blocks = [list(blk) for blk in directed_partition(q, rng.sample(roots, rng.randint(1, 12))).blocks]
+        assert _directedness_agrees(q, blocks)
+        i = rng.randrange(len(blocks))
+        j = rng.choice([k for k in range(len(blocks) + 1) if k != i])
+        root = blocks[i].pop(rng.randrange(len(blocks[i])))
+        blocks[j:j + 1] = [blocks[j] + [root]] if j < len(blocks) else [[root]]
+        moved.append(_directedness_agrees(q, blocks))
+    assert 0 < sum(moved) < len(moved)
 
 
 # ---------------------------------------------------------------------------
