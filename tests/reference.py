@@ -8,7 +8,9 @@ a number that ``quivergk`` computes another way:
   the single-class polynomial expansion ``expand_single``;
 - the A3 count routes ``inbound_c`` and ``outbound_d``, signed counts of
   set-valued tableaux that the closed-form tables of ``oracle_a3`` must
-  equal key by key;
+  equal key by key, and ``brute_force_mults``, the A3 orbits found by
+  trying every multiplicity tuple, which ``oracle_a3.all_mults`` and
+  ``quiver.orbits`` must list;
 - the A2 closed form ``porteous``: a rank stratum of two vertices is one
   rectangle class;
 - ``pair_stages``, the stage vector each step of a resolution pair acts
@@ -320,6 +322,17 @@ def rook_strip_complement(rect: Partition, placed: Partition, rotated: Partition
 
 # ---------------------------------------------------------------------------
 # the A3 count routes
+
+
+def brute_force_mults(max_dim: int) -> list[A3OrbitMults]:
+    """Every A3 orbit with all three dimensions at most ``max_dim``: each of the
+    (max_dim + 1)^6 multiplicity tuples whose dimension vector fits, in tuple order."""
+    out = []
+    for values in itertools.product(range(max_dim + 1), repeat=6):
+        m = A3OrbitMults(*values)
+        if max(m.dim) <= max_dim:
+            out.append(m)
+    return out
 
 
 def _lattice_fillings(shape: SkewShape, mu: Partition, tail: tuple[int, ...] = ()) -> int:

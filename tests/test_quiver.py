@@ -29,7 +29,7 @@ from quivergk.quiver import (
 from quivergk import quiver
 from quivergk.quiver import _orbit_side, _probe_layout, _solve
 
-from reference import fraction_rank
+from reference import brute_force_mults, fraction_rank
 
 A11, A12, A13 = (1, 0, 0), (1, 1, 0), (1, 1, 1)
 A22, A23, A33 = (0, 1, 0), (0, 1, 1), (0, 0, 1)
@@ -478,12 +478,15 @@ def test_orbit_totals(q, max_dim, total):
 
 
 def test_a3_orbit_counts_match_oracle(inbound):
-    from quivergk.oracle_a3 import all_mults
+    # every multiplicity tuple tried: no orbit missing from or added to a dimension vector
+    from quivergk.oracle_a3 import all_mults, mults_from_orbit
 
     per_dim = {}
-    for m in all_mults(4):
-        per_dim[m.dim] = per_dim.get(m.dim, 0) + 1
-    assert {e: len(orbits(inbound, e)) for e in dims_up_to(inbound, 4)} == per_dim
+    for m in brute_force_mults(4):
+        per_dim.setdefault(m.dim, set()).add(m)
+    found = {e: {mults_from_orbit(o) for o in orbits(inbound, e)} for e in dims_up_to(inbound, 4)}
+    assert found == per_dim
+    assert all_mults(4) == brute_force_mults(4)
     assert len(all_mults(4)) == 826
 
 
