@@ -5,7 +5,11 @@ Each case in ``CASES`` names a quiver, an orbit and optionally an explicit
 resolution pair; ``tests/golden/<name>.json`` holds the exact stdout of
 ``quivergk coeffs`` for it.  The files were written by the engine before
 the row-bounded ψ/a prune, so a faster engine that changes any
-coefficient, term order or caveat fails here.
+coefficient, term order or caveat fails here.  The D4-mixed
+(1->2->3, 2->4) and E7 cases were added later, written by the engine
+that still split every out-slot of a step, before it split only the
+out-slots that hold a partition; each has a step with one out-slot
+filled and one empty.
 
 Each case in ``ORBIT_CASES`` names a quiver and a dimension vector;
 ``tests/golden/orbits-<name>.json`` holds the exact stdout of
@@ -54,7 +58,9 @@ A3_OUT = [[2, 1], [2, 3]]
 A4_MIXED = [[1, 2], [3, 2], [3, 4]]
 D4_IN = [[1, 4], [2, 4], [3, 4]]
 D4_OUT = [[4, 1], [4, 2], [4, 3]]
+D4_MIXED = [[1, 2], [2, 3], [2, 4]]
 E6 = [[1, 2], [2, 3], [3, 4], [4, 5], [3, 6]]
+E7 = [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [3, 7]]
 E8 = [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7], [3, 8]]
 KRONECKER = [[1, 2], [1, 2]]
 
@@ -82,8 +88,20 @@ CASES = {
         [((0, 0, 0, 1), 1), ((1, 1, 1, 1), 1)],
         {"i": [4, 1, 2, 3, 4], "r": [1, 1, 1, 1, 1]},
     ),
+    # a step at vertex 2 with both out-slots empty, and a later one with only slot 4 filled
+    "d4-mixed-one-live-split": (
+        D4_MIXED,
+        [((0, 0, 0, 1), 1), ((0, 0, 1, 0), 1), ((1, 0, 0, 0), 1), ((0, 1, 0, 1), 1), ((1, 1, 1, 0), 1)],
+        None,
+    ),
     "e6-generic-split": (E6, [((1, 1, 1, 0, 0, 0), 1), ((0, 0, 1, 1, 1, 1), 1)], None),
     "e6-simple-plus-sincere": (E6, [((0, 0, 1, 0, 0, 0), 1), ((1, 1, 1, 1, 1, 1), 1)], None),
+    # a step at vertex 3 with out-slot 4 filled and out-slot 7 empty
+    "e7-one-live-split": (
+        E7,
+        [((0, 0, 0, 0, 1, 1, 0), 1), ((0, 1, 1, 0, 0, 0, 0), 1), ((0, 0, 1, 1, 1, 0, 0), 1)],
+        None,
+    ),
 }
 
 # name -> (arrows, dimension vector)
