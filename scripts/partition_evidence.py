@@ -1,7 +1,8 @@
 """Evidence that D and E tables do not depend on the directed partition.
 
-Sweeps every orbit of D4 (inbound, 1->4<-2, 3->4) with dimension entries
-up to 3 and of E6 up to 2.  Each orbit's table is computed twice: from
+Sweeps every orbit of D4 inbound (1->4<-2, 3->4) with dimension entries
+up to 3, of D4 outbound (1<-4->2, 4->3), D4 mixed (1->2->3, 2->4) and E6
+up to 2, and of E7 up to 1.  Each orbit's table is computed twice: from
 the greedy directed partition of the orbit's support, and from the greedy
 partition of all positive roots.  Per quiver it prints how many orbits
 got a different resolution pair, how many full tables agree, and how many
@@ -9,8 +10,8 @@ tables pass the alternating-sign and lowest-degree-equals-codim checks.
 Exit status 1 if any table disagrees or fails a check, 2 on a bad
 --max-dim.
 
-    python scripts/partition_evidence.py              # about 30 s
-    python scripts/partition_evidence.py --max-dim 1  # both caps at most 1
+    python scripts/partition_evidence.py              # about 10 s
+    python scripts/partition_evidence.py --max-dim 1  # every cap at most 1
 """
 
 import argparse
@@ -24,7 +25,10 @@ from quivergk.resolution import directed_partition
 
 CORPUS = [
     ("D4 inbound", Quiver(4, ((1, 4), (2, 4), (3, 4))), 3),
+    ("D4 outbound", Quiver(4, ((4, 1), (4, 2), (4, 3))), 2),
+    ("D4 mixed", Quiver(4, ((1, 2), (2, 3), (2, 4))), 2),
     ("E6", Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6))), 2),
+    ("E7", Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7))), 1),
 ]
 
 

@@ -6,12 +6,17 @@ is driven by the steps (vertex, rank, rectangle width) that
 ``resolution.orbit_steps`` reads off an orbit in one pass, the table's
 pair and codim included.  They are consumed right to left: each step
 splits off a coproduct along every arrow leaving its vertex, then absorbs
-the working slot through a straightened rectangle-shift.  The last split
-runs fused with the absorption, term by term, so its working slot is never
-stored; within a step each (split, working partition) pair is expanded
-once and each shifted row built once.  The lowest total degree of the
-result is the codimension of the orbit closure, and for Dynkin type A the
-table is independent of the chosen directed partition.
+the working slot through a straightened rectangle-shift.  G_() is the
+unit of the bialgebra, so splitting a slot that is empty in every term
+changes nothing and is skipped; a step with no filled out-slot runs as a
+sink step.  That is 4,259 of the 5,003 split steps over D4 <= 2 and
+E7 <= 1, 801 of 1,105 over A3-out <= 4, 1,302 of 2,028 over A3-in <= 4.
+The last split runs fused with the absorption, term by term, so its
+working slot is never stored; within a step each (split, working
+partition) pair is expanded once and each shifted row built once.  The
+lowest total degree of the result is the codimension of the orbit
+closure, and for Dynkin type A the table is independent of the chosen
+directed partition.
 
 A step of rank r keeps only the terms whose working partition has at
 most r rows.  Every partition in a product of stable Grothendieck classes
@@ -92,7 +97,7 @@ def psi(p: TensorElement, i: int, max_rows: int | None = None) -> TensorElement:
     ``psi`` and be dropped by ``a_op`` anyway.
     """
     i, max_rows = integers((i, sys.maxsize if max_rows is None else max_rows))
-    if not 1 <= i < p.arity:
+    if not 1 <= i < instance(p, TensorElement).arity:
         raise QuiverError(f"psi slot {i} out of range for arity {p.arity}")
     if max_rows < 0:
         raise QuiverError("negative rank")
@@ -124,7 +129,7 @@ def a_op(p: TensorElement, i: int, r: int, c: int) -> TensorElement:
     with an ascent need straightening.  The arity drops by one.
     """
     i, r, c = integers((i, r, c))
-    if not 1 <= i < p.arity:
+    if not 1 <= i < instance(p, TensorElement).arity:
         raise QuiverError(f"a_op slot {i} out of range for arity {p.arity}")
     if r < 0:
         raise QuiverError("negative rank")
@@ -179,17 +184,20 @@ def phi(p: TensorElement, q: Quiver, stage_e: tuple[int, ...], i: int, r: int) -
     """One resolution step at vertex ``i`` with rank ``r`` over stage
     dimension vector ``stage_e``, on a tensor with a slot per vertex."""
     i, r = integers((i, r))
-    if p.arity != q.n:
+    if instance(p, TensorElement).arity != instance(q, Quiver).n:
         raise QuiverError(f"tensor arity {p.arity} does not match {q.n} vertices")
     return _fold(p, q, _walk(q, list(q.check_vector(stage_e)), [(i, r)]))
 
 
 def _fold(p: TensorElement, q: Quiver, steps: list[tuple[int, int, int]]) -> TensorElement:
-    """Apply steps (vertex, rank, rectangle width c) to ``p``, right to left.  A vertex without
-    out-arrows would keep a unit working slot, so its row (c)^r goes straight into slot i."""
+    """Apply steps (vertex, rank, rectangle width c) to ``p``, right to left.  Only the out-slots
+    holding a partition in some term are split: psi of a slot that is G_() in every term is the
+    identity (the unit law, the working partitions having at most r rows).  A step left with no
+    such slot keeps a unit working slot, so its row (c)^r goes straight into slot i."""
     heads = q.heads
     for i, r, c in reversed(steps):
-        if not heads[i]:
+        live = [h for h in heads[i] if any(key[h - 1] for key in p.terms)]
+        if not live:
             out: dict[tuple, int] = {}
             row = _shifted((), r, c)
             for key, coeff in p.terms.items():
@@ -197,9 +205,9 @@ def _fold(p: TensorElement, q: Quiver, steps: list[tuple[int, int, int]]) -> Ten
             p = TensorElement._trusted(p.arity, {k: v for k, v in out.items() if v})
             continue
         p = append_unit(p)
-        for head in heads[i][:-1]:
+        for head in live[:-1]:
             p = psi(p, head, r)
-        p = _split_absorb(p, heads[i][-1], i, r, c)
+        p = _split_absorb(p, live[-1], i, r, c)
     return p
 
 
@@ -224,7 +232,7 @@ def quiver_coefficients(
     which is not a positive root of ``q`` raises ``QuiverError`` where the
     pass looks it up in the bitmasks of the positive roots.
     """
-    ev = q.check_vector(e)
+    ev = instance(q, Quiver).check_vector(e)
     if instance(orbit, OrbitSpec).dim != ev:
         raise QuiverError(f"orbit has dim {orbit.dim}, expected {ev}")
     steps = orbit_steps(q, orbit, dp)
@@ -337,7 +345,7 @@ def sweep(q: Quiver, max_dim: int, suite: str) -> Iterator[tuple[CoefficientTabl
     if not isinstance(suite, str) or suite not in SUITES:
         raise QuiverError(f"unknown suite {suite!r}")
     setup, check = SUITES[suite]
-    context = setup(q)
+    context = setup(instance(q, Quiver))
     for e in itertools.product(range(max_dim + 1), repeat=q.n):
         for orbit in orbits(q, e):
             table = quiver_coefficients(q, e, orbit)

@@ -33,7 +33,7 @@ straightening is memoised per input sequence and shared by every caller.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import cache, lru_cache, wraps
 from typing import Iterable
 
 from .partitions import Partition, QuiverError, instance, integers, normalize, sequence
@@ -210,7 +210,26 @@ def _sign(k: int) -> int:
 # structure constants
 
 
-@cache
+def _memo(fn):
+    """``fn`` under an unbounded memo, typed, so a float argument misses and reaches ``fn``'s
+    integer check.  The memo hashes the arguments before ``fn`` reads them, so a call it cannot
+    hash, a partition given as a list, is retried with each list argument read as its tuple.
+    The memo's ``cache_info`` and ``cache_clear`` are kept on the returned function."""
+    memo = lru_cache(maxsize=None, typed=True)(fn)
+
+    @wraps(fn)
+    def lookup(*args, **kwargs):
+        try:
+            return memo(*args, **kwargs)
+        except TypeError:  # unhashable: fn itself raises QuiverError on bad input
+            args = [tuple(a) if isinstance(a, list) else a for a in args]
+            return memo(*args, **{k: tuple(a) if isinstance(a, list) else a for k, a in kwargs.items()})
+
+    lookup.cache_info, lookup.cache_clear = memo.cache_info, memo.cache_clear
+    return lookup
+
+
+@_memo
 def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Structure constant of the basis product: coefficient of ``nu``
     in the product of the classes of ``lam`` and ``mu``.
@@ -235,12 +254,12 @@ def _mul_basis(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], ..
 def mul(a: TensorElement, b: TensorElement) -> TensorElement:
     """Product of two ring elements (arity-1 tensors) in the basis of
     stable classes."""
-    if a.arity != 1:
+    if instance(a, TensorElement).arity != 1:
         raise QuiverError(f"ring element expected, got arity {a.arity}")
     return tensor_mul_at(a, 1, b)
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: a float max_rows misses and reaches the int check
+@_memo
 def coproduct(nu: Partition, max_rows: int | None = None) -> TensorElement:
     """Coproduct of a basis class, as an arity-2 tensor.
 
@@ -280,7 +299,7 @@ def coproduct(nu: Partition, max_rows: int | None = None) -> TensorElement:
     return TensorElement._trusted(2, out)
 
 
-@cache
+@_memo
 def coproduct_coeff(
     lam: Partition,
     mu: Partition,
@@ -312,7 +331,7 @@ def coproduct_coeff(
     return lr_coeff((q,) * p, nu, normalize(rho))
 
 
-@cache
+@_memo
 def coproduct2(nu: Partition) -> TensorElement:
     """Twice-iterated coproduct, an arity-3 tensor (coassociative, so the
     side of iteration is immaterial)."""
@@ -388,9 +407,9 @@ def tensor_mul_at(p: TensorElement, slot: int, g: TensorElement) -> TensorElemen
     """Multiply tensor slot ``slot`` (1-based) by a ring element (an
     arity-1 tensor)."""
     (slot,) = integers((slot,))
-    if not 1 <= slot <= p.arity:
+    if not 1 <= slot <= instance(p, TensorElement).arity:
         raise QuiverError(f"slot {slot} out of range for arity {p.arity}")
-    if g.arity != 1:
+    if instance(g, TensorElement).arity != 1:
         raise QuiverError(f"ring element expected, got arity {g.arity}")
     out: dict[TensorKey, int] = {}
     for key, c in p.terms.items():

@@ -64,13 +64,13 @@ class Quiver:
 def opposite(q: Quiver) -> Quiver:
     """The quiver with every arrow reversed.  An orbit carries over with its root
     multiplicities: transposing fixes dimension vectors and matches indecomposables."""
-    return Quiver(q.n, tuple((h, t) for t, h in q.arrows))
+    return Quiver(instance(q, Quiver).n, tuple((h, t) for t, h in q.arrows))
 
 
 def euler_form(q: Quiver, a: Iterable[int], b: Iterable[int]) -> int:
     """The (non-symmetric) homological bilinear form of the quiver."""
     av, bv = integers(a), integers(b)
-    if len(av) != q.n or len(bv) != q.n:
+    if len(av) != instance(q, Quiver).n or len(bv) != q.n:
         raise QuiverError(f"vectors {av}, {bv} do not both have {q.n} entries")
     total = sum(x * y for x, y in zip(av, bv))
     for t, h in q.arrows:
@@ -86,7 +86,7 @@ def tits_form(q: Quiver, d: Iterable[int]) -> int:
 def incoming_rank(q: Quiver, e: Iterable[int], i: int) -> int:
     """Dimension of the source sum of all arrows into vertex i."""
     ev, (i,) = integers(e), integers((i,))
-    if len(ev) != q.n or not 1 <= i <= q.n:
+    if len(ev) != instance(q, Quiver).n or not 1 <= i <= q.n:
         raise QuiverError(f"vector {ev} or vertex {i} does not fit n={q.n}")
     return sum(ev[t - 1] for t in q.tails[i])
 
@@ -99,7 +99,7 @@ def source_rank(q: Quiver) -> Vector:
     by pass n; a rank still moving in pass n means a directed cycle, which
     raises ``QuiverError``.
     """
-    rank = [0] * (q.n + 1)
+    rank = [0] * (instance(q, Quiver).n + 1)
     for _ in range(q.n):
         moved = False
         for t, h in q.arrows:
@@ -125,7 +125,7 @@ def is_dynkin(q: Quiver) -> bool:
     Fraction-free (Bareiss) elimination without pivoting leaves those
     minors, exactly, as its pivots.
     """
-    m = [[2 * (i == j) for j in range(q.n)] for i in range(q.n)]
+    m = [[2 * (i == j) for j in range(q.n)] for i in range(instance(q, Quiver).n)]
     for t, h in q.arrows:
         m[t - 1][h - 1] -= 1
         m[h - 1][t - 1] -= 1
@@ -262,7 +262,7 @@ def orbits(q: Quiver, e: Iterable[int]) -> list[OrbitSpec]:
     an orbit.  The number of leaves is the number of orbits, Kostant's
     partition function of ``e``.
     """
-    ev = q.check_vector(e)
+    ev = instance(q, Quiver).check_vector(e)
     roots = positive_roots(q)
     fits = [k for k, r in enumerate(roots) if sum(r) > 1 and all(map(int.__le__, r, ev))]
     tall = sorted(fits, key=lambda k: -sum(roots[k]))
@@ -307,7 +307,7 @@ class QuiverRep:
 
 
 def validate_rep(q: Quiver, rep: QuiverRep) -> None:
-    if len(instance(rep, QuiverRep).dims) != q.n or len(rep.mats) != len(q.arrows):
+    if len(instance(rep, QuiverRep).dims) != instance(q, Quiver).n or len(rep.mats) != len(q.arrows):
         raise QuiverError("representation shape does not match quiver")
     for (t, h), mat in zip(q.arrows, rep.mats):
         rows, cols = rep.dims[h - 1], rep.dims[t - 1]
@@ -332,7 +332,7 @@ def indecomposable_rep(q: Quiver, root: Iterable[int]) -> QuiverRep:
     because representations are frozen.  A vector that is not a positive
     root raises ``QuiverError``.
     """
-    return _probe(q, q.check_vector(root))
+    return _probe(q, instance(q, Quiver).check_vector(root))
 
 
 _DRAWS_PER_RANGE = 16
@@ -364,7 +364,7 @@ def direct_sum(q: Quiver, reps: Iterable[QuiverRep]) -> QuiverRep:
     parts = sequence(reps)
     for r in parts:
         validate_rep(q, r)
-    dims = tuple(sum(r.dims[i] for r in parts) for i in range(q.n))
+    dims = tuple(sum(r.dims[i] for r in parts) for i in range(instance(q, Quiver).n))
     mats = []
     for k, (t, h) in enumerate(q.arrows):
         rows, left = [], 0
@@ -380,7 +380,7 @@ def orbit_rep(q: Quiver, orbit: OrbitSpec) -> QuiverRep:
     """Canonical representative: multiplicity-many copies of each
     indecomposable, in root order.  A dimension vector that does not fit
     ``q`` or a vector that is not a positive root raises ``QuiverError``."""
-    q.check_vector(instance(orbit, OrbitSpec).dim)
+    instance(q, Quiver).check_vector(instance(orbit, OrbitSpec).dim)
     check_roots(q, orbit.support)
     pieces = []
     for root, m in orbit.mults:

@@ -211,7 +211,7 @@ def resolution_pair(q: Quiver, orbit: OrbitSpec, dp: DirectedPartition) -> Resol
 
 def pair_steps(q: Quiver, e: Iterable[int], pair: ResolutionPair) -> list[tuple[int, int, int]]:
     """The steps (v, r, c) of ``pair`` walked over the dimension vector ``e``."""
-    return _walk(q, list(q.check_vector(e)), instance(pair, ResolutionPair).steps())
+    return _walk(q, list(instance(q, Quiver).check_vector(e)), instance(pair, ResolutionPair).steps())
 
 
 def codim(q: Quiver, e: Iterable[int], pair: ResolutionPair) -> int:

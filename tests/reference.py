@@ -15,6 +15,9 @@ a number that ``quivergk`` computes another way:
   rectangle class;
 - ``pair_stages``, the stage vector each step of a resolution pair acts
   on, for ``engine.phi``;
+- ``fold_every_head``, the step fold that splits every out-slot of a
+  step, empty or not, which ``engine._fold``, splitting only the
+  out-slots that hold a partition, must equal;
 - ``validate_directed_pairwise``, the directedness rule of a partition
   tested pair by pair on the Euler table, which the bitmask test of
   ``resolution.validate_directed`` must agree with;
@@ -34,7 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from quivergk.gamma import TensorElement, basis, straighten
+from quivergk.engine import _absorb, _shifted, _split_absorb, psi
+from quivergk.gamma import TensorElement, append_unit, basis, straighten
 from quivergk.oracle_a3 import A3OrbitMults
 from quivergk.partitions import Partition, QuiverError, integers, normalize
 from quivergk.quiver import Quiver, check_roots
@@ -406,7 +410,7 @@ def outbound_d(
 
 
 # ---------------------------------------------------------------------------
-# the A2 closed form, the stages of a resolution pair, directedness pair by pair
+# the A2 closed form, the stages and fold of a resolution pair, directedness pair by pair
 
 
 def porteous(e1: int, e2: int, r: int) -> TensorElement:
@@ -425,6 +429,26 @@ def pair_stages(q: Quiver, e: Iterable[int], pair: ResolutionPair) -> list[tuple
         stages.append((v, r, tuple(cur)))
         cur[v - 1] -= r
     return stages
+
+
+def fold_every_head(p: TensorElement, q: Quiver, steps: list[tuple[int, int, int]]) -> TensorElement:
+    """The steps (vertex, rank, rectangle width c) applied to ``p``, right to left, splitting the
+    slot of every out-arrow's head, also a slot that is G_() in every term.  A vertex without
+    out-arrows would keep a unit working slot, so its row (c)^r goes straight into slot i."""
+    heads = q.heads
+    for i, r, c in reversed(steps):
+        if not heads[i]:
+            out: dict[tuple, int] = {}
+            row = _shifted((), r, c)
+            for key, coeff in p.terms.items():
+                _absorb(out, key[: i - 1], key[i:], *row, key[i - 1], coeff)
+            p = TensorElement._trusted(p.arity, {k: v for k, v in out.items() if v})
+            continue
+        p = append_unit(p)
+        for head in heads[i][:-1]:
+            p = psi(p, head, r)
+        p = _split_absorb(p, heads[i][-1], i, r, c)
+    return p
 
 
 def validate_directed_pairwise(q: Quiver, dp: DirectedPartition) -> None:

@@ -38,9 +38,9 @@ from quivergk.quiver import (
     orbits,
     positive_roots,
 )
-from quivergk.resolution import ResolutionPair, codim, directed_partition_from_blocks
+from quivergk.resolution import ResolutionPair, codim, directed_partition_from_blocks, orbit_steps
 
-from reference import conjugate, pair_stages, partitions_fitting
+from reference import conjugate, fold_every_head, pair_stages, partitions_fitting
 
 
 def a2_orbit(m11, m12, m22):
@@ -388,6 +388,84 @@ def test_fold_at_a_vertex_without_out_arrows(monkeypatch):
             straightened += r > 0 and any(key[i - 1][:1] > (c,) for key in p.terms)
             zeros += c == 0
     assert straightened > 20 and zeros > 20
+
+
+D4_OUT = Quiver(4, ((4, 1), (4, 2), (4, 3)))
+E6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)))
+
+
+@pytest.mark.parametrize(
+    "q, max_dim",
+    [
+        (Quiver(3, ((1, 2), (3, 2))), 3),
+        (Quiver(3, ((2, 1), (2, 3))), 3),
+        (Quiver(4, ((1, 2), (3, 2), (3, 4))), 2),
+        (Quiver(4, ((1, 4), (2, 4), (3, 4))), 2),
+        (D4_OUT, 2),
+        (Quiver(4, ((1, 2), (2, 3), (2, 4))), 2),
+        (E6, 1),
+        (Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7))), 1),
+    ],
+    ids=["A3-in", "A3-out", "A4-mixed", "D4-in", "D4-out", "D4-mixed", "E6", "E7"],
+)
+def test_fold_equals_splitting_every_out_slot(q, max_dim):
+    """Splitting only the out-slots that hold a partition, and running a
+    step with none as a sink step, gives every orbit's table exactly as
+    splitting every out-slot does."""
+    for e in itertools.product(range(max_dim + 1), repeat=q.n):
+        for orbit in orbits(q, e):
+            steps, unit = orbit_steps(q, orbit), TensorElement.unit(q.n)
+            assert engine._fold(unit, q, steps) == fold_every_head(unit, q, steps), orbit
+
+
+@st.composite
+def empty_slot_cases(draw):
+    """(p, h, r): slot h of ``p`` is G_() in every term and every working
+    (last) partition has at most r rows."""
+    from conftest import partitions
+
+    arity = draw(st.integers(min_value=2, max_value=5))
+    h = draw(st.integers(min_value=1, max_value=arity - 1))
+    r = draw(st.integers(min_value=0, max_value=3))
+    terms = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        key = [draw(partitions(max_size=4, max_part=3, max_rows=3)) for _ in range(arity - 1)]
+        key[h - 1] = ()
+        work = draw(partitions(max_size=4, max_part=3, max_rows=r))
+        terms[tuple(key) + (work,)] = draw(st.integers(min_value=-2, max_value=2))
+    return TensorElement(arity, terms), h, r
+
+
+@given(empty_slot_cases())
+@settings(max_examples=200, deadline=None)
+def test_psi_of_a_slot_empty_in_every_term_is_the_identity(case):
+    # the unit law: the coproduct of G_() is G_() (x) G_(), and G_() times a
+    # working partition of at most r rows is that partition
+    p, h, r = case
+    assert psi(p, h, r) == p
+
+
+@pytest.mark.parametrize("q, max_dim, splits", [(E6, 1, False), (D4_OUT, 2, True)], ids=["E6", "D4-out"])
+def test_no_step_splits_a_slot_empty_in_every_term(monkeypatch, q, max_dim, splits):
+    """No call of ``psi`` or ``_split_absorb`` gets a split slot that is G_()
+    in every term.  No E6 <= 1 table ever fills an out-slot, so all its steps
+    run as sink steps; D4-out <= 2 splits filled slots with both."""
+    filled = {"psi": [], "_split_absorb": []}
+
+    def spy(name):
+        split = getattr(engine, name)
+
+        def call(p, h, *rest):
+            filled[name].append(any(key[h - 1] for key in p.terms))
+            return split(p, h, *rest)
+
+        return call
+
+    for name in filled:
+        monkeypatch.setattr(engine, name, spy(name))
+    assert all(failure is None for _, failure in sweep(q, max_dim, "codim"))
+    assert all(filled["psi"]) and all(filled["_split_absorb"])
+    assert bool(filled["psi"]) == bool(filled["_split_absorb"]) == splits
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,37 @@ def test_coproduct_rejects_a_float_row_cap_after_its_int_is_cached():
     assert coproduct.cache_info().currsize > 0  # still a functools memo
 
 
+# each list call once raised TypeError: the memo hashed the list before normalize read it
+LIST_CALLS = {
+    "coproduct": lambda seq: coproduct(seq((2, 1))),
+    "coproduct with a row cap": lambda seq: coproduct(seq((2, 1)), 1),
+    "coproduct2": lambda seq: coproduct2(seq((2, 1))),
+    "lr_coeff": lambda seq: lr_coeff(seq((1,)), seq((1,)), seq((2,))),
+    "coproduct_coeff": lambda seq: coproduct_coeff(seq((1,)), seq((1,)), seq((2,))),
+    "coproduct_coeff in a given rectangle": lambda seq: coproduct_coeff(
+        seq((1,)), seq((1,)), seq((1,)), rect=seq((2, 2))
+    ),
+}
+
+
+@pytest.mark.parametrize("call", LIST_CALLS.values(), ids=LIST_CALLS)
+def test_memoised_constants_read_a_list_partition_as_its_tuple(call):
+    clear_caches()
+    from_list = call(list)
+    assert from_list == call(tuple)
+    assert call(list) == from_list  # now a hit
+
+
+def test_list_arguments_share_the_tuple_memo():
+    clear_caches()
+    coproduct((2, 1))
+    coproduct([2, 1])
+    info = coproduct.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    coproduct.cache_clear()
+    assert coproduct.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("p, q", itertools.product(range(5), repeat=2))
 def test_rectangle_coproduct_is_the_rook_strip_rule(p, q):
     """Buch's closed form for a rectangle R = (q,) * p: G_lam (x) G_mu

@@ -17,25 +17,40 @@ from quivergk import (
     QuiverRep,
     ResolutionPair,
     TensorElement,
+    a_op,
     basis,
+    caveat_for,
     codim,
     coefficients,
     coproduct,
     direct_sum,
     directed_partition,
+    directed_partition_from_blocks,
+    dynkin_type,
+    euler_form,
+    greedy_block,
     hom_dim,
     hom_table,
     in_orbit_closure,
+    indecomposable_rep,
+    is_dynkin,
     mul,
+    opposite,
     orbit_rep,
+    orbits,
     phi,
+    positive_roots,
+    psi,
     quiver_coefficients,
     resolution_pair,
     straighten,
+    sweep,
     tensor_mul_at,
+    tits_form,
+    validate_directed,
 )
 from quivergk.oracle_a3 import all_mults, interval_root
-from quivergk.quiver import incoming_rank
+from quivergk.quiver import check_roots, incoming_rank, source_rank
 from quivergk.resolution import pair_steps
 
 from reference import A2
@@ -101,6 +116,41 @@ BAD_CALLS = {
     "non-directed partition of resolution_pair": lambda: resolution_pair(INBOUND, SPLIT, NOT_DIRECTED),
     "empty block of quiver_coefficients": lambda: quiver_coefficients(INBOUND, (1, 1, 1), SPLIT, dp=EMPTY_BLOCK),
     "empty block of resolution_pair": lambda: resolution_pair(INBOUND, SPLIT, EMPTY_BLOCK),
+    # each of these once raised AttributeError on an int where a TensorElement or a Quiver belongs
+    "tensor of psi not a TensorElement": lambda: psi(5, 1),
+    "tensor of a_op not a TensorElement": lambda: a_op(5, 1, 1, 1),
+    "tensor of phi not a TensorElement": lambda: phi(5, INBOUND, (1, 1, 1), 1, 1),
+    "quiver of phi not a Quiver": lambda: phi(TensorElement.unit(3), 5, (1, 1, 1), 1, 1),
+    "first factor of mul not a TensorElement": lambda: mul(5, basis((1,))),
+    "second factor of mul not a TensorElement": lambda: mul(basis((1,)), 5),
+    "tensor of tensor_mul_at not a TensorElement": lambda: tensor_mul_at(5, 1, basis((1,))),
+    "factor of tensor_mul_at not a TensorElement": lambda: tensor_mul_at(TensorElement.unit(1), 1, 5),
+    "quiver of quiver_coefficients not a Quiver": lambda: quiver_coefficients(5, (1, 1, 1), ORBIT),
+    "quiver of orbits not a Quiver": lambda: orbits(5, (1,)),
+    "quiver of sweep not a Quiver": lambda: next(sweep(5, 1, "signs")),
+    "quiver of hom_dim not a Quiver": lambda: hom_dim(5, REP, REP),
+    "quiver of in_orbit_closure not a Quiver": lambda: in_orbit_closure(5, REP, ORBIT),
+    "quiver of hom_table not a Quiver": lambda: hom_table(5, REP, ORBIT),
+    "quiver of orbit_rep not a Quiver": lambda: orbit_rep(5, ORBIT),
+    "quiver of indecomposable_rep not a Quiver": lambda: indecomposable_rep(5, (1,)),
+    "quiver of direct_sum not a Quiver": lambda: direct_sum(5, []),
+    "quiver of euler_form not a Quiver": lambda: euler_form(5, (1,), (1,)),
+    "quiver of tits_form not a Quiver": lambda: tits_form(5, (1,)),
+    "quiver of incoming_rank not a Quiver": lambda: incoming_rank(5, (1,), 1),
+    "quiver of source_rank not a Quiver": lambda: source_rank(5),
+    "quiver of opposite not a Quiver": lambda: opposite(5),
+    "quiver of is_dynkin not a Quiver": lambda: is_dynkin(5),
+    "quiver of dynkin_type not a Quiver": lambda: dynkin_type(5),
+    "quiver of positive_roots not a Quiver": lambda: positive_roots(5),
+    "quiver of check_roots not a Quiver": lambda: check_roots(5, [(1,)]),
+    "quiver of caveat_for not a Quiver": lambda: caveat_for(5),
+    "quiver of directed_partition not a Quiver": lambda: directed_partition(5, [(1, 1, 1)]),
+    "quiver of greedy_block not a Quiver": lambda: greedy_block(5, [(1, 1, 1)]),
+    "quiver of validate_directed not a Quiver": lambda: validate_directed(5, DirectedPartition(BLOCKS)),
+    "quiver of directed_partition_from_blocks not a Quiver": lambda: directed_partition_from_blocks(5, BLOCKS),
+    "quiver of resolution_pair not a Quiver": lambda: resolution_pair(5, ORBIT, DirectedPartition(BLOCKS)),
+    "quiver of coefficients not a Quiver": lambda: coefficients(5, (1, 1, 1), PAIR),
+    "quiver of codim not a Quiver": lambda: codim(5, (1, 1, 1), PAIR),
 }
 
 

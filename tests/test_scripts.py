@@ -88,9 +88,10 @@ def test_membership_fuzz():
 
 def test_partition_evidence():
     lines = run_script("partition_evidence.py", "--max-dim", "1")
-    assert [line.split(":")[0] for line in lines] == ["D4 inbound (max-dim 1)", "E6 (max-dim 1)"]
+    names = ["D4 inbound", "D4 outbound", "D4 mixed", "E6", "E7"]
+    assert [line.split(":")[0] for line in lines] == [f"{name} (max-dim 1)" for name in names]
     # the 242 orbits of E6 at max-dim 1, 82 of them with a second pair
-    assert lines[1].startswith("E6 (max-dim 1): 242 orbits, 82 with a different pair,")
+    assert lines[3].startswith("E6 (max-dim 1): 242 orbits, 82 with a different pair,")
     for line in lines:
         count = line.split(": ")[1].split(" ")[0]
         assert f", {count} full tables equal, {count} pass signs and lowest degree," in line
