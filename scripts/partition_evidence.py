@@ -21,7 +21,7 @@ import time
 from quivergk.engine import quiver_coefficients, sweep
 from quivergk.gamma import min_degree
 from quivergk.quiver import Quiver, QuiverError, positive_roots
-from quivergk.resolution import directed_partition
+from quivergk.resolution import directed_partition, resolution_pair
 
 CORPUS = [
     ("D4 inbound", Quiver(4, ((1, 4), (2, 4), (3, 4))), 3),
@@ -37,9 +37,10 @@ def report(name, quiver, max_dim):
     all_roots = directed_partition(quiver, positive_roots(quiver))
     count = moved = equal = checked = 0
     for table, sign_failure in sweep(quiver, max_dim, "signs"):
-        other = quiver_coefficients(quiver, table.e, table.orbit, dp=all_roots)
+        orbit = table.orbit
+        other = quiver_coefficients(quiver, orbit.dim, orbit, dp=all_roots)
         count += 1
-        moved += other.pair != table.pair
+        moved += resolution_pair(quiver, orbit) != resolution_pair(quiver, orbit, all_roots)
         equal += other.tensor == table.tensor and other.codim == table.codim
         checked += sign_failure is None and min_degree(table.tensor) == table.codim
     dt = time.monotonic() - t0

@@ -4,7 +4,7 @@ The class of an orbit closure is expanded in the basis of tensor products
 of stable Grothendieck classes, one tensor slot per vertex.  The expansion
 is driven by the steps (vertex, rank, rectangle width) that
 ``resolution.orbit_steps`` reads off an orbit in one pass, the table's
-pair and codim included.  They are consumed right to left: each step
+codim included.  They are consumed right to left: each step
 splits off a coproduct along every arrow leaving its vertex, then absorbs
 the working slot through a straightened rectangle-shift.  G_() is the
 unit of the bialgebra, so splitting a slot that is empty in every term
@@ -53,7 +53,7 @@ from .resolution import (
     DirectedPartition,
     ResolutionPair,
     _walk,
-    codim,  # unused here, as resolution_pair: kept so the benchmark tracer can wrap them
+    codim,  # unused here: kept so the benchmark tracer can wrap it
     directed_partition,
     orbit_steps,
     pair_steps,
@@ -76,14 +76,13 @@ def caveat_for(q: Quiver) -> str | None:
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Result bundle of one orbit-closure expansion."""
+    """Result bundle of one orbit-closure expansion: tensor and codim of ``orbit`` (dimension
+    vector ``orbit.dim``); a directed partition's pair is ``resolution_pair(quiver, orbit, dp)``."""
 
     quiver: Quiver
-    e: tuple[int, ...]
     tensor: TensorElement
     codim: int
-    pair: ResolutionPair
-    orbit: OrbitSpec | None = None
+    orbit: OrbitSpec
     caveat: str | None = None
 
 
@@ -225,31 +224,31 @@ def quiver_coefficients(
 ) -> CoefficientTable:
     """Full expansion of one orbit closure.
 
-    The steps come from ``orbit_steps`` in one pass; the directed partition
-    defaults to the greedy one on the orbit's support, and the pair and the
-    codim are read off the same steps.  For quivers with a D or E component
-    the table is flagged (see ``caveat_for``).  An orbit that uses a vector
-    which is not a positive root of ``q`` raises ``QuiverError`` where the
-    pass looks it up in the bitmasks of the positive roots.
+    The steps come from ``orbit_steps`` in one pass (their pair is
+    ``resolution_pair(q, orbit, dp)``); the directed partition defaults to the
+    greedy one on the orbit's support, and the codim is read off the same
+    steps.  For quivers with a D or E component the table is flagged (see
+    ``caveat_for``).  An orbit that uses a vector which is not a positive root
+    of ``q`` raises ``QuiverError`` where the pass looks it up in the root bitmasks.
     """
     ev = instance(q, Quiver).check_vector(e)
     if instance(orbit, OrbitSpec).dim != ev:
         raise QuiverError(f"orbit has dim {orbit.dim}, expected {ev}")
     steps = orbit_steps(q, orbit, dp)
     tensor, cd = _fold(TensorElement.unit(q.n), q, steps), sum(r * c for _, r, c in steps)
-    return CoefficientTable(q, ev, tensor, cd, ResolutionPair._of(steps), orbit, caveat_for(q))
+    return CoefficientTable(q, tensor, cd, orbit, caveat_for(q))
 
 
 def cohomological_part(table: CoefficientTable) -> TensorElement:
     """The degree-equals-codim slice (the cohomology-ring shadow)."""
-    return project_degree(table.tensor, table.codim)
+    return project_degree(instance(table, CoefficientTable).tensor, table.codim)
 
 
 def check_alternating(table: CoefficientTable) -> list[tuple[tuple, int]]:
     """Terms violating the alternating sign prediction
     sign = (-1)^(degree - codim); empty list means all signs conform."""
     bad = []
-    for key, c in table.tensor.sorted_terms():
+    for key, c in instance(table, CoefficientTable).tensor.sorted_terms():
         expected = -1 if (key_degree(key) - table.codim) % 2 else 1
         if c * expected < 0:
             bad.append((key, c))
@@ -284,17 +283,16 @@ def _check_codim(table: CoefficientTable, _: None) -> dict | None:
 def _check_independence(table: CoefficientTable, dp: DirectedPartition) -> dict | None:
     """Compare with the table of a second directed partition: in full in
     type A, and only the degree-equals-codim slice under the caveat."""
-    other = quiver_coefficients(table.quiver, table.e, table.orbit, dp=dp)
+    q, orbit = table.quiver, table.orbit
+    other = quiver_coefficients(q, orbit.dim, orbit, dp=dp)
     if table.caveat:
         agree = cohomological_part(table) == cohomological_part(other)
     else:
         agree = table.tensor == other.tensor
     if agree and table.codim == other.codim:
         return None
-    return {
-        "pair_a": {"i": list(table.pair.vertices), "r": list(table.pair.ranks)},
-        "pair_b": {"i": list(other.pair.vertices), "r": list(other.pair.ranks)},
-    }
+    pairs = {"pair_a": resolution_pair(q, orbit), "pair_b": resolution_pair(q, orbit, dp)}
+    return {name: {"i": list(p.vertices), "r": list(p.ranks)} for name, p in pairs.items()}
 
 
 def _oracle_reference(q: Quiver) -> Callable[..., TensorElement]:

@@ -68,7 +68,7 @@ class TensorElement:
         if self.arity < 0:
             raise QuiverError(f"negative arity {arity}")
         clean: dict[TensorKey, int] = {}
-        for key, c in (terms or {}).items():
+        for key, c in ({} if terms is None else instance(terms, dict)).items():
             key = sequence(key, self.arity)
             (c,) = integers((c,))
             if c:
@@ -86,6 +86,9 @@ class TensorElement:
 
     @staticmethod
     def unit(arity: int) -> "TensorElement":
+        (arity,) = integers((arity,))
+        if arity < 0:
+            raise QuiverError(f"negative arity {arity}")
         return TensorElement._trusted(arity, {((),) * arity: 1})
 
     def sorted_terms(self) -> list[tuple[TensorKey, int]]:
@@ -421,7 +424,8 @@ def tensor_mul_at(p: TensorElement, slot: int, g: TensorElement) -> TensorElemen
 
 def append_unit(p: TensorElement) -> TensorElement:
     """Extend a tensor by one unit slot on the right."""
-    return TensorElement._trusted(p.arity + 1, {key + ((),): c for key, c in p.terms.items()})
+    terms = instance(p, TensorElement).terms
+    return TensorElement._trusted(p.arity + 1, {key + ((),): c for key, c in terms.items()})
 
 
 def key_degree(key: TensorKey) -> int:
@@ -431,13 +435,12 @@ def key_degree(key: TensorKey) -> int:
 def project_degree(p: TensorElement, d: int) -> TensorElement:
     """The exact-degree-``d`` slice of a tensor."""
     (d,) = integers((d,))
-    return TensorElement._trusted(
-        p.arity, {key: c for key, c in p.terms.items() if key_degree(key) == d}
-    )
+    terms = instance(p, TensorElement).terms
+    return TensorElement._trusted(p.arity, {key: c for key, c in terms.items() if key_degree(key) == d})
 
 
 def min_degree(p: TensorElement) -> int | None:
     """Smallest total degree present, or None for the zero tensor."""
-    if not p.terms:
+    if not instance(p, TensorElement).terms:
         return None
     return min(key_degree(key) for key in p.terms)

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 from .gamma import TensorElement, _add_term, _mul_basis, coproduct, coproduct2
-from .partitions import Partition, integers, normalize
+from .partitions import Partition, instance, integers, normalize
 from .quiver import OrbitSpec, Quiver, QuiverError, orbits
 
 INBOUND = Quiver(3, ((1, 2), (3, 2)))
@@ -78,7 +78,7 @@ class A3OrbitMults:
 def mults_from_orbit(orbit: OrbitSpec) -> A3OrbitMults:
     lookup = {interval_root(i, j): (i, j) for i in (1, 2, 3) for j in range(i, 4)}
     values: dict[str, int] = {}
-    for root, m in orbit.mults:
+    for root, m in instance(orbit, OrbitSpec).mults:
         if root not in lookup:
             raise QuiverError(f"{root} is not an A3 interval root")
         i, j = lookup[root]
@@ -108,7 +108,7 @@ def _rectangle(width: int, rows: int) -> Partition:
 def inbound_table(m: A3OrbitMults) -> TensorElement:
     """Full expansion of an inbound orbit closure, assembled from the
     rectangle coproducts; middle keys carry their rectangle prefix."""
-    width = m.m11 + m.m13 + m.m33
+    width = instance(m, A3OrbitMults).m11 + m.m13 + m.m33
     prefix = (width,) * m.m22
     r1 = _rectangle(m.m33, m.m12)
     r2 = _rectangle(m.m11, m.m23)
@@ -131,7 +131,7 @@ def inbound_table(m: A3OrbitMults) -> TensorElement:
 def outbound_table(m: A3OrbitMults) -> TensorElement:
     """Full expansion of an outbound orbit closure from one double
     coproduct, with rectangle prefixes on the outer slots."""
-    rect = _rectangle(m.m22, m.m13)
+    rect = _rectangle(instance(m, A3OrbitMults).m22, m.m13)
     left = (m.m22 + m.m23,) * m.m11
     right = (m.m22 + m.m12,) * m.m33
     out: dict[tuple, int] = {}

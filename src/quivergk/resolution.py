@@ -63,14 +63,6 @@ class ResolutionPair:
         if any(r < 1 for r in self.ranks):
             raise QuiverError("ranks must be positive")
 
-    @classmethod
-    def _of(cls, steps: list[tuple[int, int, int]]) -> "ResolutionPair":
-        """The pair of walked steps (v, r, c), as is: v and r ints, r positive."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "vertices", tuple(s[0] for s in steps))
-        object.__setattr__(self, "ranks", tuple(s[1] for s in steps))
-        return self
-
     def steps(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self.vertices, self.ranks))
 
@@ -82,7 +74,7 @@ def validate_directed(q: Quiver, dp: DirectedPartition) -> None:
 
 
 def directed_partition_from_blocks(q: Quiver, blocks: Iterable[Iterable[Vector]]) -> DirectedPartition:
-    dp = DirectedPartition(tuple(blocks))
+    dp = DirectedPartition(blocks)
     validate_directed(q, dp)
     return dp
 
@@ -204,14 +196,20 @@ def orbit_steps(q: Quiver, orbit: OrbitSpec, dp: DirectedPartition | None = None
     return _walk(q, list(orbit.dim), steps)
 
 
-def resolution_pair(q: Quiver, orbit: OrbitSpec, dp: DirectedPartition) -> ResolutionPair:
-    """The (vertex, rank) steps of ``orbit_steps(q, orbit, dp)``."""
-    return ResolutionPair._of(orbit_steps(q, orbit, instance(dp, DirectedPartition)))
+def resolution_pair(q: Quiver, orbit: OrbitSpec, dp: DirectedPartition | None = None) -> ResolutionPair:
+    """The (vertex, rank) steps of ``orbit_steps(q, orbit, dp)``, by default of the greedy partition."""
+    steps = orbit_steps(q, orbit, dp)
+    return ResolutionPair(tuple(s[0] for s in steps), tuple(s[1] for s in steps))
 
 
 def pair_steps(q: Quiver, e: Iterable[int], pair: ResolutionPair) -> list[tuple[int, int, int]]:
-    """The steps (v, r, c) of ``pair`` walked over the dimension vector ``e``."""
-    return _walk(q, list(instance(q, Quiver).check_vector(e)), instance(pair, ResolutionPair).steps())
+    """The steps (v, r, c) of ``pair`` walked over the dimension vector ``e``, which the pair
+    must resolve in full: a stage left non-zero after the last step raises QuiverError."""
+    cur = list(instance(q, Quiver).check_vector(e))
+    steps = _walk(q, cur, instance(pair, ResolutionPair).steps())
+    if any(cur):
+        raise QuiverError(f"the pair leaves the stage vector {tuple(cur)} unresolved")
+    return steps
 
 
 def codim(q: Quiver, e: Iterable[int], pair: ResolutionPair) -> int:

@@ -45,7 +45,7 @@ from quivergk.quiver import (
     positive_roots,
     tits_form,
 )
-from quivergk.resolution import codim, directed_partition
+from quivergk.resolution import codim, directed_partition, resolution_pair
 
 D4 = Quiver(4, ((1, 4), (2, 4), (3, 4)))
 D4_ORIENTATIONS = (
@@ -120,7 +120,8 @@ def outbound_corpus():
 
 @cache
 def type_a_corpus():
-    """Pairs (greedy table, full positive-root-partition table), type A."""
+    """Triples (greedy table, full positive-root-partition table, that
+    partition), type A."""
     out = []
     for q in TYPE_A:
         full = directed_partition(q, positive_roots(q))
@@ -131,6 +132,7 @@ def type_a_corpus():
                     (
                         quiver_coefficients(q, e, orbit),
                         quiver_coefficients(q, e, orbit, dp=full),
+                        full,
                     )
                 )
     return out
@@ -138,8 +140,9 @@ def type_a_corpus():
 
 @cache
 def d4_corpus():
-    """Pairs (greedy table, full positive-root-partition table) for every
-    orbit with entries at most 2, on three orientations of the star."""
+    """Triples (greedy table, full positive-root-partition table, that
+    partition) for every orbit with entries at most 2, on three orientations
+    of the star."""
     out = []
     for q in D4_ORIENTATIONS:
         full = directed_partition(q, positive_roots(q))
@@ -149,24 +152,32 @@ def d4_corpus():
                     (
                         quiver_coefficients(q, e, orbit),
                         quiver_coefficients(q, e, orbit, dp=full),
+                        full,
                     )
                 )
     return out
 
 
 def every_table():
+    """Every corpus table, with the directed partition it was computed from
+    (None for the greedy one)."""
     for _, _, _, table in a2_corpus():
-        yield table
+        yield table, None
     for _, table in inbound_corpus():
-        yield table
+        yield table, None
     for _, table in outbound_corpus():
-        yield table
-    for a, b in type_a_corpus():
-        yield a
-        yield b
-    for a, b in d4_corpus():
-        yield a
-        yield b
+        yield table, None
+    for a, b, full in type_a_corpus() + d4_corpus():
+        yield a, None
+        yield b, full
+
+
+def pairs_moved(triples) -> int:
+    """How many orbits get a different resolution pair from the full partition."""
+    return sum(
+        resolution_pair(a.quiver, a.orbit) != resolution_pair(a.quiver, a.orbit, full)
+        for a, _, full in triples
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +214,17 @@ def test_criterion_04_resolution_pair_independence():
     pairs = type_a_corpus()
     # zero-rank steps drop out, so the two partitions can induce the same
     # pair on dense-ish orbits; demand plenty of genuinely different ones
-    assert sum(a.pair != b.pair for a, b in pairs) >= 20
-    for a, b in pairs:
+    assert pairs_moved(pairs) >= 20
+    for a, b, _ in pairs:
         assert a.tensor == b.tensor, (a.quiver, a.orbit)
         assert a.codim == b.codim
 
     stars = d4_corpus()
     for q in D4_ORIENTATIONS:
-        own = [(a, b) for a, b in stars if a.quiver == q]
+        own = [(a, b, full) for a, b, full in stars if a.quiver == q]
         assert len(own) == 448, q
-        assert sum(a.pair != b.pair for a, b in own) >= 80, q
-    for a, b in stars:
+        assert pairs_moved(own) >= 80, q
+    for a, b, _ in stars:
         assert a.codim == b.codim
         assert a.tensor == b.tensor, (a.quiver, a.orbit)
 
@@ -305,8 +316,8 @@ def test_criterion_07_straightening_obeys_its_law():
 
 
 def test_criterion_08_lowest_degree_equals_codimension():
-    for table in every_table():
-        expected = codim(table.quiver, table.e, table.pair)
+    for table, dp in every_table():
+        expected = codim(table.quiver, table.orbit.dim, resolution_pair(table.quiver, table.orbit, dp))
         assert table.codim == expected
         assert min_degree(table.tensor) == expected, (table.quiver, table.orbit)
 
@@ -321,7 +332,7 @@ def test_criterion_09_signs_alternate():
         for (lam, mu), c in coproduct(nu).terms.items():
             assert (-1) ** (sum(lam) + sum(mu) - sum(nu)) * c > 0, (nu, lam, mu)
     # orbit tables over the entire corpus
-    for table in every_table():
+    for table, _ in every_table():
         assert check_alternating(table) == [], (table.quiver, table.orbit)
 
 

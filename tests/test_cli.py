@@ -140,6 +140,14 @@ def test_coeffs_pair_vertex_out_of_range(capsys, a2_file, zero_orbit_file, tmp_p
     assert "Traceback" not in err
 
 
+def test_coeffs_pair_short_of_the_dimension_vector(capsys, a2_file, zero_orbit_file, tmp_path):
+    # one step leaves the stage vector (1, 0): this printed a table, as for a whole pair
+    pair = write_json(tmp_path / "pair.json", {"i": [2], "r": [1]})
+    code, out, err = run(capsys, ["coeffs", a2_file, zero_orbit_file, "--pair", pair])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_coeffs_table_format(capsys, a2_file, zero_orbit_file):
     code, out, _ = run(
         capsys, ["coeffs", a2_file, zero_orbit_file, "--format", "table"]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -38,7 +39,14 @@ from quivergk.quiver import (
     orbits,
     positive_roots,
 )
-from quivergk.resolution import ResolutionPair, codim, directed_partition_from_blocks, orbit_steps
+from quivergk.resolution import (
+    ResolutionPair,
+    codim,
+    directed_partition,
+    directed_partition_from_blocks,
+    orbit_steps,
+    resolution_pair,
+)
 
 from reference import conjugate, fold_every_head, pair_stages, partitions_fitting
 
@@ -214,7 +222,7 @@ def test_phi_folds_to_the_engine_table(q, max_dim):
         for orbit in orbits(q, e):
             table = quiver_coefficients(q, e, orbit)
             p = TensorElement.unit(q.n)
-            for v, r, stage in reversed(list(pair_stages(q, e, table.pair))):
+            for v, r, stage in reversed(list(pair_stages(q, e, resolution_pair(q, orbit)))):
                 p = phi(p, q, stage, v, r)
             assert p == table.tensor, orbit
 
@@ -477,7 +485,7 @@ def test_zero_orbit_of_a2(a2):
     assert table.tensor.terms == {((), (1,)): 1}
     assert table.codim == 1
     assert table.caveat is None
-    assert table.pair.steps() == ((2, 1), (1, 1))
+    assert resolution_pair(a2, table.orbit).steps() == ((2, 1), (1, 1))
 
 
 def test_rank_one_orbit_2x2(a2):
@@ -528,8 +536,8 @@ def test_coefficients_returns_the_tensor_and_its_codim(inbound):
     for e in [(1, 1, 1), (2, 1, 2), (2, 2, 2)]:
         for orb in orbits(inbound, e):
             table = quiver_coefficients(inbound, e, orb)
-            want = (table.tensor, codim(inbound, e, table.pair))
-            assert coefficients(inbound, e, table.pair) == want
+            pair = resolution_pair(inbound, orb)
+            assert coefficients(inbound, e, pair) == (table.tensor, codim(inbound, e, pair))
 
 
 def test_coefficients_rejects_overconsumption(a2):
@@ -609,10 +617,9 @@ def test_check_alternating_flags_violations(a2):
     good = quiver_coefficients(a2, (1, 1), a2_orbit(1, 0, 1))
     forged = CoefficientTable(
         quiver=good.quiver,
-        e=good.e,
         tensor=TensorElement(2, {((), (1,)): 1, ((), (1, 1)): 1}),
         codim=good.codim,
-        pair=good.pair,
+        orbit=good.orbit,
     )
     assert check_alternating(forged) == [(((), (1, 1)), 1)]
 
@@ -716,10 +723,24 @@ def test_sweep_yields_greedy_tables_in_order(inbound):
         for e in itertools.product(range(3), repeat=3)
         for orb in orbits(inbound, e)
     ]
-    assert [(t.e, t.orbit) for t, _ in got] == want
+    assert [(t.orbit.dim, t.orbit) for t, _ in got] == want
     assert all(failure is None for _, failure in got)
     table = got[-1][0]
-    assert table == quiver_coefficients(inbound, table.e, table.orbit)
+    assert table == quiver_coefficients(inbound, table.orbit.dim, table.orbit)
+
+
+def test_independence_failure_reports_both_pairs(inbound):
+    # a forged greedy table disagrees with the all-roots one, and the report
+    # gives the pair of each partition, read off the orbit
+    every = directed_partition(inbound, positive_roots(inbound))
+    orb = OrbitSpec((1, 2, 2), (((0, 1, 1), 1), ((1, 1, 1), 1)))
+    table = quiver_coefficients(inbound, orb.dim, orb)
+    assert engine._check_independence(table, every) is None
+    forged = dataclasses.replace(table, tensor=TensorElement(3))
+    assert engine._check_independence(forged, every) == {
+        "pair_a": {"i": [1, 3, 2], "r": [1, 2, 2]},
+        "pair_b": {"i": [3, 2, 1, 3, 2], "r": [1, 1, 1, 1, 1]},
+    }
 
 
 def test_sweep_rejects_unknown_suite(a2):

@@ -18,10 +18,13 @@ from quivergk import (
     ResolutionPair,
     TensorElement,
     a_op,
+    append_unit,
     basis,
     caveat_for,
+    check_alternating,
     codim,
     coefficients,
+    cohomological_part,
     coproduct,
     direct_sum,
     directed_partition,
@@ -32,14 +35,19 @@ from quivergk import (
     hom_dim,
     hom_table,
     in_orbit_closure,
+    inbound_table,
     indecomposable_rep,
     is_dynkin,
+    min_degree,
     mul,
+    mults_from_orbit,
     opposite,
     orbit_rep,
     orbits,
+    outbound_table,
     phi,
     positive_roots,
+    project_degree,
     psi,
     quiver_coefficients,
     resolution_pair,
@@ -58,6 +66,8 @@ from reference import A2
 ORBIT = OrbitSpec((1, 1, 1), (((1, 1, 1), 1),))
 BLOCKS = (((1, 1, 1),),)
 PAIR = ResolutionPair((1, 2, 3), (1, 1, 1))
+# one step of rank 1 at vertex 1: the stages (0, 1, 1) are left unresolved
+PARTIAL = ResolutionPair((1,), (1,))
 REP = QuiverRep((1, 1, 1), (((1,),), ((1,),)))
 SPLIT = OrbitSpec((1, 1, 1), (((1, 0, 0), 1), ((0, 1, 1), 1)))
 # <(1,0,0),(0,1,1)> = -1 inside a block; a block left empty
@@ -151,6 +161,23 @@ BAD_CALLS = {
     "quiver of resolution_pair not a Quiver": lambda: resolution_pair(5, ORBIT, DirectedPartition(BLOCKS)),
     "quiver of coefficients not a Quiver": lambda: coefficients(5, (1, 1, 1), PAIR),
     "quiver of codim not a Quiver": lambda: codim(5, (1, 1, 1), PAIR),
+    # each of these once returned the unit table and codim 0
+    "pair of coefficients short of the dimension vector": lambda: coefficients(INBOUND, (1, 1, 1), PARTIAL),
+    "pair of codim short of the dimension vector": lambda: codim(INBOUND, (1, 1, 1), PARTIAL),
+    # each of these once raised AttributeError on an int where a package type belongs
+    "tensor of min_degree not a TensorElement": lambda: min_degree(5),
+    "tensor of project_degree not a TensorElement": lambda: project_degree(5, 1),
+    "tensor of append_unit not a TensorElement": lambda: append_unit(5),
+    "table of check_alternating not a CoefficientTable": lambda: check_alternating(5),
+    "table of cohomological_part not a CoefficientTable": lambda: cohomological_part(5),
+    "orbit of mults_from_orbit not an OrbitSpec": lambda: mults_from_orbit(5),
+    "mults of inbound_table not A3OrbitMults": lambda: inbound_table(5),
+    "mults of outbound_table not A3OrbitMults": lambda: outbound_table(5),
+    "terms of a tensor not a dict": lambda: TensorElement(1, 5),
+    # each of these once raised TypeError, or built a tensor of arity -1
+    "blocks of directed_partition_from_blocks not a sequence": lambda: directed_partition_from_blocks(INBOUND, 5),
+    "float arity of unit": lambda: TensorElement.unit(2.5),
+    "negative arity of unit": lambda: TensorElement.unit(-1),
 }
 
 

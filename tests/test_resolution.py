@@ -343,17 +343,18 @@ def _reference_pair(q, orbit, blocks):
     ids=["A3-in", "A3-out", "D4-in", "D4-out", "D4-mixed", "E6", "E7", "A3-in-dp", "A3-out-dp", "D4-in-dp"],
 )
 def test_one_pass_pair_is_the_reference_partitions_pair(q, max_dim, given):
-    """The engine's one pass gives each orbit the pair of the set-based greedy
-    partition of its support (with ``given``, of all positive roots, passed as
-    ``dp``), and ``coefficients`` on that pair gives the same tensor and codim."""
+    """The one pass gives each orbit the pair of the set-based greedy partition
+    of its support (with ``given``, of all positive roots, passed as ``dp``),
+    and ``coefficients`` on that pair gives the engine table's tensor and codim."""
     every = directed_partition(q, positive_roots(q)) if given else None
     for e in itertools.product(range(max_dim + 1), repeat=q.n):
         for orb in orbits(q, e):
             table = quiver_coefficients(q, e, orb, every)
+            pair = resolution_pair(q, orb, every)
             blocks = _set_based_partition(q, positive_roots(q) if given else orb.support)
             want = resolution_pair(q, orb, DirectedPartition(blocks))
-            assert table.pair == want == _reference_pair(q, orb, blocks), orb
-            assert coefficients(q, e, table.pair) == (table.tensor, table.codim), orb
+            assert pair == want == _reference_pair(q, orb, blocks), orb
+            assert coefficients(q, e, pair) == (table.tensor, table.codim), orb
 
 
 def test_bitmask_partition_matches_the_set_based_one_on_random_e8_subsets():
@@ -441,7 +442,6 @@ def test_resolution_pair_validates():
 
 
 def test_resolution_pair_builds_the_pair_the_checked_constructor_would(inbound):
-    # resolution_pair wraps its own int tuples without re-checking them
     d4 = Quiver(4, ((1, 4), (2, 4), (3, 4)))
     for q, top in ((inbound, 3), (d4, 2)):
         for e in itertools.product(range(top + 1), repeat=q.n):
