@@ -216,8 +216,8 @@ def _sign(k: int) -> int:
 def _memo(fn):
     """``fn`` under an unbounded memo, typed, so a float argument misses and reaches ``fn``'s
     integer check.  The memo hashes the arguments before ``fn`` reads them, so a call it cannot
-    hash, a partition given as a list, is retried with each list argument read as its tuple.
-    The memo's ``cache_info`` and ``cache_clear`` are kept on the returned function."""
+    hash, a partition given as a list, set or dict, is retried with each iterable argument read
+    through ``integers``, as ``normalize`` reads it.  ``cache_info`` and ``cache_clear`` are kept."""
     memo = lru_cache(maxsize=None, typed=True)(fn)
 
     @wraps(fn)
@@ -225,8 +225,9 @@ def _memo(fn):
         try:
             return memo(*args, **kwargs)
         except TypeError:  # unhashable: fn itself raises QuiverError on bad input
-            args = [tuple(a) if isinstance(a, list) else a for a in args]
-            return memo(*args, **{k: tuple(a) if isinstance(a, list) else a for k, a in kwargs.items()})
+            args = [integers(a) if isinstance(a, Iterable) else a for a in args]
+            kwargs = {k: integers(a) if isinstance(a, Iterable) else a for k, a in kwargs.items()}
+            return memo(*args, **kwargs)
 
     lookup.cache_info, lookup.cache_clear = memo.cache_info, memo.cache_clear
     return lookup
@@ -303,35 +304,9 @@ def coproduct(nu: Partition, max_rows: int | None = None) -> TensorElement:
 
 
 @_memo
-def coproduct_coeff(
-    lam: Partition,
-    mu: Partition,
-    nu: Partition,
-    rect: Partition | None = None,
-) -> int:
-    """Coefficient of the pure tensor (lam, mu) in the coproduct of nu.
-
-    Evaluated as a single product structure constant against a rectangle
-    containing both ``lam`` and ``mu``; the result does not depend on the
-    choice of rectangle (which a test pins down by varying it).  The
-    walk fills the rectangle with ``nu``'s word appended, the orientation
-    ``coproduct`` does not use, so the tests can check each against the
-    other.
-    """
-    lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
-    if rect is None:
-        p = max(len(lam), len(mu))
-        q = max(lam[0] if lam else 0, mu[0] if mu else 0)
-    else:
-        rect = normalize(rect)
-        if rect and len(set(rect)) != 1:
-            raise QuiverError(f"rect must be rectangular, got {rect}")
-        p = len(rect)
-        q = rect[0] if rect else 0
-        if (lam and (len(lam) > p or lam[0] > q)) or (mu and (len(mu) > p or mu[0] > q)):
-            raise QuiverError(f"rectangle {rect} does not contain {lam} and {mu}")
-    rho = tuple(q + m for m in mu) + (q,) * (p - len(mu)) + lam
-    return lr_coeff((q,) * p, nu, normalize(rho))
+def coproduct_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """Coefficient of the pure tensor (lam, mu) in the memoised ``coproduct(nu)``."""
+    return coproduct(normalize(nu)).terms.get((normalize(lam), normalize(mu)), 0)
 
 
 @_memo
@@ -429,7 +404,10 @@ def append_unit(p: TensorElement) -> TensorElement:
 
 
 def key_degree(key: TensorKey) -> int:
-    return sum(sum(part) for part in key)
+    try:
+        return sum(sum(part) for part in key)
+    except TypeError as exc:
+        raise QuiverError(f"not a tensor key: {exc}") from None
 
 
 def project_degree(p: TensorElement, d: int) -> TensorElement:

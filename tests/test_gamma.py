@@ -33,6 +33,7 @@ from reference import (
     expand_single,
     is_reverse_lattice,
     partitions_fitting,
+    rectangle_coproduct_coeff,
     rook_strip_complement,
     straightening_law,
     u_word,
@@ -224,16 +225,13 @@ def test_coproduct_rejects_a_float_row_cap_after_its_int_is_cached():
     assert coproduct.cache_info().currsize > 0  # still a functools memo
 
 
-# each list call once raised TypeError: the memo hashed the list before normalize read it
+# each list or dict call once raised TypeError: the memo hashed it before normalize read it
 LIST_CALLS = {
     "coproduct": lambda seq: coproduct(seq((2, 1))),
     "coproduct with a row cap": lambda seq: coproduct(seq((2, 1)), 1),
     "coproduct2": lambda seq: coproduct2(seq((2, 1))),
     "lr_coeff": lambda seq: lr_coeff(seq((1,)), seq((1,)), seq((2,))),
     "coproduct_coeff": lambda seq: coproduct_coeff(seq((1,)), seq((1,)), seq((2,))),
-    "coproduct_coeff in a given rectangle": lambda seq: coproduct_coeff(
-        seq((1,)), seq((1,)), seq((1,)), rect=seq((2, 2))
-    ),
 }
 
 
@@ -243,6 +241,7 @@ def test_memoised_constants_read_a_list_partition_as_its_tuple(call):
     from_list = call(list)
     assert from_list == call(tuple)
     assert call(list) == from_list  # now a hit
+    assert call(dict.fromkeys) == from_list  # a dict is read as its keys, as normalize reads it
 
 
 def test_list_arguments_share_the_tuple_memo():
@@ -274,14 +273,14 @@ def test_rectangle_coproduct_is_the_rook_strip_rule(p, q):
 @pytest.mark.parametrize("nu", [*partitions_fitting(3, 3), (4, 4, 2, 1), (4, 4, 4, 1)])
 def test_coproduct_matches_the_rectangle_filling(nu):
     """``coproduct`` fills nu's shape with the rectangle's word appended;
-    ``coproduct_coeff`` still fills the rectangle with nu's word appended.
-    Buch's rule counts the same constants either way, at every row cap."""
+    the reference fills the rectangle with nu's word appended.  Buch's rule
+    counts the same constants either way, at every row cap."""
     p, q = len(nu), (nu[0] if nu else 0)
     inside = list(partitions_fitting(p, q))
     table = {}
     for lam in inside:
         for mu in inside:
-            c = coproduct_coeff(lam, mu, nu)
+            c = rectangle_coproduct_coeff(lam, mu, nu)
             if c:
                 table[(lam, mu)] = c
     for m in range(p + 1):
@@ -406,11 +405,14 @@ def test_coproduct_sign_and_support_laws(nu):
 
 
 def test_coproduct_coeff_rectangle_independent():
+    """The rectangle filling gives one value in every rectangle around lam
+    and mu, and ``coproduct_coeff`` reads that value."""
     cases = [((1,), (1,), (1,)), ((2, 1), (1, 1), (2, 1)), ((2,), (2, 1), (2, 2))]
     for lam, mu, nu in cases:
-        tight = coproduct_coeff(lam, mu, nu)
+        tight = rectangle_coproduct_coeff(lam, mu, nu)
         for rect in [(3, 3, 3), (4, 4), (3, 3, 3, 3)]:
-            assert coproduct_coeff(lam, mu, nu, rect=rect) == tight
+            assert rectangle_coproduct_coeff(lam, mu, nu, rect) == tight
+        assert coproduct_coeff(lam, mu, nu) == tight
 
 
 def test_coproduct_coassociative_small():

@@ -26,6 +26,7 @@ from quivergk import (
     coefficients,
     cohomological_part,
     coproduct,
+    coproduct2,
     direct_sum,
     directed_partition,
     directed_partition_from_blocks,
@@ -38,6 +39,8 @@ from quivergk import (
     inbound_table,
     indecomposable_rep,
     is_dynkin,
+    key_degree,
+    lr_coeff,
     min_degree,
     mul,
     mults_from_orbit,
@@ -178,6 +181,12 @@ BAD_CALLS = {
     "blocks of directed_partition_from_blocks not a sequence": lambda: directed_partition_from_blocks(INBOUND, 5),
     "float arity of unit": lambda: TensorElement.unit(2.5),
     "negative arity of unit": lambda: TensorElement.unit(-1),
+    # each of these once raised TypeError, or answered a float from its integer twin's memo entry
+    "set partition of coproduct": lambda: coproduct({2, 1}),
+    "float in a list partition of coproduct": lambda: (coproduct((2, 1)), coproduct([2.0, 1])),
+    "float in a list partition of coproduct2": lambda: (coproduct2((2, 1)), coproduct2([2.0, 1])),
+    "float in a list partition of lr_coeff": lambda: (lr_coeff((1,), (1,), (2,)), lr_coeff([1.0], [1], [2])),
+    "key of key_degree not a sequence": lambda: key_degree(5),
 }
 
 

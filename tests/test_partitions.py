@@ -19,6 +19,7 @@ from reference import (
     is_reverse_lattice,
     is_rook_strip,
     partitions_fitting,
+    rectangle_coproduct_coeff,
     rook_strip_complement,
     u_word,
     word,
@@ -65,6 +66,9 @@ REFERENCE_BAD_CALLS = {
     "float letter": lambda: content([1.5]),
     "string letter": lambda: is_reverse_lattice(["a"]),
     "shape not a sequence": lambda: enumerate_svt(5, 1, 0),
+    # the rectangle checks of a coproduct coefficient, once the package's own
+    "coproduct rectangle not a rectangle": lambda: rectangle_coproduct_coeff((1,), (1,), (1,), (2, 1)),
+    "coproduct rectangle too small": lambda: rectangle_coproduct_coeff((2,), (1,), (1,), (1,)),
 }
 
 
