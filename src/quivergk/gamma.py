@@ -18,10 +18,11 @@ per-column maxima, which keep columns strict; and the right neighbour's
 minimum, passed down to bound a box's entries.  A coproduct is read off
 the product of ``nu`` with the rectangle around it: the ring is
 commutative, so the walk fills ``nu`` and appends the rectangle's word.
-A per-letter count cap then prunes the walk: ``coproduct(nu, m)`` builds
-only the terms whose second factor has at most m rows, the factor the
-engine multiplies into its row-bounded working slot, and under the cap
-the filling never holds letters m+1..p (``coproduct`` says why).
+``coproduct(nu, m)`` builds only the terms whose second factor has at
+most m rows, the factor the engine multiplies into its row-bounded
+working slot, by appending the word of the m-row rectangle instead:
+columns are strict, so no letter outgrows the rectangle's width and the
+walk needs no cap (``coproduct`` says why).
 
 Raising-operator sequences (arbitrary integer tuples) are straightened
 into the partition basis by ``straighten``, which inserts the entries
@@ -139,11 +140,7 @@ def basis(lam: Iterable[int]) -> TensorElement:
 # the shared enumerator
 
 
-def _lattice_walk(
-    shape: Partition,
-    tail: Partition,
-    letter_cap: tuple[int, int] | None = None,
-) -> dict[tuple[int, ...], int]:
+def _lattice_walk(shape: Partition, tail: Partition) -> dict[tuple[int, ...], int]:
     """Count set-valued fillings of the partition ``shape`` by word content.
 
     Boxes are visited in reversed reading order (top row first, right to
@@ -158,18 +155,12 @@ def _lattice_walk(
     entry, and a row's first box starts at r + len(tail).
 
     Returns {content: count} over the full word (tail included).
-    ``letter_cap = (v, k)`` drops every word with more than k copies of
-    v, tail copies included; counts only grow, so the walk stops as soon
-    as a placement would exceed it.
     """
     boxes = []  # (column, bound of its largest entry), 0 taking the right neighbour's minimum
     for top, row in enumerate(shape, len(tail) + 1):
         boxes += [(row, top)] + [(c, 0) for c in range(row - 1, 0, -1)]
-    # counts[0] = _BIG lets letter 1 pass the lattice test; limit[v] caps letter v's copies
+    # counts[0] = _BIG lets letter 1 pass the lattice test
     counts = [_BIG, *tail] + [0] * (len(shape) + 1)
-    limit = [_BIG] * len(counts)
-    if letter_cap is not None:
-        limit[letter_cap[0]] = letter_cap[1]
     colmax = [0] * (shape[0] + 1 if shape else 1)  # largest entry of the lowest box placed
     acc: dict[tuple[int, ...], int] = {}
 
@@ -178,7 +169,7 @@ def _lattice_walk(
         # box bi currently ends with element `last`; close it or extend down
         advance(bi - 1, last)
         for v in range(last - 1, lo, -1):
-            if counts[v - 1] <= counts[v] or counts[v] >= limit[v]:
+            if counts[v - 1] <= counts[v]:
                 continue
             counts[v] += 1
             grow(bi, lo, v)
@@ -192,7 +183,7 @@ def _lattice_walk(
         c, start = boxes[-bi]
         lo = colmax[c]
         for v in range(start or bound, lo, -1):
-            if counts[v - 1] <= counts[v] or counts[v] >= limit[v]:
+            if counts[v - 1] <= counts[v]:
                 continue
             counts[v] += 1
             colmax[c] = v
@@ -276,14 +267,18 @@ def coproduct(nu: Partition, max_rows: int | None = None) -> TensorElement:
     copies.
 
     With ``max_rows`` = m set, only the components whose ``mu`` has at
-    most m rows are kept.  Since rho_{m+1} = q + mu_{m+1} must not fall
-    below q, mu has at most m rows exactly when letter m+1 appears at
-    most q times, so the walk caps that letter at q.  R's word already
-    holds those q copies, so the filling never places letter m+1, nor any
-    letter m+2..p (each would need more than q copies of the letter
-    before it).
-    The default m = p is the same cap on letter p+1 that keeps ``lam``
-    inside the rectangle.
+    most m rows are kept, and the walk appends the word (q,) * m of the
+    m x q rectangle in place of R's (m = p by default).  Against R, mu
+    has at most m rows exactly when the filling holds no letter m+1
+    (rho_{m+1} = q + mu_{m+1} stays at q), and then none of m+2..p.  A
+    letter takes at most one box per column of ``nu``, so the filling
+    holds at most q copies of it; letter p+1 against R, like letter m+1
+    against q^m, therefore always passes its lattice test (the letter
+    before it has at least q copies, it has at most q - 1 before a
+    placement).  Relabelling p+k as m+k thus maps those fillings against
+    R one-to-one onto all the fillings against q^m.  It keeps the
+    contents up to the dropped rows (q,) * (p - m), the row bound
+    r + len(tail), column strictness and the signs.
     """
     nu = normalize(nu)
     p = len(nu)
@@ -291,15 +286,15 @@ def coproduct(nu: Partition, max_rows: int | None = None) -> TensorElement:
     if max_rows is not None and integers((max_rows,))[0] < 0:
         raise QuiverError(f"negative max_rows {max_rows}")
     m = p if max_rows is None else min(max_rows, p)
-    hits = _lattice_walk(nu, (q,) * p, letter_cap=(m + 1, q))
-    # every content is a term of the product of R and nu, so it contains R
-    # and reads rho = (q + mu, lam); that determines (lam, mu), so no two
-    # contents meet in one key and every count stays non-zero
-    base = p * q + sum(nu)
+    hits = _lattice_walk(nu, (q,) * m)
+    # every content is a term of the product of q^m and nu, so it contains
+    # q^m and reads rho = (q + mu, lam); that determines (lam, mu), so no
+    # two contents meet in one key and every count stays non-zero
+    base = m * q + sum(nu)
     out: dict[TensorKey, int] = {}
     for rho, n in hits.items():
         mu = tuple(x - q for x in rho[:m] if x > q)
-        out[(rho[p:], mu)] = _sign(sum(rho) - base) * n
+        out[(rho[m:], mu)] = _sign(sum(rho) - base) * n
     return TensorElement._trusted(2, out)
 
 

@@ -204,11 +204,14 @@ def resolution_pair(q: Quiver, orbit: OrbitSpec, dp: DirectedPartition | None = 
 
 def pair_steps(q: Quiver, e: Iterable[int], pair: ResolutionPair) -> list[tuple[int, int, int]]:
     """The steps (v, r, c) of ``pair`` walked over the dimension vector ``e``, which the pair
-    must resolve in full: a stage left non-zero after the last step raises QuiverError."""
+    must resolve in full: a stage left non-zero after the last step raises QuiverError, as does
+    a negative codimension (the sum of r * c; one step's c may be negative, no closure's sum)."""
     cur = list(instance(q, Quiver).check_vector(e))
     steps = _walk(q, cur, instance(pair, ResolutionPair).steps())
     if any(cur):
         raise QuiverError(f"the pair leaves the stage vector {tuple(cur)} unresolved")
+    if (cd := sum(r * c for _, r, c in steps)) < 0:
+        raise QuiverError(f"the pair has negative codimension {cd}")
     return steps
 
 

@@ -43,7 +43,7 @@ from typing import Iterable, Iterator
 from quivergk.engine import _absorb, _shifted, _split_absorb, psi
 from quivergk.gamma import TensorElement, append_unit, basis, lr_coeff, straighten
 from quivergk.oracle_a3 import A3OrbitMults
-from quivergk.partitions import Partition, QuiverError, integers, normalize
+from quivergk.partitions import Partition, QuiverError, instance, integers, normalize, sequence
 from quivergk.quiver import Quiver, check_roots
 from quivergk.resolution import DirectedPartition, ResolutionPair, pair_steps
 
@@ -70,7 +70,8 @@ def partitions_fitting(rows: int, cols: int) -> Iterator[Partition]:
     """All partitions with at most ``rows`` parts, each at most ``cols``.
 
     Emitted in graded order (by size, then lexicographically) so callers
-    iterating a rectangle get a stable sequence.
+    iterating a rectangle get a stable sequence.  The arguments are
+    checked at the call; the partitions come from an inner generator.
     """
     rows, cols = integers((rows, cols))
     if rows < 0 or cols < 0:
@@ -85,8 +86,7 @@ def partitions_fitting(rows: int, cols: int) -> Iterator[Partition]:
                 for rest in fill(size - first, rows - 1, first):
                     yield (first,) + rest
 
-    for size in range(rows * cols + 1):
-        yield from fill(size, rows, cols)
+    return (part for size in range(rows * cols + 1) for part in fill(size, rows, cols))
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,8 @@ class SetValuedTableau:
     """A filling of a skew shape by finite non-empty sets of positive ints.
 
     ``rows[i]`` holds the cells of row i+1 left to right, each cell a
-    sorted tuple.  Semistandardness (row max <= right min, column
+    sorted tuple.  The shape, rows and cells are read with ``instance``,
+    ``sequence`` and ``integers``, and semistandardness (row max <= right min, column
     max < below min) is checked on construction.
     """
 
@@ -136,13 +137,14 @@ class SetValuedTableau:
     rows: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self) -> None:
-        bounds = self.shape.row_bounds()
-        if len(self.rows) != len(bounds):
-            raise QuiverError("row count does not match shape")
+        bounds = instance(self.shape, SkewShape).row_bounds()
+        rows = tuple(
+            tuple(integers(cell) for cell in sequence(row, stop - start))
+            for row, (start, stop) in zip(sequence(self.rows, len(bounds)), bounds)
+        )
+        object.__setattr__(self, "rows", rows)
         grid: dict[tuple[int, int], tuple[int, ...]] = {}
-        for r, (row, (start, stop)) in enumerate(zip(self.rows, bounds), start=1):
-            if len(row) != stop - start:
-                raise QuiverError(f"row {r} has {len(row)} cells, expected {stop - start}")
+        for r, (row, (start, _)) in enumerate(zip(rows, bounds), start=1):
             for k, cell in enumerate(row):
                 if not cell or list(cell) != sorted(set(cell)) or cell[0] < 1:
                     raise QuiverError(f"bad cell {cell!r}")

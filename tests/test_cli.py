@@ -148,6 +148,17 @@ def test_coeffs_pair_short_of_the_dimension_vector(capsys, a2_file, zero_orbit_f
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_coeffs_pair_with_negative_codim(capsys, inbound_file, tmp_path):
+    # two rank-1 steps at the sink over (0, 2, 0) give codim -1: this printed the unit table
+    orbit = write_json(
+        tmp_path / "orbit.json", {"dim": [0, 2, 0], "mults": [{"root": [0, 1, 0], "m": 2}]}
+    )
+    pair = write_json(tmp_path / "pair.json", {"i": [2, 2], "r": [1, 1]})
+    code, out, err = run(capsys, ["coeffs", inbound_file, orbit, "--pair", pair])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "negative codimension" in err and err.count("\n") == 1
+
+
 def test_coeffs_table_format(capsys, a2_file, zero_orbit_file):
     code, out, _ = run(
         capsys, ["coeffs", a2_file, zero_orbit_file, "--format", "table"]

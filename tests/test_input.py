@@ -76,6 +76,9 @@ SPLIT = OrbitSpec((1, 1, 1), (((1, 0, 0), 1), ((0, 1, 1), 1)))
 # <(1,0,0),(0,1,1)> = -1 inside a block; a block left empty
 NOT_DIRECTED = DirectedPartition((((1, 0, 0), (0, 1, 1)),))
 EMPTY_BLOCK = DirectedPartition((((0, 1, 1),), (), ((1, 0, 0),)))
+# 1 -> 2 <- 3 at e = (0, 2, 0): two rank-1 steps at vertex 2, c = -1 then 0, so codim -1
+SINK = Quiver(3, ((1, 2), (3, 2)))
+NEGATIVE = ResolutionPair((2, 2), (1, 1))
 
 # each call once raised TypeError, a bare ValueError, or returned a wrong answer
 BAD_CALLS = {
@@ -167,6 +170,9 @@ BAD_CALLS = {
     # each of these once returned the unit table and codim 0
     "pair of coefficients short of the dimension vector": lambda: coefficients(INBOUND, (1, 1, 1), PARTIAL),
     "pair of codim short of the dimension vector": lambda: codim(INBOUND, (1, 1, 1), PARTIAL),
+    # each of these once returned the unit table and codim -1
+    "pair of coefficients with negative codim": lambda: coefficients(SINK, (0, 2, 0), NEGATIVE),
+    "pair of codim with negative codim": lambda: codim(SINK, (0, 2, 0), NEGATIVE),
     # each of these once raised AttributeError on an int where a package type belongs
     "tensor of min_degree not a TensorElement": lambda: min_degree(5),
     "tensor of project_degree not a TensorElement": lambda: project_degree(5, 1),

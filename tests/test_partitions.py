@@ -66,6 +66,10 @@ REFERENCE_BAD_CALLS = {
     "float letter": lambda: content([1.5]),
     "string letter": lambda: is_reverse_lattice(["a"]),
     "shape not a sequence": lambda: enumerate_svt(5, 1, 0),
+    "tableau shape not a SkewShape": lambda: SetValuedTableau(5, ((1,),)),
+    "tableau rows not a sequence": lambda: SetValuedTableau(SkewShape((1,)), 5),
+    "tableau cell not integers": lambda: SetValuedTableau(SkewShape((1,)), (("a",),)),
+    "negative box rows, checked at the call": lambda: partitions_fitting(-1, 2),
     # the rectangle checks of a coproduct coefficient, once the package's own
     "coproduct rectangle not a rectangle": lambda: rectangle_coproduct_coeff((1,), (1,), (1,), (2, 1)),
     "coproduct rectangle too small": lambda: rectangle_coproduct_coeff((2,), (1,), (1,), (1,)),
