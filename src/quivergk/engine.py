@@ -11,12 +11,13 @@ unit of the bialgebra, so splitting a slot that is empty in every term
 changes nothing and is skipped; a step with no filled out-slot runs as a
 sink step.  That is 4,259 of the 5,003 split steps over D4 <= 2 and
 E7 <= 1, 801 of 1,105 over A3-out <= 4, 1,302 of 2,028 over A3-in <= 4.
-The last split runs fused with the absorption, term by term, so its
-working slot is never stored; within a step each (split, working
-partition) pair is expanded once and each shifted row built once.  The
-lowest total degree of the result is the codimension of the orbit
-closure, and for Dynkin type A the table is independent of the chosen
-directed partition.
+The last split runs fused with the absorption, so its working slot is
+never stored: within a step each (split, working partition, lam) triple
+is expanded once into the merged pairs it writes into the split slot and
+slot i, those that cancel dropped, and spliced into each term's context;
+each shifted row is built once.  The lowest total degree of the result
+is the codimension of the orbit closure, and for Dynkin type A the table
+is independent of the chosen directed partition.
 
 A step of rank r keeps only the terms whose working partition has at
 most r rows.  Every partition in a product of stable Grothendieck classes
@@ -159,23 +160,27 @@ def _absorb(out: dict, head: tuple, mid: tuple, row: tuple, pos: tuple, lam: tup
 
 def _split_absorb(p: TensorElement, h: int, i: int, r: int, c: int) -> TensorElement:
     """``a_op(psi(p, h, r), i, r, c)`` in one pass for slots h != i, so no working slot is
-    stored; each (split, working partition) pair is expanded once, each shifted row built once."""
+    stored: each (split, working partition, lam) triple expands once, each shifted row built
+    once, into merged (slot h, slot i) pairs, and each term's context is spliced around the
+    pairs whose sums do not cancel."""
     out: dict[tuple, int] = {}
-    parts_of: dict[tuple[Partition, Partition], list] = {}
+    pairs_of: dict[tuple[Partition, Partition, Partition], dict] = {}
     shifts: dict[Partition, tuple] = {}
     lo, hi = min(h, i), max(h, i)
     for key, coeff in p.terms.items():
-        work, split, lam = key[-1], key[h - 1], key[i - 1]
-        parts = parts_of.get((split, work))
-        if parts is None:
-            parts = parts_of[split, work] = [
-                (sigma, d, *(shifts.get(nu) or shifts.setdefault(nu, _shifted(nu, r, c))))
-                for sigma, nu, d in _split_terms(split, work, r)
-            ]
+        split, work, lam = key[h - 1], key[-1], key[i - 1]
+        pairs = pairs_of.get((split, work, lam))
+        if pairs is None:
+            pairs = pairs_of[split, work, lam] = {}
+            for sigma, nu, d in _split_terms(split, work, r):
+                row, pos = shifts.get(nu) or shifts.setdefault(nu, _shifted(nu, r, c))
+                head, mid = ((sigma,), ()) if h < i else ((), (sigma,))
+                _absorb(pairs, head, mid, row, pos, lam, d)
         a, b, z = key[: lo - 1], key[lo : hi - 1], key[hi:-1]
-        for sigma, d, row, pos in parts:
-            head, mid = (a + (sigma,) + b, z) if h < i else (a, b + (sigma,) + z)
-            _absorb(out, head, mid, row, pos, lam, coeff * d)
+        for (x, y), d in pairs.items():
+            if d:
+                k = a + (x,) + b + (y,) + z
+                out[k] = out.get(k, 0) + coeff * d
     return TensorElement._trusted(p.arity - 1, {k: v for k, v in out.items() if v})
 
 
@@ -192,22 +197,23 @@ def _fold(p: TensorElement, q: Quiver, steps: list[tuple[int, int, int]]) -> Ten
     """Apply steps (vertex, rank, rectangle width c) to ``p``, right to left.  Only the out-slots
     holding a partition in some term are split: psi of a slot that is G_() in every term is the
     identity (the unit law, the working partitions having at most r rows).  A step left with no
-    such slot keeps a unit working slot, so its row (c)^r goes straight into slot i."""
-    heads = q.heads
+    such slot keeps a unit working slot, so its row (c)^r goes straight into slot i.  The terms
+    pass between sink steps as a plain dict, wrapped only for the splits and at the end."""
+    heads, arity, terms = q.heads, p.arity, p.terms
     for i, r, c in reversed(steps):
-        live = [h for h in heads[i] if any(key[h - 1] for key in p.terms)]
+        live = [h for h in heads[i] if any(key[h - 1] for key in terms)]
         if not live:
             out: dict[tuple, int] = {}
             row = _shifted((), r, c)
-            for key, coeff in p.terms.items():
+            for key, coeff in terms.items():
                 _absorb(out, key[: i - 1], key[i:], *row, key[i - 1], coeff)
-            p = TensorElement._trusted(p.arity, {k: v for k, v in out.items() if v})
+            terms = {k: v for k, v in out.items() if v}
             continue
-        p = append_unit(p)
+        p = append_unit(TensorElement._trusted(arity, terms))
         for head in live[:-1]:
             p = psi(p, head, r)
-        p = _split_absorb(p, live[-1], i, r, c)
-    return p
+        terms = _split_absorb(p, live[-1], i, r, c).terms
+    return TensorElement._trusted(arity, terms)
 
 
 def coefficients(q: Quiver, e: tuple[int, ...], pair: ResolutionPair) -> tuple[TensorElement, int]:

@@ -29,7 +29,7 @@ from quivergk.gamma import (
     straighten,
     tensor_mul_at,
 )
-from quivergk.oracle_a3 import A3OrbitMults, inbound_table
+from quivergk.oracle_a3 import INBOUND, A3OrbitMults, inbound_table
 from quivergk.quiver import (
     OrbitSpec,
     Quiver,
@@ -307,20 +307,28 @@ def test_psi_rejects_negative_bound():
 def fused_cases(draw):
     """(p, h, i, r, c) for the fused last split: arity 3 or 4, two distinct
     non-working slots, a working slot that is empty in every term or
-    filled in some, and slot partitions long enough that a shifted row
-    can end below lam_1."""
+    filled in some, slot partitions of up to 4 columns and long enough that
+    a shifted row can end below lam_1, and c from -3, where many working
+    partitions reach one positive part with opposite signs.  At arity 4 the
+    first (split, work, lam), and maybe others, fill two terms that differ in
+    the free slot, so their landing pairs merge and cancel in each context."""
     from conftest import partitions
 
     arity = draw(st.integers(min_value=3, max_value=4))
     h, i = draw(st.permutations(range(1, arity)))[:2]
     filled = draw(st.booleans())
+    slot = partitions(max_size=4, max_part=4, max_rows=2)
     terms = {}
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        key = tuple(draw(partitions(max_size=4, max_part=3, max_rows=2)) for _ in range(arity - 1))
+    for n in range(draw(st.integers(min_value=1, max_value=3))):
+        split, lam = draw(slot), draw(slot)
         work = draw(partitions(max_size=2, max_part=2, max_rows=2)) if filled else ()
-        terms[key + (work,)] = draw(st.integers(min_value=-2, max_value=2))
+        shared = arity == 4 and (n == 0 or draw(st.booleans()))
+        for free in draw(st.lists(slot, min_size=2, max_size=2, unique=True)) if shared else [draw(slot)]:
+            key = [free] * (arity - 1)
+            key[h - 1], key[i - 1] = split, lam
+            terms[(*key, work)] = draw(st.integers(min_value=-2, max_value=2))
     r = draw(st.integers(min_value=0, max_value=3))
-    return TensorElement(arity, terms), h, i, r, draw(st.sampled_from((-1, 0, 1, 2)))
+    return TensorElement(arity, terms), h, i, r, draw(st.integers(min_value=-3, max_value=2))
 
 
 @given(fused_cases())
@@ -328,6 +336,41 @@ def fused_cases(draw):
 def test_split_absorb_is_a_op_after_psi(case):
     p, h, i, r, c = case
     assert engine._split_absorb(p, h, i, r, c) == a_op(psi(p, h, r), i, r, c)
+
+
+def test_split_absorb_through_two_inbound_steps_from_a_square():
+    """The inbound A3 tensor with (4,4,4,4) in slot 2 through the steps (3, 2, -2)
+    and then (1, 2, -2): at c = -2 many working partitions share a positive part,
+    with opposite signs, so landing pairs merge and cancel.  Each fused step equals
+    ``a_op`` after ``psi``, and ``_fold`` runs the two steps to the same tensor."""
+    start = p = TensorElement(3, {((), (4, 4, 4, 4), ()): 1})
+    for v in (3, 1):
+        want = a_op(psi(append_unit(p), 2, 2), v, 2, -2)
+        p = engine._split_absorb(append_unit(p), 2, v, 2, -2)
+        assert p == want and p.terms, v
+    assert engine._fold(start, INBOUND, [(1, 2, -2), (3, 2, -2)]) == p
+
+
+def test_split_absorb_expands_each_split_work_lam_once(monkeypatch):
+    """One ``_split_absorb`` call expands each distinct (split, work, lam) of its
+    input once, however many terms share it in different contexts: 48 terms, 8
+    triples, and each (split, work) pair twice, once per lam."""
+    split_terms, calls = engine._split_terms, []
+    monkeypatch.setattr(engine, "_split_terms", lambda s, w, r: calls.append((s, w)) or split_terms(s, w, r))
+    keys = [
+        (free, split, lam, work)
+        for free in partitions_fitting(2, 2)
+        for split in ((1,), (2, 1))
+        for lam in ((), (2,))
+        for work in ((), (1,))
+    ]
+    p = TensorElement(4, {key: 1 + n % 3 for n, key in enumerate(keys)})
+    got = engine._split_absorb(p, 2, 3, 2, -1)
+    triples = {(split, work, lam) for _, split, lam, work in keys}
+    assert len(calls) == len(triples) == 8 < len(p.terms)
+    assert sorted(calls) == sorted((split, work) for split, work, _ in triples)
+    monkeypatch.undo()
+    assert got == a_op(psi(p, 2, 2), 3, 2, -1)
 
 
 def test_split_absorb_straightens_rows_that_end_below_lam(monkeypatch):
