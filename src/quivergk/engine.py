@@ -12,10 +12,11 @@ changes nothing and is skipped; a step with no filled out-slot runs as a
 sink step.  That is 4,259 of the 5,003 split steps over D4 <= 2 and
 E7 <= 1, 801 of 1,105 over A3-out <= 4, 1,302 of 2,028 over A3-in <= 4.
 The last split runs fused with the absorption, so its working slot is
-never stored: within a step each (split, working partition, lam) triple
-is expanded once into the merged pairs it writes into the split slot and
-slot i, those that cancel dropped, and spliced into each term's context;
-each shifted row is built once.  The lowest total degree of the result
+never stored: each (split, working partition, lam) triple is expanded
+once per step (r, c) into the merged pairs it writes into the split slot
+and slot i, those that cancel dropped, memoised across calls and orbits
+by ``_landing_pairs``, and spliced into each term's context in slot
+order.  The lowest total degree of the result
 is the codimension of the orbit closure, and for Dynkin type A the table
 is independent of the chosen directed partition.
 
@@ -158,29 +159,33 @@ def _absorb(out: dict, head: tuple, mid: tuple, row: tuple, pos: tuple, lam: tup
         out[k] = out.get(k, 0) + n
 
 
+@cache
+def _landing_pairs(split: Partition, work: Partition, lam: Partition, r: int, c: int) -> tuple:
+    """The merged pairs one fused step writes for a term with ``split`` in the split slot,
+    ``work`` in the working slot and ``lam`` in slot i, flat as (sigma_1, kappa_1, d_1, ...),
+    sigma for the split slot and kappa for slot i; each shifted row is built once per nu, and
+    the pairs that cancel are dropped."""
+    pairs: dict[tuple, int] = {}
+    shifts: dict[Partition, tuple] = {}
+    for sigma, nu, d in _split_terms(split, work, r):
+        row, pos = shifts.get(nu) or shifts.setdefault(nu, _shifted(nu, r, c))
+        _absorb(pairs, (sigma,), (), row, pos, lam, d)
+    return tuple(x for (sigma, kappa), d in pairs.items() if d for x in (sigma, kappa, d))
+
+
 def _split_absorb(p: TensorElement, h: int, i: int, r: int, c: int) -> TensorElement:
     """``a_op(psi(p, h, r), i, r, c)`` in one pass for slots h != i, so no working slot is
-    stored: each (split, working partition, lam) triple expands once, each shifted row built
-    once, into merged (slot h, slot i) pairs, and each term's context is spliced around the
-    pairs whose sums do not cancel."""
+    stored: each term's context is spliced, in slot order, around the ``_landing_pairs`` of
+    its (split, working partition, lam) triple, memoised across calls for the step's (r, c)."""
     out: dict[tuple, int] = {}
-    pairs_of: dict[tuple[Partition, Partition, Partition], dict] = {}
-    shifts: dict[Partition, tuple] = {}
     lo, hi = min(h, i), max(h, i)
     for key, coeff in p.terms.items():
-        split, work, lam = key[h - 1], key[-1], key[i - 1]
-        pairs = pairs_of.get((split, work, lam))
-        if pairs is None:
-            pairs = pairs_of[split, work, lam] = {}
-            for sigma, nu, d in _split_terms(split, work, r):
-                row, pos = shifts.get(nu) or shifts.setdefault(nu, _shifted(nu, r, c))
-                head, mid = ((sigma,), ()) if h < i else ((), (sigma,))
-                _absorb(pairs, head, mid, row, pos, lam, d)
+        flat = _landing_pairs(key[h - 1], key[-1], key[i - 1], r, c)
         a, b, z = key[: lo - 1], key[lo : hi - 1], key[hi:-1]
-        for (x, y), d in pairs.items():
-            if d:
-                k = a + (x,) + b + (y,) + z
-                out[k] = out.get(k, 0) + coeff * d
+        it = iter(flat)
+        for x, y, d in zip(it, it, it):
+            k = a + (x,) + b + (y,) + z if h < i else a + (y,) + b + (x,) + z
+            out[k] = out.get(k, 0) + coeff * d
     return TensorElement._trusted(p.arity - 1, {k: v for k, v in out.items() if v})
 
 

@@ -121,7 +121,7 @@ def inbound_table(m: A3OrbitMults) -> TensorElement:
                         f"middle key {mid} too wide for rectangle prefix {width}"
                     )
                 _add_term(out, (lam, normalize(prefix + mid), nu), d1 * d2 * c)
-    return TensorElement(3, out)
+    return TensorElement._trusted(3, out)  # normal keys, zeros dropped by _add_term
 
 
 # ---------------------------------------------------------------------------
@@ -137,4 +137,4 @@ def outbound_table(m: A3OrbitMults) -> TensorElement:
     out: dict[tuple, int] = {}
     for (lam, mu, nu), d in coproduct2(rect).terms.items():
         _add_term(out, (normalize(left + lam), mu, normalize(right + nu)), d)
-    return TensorElement(3, out)
+    return TensorElement._trusted(3, out)  # normal keys, zeros dropped by _add_term

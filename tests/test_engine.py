@@ -19,7 +19,7 @@ from quivergk.engine import (
     quiver_coefficients,
     sweep,
 )
-from quivergk import engine
+from quivergk import clear_caches, engine
 from quivergk.gamma import (
     TensorElement,
     append_unit,
@@ -124,6 +124,7 @@ def test_a_op_passes_partitions_through(monkeypatch):
     and nu in the 3 x 3 box, r in 0..3 and c in -2..3 (c + nu_r = 0 and
     negative c included), and only hands ``straighten`` the sequences with
     an ascent: a weakly decreasing one is its positive entries."""
+    clear_caches()
     handed = []
 
     def spy(seq):
@@ -352,9 +353,12 @@ def test_split_absorb_through_two_inbound_steps_from_a_square():
 
 
 def test_split_absorb_expands_each_split_work_lam_once(monkeypatch):
-    """One ``_split_absorb`` call expands each distinct (split, work, lam) of its
-    input once, however many terms share it in different contexts: 48 terms, 8
-    triples, and each (split, work) pair twice, once per lam."""
+    """Each distinct (split, work, lam) of a fused step's input is expanded once
+    for the step's (r, c), however many terms share it in different contexts and
+    however many calls meet it: 48 terms, 8 triples, and each (split, work) pair
+    twice, once per lam.  Another r or c expands the triples again, and one triple
+    serves both slot orders."""
+    clear_caches()
     split_terms, calls = engine._split_terms, []
     monkeypatch.setattr(engine, "_split_terms", lambda s, w, r: calls.append((s, w)) or split_terms(s, w, r))
     keys = [
@@ -369,8 +373,23 @@ def test_split_absorb_expands_each_split_work_lam_once(monkeypatch):
     triples = {(split, work, lam) for _, split, lam, work in keys}
     assert len(calls) == len(triples) == 8 < len(p.terms)
     assert sorted(calls) == sorted((split, work) for split, work, _ in triples)
+    assert engine._split_absorb(p, 2, 3, 2, -1) == got and len(calls) == 8
+    moved = {}
+    for r, c in ((2, 0), (1, -1)):
+        del calls[:]
+        moved[r, c] = engine._split_absorb(p, 2, 3, r, c)
+        assert len(calls) == 8, (r, c)
+    del calls[:]
+    before = engine._landing_pairs.cache_info().currsize
+    low = TensorElement(3, {((2, 1), (2,), (1,)): 2})
+    high = TensorElement(3, {((2,), (2, 1), (1,)): 2})
+    fused = engine._split_absorb(low, 1, 2, 2, -2), engine._split_absorb(high, 2, 1, 2, -2)
+    assert len(calls) == engine._landing_pairs.cache_info().currsize - before == 1
     monkeypatch.undo()
     assert got == a_op(psi(p, 2, 2), 3, 2, -1)
+    assert all(moved[r, c] == a_op(psi(p, 2, r), 3, r, c) for r, c in moved)
+    assert fused == (a_op(psi(low, 1, 2), 2, 2, -2), a_op(psi(high, 2, 2), 1, 2, -2))
+    assert len({sigma for sigma, _ in fused[0].terms}) > 1 and any(s != k for s, k in fused[0].terms)
 
 
 def test_split_absorb_straightens_rows_that_end_below_lam(monkeypatch):
