@@ -33,7 +33,6 @@ from .gamma import (
     mul,
     project_degree,
     straighten,
-    tensor_mul_at,
 )
 from .oracle_a3 import (
     A3OrbitMults,
@@ -49,7 +48,6 @@ from .quiver import (
     Quiver,
     QuiverError,
     QuiverRep,
-    direct_sum,
     dynkin_type,
     euler_form,
     hom_dim,
@@ -58,7 +56,6 @@ from .quiver import (
     indecomposable_rep,
     is_dynkin,
     opposite,
-    orbit_rep,
     orbits,
     positive_roots,
     tits_form,
@@ -68,7 +65,6 @@ from .resolution import (
     ResolutionPair,
     codim,
     directed_partition,
-    directed_partition_from_blocks,
     greedy_block,
     resolution_pair,
     validate_directed,

@@ -134,12 +134,12 @@ def cmd_orbits(args: argparse.Namespace) -> int:
 def cmd_coeffs(args: argparse.Namespace) -> int:
     q = quiver_from_file(args.quiver)
     orbit = orbit_from_file(args.orbit, q)
+    caveat = caveat_for(q)
     if args.pair == "auto":
         table = quiver_coefficients(q, orbit.dim, orbit)
-        tensor, cd, caveat = table.tensor, table.codim, table.caveat
+        tensor, cd = table.tensor, table.codim
     else:
         tensor, cd = coefficients(q, orbit.dim, pair_from_file(args.pair))
-        caveat = caveat_for(q)
     if args.cohomological:
         tensor = project_degree(tensor, cd)
     if args.format == "table":

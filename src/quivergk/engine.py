@@ -79,13 +79,17 @@ def caveat_for(q: Quiver) -> str | None:
 @dataclass(frozen=True)
 class CoefficientTable:
     """Result bundle of one orbit-closure expansion: tensor and codim of ``orbit`` (dimension
-    vector ``orbit.dim``); a directed partition's pair is ``resolution_pair(quiver, orbit, dp)``."""
+    vector ``orbit.dim``); a directed partition's pair is ``resolution_pair(quiver, orbit, dp)``,
+    and the caveat is read off the quiver by ``caveat_for``."""
 
     quiver: Quiver
     tensor: TensorElement
     codim: int
     orbit: OrbitSpec
-    caveat: str | None = None
+
+    @property
+    def caveat(self) -> str | None:
+        return caveat_for(self.quiver)
 
 
 def psi(p: TensorElement, i: int, max_rows: int | None = None) -> TensorElement:
@@ -247,7 +251,7 @@ def quiver_coefficients(
         raise QuiverError(f"orbit has dim {orbit.dim}, expected {ev}")
     steps = orbit_steps(q, orbit, dp)
     tensor, cd = _fold(TensorElement.unit(q.n), q, steps), sum(r * c for _, r, c in steps)
-    return CoefficientTable(q, tensor, cd, orbit, caveat_for(q))
+    return CoefficientTable(q, tensor, cd, orbit)
 
 
 def cohomological_part(table: CoefficientTable) -> TensorElement:

@@ -249,9 +249,15 @@ def _mul_basis(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], ..
 def mul(a: TensorElement, b: TensorElement) -> TensorElement:
     """Product of two ring elements (arity-1 tensors) in the basis of
     stable classes."""
-    if instance(a, TensorElement).arity != 1:
-        raise QuiverError(f"ring element expected, got arity {a.arity}")
-    return tensor_mul_at(a, 1, b)
+    for x in (a, b):
+        if instance(x, TensorElement).arity != 1:
+            raise QuiverError(f"ring element expected, got arity {x.arity}")
+    out: dict[TensorKey, int] = {}
+    for (lam,), c in a.terms.items():
+        for (mu,), d in b.terms.items():
+            for nu, cc in _mul_basis(lam, mu):
+                _add_term(out, (nu,), c * d * cc)
+    return TensorElement._trusted(1, out)
 
 
 @_memo
@@ -374,22 +380,6 @@ def straighten(seq: Iterable[int]) -> TensorElement:
 
 # ---------------------------------------------------------------------------
 # tensor utilities
-
-
-def tensor_mul_at(p: TensorElement, slot: int, g: TensorElement) -> TensorElement:
-    """Multiply tensor slot ``slot`` (1-based) by a ring element (an
-    arity-1 tensor)."""
-    (slot,) = integers((slot,))
-    if not 1 <= slot <= instance(p, TensorElement).arity:
-        raise QuiverError(f"slot {slot} out of range for arity {p.arity}")
-    if instance(g, TensorElement).arity != 1:
-        raise QuiverError(f"ring element expected, got arity {g.arity}")
-    out: dict[TensorKey, int] = {}
-    for key, c in p.terms.items():
-        for (lam,), cg in g.terms.items():
-            for nu, cc in _mul_basis(key[slot - 1], lam):
-                _add_term(out, key[: slot - 1] + (nu,) + key[slot:], c * cg * cc)
-    return TensorElement._trusted(p.arity, out)
 
 
 def append_unit(p: TensorElement) -> TensorElement:

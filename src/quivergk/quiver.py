@@ -359,35 +359,6 @@ def _probe(q: Quiver, rv: Vector) -> QuiverRep:
             return rep
 
 
-def direct_sum(q: Quiver, reps: Iterable[QuiverRep]) -> QuiverRep:
-    """Block-diagonal sum of representations, each checked to fit ``q``."""
-    parts = sequence(reps)
-    for r in parts:
-        validate_rep(q, r)
-    dims = tuple(sum(r.dims[i] for r in parts) for i in range(instance(q, Quiver).n))
-    mats = []
-    for k, (t, h) in enumerate(q.arrows):
-        rows, left = [], 0
-        for r in parts:
-            right = dims[t - 1] - left - r.dims[t - 1]
-            rows += [(0,) * left + row + (0,) * right for row in r.mats[k]]
-            left += r.dims[t - 1]
-        mats.append(tuple(rows))
-    return QuiverRep(dims, tuple(mats))
-
-
-def orbit_rep(q: Quiver, orbit: OrbitSpec) -> QuiverRep:
-    """Canonical representative: multiplicity-many copies of each
-    indecomposable, in root order.  A dimension vector that does not fit
-    ``q`` or a vector that is not a positive root raises ``QuiverError``."""
-    instance(q, Quiver).check_vector(instance(orbit, OrbitSpec).dim)
-    check_roots(q, orbit.support)
-    pieces = []
-    for root, m in orbit.mults:
-        pieces.extend([indecomposable_rep(q, root)] * m)
-    return direct_sum(q, pieces)
-
-
 def _bareiss_rank(m: list[list[int]]) -> int:
     """Rank of an integer matrix by fraction-free elimination, in place."""
     if not m or not m[0]:

@@ -73,12 +73,6 @@ def validate_directed(q: Quiver, dp: DirectedPartition) -> None:
     _check_directed(q, [_weigh(q, [(r, 0) for r in blk]) for blk in blocks])
 
 
-def directed_partition_from_blocks(q: Quiver, blocks: Iterable[Iterable[Vector]]) -> DirectedPartition:
-    dp = DirectedPartition(blocks)
-    validate_directed(q, dp)
-    return dp
-
-
 @cache
 def _root_masks(q: Quiver) -> dict[Vector, tuple[int, int, int, Vector]]:
     """Per positive root a: (its bit, the bits of the roots b with <a, b> < 0,

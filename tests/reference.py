@@ -24,6 +24,11 @@ a number that ``quivergk`` computes another way:
 - ``validate_directed_pairwise``, the directedness rule of a partition
   tested pair by pair on the Euler table, which the bitmask test of
   ``resolution.validate_directed`` must agree with;
+- ``orbit_rep``, an orbit's canonical representative built by ``direct_sum``
+  of its indecomposables, whose hom column solved by matrices the closed
+  form behind ``quiver.in_orbit_closure`` must equal;
+- ``tensor_mul_at``, one tensor slot times a ring element, the product
+  behind ``psi``'s long way that ``engine.psi`` must equal;
 - classical Littlewood-Richardson numbers, the same tableau count at
   excess 0;
 - the straightening law at every ascent, the hook-content formula, and
@@ -41,10 +46,10 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from quivergk.engine import _absorb, _shifted, _split_absorb, psi
-from quivergk.gamma import TensorElement, append_unit, basis, lr_coeff, straighten
+from quivergk.gamma import TensorElement, _add_term, _mul_basis, append_unit, basis, lr_coeff, straighten
 from quivergk.oracle_a3 import A3OrbitMults
 from quivergk.partitions import Partition, QuiverError, instance, integers, normalize, sequence
-from quivergk.quiver import Quiver, check_roots
+from quivergk.quiver import OrbitSpec, Quiver, QuiverRep, check_roots, indecomposable_rep
 from quivergk.resolution import DirectedPartition, ResolutionPair, pair_steps
 
 A2 = Quiver(2, ((1, 2),))
@@ -497,6 +502,49 @@ def validate_directed_pairwise(q: Quiver, dp: DirectedPartition) -> None:
             for b in roots[done:]:
                 if form[b, a] > 0:
                     raise QuiverError(f"<{b},{a}> = {form[b, a]} > 0 across blocks")
+
+
+# ---------------------------------------------------------------------------
+# an orbit's representative by matrices, and the product in one tensor slot
+
+
+def direct_sum(q: Quiver, reps: Iterable[QuiverRep]) -> QuiverRep:
+    """Block-diagonal sum of representations of ``q``."""
+    reps = list(reps)
+    dims = tuple(sum(r.dims[v] for r in reps) for v in range(q.n))
+    mats = []
+    for k, (t, h) in enumerate(q.arrows):
+        rows, left = [], 0
+        for r in reps:
+            right = dims[t - 1] - left - r.dims[t - 1]
+            rows += [(0,) * left + row + (0,) * right for row in r.mats[k]]
+            left += r.dims[t - 1]
+        mats.append(tuple(rows))
+    return QuiverRep(dims, tuple(mats))
+
+
+def orbit_rep(q: Quiver, orbit: OrbitSpec) -> QuiverRep:
+    """Canonical representative: multiplicity-many copies of each indecomposable
+    (``indecomposable_rep`` checks its root), in root order.  Its hom column, solved by
+    matrices, is the one that the closed form behind ``in_orbit_closure`` must equal.  A
+    dimension vector of the wrong length raises ``QuiverError``: no summand would show it."""
+    q.check_vector(orbit.dim)
+    return direct_sum(q, [indecomposable_rep(q, root) for root, m in orbit.mults for _ in range(m)])
+
+
+def tensor_mul_at(p: TensorElement, slot: int, g: TensorElement) -> TensorElement:
+    """Tensor slot ``slot`` (1-based) of ``p`` times the ring element ``g``, by the basis
+    products of ``_mul_basis``.  A bad slot raises ``QuiverError``: the trusted result would
+    otherwise hold keys of the wrong length."""
+    (slot,) = integers((slot,))
+    if not 1 <= slot <= p.arity:
+        raise QuiverError(f"slot {slot} out of range for arity {p.arity}")
+    out: dict[tuple, int] = {}
+    for key, c in p.terms.items():
+        for (lam,), cg in g.terms.items():
+            for nu, cc in _mul_basis(key[slot - 1], lam):
+                _add_term(out, key[: slot - 1] + (nu,) + key[slot:], c * cg * cc)
+    return TensorElement._trusted(p.arity, out)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,12 @@ def test_orbits_bad_dim(capsys, a2_file):
     assert "2 entries" in err
 
 
+def test_orbits_dim_that_is_not_integers(capsys, a2_file):
+    code, out, err = run(capsys, ["orbits", a2_file, "--dim", "1,x"])
+    assert (code, out) == (2, "")
+    assert err == "error: bad --dim '1,x'\n"
+
+
 # ---------------------------------------------------------------------------
 # coeffs
 
@@ -316,7 +322,8 @@ def test_member_dense_rep_not_in_zero_closure(capsys, a2_file, zero_orbit_file, 
 
 def test_member_on_tall_d4_root(capsys, d4_file, tmp_path):
     # the root (1,2,1,1) has an entry 2, so its module needs drawn matrices
-    from quivergk import OrbitSpec, Quiver, orbit_rep
+    from quivergk import OrbitSpec, Quiver
+    from reference import orbit_rep
 
     d4 = Quiver(4, ((1, 2), (3, 2), (4, 2)))
     orbit = OrbitSpec((1, 2, 1, 1), (((1, 2, 1, 1), 1),))

@@ -27,9 +27,8 @@ from quivergk.gamma import (
     coproduct,
     min_degree,
     straighten,
-    tensor_mul_at,
 )
-from quivergk.oracle_a3 import INBOUND, A3OrbitMults, inbound_table
+from quivergk.oracle_a3 import INBOUND, OUTBOUND, A3OrbitMults, inbound_table
 from quivergk.quiver import (
     OrbitSpec,
     Quiver,
@@ -43,12 +42,11 @@ from quivergk.resolution import (
     ResolutionPair,
     codim,
     directed_partition,
-    directed_partition_from_blocks,
     orbit_steps,
     resolution_pair,
 )
 
-from reference import conjugate, fold_every_head, pair_stages, partitions_fitting
+from reference import conjugate, fold_every_head, pair_stages, partitions_fitting, tensor_mul_at
 
 
 def a2_orbit(m11, m12, m22):
@@ -802,6 +800,22 @@ def test_independence_failure_reports_both_pairs(inbound):
     assert engine._check_independence(forged, every) == {
         "pair_a": {"i": [1, 3, 2], "r": [1, 2, 2]},
         "pair_b": {"i": [3, 2, 1, 3, 2], "r": [1, 1, 1, 1, 1]},
+    }
+
+
+def test_oracle_suite_on_the_outbound_quiver():
+    got = list(sweep(OUTBOUND, 2, "oracle-a3"))
+    assert len(got) == 74
+    assert all(failure is None for _, failure in got)
+    # the zero map 2 -> 1 of (1, 1, 0), its G[1] forged into slot 2: the failure gives both tables
+    orb = OrbitSpec((1, 1, 0), (((0, 1, 0), 1), ((1, 0, 0), 1)))
+    table = quiver_coefficients(OUTBOUND, orb.dim, orb)
+    reference = engine._oracle_reference(OUTBOUND)
+    assert engine._check_oracle(table, reference) is None
+    forged = dataclasses.replace(table, tensor=TensorElement(3, {((), (1,), ()): 1}))
+    assert engine._check_oracle(forged, reference) == {
+        "engine": [{"mu": [[], [1], []], "coeff": 1}],
+        "oracle": [{"mu": [[1], [], []], "coeff": 1}],
     }
 
 

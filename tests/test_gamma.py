@@ -20,7 +20,6 @@ from quivergk.gamma import (
     mul,
     project_degree,
     straighten,
-    tensor_mul_at,
 )
 from quivergk.partitions import normalize
 
@@ -36,6 +35,7 @@ from reference import (
     rectangle_coproduct_coeff,
     rook_strip_complement,
     straightening_law,
+    tensor_mul_at,
     u_word,
     word,
 )
@@ -373,7 +373,8 @@ def _package_memos():
 def test_clear_caches_empties_every_memo():
     """One call empties each functools memo of every package module and
     the straightening memo."""
-    from quivergk import in_orbit_closure, orbit_rep, orbits, quiver_coefficients, Quiver
+    from quivergk import in_orbit_closure, orbits, quiver_coefficients, Quiver
+    from reference import orbit_rep
 
     q = Quiver(3, ((1, 2), (3, 2)))
     for orbit in orbits(q, (2, 2, 2)):

@@ -27,9 +27,7 @@ from quivergk import (
     cohomological_part,
     coproduct,
     coproduct2,
-    direct_sum,
     directed_partition,
-    directed_partition_from_blocks,
     dynkin_type,
     euler_form,
     greedy_block,
@@ -45,7 +43,6 @@ from quivergk import (
     mul,
     mults_from_orbit,
     opposite,
-    orbit_rep,
     orbits,
     outbound_table,
     phi,
@@ -56,7 +53,6 @@ from quivergk import (
     resolution_pair,
     straighten,
     sweep,
-    tensor_mul_at,
     tits_form,
     validate_directed,
 )
@@ -98,7 +94,6 @@ BAD_CALLS = {
     "key not a partition": lambda: TensorElement(1, {((1, 2),): 1}),
     "key not a sequence": lambda: TensorElement(1, {5: 1}),
     "straighten letters": lambda: straighten("ab"),
-    "slot 0": lambda: tensor_mul_at(TensorElement.unit(2), 0, basis((1,))),
     "arity mismatch": lambda: TensorElement.unit(1) + TensorElement.unit(2),
     # each of these once raised AttributeError, or checked nothing until the first next()
     "orbit not an OrbitSpec": lambda: quiver_coefficients(INBOUND, (1, 1, 1), ((1, 1, 1),)),
@@ -123,8 +118,6 @@ BAD_CALLS = {
     "rep of in_orbit_closure not a QuiverRep": lambda: in_orbit_closure(INBOUND, 5, ORBIT),
     "reps of hom_dim not QuiverReps": lambda: hom_dim(INBOUND, 5, 5),
     "orbit of hom_table not an OrbitSpec": lambda: hom_table(INBOUND, REP, 5),
-    "orbit of orbit_rep not an OrbitSpec": lambda: orbit_rep(INBOUND, 5),
-    "part of direct_sum of the wrong shape": lambda: direct_sum(INBOUND, [QuiverRep((1,), ())]),
     # each of these once returned a table or a pair
     "non-directed partition of quiver_coefficients": lambda: quiver_coefficients(
         INBOUND, (1, 1, 1), SPLIT, dp=NOT_DIRECTED
@@ -139,17 +132,13 @@ BAD_CALLS = {
     "quiver of phi not a Quiver": lambda: phi(TensorElement.unit(3), 5, (1, 1, 1), 1, 1),
     "first factor of mul not a TensorElement": lambda: mul(5, basis((1,))),
     "second factor of mul not a TensorElement": lambda: mul(basis((1,)), 5),
-    "tensor of tensor_mul_at not a TensorElement": lambda: tensor_mul_at(5, 1, basis((1,))),
-    "factor of tensor_mul_at not a TensorElement": lambda: tensor_mul_at(TensorElement.unit(1), 1, 5),
     "quiver of quiver_coefficients not a Quiver": lambda: quiver_coefficients(5, (1, 1, 1), ORBIT),
     "quiver of orbits not a Quiver": lambda: orbits(5, (1,)),
     "quiver of sweep not a Quiver": lambda: next(sweep(5, 1, "signs")),
     "quiver of hom_dim not a Quiver": lambda: hom_dim(5, REP, REP),
     "quiver of in_orbit_closure not a Quiver": lambda: in_orbit_closure(5, REP, ORBIT),
     "quiver of hom_table not a Quiver": lambda: hom_table(5, REP, ORBIT),
-    "quiver of orbit_rep not a Quiver": lambda: orbit_rep(5, ORBIT),
     "quiver of indecomposable_rep not a Quiver": lambda: indecomposable_rep(5, (1,)),
-    "quiver of direct_sum not a Quiver": lambda: direct_sum(5, []),
     "quiver of euler_form not a Quiver": lambda: euler_form(5, (1,), (1,)),
     "quiver of tits_form not a Quiver": lambda: tits_form(5, (1,)),
     "quiver of incoming_rank not a Quiver": lambda: incoming_rank(5, (1,), 1),
@@ -163,7 +152,6 @@ BAD_CALLS = {
     "quiver of directed_partition not a Quiver": lambda: directed_partition(5, [(1, 1, 1)]),
     "quiver of greedy_block not a Quiver": lambda: greedy_block(5, [(1, 1, 1)]),
     "quiver of validate_directed not a Quiver": lambda: validate_directed(5, DirectedPartition(BLOCKS)),
-    "quiver of directed_partition_from_blocks not a Quiver": lambda: directed_partition_from_blocks(5, BLOCKS),
     "quiver of resolution_pair not a Quiver": lambda: resolution_pair(5, ORBIT, DirectedPartition(BLOCKS)),
     "quiver of coefficients not a Quiver": lambda: coefficients(5, (1, 1, 1), PAIR),
     "quiver of codim not a Quiver": lambda: codim(5, (1, 1, 1), PAIR),
@@ -184,7 +172,6 @@ BAD_CALLS = {
     "mults of outbound_table not A3OrbitMults": lambda: outbound_table(5),
     "terms of a tensor not a dict": lambda: TensorElement(1, 5),
     # each of these once raised TypeError, or built a tensor of arity -1
-    "blocks of directed_partition_from_blocks not a sequence": lambda: directed_partition_from_blocks(INBOUND, 5),
     "float arity of unit": lambda: TensorElement.unit(2.5),
     "negative arity of unit": lambda: TensorElement.unit(-1),
     # each of these once raised TypeError, or answered a float from its integer twin's memo entry
@@ -193,6 +180,14 @@ BAD_CALLS = {
     "float in a list partition of coproduct2": lambda: (coproduct2((2, 1)), coproduct2([2.0, 1])),
     "float in a list partition of lr_coeff": lambda: (lr_coeff((1,), (1,), (2,)), lr_coeff([1.0], [1], [2])),
     "key of key_degree not a sequence": lambda: key_degree(5),
+    # each of these raised already, from a check that no other row reaches
+    "slot 0": lambda: a_op(TensorElement.unit(2), 0, 1, 0),
+    "negative rank of a_op": lambda: a_op(TensorElement.unit(2), 1, -1, 0),
+    "mul by arity 2": lambda: mul(basis((1,)), TensorElement(2)),
+    "quiver without vertices": lambda: Quiver(0, ()),
+    "orbit root of another length than its dim": lambda: OrbitSpec((1, 1, 1), (((1, 1), 1),)),
+    "non-interval root of mults_from_orbit": lambda: mults_from_orbit(OrbitSpec((1, 0, 1), (((1, 0, 1), 1),))),
+    "no roots for greedy_block": lambda: greedy_block(INBOUND, []),
 }
 
 

@@ -18,7 +18,6 @@ from quivergk.quiver import (
     incoming_rank,
     indecomposable_rep,
     is_dynkin,
-    orbit_rep,
     orbits,
     positive_roots,
     source_rank,
@@ -29,7 +28,7 @@ from quivergk.quiver import (
 from quivergk import quiver
 from quivergk.quiver import _orbit_side, _probe_layout, _solve
 
-from reference import brute_force_mults, fraction_rank
+from reference import brute_force_mults, direct_sum, fraction_rank, orbit_rep
 
 A11, A12, A13 = (1, 0, 0), (1, 1, 0), (1, 1, 1)
 A22, A23, A33 = (0, 1, 0), (0, 1, 1), (0, 0, 1)
@@ -610,8 +609,6 @@ def test_end_of_indecomposables_is_one(inbound):
 
 def test_hom_dim_additive(inbound):
     # Hom(psi, phi1 + phi2) = Hom(psi, phi1) + Hom(psi, phi2)
-    from quivergk.quiver import direct_sum
-
     psi = indecomposable_rep(inbound, A12)
     f1 = indecomposable_rep(inbound, A13)
     f2 = indecomposable_rep(inbound, A22)

@@ -21,7 +21,6 @@ from quivergk.resolution import (
     ResolutionPair,
     codim,
     directed_partition,
-    directed_partition_from_blocks,
     greedy_block,
     pair_steps,
     resolution_pair,
@@ -55,20 +54,19 @@ def a2_orbit(m11, m12, m22):
 
 
 def test_accepts_the_three_block_inbound_partition(inbound):
-    dp = directed_partition_from_blocks(
-        inbound, [[A22], [A12, A23, A13], [A11, A33]]
-    )
+    dp = DirectedPartition([[A22], [A12, A23, A13], [A11, A33]])
+    validate_directed(inbound, dp)
     assert len(dp.blocks) == 3
     assert dp.blocks[0] == (A22,)
 
 
 def test_accepts_the_three_block_outbound_partition(outbound):
-    directed_partition_from_blocks(outbound, [[A11], [A33, A23, A13], [A22, A12]])
+    validate_directed(outbound, DirectedPartition([[A11], [A33, A23, A13], [A22, A12]]))
 
 
 def test_rejects_reversed_blocks(inbound):
     with pytest.raises(QuiverError):
-        directed_partition_from_blocks(inbound, [[A11, A33], [A12, A23, A13], [A22]])
+        validate_directed(inbound, DirectedPartition([[A11, A33], [A12, A23, A13], [A22]]))
 
 
 def test_rejects_empty_block_and_duplicates(inbound):
@@ -83,7 +81,7 @@ def test_rejects_empty_block_and_duplicates(inbound):
     [
         lambda q, v: directed_partition(q, [v]),
         lambda q, v: greedy_block(q, [v]),
-        lambda q, v: directed_partition_from_blocks(q, [[v]]),
+        lambda q, v: validate_directed(q, DirectedPartition([[v]])),
         lambda q, v: validate_directed(q, DirectedPartition(((v,),))),
     ],
     ids=["directed_partition", "greedy_block", "from_blocks", "validate_directed"],
@@ -101,7 +99,7 @@ def test_vectors_that_are_not_roots_raise(call, q, vec):
 def test_rejects_within_block_violation(a2):
     # <(0,1),(1,1)> = 1 - 1 = 0 ok, but <(1,0),(0,1)> = -1 on 1->2
     with pytest.raises(QuiverError):
-        directed_partition_from_blocks(a2, [[(1, 0), (0, 1)]])
+        validate_directed(a2, DirectedPartition([[(1, 0), (0, 1)]]))
 
 
 def _ordered_set_partitions(items):
@@ -374,9 +372,7 @@ def test_bitmask_partition_matches_the_set_based_one_on_random_e8_subsets():
 
 
 def test_pair_for_the_outbound_partition(outbound):
-    dp = directed_partition_from_blocks(
-        outbound, [[A11], [A33, A23, A13], [A22, A12]]
-    )
+    dp = DirectedPartition([[A11], [A33, A23, A13], [A22, A12]])
     ones = OrbitSpec((3, 4, 3), tuple((r, 1) for r in positive_roots(outbound)))
     pair = resolution_pair(outbound, ones, dp)
     assert pair.vertices == (1, 2, 1, 3, 2, 1)
@@ -384,9 +380,7 @@ def test_pair_for_the_outbound_partition(outbound):
 
 
 def test_pair_drops_zero_ranks(outbound):
-    dp = directed_partition_from_blocks(
-        outbound, [[A11], [A33, A23, A13], [A22, A12]]
-    )
+    dp = DirectedPartition([[A11], [A33, A23, A13], [A22, A12]])
     orb = OrbitSpec(
         (3, 4, 3),
         ((A11, 2), (A12, 1), (A22, 1), (A23, 2), (A33, 1)),
@@ -398,7 +392,7 @@ def test_pair_drops_zero_ranks(outbound):
 
 
 def test_pair_for_the_inbound_partition(inbound):
-    dp = directed_partition_from_blocks(inbound, [[A22], [A12, A23, A13], [A11, A33]])
+    dp = DirectedPartition([[A22], [A12, A23, A13], [A11, A33]])
     ones = OrbitSpec((3, 4, 3), tuple((r, 1) for r in positive_roots(inbound)))
     pair = resolution_pair(inbound, ones, dp)
     assert pair.vertices == (2, 1, 3, 2, 1, 3)
@@ -429,7 +423,7 @@ def test_pair_rejects_vectors_that_are_not_roots(inbound, vec):
 
 def test_empty_orbit_empty_pair(a2):
     orb = OrbitSpec((0, 0), ())
-    dp = directed_partition_from_blocks(a2, [[(1, 1)]])
+    dp = DirectedPartition([[(1, 1)]])
     pair = resolution_pair(a2, orb, dp)
     assert pair.vertices == () and pair.ranks == ()
 
@@ -527,9 +521,7 @@ def test_codim_of_dense_orbits_is_zero(inbound, outbound):
 
 def test_codim_partition_independent(inbound):
     ones = OrbitSpec((3, 4, 3), tuple((r, 1) for r in positive_roots(inbound)))
-    three_block = directed_partition_from_blocks(
-        inbound, [[A22], [A12, A23, A13], [A11, A33]]
-    )
+    three_block = DirectedPartition([[A22], [A12, A23, A13], [A11, A33]])
     greedy = directed_partition(inbound, ones.support)
     a = codim(inbound, (3, 4, 3), resolution_pair(inbound, ones, three_block))
     b = codim(inbound, (3, 4, 3), resolution_pair(inbound, ones, greedy))
