@@ -76,10 +76,10 @@ from . import engine, gamma, oracle_a3, partitions, quiver, resolution
 def clear_caches() -> None:
     """Empty every memo of the package: the ``functools.cache`` tables of
     all its modules (structure constants, coproducts, fused steps' slot pairs,
-    positive roots, the Euler form on pairs of roots and its bitmasks, the
-    indecomposables, their layouts, each orbit's checked roots, hom column and
-    probes, caveats) and the straightening memo.  A quiver's step facts are
-    its own attributes."""
+    positive roots and the orbit walk's plan, the Euler form on pairs of roots
+    and its bitmasks and steps, the indecomposables, their layouts, each orbit's
+    checked roots, hom column and probes, caveats) and the straightening memo.
+    A quiver's step facts are its own attributes."""
     for module in (engine, gamma, oracle_a3, partitions, quiver, resolution):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):

@@ -213,9 +213,10 @@ def _fold(p: TensorElement, q: Quiver, steps: list[tuple[int, int, int]]) -> Ten
         live = [h for h in heads[i] if any(key[h - 1] for key in terms)]
         if not live:
             out: dict[tuple, int] = {}
-            row = _shifted((), r, c)
+            row = (c,) * r
+            pos = row if c > 0 else ()
             for key, coeff in terms.items():
-                _absorb(out, key[: i - 1], key[i:], *row, key[i - 1], coeff)
+                _absorb(out, key[: i - 1], key[i:], row, pos, key[i - 1], coeff)
             terms = {k: v for k, v in out.items() if v}
             continue
         p = append_unit(TensorElement._trusted(arity, terms))

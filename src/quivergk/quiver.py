@@ -248,42 +248,57 @@ class OrbitSpec:
         return tuple(r for r, _ in self.mults)
 
 
+@cache
+def _orbit_plan(q: Quiver) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    """What ``orbits`` reads of the roots, once per quiver: each simple root's index in
+    ``positive_roots``, and the non-simple roots tallest first as (index, support bitmask,
+    the (i, root_i) of the support)."""
+    roots = positive_roots(q)
+    simple = tuple(roots.index(tuple(int(j == i) for j in range(q.n))) for i in range(q.n))
+    tall = sorted(range(q.n, len(roots)), key=lambda k: -sum(roots[k]))
+    entries = [tuple((i, x) for i, x in enumerate(roots[k]) if x) for k in tall]
+    return simple, tuple((k, sum(1 << i for i, _ in ent), ent) for k, ent in zip(tall, entries))
+
+
 def orbits(q: Quiver, e: Iterable[int]) -> list[OrbitSpec]:
     """All orbits for dimension vector ``e``: decompositions of ``e`` as a
     non-negative combination of positive roots (Gabriel), ordered by their
     multiplicity vectors over ``positive_roots`` order.
 
-    The walk picks the multiplicities of the non-simple roots, tallest
-    first, each from its largest possible value down to 0.  Roots that do
-    not fit under ``e`` are dropped up front, and a multiplicity of 0 hands
-    the remainder on as it is.  Once the multiplicities are fixed, the
-    remainder is a non-negative vector, and a non-negative vector is
-    exactly one sum of simple roots, so each leaf closes in one step and is
-    an orbit.  The number of leaves is the number of orbits, Kostant's
-    partition function of ``e``.
+    The walk picks the non-simple roots of non-zero multiplicity, tallest
+    first, each with every multiplicity that fits the remainder.  A root
+    whose support meets the remainder's zeros cannot fit, and a bitmask
+    test skips it.  Once the picks stop, the remainder is a non-negative
+    vector, and a non-negative vector is exactly one sum of simple roots,
+    so each call of the walk closes one orbit, built from the (index, m)
+    pairs picked: its cost is the orbit's support, not the root system.
+    The number of calls is the number of orbits, Kostant's partition
+    function of ``e``.
     """
     ev = instance(q, Quiver).check_vector(e)
-    roots = positive_roots(q)
-    fits = [k for k, r in enumerate(roots) if sum(r) > 1 and all(map(int.__le__, r, ev))]
-    tall = sorted(fits, key=lambda k: -sum(roots[k]))
-    simple = [roots.index(tuple(int(j == i) for j in range(q.n))) for i in range(q.n)]
-    mult = [0] * len(roots)
-    found: list[tuple[tuple[int, ...], OrbitSpec]] = []
+    roots, (simple, plan) = positive_roots(q), _orbit_plan(q)
+    zeros = sum(1 << i for i, x in enumerate(ev) if not x)
+    tall = [t for t in plan if not t[1] & zeros]
+    found: list[tuple[tuple[tuple[int, int], ...], OrbitSpec]] = []
 
-    def dfs(t: int, rest: list[int]) -> None:
-        if t == len(tall):
-            for k, m in zip(simple, rest):
-                mult[k] = m
-            picked = tuple((roots[k], m) for k, m in enumerate(mult) if m)
-            # positive_roots order is the sorted order, and the sums are exact
-            found.append((tuple(mult), OrbitSpec._trusted(ev, picked)))
-            return
-        root = roots[tall[t]]
-        for m in range(min(x // y for x, y in zip(rest, root) if y), -1, -1):
-            mult[tall[t]] = m
-            dfs(t + 1, [x - m * y for x, y in zip(rest, root)] if m else rest)
+    def dfs(start: int, rest: list[int], zeros: int, picked: tuple[tuple[int, int], ...]) -> None:
+        for t in range(start, len(tall)):
+            k, support, ent = tall[t]
+            if support & zeros:
+                continue
+            for m in range(1, min(rest[i] // x for i, x in ent) + 1):
+                left, gone = rest[:], zeros
+                for i, x in ent:
+                    left[i] -= m * x
+                    if not left[i]:
+                        gone |= 1 << i
+                dfs(t + 1, left, gone, picked + ((k, m),))
+        # index order is positive_roots order, and the (-k, m) compare as multiplicity vectors do
+        pairs = sorted(picked + tuple((k, m) for k, m in zip(simple, rest) if m))
+        mults = tuple((roots[k], m) for k, m in pairs)  # the sums are exact
+        found.append((tuple((-k, m) for k, m in pairs), OrbitSpec._trusted(ev, mults)))
 
-    dfs(0, list(ev))
+    dfs(0, list(ev), zeros, ())
     found.sort(key=lambda pair: pair[0])
     return [orbit for _, orbit in found]
 

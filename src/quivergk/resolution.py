@@ -74,15 +74,18 @@ def validate_directed(q: Quiver, dp: DirectedPartition) -> None:
 
 
 @cache
-def _root_masks(q: Quiver) -> dict[Vector, tuple[int, int, int, Vector]]:
-    """Per positive root a: (its bit, the bits of the roots b with <a, b> < 0,
-    of those with <b, a> > 0, a); the k-th of ``positive_roots`` has bit 1 << k."""
-    roots, form = positive_roots(q), _euler_table(q)
-    bits = lambda keep: sum(1 << k for k, b in enumerate(roots) if keep(b))
-    return {
-        a: (1 << k, bits(lambda b: form[a, b] < 0), bits(lambda b: form[b, a] > 0), a)
-        for k, a in enumerate(roots)
-    }
+def _root_masks(q: Quiver) -> dict[Vector, tuple[int, int, int, Vector, tuple[tuple[int, int], ...]]]:
+    """Per positive root a: (bit 1 << k for the k-th of ``positive_roots``, the bits of the b
+    with <a, b> < 0, of those with <b, a> > 0, a, its steps: its (v, a_v != 0) in ``q.order``)."""
+    roots = positive_roots(q)
+    bit = {a: 1 << k for k, a in enumerate(roots)}
+    masks = {a: [bit[a], 0, 0, a, tuple((v, a[v - 1]) for v in q.order if a[v - 1])] for a in roots}
+    for (a, b), x in _euler_table(q).items():
+        if x < 0:
+            masks[a][1] |= bit[b]
+        elif x > 0:
+            masks[b][2] |= bit[a]
+    return {a: tuple(entry) for a, entry in masks.items()}
 
 
 def greedy_block(q: Quiver, roots: Iterable[Vector]) -> tuple[Vector, ...]:
@@ -123,7 +126,7 @@ def _check_directed(q: Quiver, blocks: list[list[tuple]]) -> None:
     left = sum(bits)
     for blk in blocks:
         later = left - sum([t[0] for t in blk])
-        for _, neg, pos, a, _ in blk:
+        for _, neg, pos, a, _, _ in blk:
             if neg & left or pos & later:
                 b = positive_roots(q)[(neg & left or pos & later).bit_length() - 1]
                 raise QuiverError(f"<{a},{b}> < 0" if neg & left else f"<{b},{a}> > 0 across blocks")
@@ -169,7 +172,8 @@ def _walk(q: Quiver, cur: list[int], steps: Iterable[tuple[int, int]]) -> list[t
 def orbit_steps(q: Quiver, orbit: OrbitSpec, dp: DirectedPartition | None = None) -> list[tuple]:
     """The steps (v, r, c) of the resolution of an orbit and a directed partition, by default
     the greedy one of its support, in one pass: each block's weighted root sum p = sum of
-    m_alpha alpha gives the vertices with p_v != 0 in topological order, ranks p_v, walked
+    m_alpha alpha, summed from the roots' sparse steps (``_root_masks``; a one-root block's are
+    its root's times m), gives the vertices with p_v != 0 in topological order, ranks p_v, walked
     down from ``orbit.dim``.  Roots of ``dp`` outside the support weigh zero, and a ``dp`` that
     is not directed raises ``QuiverError`` (``_check_directed``); the greedy one is by making."""
     mults = instance(orbit, OrbitSpec).mults
@@ -183,10 +187,15 @@ def orbit_steps(q: Quiver, orbit: OrbitSpec, dp: DirectedPartition | None = None
         _check_directed(q, blocks)
     steps = []
     for blk in blocks:
-        p = [0] * q.n
-        for t in blk:
-            p = [x + t[4] * y for x, y in zip(p, t[3])]
-        steps += [(v, p[v - 1]) for v in q.order if p[v - 1]]
+        if len(blk) == 1:
+            *_, root_steps, m = blk[0]
+            steps += root_steps if m == 1 else [(v, m * x) for v, x in root_steps if m]
+            continue
+        p = [0] * (q.n + 1)
+        for *_, root_steps, m in blk:
+            for v, x in root_steps:
+                p[v] += m * x
+        steps += [(v, p[v]) for v in q.order if p[v]]
     return _walk(q, list(orbit.dim), steps)
 
 

@@ -431,6 +431,8 @@ D4_OUT = ((4, 1), (4, 2), (4, 3))
 D4_MIXED = ((1, 4), (4, 2), (4, 3))
 E6 = ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6))
 E7 = ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7))
+E8 = ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8))
+D5 = ((1, 2), (2, 3), (3, 4), (3, 5))
 
 
 def dims_up_to(q, max_dim):
@@ -455,8 +457,15 @@ def test_orbits_equal_brute_force(q, max_dim):
 
 @pytest.mark.parametrize(
     "q, max_dim",
-    [(Quiver(4, D4_IN), 2), (Quiver(4, D4_OUT), 2), (Quiver(4, D4_MIXED), 2), (Quiver(6, E6), 1)],
-    ids=["D4-in", "D4-out", "D4-mixed", "E6"],
+    [
+        (Quiver(4, D4_IN), 2),
+        (Quiver(4, D4_OUT), 2),
+        (Quiver(4, D4_MIXED), 2),
+        (Quiver(6, E6), 1),
+        (Quiver(7, E7), 1),
+        (Quiver(5, D5), 2),
+    ],
+    ids=["D4-in", "D4-out", "D4-mixed", "E6", "E7", "D5"],
 )
 def test_orbits_equal_simple_first_walk(q, max_dim):
     for e in dims_up_to(q, max_dim):
@@ -469,8 +478,9 @@ def test_orbits_equal_simple_first_walk(q, max_dim):
         (Quiver(4, D4_IN), 3, 3406),
         (Quiver(6, E6), 2, 14547),
         (Quiver(7, E7), 1, 634),
+        (Quiver(8, E8), 1, 1660),
     ],
-    ids=["D4-in", "E6", "E7"],
+    ids=["D4-in", "E6", "E7", "E8"],
 )
 def test_orbit_totals(q, max_dim, total):
     assert sum(len(orbits(q, e)) for e in dims_up_to(q, max_dim)) == total

@@ -22,6 +22,7 @@ from quivergk.resolution import (
     codim,
     directed_partition,
     greedy_block,
+    orbit_steps,
     pair_steps,
     resolution_pair,
     validate_directed,
@@ -389,6 +390,18 @@ def test_pair_drops_zero_ranks(outbound):
     # the m13 step vanishes, so vertex 1 is missing from the middle block
     assert pair.vertices == (1, 2, 3, 2, 1)
     assert pair.ranks == (2, 2, 3, 2, 1)
+
+
+def test_one_root_block_of_multiplicity_zero_adds_no_step(outbound):
+    # A11 is not in the orbit: its block alone weighs zero, so it adds no (1, 0) step
+    dp = DirectedPartition([[A11], [A33, A23, A13], [A22, A12]])
+    orb = OrbitSpec((1, 3, 2), ((A12, 1), (A22, 1), (A23, 1), (A33, 1)))
+    steps = [(2, 1, -2), (3, 2, 2), (2, 2, 0), (1, 1, 0)]
+    assert orbit_steps(outbound, orb, dp) == steps
+    assert orbit_steps(outbound, orb, DirectedPartition(dp.blocks[1:])) == steps
+    # with A11 of multiplicity 2 the same block is its root's one step, rank scaled to 2
+    orb2 = OrbitSpec((3, 3, 2), ((A11, 2), *orb.mults))
+    assert orbit_steps(outbound, orb2, dp) == [(1, 2, 2), *steps]
 
 
 def test_pair_for_the_inbound_partition(inbound):
