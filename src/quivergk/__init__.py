@@ -76,8 +76,8 @@ from . import engine, gamma, oracle_a3, partitions, quiver, resolution
 def clear_caches() -> None:
     """Empty every memo of the package: the ``functools.cache`` tables of
     all its modules (structure constants, coproducts, fused steps' slot pairs,
-    positive roots and the orbit walk's plan, the Euler form on pairs of roots
-    and its bitmasks and steps, the indecomposables, their layouts, each orbit's
+    positive roots and the orbit walk's plan, each quiver's root index of bits,
+    bitmasks, Euler rows and steps, the indecomposables, their layouts, each orbit's
     checked roots, hom column and probes, caveats) and the straightening memo.
     A quiver's step facts are its own attributes."""
     for module in (engine, gamma, oracle_a3, partitions, quiver, resolution):

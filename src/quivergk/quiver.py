@@ -83,14 +83,6 @@ def tits_form(q: Quiver, d: Iterable[int]) -> int:
     return euler_form(q, dv, dv)
 
 
-def incoming_rank(q: Quiver, e: Iterable[int], i: int) -> int:
-    """Dimension of the source sum of all arrows into vertex i."""
-    ev, (i,) = integers(e), integers((i,))
-    if len(ev) != instance(q, Quiver).n or not 1 <= i <= q.n:
-        raise QuiverError(f"vector {ev} or vertex {i} does not fit n={q.n}")
-    return sum(ev[t - 1] for t in q.tails[i])
-
-
 def source_rank(q: Quiver) -> Vector:
     """Longest-path distance from the sources, per vertex (a topological rank).
 
@@ -181,20 +173,24 @@ def positive_roots(q: Quiver) -> tuple[Vector, ...]:
     is positive definite (Sylvester's criterion in ``is_dynkin``, which
     runs first): a definite integral form takes the value 1 on finitely
     many vectors.  On any other quiver it may run forever.
+    As q(beta + alpha_v) = q(beta) + 1 + (beta, alpha_v), a root beta grows by alpha_v
+    exactly when (beta, alpha_v) = 2 beta_v - sum of beta over v's arrows' other ends = -1.
     """
     if not is_dynkin(q):
         raise QuiverError("positive roots need a Dynkin quiver, got not-Dynkin")
     simple = [tuple(int(j == i) for j in range(q.n)) for i in range(q.n)]
+    ends = [q.tails[v] + q.heads[v] for v in range(1, q.n + 1)]
     roots = set(simple)
     frontier = simple
     while frontier:
         grown = []
         for beta in frontier:
-            for i in range(q.n):
-                raised = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
-                if raised not in roots and tits_form(q, raised) == 1:
-                    roots.add(raised)
-                    grown.append(raised)
+            for i, near in enumerate(ends):
+                if 2 * beta[i] - sum([beta[t - 1] for t in near]) == -1:
+                    raised = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
+                    if raised not in roots:
+                        roots.add(raised)
+                        grown.append(raised)
         frontier = grown
     return tuple(sorted(roots, key=lambda d: (sum(d), d)))
 
@@ -454,22 +450,28 @@ def hom_dim(q: Quiver, f_rep: QuiverRep, e_rep: QuiverRep) -> int:
 
 
 @cache
-def _euler_table(q: Quiver) -> dict[tuple[Vector, Vector], int]:
-    """<alpha, beta> for every pair of positive roots of ``q``, from each alpha's linear
-    form, built once: <alpha, beta> = sum_j (alpha_j - sum_{t -> j} alpha_t) * beta_j."""
-    roots = positive_roots(q)
-    lin = [(a, [x - incoming_rank(q, a, j) for j, x in enumerate(a, 1)]) for a in roots]
-    return {(a, b): sum(map(mul, la, b)) for a, la in lin for b in roots}
+def _root_index(q: Quiver) -> dict[Vector, tuple]:
+    """Per positive root a, in ``positive_roots`` order, built once: (bit 1 << k for the k-th
+    root, the bits of the b with <a, b> < 0, the bits of the b with <b, a> > 0, a, its row of
+    <a, b> over ``positive_roots``, its steps (v, a_v) for a_v != 0 in ``q.order``).  Each row
+    entry is b dotted with a's linear form: <a, b> = sum_v (a_v - sum_{t -> v} a_t) * b_v."""
+    roots, tails = positive_roots(q), q.tails
+    lins = ([x - sum([a[t - 1] for t in tails[v]]) for v, x in enumerate(a, 1)] for a in roots)
+    rows = [tuple([sum(map(mul, lin, b)) for b in roots]) for lin in lins]
+    neg = [sum([1 << j for j, x in enumerate(row) if x < 0]) for row in rows]
+    pos = [sum([1 << j for j, row in enumerate(rows) if row[k] > 0]) for k in range(len(rows))]
+    steps = [tuple((v, a[v - 1]) for v in q.order if a[v - 1]) for a in roots]
+    return {a: (1 << k, neg[k], pos[k], a, rows[k], steps[k]) for k, a in enumerate(roots)}
 
 
-def check_roots(q: Quiver, vectors: Iterable[Vector]) -> dict[tuple[Vector, Vector], int]:
-    """The Euler table of ``q``; raise ``QuiverError`` unless every one of
-    ``vectors`` is a positive root of ``q``, that is, a key of the table."""
-    form = _euler_table(q)
+def check_roots(q: Quiver, vectors: Iterable[Vector]) -> dict[Vector, tuple]:
+    """The root index of ``q`` (``_root_index``); raise ``QuiverError`` unless
+    every one of ``vectors`` is a positive root of ``q``, that is, a key of it."""
+    index = _root_index(q)
     for r in vectors:
-        if (r, r) not in form:
+        if r not in index:
             raise QuiverError(f"{list(r)} is not a positive root of this quiver")
-    return form
+    return index
 
 
 @cache
@@ -480,13 +482,15 @@ def _orbit_side(q: Quiver, orbit: OrbitSpec) -> Side:
     m * max(0, <alpha, beta>) over the orbit.  Returns that column and
     (``_probe_layout``, need) for each alpha with need > max(0, <alpha, e>),
     e = orbit.dim: as dim Hom(M_alpha, V) - dim Ext^1(M_alpha, V) =
-    <alpha, e> on a hereditary algebra (Ringel), no other root can fail."""
-    form, roots = check_roots(q, orbit.support), positive_roots(q)
-    column = tuple(sum(m * max(0, form[a, b]) for b, m in orbit.mults) for a in roots)
+    <alpha, e> on a hereditary algebra (Ringel), no other root can fail.  Each
+    <alpha, beta> is read from alpha's row of ``_root_index`` at beta's place."""
+    index = check_roots(q, orbit.support)
+    at = [(index[b][0].bit_length() - 1, m) for b, m in orbit.mults]
+    column = tuple(sum(m * max(0, row[k]) for k, m in at) for *_, row, _ in index.values())
     return column, tuple(
         (_probe_layout(q, a, orbit.dim), need)
-        for a, need in zip(roots, column)
-        if need > max(0, sum(m * form[a, b] for b, m in orbit.mults))
+        for (a, (*_, row, _)), need in zip(index.items(), column)
+        if need > max(0, sum(m * row[k] for k, m in at))
     )
 
 

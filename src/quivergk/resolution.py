@@ -17,7 +17,6 @@ vector.  ``directed_partition`` shares the peel; ``pair_steps`` and ``codim`` th
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterable, Sequence
 
 from .partitions import instance, integers, sequence
@@ -26,7 +25,7 @@ from .quiver import (
     Quiver,
     QuiverError,
     Vector,
-    _euler_table,
+    _root_index,
     check_roots,
     positive_roots,
 )
@@ -73,21 +72,6 @@ def validate_directed(q: Quiver, dp: DirectedPartition) -> None:
     _check_directed(q, [_weigh(q, [(r, 0) for r in blk]) for blk in blocks])
 
 
-@cache
-def _root_masks(q: Quiver) -> dict[Vector, tuple[int, int, int, Vector, tuple[tuple[int, int], ...]]]:
-    """Per positive root a: (bit 1 << k for the k-th of ``positive_roots``, the bits of the b
-    with <a, b> < 0, of those with <b, a> > 0, a, its steps: its (v, a_v != 0) in ``q.order``)."""
-    roots = positive_roots(q)
-    bit = {a: 1 << k for k, a in enumerate(roots)}
-    masks = {a: [bit[a], 0, 0, a, tuple((v, a[v - 1]) for v in q.order if a[v - 1])] for a in roots}
-    for (a, b), x in _euler_table(q).items():
-        if x < 0:
-            masks[a][1] |= bit[b]
-        elif x > 0:
-            masks[b][2] |= bit[a]
-    return {a: tuple(entry) for a, entry in masks.items()}
-
-
 def greedy_block(q: Quiver, roots: Iterable[Vector]) -> tuple[Vector, ...]:
     """First block of the greedy directed partition of ``roots``: keep the
     roots a with <a, b> >= 0 for every b, then drop in passes every a with
@@ -104,11 +88,11 @@ def greedy_block(q: Quiver, roots: Iterable[Vector]) -> tuple[Vector, ...]:
 
 
 def _weigh(q: Quiver, mults: Sequence[tuple[Vector, int]]) -> list[tuple]:
-    """Each (root, multiplicity) as its ``_root_masks`` entry, the multiplicity appended.
+    """Each (root, multiplicity) as its ``_root_index`` entry, the multiplicity appended.
     The lookup is the root check: a vector that is not a positive root raises QuiverError."""
-    masks = _root_masks(q)
+    index = _root_index(q)
     try:
-        return [masks[r] + (m,) for r, m in mults]
+        return [index[r] + (m,) for r, m in mults]
     except KeyError:
         check_roots(q, [r for r, _ in mults])  # names the vector that is not a root
         raise
@@ -126,7 +110,7 @@ def _check_directed(q: Quiver, blocks: list[list[tuple]]) -> None:
     left = sum(bits)
     for blk in blocks:
         later = left - sum([t[0] for t in blk])
-        for _, neg, pos, a, _, _ in blk:
+        for _, neg, pos, a, *_ in blk:
             if neg & left or pos & later:
                 b = positive_roots(q)[(neg & left or pos & later).bit_length() - 1]
                 raise QuiverError(f"<{a},{b}> < 0" if neg & left else f"<{b},{a}> > 0 across blocks")
@@ -172,7 +156,7 @@ def _walk(q: Quiver, cur: list[int], steps: Iterable[tuple[int, int]]) -> list[t
 def orbit_steps(q: Quiver, orbit: OrbitSpec, dp: DirectedPartition | None = None) -> list[tuple]:
     """The steps (v, r, c) of the resolution of an orbit and a directed partition, by default
     the greedy one of its support, in one pass: each block's weighted root sum p = sum of
-    m_alpha alpha, summed from the roots' sparse steps (``_root_masks``; a one-root block's are
+    m_alpha alpha, summed from the roots' sparse steps (``_root_index``; a one-root block's are
     its root's times m), gives the vertices with p_v != 0 in topological order, ranks p_v, walked
     down from ``orbit.dim``.  Roots of ``dp`` outside the support weigh zero, and a ``dp`` that
     is not directed raises ``QuiverError`` (``_check_directed``); the greedy one is by making."""

@@ -49,7 +49,7 @@ from quivergk.engine import _absorb, _shifted, _split_absorb, psi
 from quivergk.gamma import TensorElement, _add_term, _mul_basis, append_unit, basis, lr_coeff, straighten
 from quivergk.oracle_a3 import A3OrbitMults
 from quivergk.partitions import Partition, QuiverError, instance, integers, normalize, sequence
-from quivergk.quiver import OrbitSpec, Quiver, QuiverRep, check_roots, indecomposable_rep
+from quivergk.quiver import OrbitSpec, Quiver, QuiverRep, check_roots, euler_form, indecomposable_rep
 from quivergk.resolution import DirectedPartition, ResolutionPair, pair_steps
 
 A2 = Quiver(2, ((1, 2),))
@@ -485,9 +485,10 @@ def fold_every_head(p: TensorElement, q: Quiver, steps: list[tuple[int, int, int
 
 def validate_directed_pairwise(q: Quiver, dp: DirectedPartition) -> None:
     """Raise unless the blocks are non-empty, disjoint and directed, pair by pair: no root a
-    has <a, b> < 0 for a b in its own block or a later one, nor <b, a> > 0 for a later b."""
+    has <a, b> < 0 for a b in its own block or a later one, nor <b, a> > 0 for a later b.
+    Each <a, b> is ``euler_form``'s loop over the arrows, not the root index."""
     roots = dp.roots
-    form = check_roots(q, roots)
+    check_roots(q, roots)
     if not all(dp.blocks):
         raise QuiverError("empty block")
     if len(set(roots)) < len(roots):
@@ -497,11 +498,11 @@ def validate_directed_pairwise(q: Quiver, dp: DirectedPartition) -> None:
         done += len(blk)
         for a in blk:
             for b in blk + roots[done:]:
-                if form[a, b] < 0:
-                    raise QuiverError(f"<{a},{b}> = {form[a, b]} < 0")
+                if (x := euler_form(q, a, b)) < 0:
+                    raise QuiverError(f"<{a},{b}> = {x} < 0")
             for b in roots[done:]:
-                if form[b, a] > 0:
-                    raise QuiverError(f"<{b},{a}> = {form[b, a]} > 0 across blocks")
+                if (x := euler_form(q, b, a)) > 0:
+                    raise QuiverError(f"<{b},{a}> = {x} > 0 across blocks")
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from quivergk.quiver import (
     OrbitSpec,
     Quiver,
     QuiverError,
-    check_roots,
+    euler_form,
     opposite,
     orbits,
     positive_roots,
@@ -653,9 +653,46 @@ def test_codim_is_the_dimension_of_self_extensions(q, max_dim):
     # dim Ext^1(M_b, M_g) = max(0, -<b, g>); the step walk that gives codim is not used
     for e in itertools.product(range(max_dim + 1), repeat=q.n):
         for orbit in orbits(q, e):
-            form = check_roots(q, orbit.support)
-            ext = sum(m * k * max(0, -form[b, g]) for b, m in orbit.mults for g, k in orbit.mults)
+            mults = orbit.mults
+            ext = sum(m * k * max(0, -euler_form(q, b, g)) for b, m in mults for g, k in mults)
             assert quiver_coefficients(q, e, orbit).codim == ext, orbit
+
+
+@pytest.mark.parametrize(
+    "q, max_dim, pairs",
+    [
+        (Quiver(3, ((1, 2), (3, 2))), 3, 471),
+        (Quiver(3, ((2, 1), (2, 3))), 3, 471),
+        (Quiver(4, ((1, 2), (3, 2), (3, 4))), 2, 1010),
+        (Quiver(4, ((1, 4), (2, 4), (3, 4))), 2, 974),
+        (Quiver(4, ((4, 1), (4, 2), (4, 3))), 2, 974),
+        (Quiver(4, ((1, 4), (4, 2), (4, 3))), 2, 1051),
+        (Quiver(5, ((1, 2), (2, 3), (3, 4), (3, 5))), 1, 529),
+        (Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6))), 1, 1716),
+        (Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7))), 1, 5462),
+    ],
+    ids=["A3-in", "A3-out", "A4-mixed", "D4-in", "D4-out", "D4-mixed", "D5", "E6", "E7"],
+)
+def test_an_ext_orthogonal_summand_keeps_the_table(q, max_dim, pairs):
+    """Stability: for a positive root beta with <alpha, beta> >= 0 and <beta, alpha> >= 0 for
+    every root alpha of the orbit, so Ext^1 vanishes both ways between M_beta and the orbit's
+    representation, the orbit plus M_beta in dimension e + beta has the orbit's tensor and
+    codim.  The codim half is codim = dim Ext^1(V, V); with beta the full interval of an
+    equioriented A_n it is the stability of quiver coefficients; the rest is measured here."""
+    seen = 0
+    for e in itertools.product(range(max_dim + 1), repeat=q.n):
+        for orbit in orbits(q, e):
+            table = quiver_coefficients(q, e, orbit)
+            for beta in positive_roots(q):
+                if any(euler_form(q, a, beta) < 0 or euler_form(q, beta, a) < 0 for a in orbit.support):
+                    continue
+                mults = dict(orbit.mults)
+                mults[beta] = mults.get(beta, 0) + 1
+                dim = tuple(x + y for x, y in zip(e, beta))
+                bigger = quiver_coefficients(q, dim, OrbitSpec(dim, tuple(mults.items())))
+                assert (bigger.tensor, bigger.codim) == (table.tensor, table.codim), (orbit, beta)
+                seen += 1
+    assert seen == pairs
 
 
 def test_alternating_signs_clean_a3(inbound):

@@ -26,6 +26,7 @@ from quivergk.partitions import normalize
 from conftest import int_seqs, partitions
 from reference import (
     classical_lr,
+    conjugate,
     contains,
     content,
     enumerate_svt,
@@ -633,3 +634,19 @@ def test_tensor_mul_at_is_bilinear():
     direct = tensor_mul_at(t, 1, g)
     split = tensor_mul_at(t, 1, G(1)) + tensor_mul_at(t, 1, G(2))
     assert direct.terms == split.terms
+
+
+def test_conjugation_keeps_the_product_constants():
+    """Gr(k, n) = Gr(n - k, n) conjugates every partition, so c^nu_{lam mu} = c^{nu'}_{lam' mu'}:
+    on every product of the 3 x 3 box.  The walk fills rows, so nothing in it forces this."""
+    box = list(partitions_fitting(3, 3))
+    for lam, mu in itertools.product(box, repeat=2):
+        flipped = {(conjugate(nu),): c for (nu,), c in mul(basis(lam), basis(mu)).terms.items()}
+        assert mul(basis(conjugate(lam)), basis(conjugate(mu))).terms == flipped, (lam, mu)
+
+
+def test_conjugation_keeps_the_coproduct_constants():
+    """d^nu_{lam mu} = d^{nu'}_{lam' mu'} on every coproduct of the 4 x 4 box."""
+    for nu in partitions_fitting(4, 4):
+        flipped = {(conjugate(a), conjugate(b)): d for (a, b), d in coproduct(nu).terms.items()}
+        assert coproduct(conjugate(nu)).terms == flipped, nu

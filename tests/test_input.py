@@ -57,7 +57,7 @@ from quivergk import (
     validate_directed,
 )
 from quivergk.oracle_a3 import all_mults, interval_root
-from quivergk.quiver import check_roots, incoming_rank, source_rank
+from quivergk.quiver import check_roots, source_rank
 from quivergk.resolution import pair_steps
 
 from reference import A2
@@ -107,7 +107,6 @@ BAD_CALLS = {
     "stages over a short dimension vector": lambda: pair_steps(INBOUND, (1, 1), PAIR),
     # each of these once raised TypeError, or read a float as an int
     "stage vector not a sequence": lambda: phi(TensorElement.unit(3), INBOUND, 5, 1, 1),
-    "float vertex of incoming_rank": lambda: incoming_rank(INBOUND, (1, 1, 1), 2.0),
     "float end of interval_root": lambda: interval_root(1.5, 2),
     # each of these once kept a scalar that is not an integer, or raised AttributeError
     "float scalar": lambda: 2.5 * TensorElement.unit(1),
@@ -141,7 +140,6 @@ BAD_CALLS = {
     "quiver of indecomposable_rep not a Quiver": lambda: indecomposable_rep(5, (1,)),
     "quiver of euler_form not a Quiver": lambda: euler_form(5, (1,), (1,)),
     "quiver of tits_form not a Quiver": lambda: tits_form(5, (1,)),
-    "quiver of incoming_rank not a Quiver": lambda: incoming_rank(5, (1,), 1),
     "quiver of source_rank not a Quiver": lambda: source_rank(5),
     "quiver of opposite not a Quiver": lambda: opposite(5),
     "quiver of is_dynkin not a Quiver": lambda: is_dynkin(5),

@@ -1,7 +1,8 @@
 """The names the benchmark reads from the package: ``perfbench/worker.py``
 wraps module attributes by name and reads the ``cache_info`` of the gamma
 memos, so a renamed or removed one fails here, in a second, rather than only
-in the minute-long ``perfbench/test_counts.py``.  The benchmark's code is
+in ``perfbench/test_counts.py``, which runs the benchmark's workloads (about
+5 s on one core of a shared 2-vCPU host).  The benchmark's code is
 imported and run, never changed."""
 
 import sys

@@ -15,7 +15,6 @@ from quivergk.quiver import (
     hom_dim,
     hom_table,
     in_orbit_closure,
-    incoming_rank,
     indecomposable_rep,
     is_dynkin,
     orbits,
@@ -134,8 +133,6 @@ def test_tits_form_on_roots(inbound):
 
 
 def test_incoming_and_source_rank(inbound, outbound):
-    assert incoming_rank(inbound, (2, 5, 3), 2) == 5
-    assert incoming_rank(inbound, (2, 5, 3), 1) == 0
     assert source_rank(inbound) == (0, 1, 0)
     assert source_rank(outbound) == (1, 0, 1)
 
@@ -154,19 +151,6 @@ def test_tits_form_rejects_a_vector_of_the_wrong_length(inbound):
     for d in ((1, 1, 1, 5), (1, 1), ()):
         with pytest.raises(QuiverError):
             tits_form(inbound, d)
-
-
-@pytest.mark.parametrize("i", [0, -1, 4])
-def test_incoming_rank_rejects_a_vertex_out_of_range(inbound, i):
-    with pytest.raises(QuiverError):
-        incoming_rank(inbound, (2, 5, 3), i)
-
-
-@pytest.mark.parametrize("e", [(1,), (1, 1, 1, 9), (1.5, 1, 1), "111"])
-def test_incoming_rank_rejects_a_bad_vector(inbound, e):
-    """(1,) used to raise IndexError; (1, 1, 1, 9) gave 2 and (1.5, 1, 1) 2.5."""
-    with pytest.raises(QuiverError):
-        incoming_rank(inbound, e, 2)
 
 
 @pytest.mark.parametrize("bad", [(0.5, 1, 1), "111", (1, 1, 2.0), 3])

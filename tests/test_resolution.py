@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -8,10 +9,8 @@ from quivergk.quiver import (
     OrbitSpec,
     Quiver,
     QuiverError,
-    _euler_table,
-    check_roots,
+    _root_index,
     euler_form,
-    incoming_rank,
     orbits,
     positive_roots,
     source_rank,
@@ -283,18 +282,24 @@ def test_greedy_partition_matches_the_reference_walk_on_all_roots(q):
     assert directed_partition(q, roots).blocks == _reference_partition(q, roots).blocks
 
 
+@functools.cache
+def _euler(q, a, b):
+    """``euler_form`` once per pair of roots: the reference below asks for each pair often."""
+    return euler_form(q, a, b)
+
+
 def _set_based_partition(q, roots):
     """The greedy partition on sets of roots, the reference the bitmask
     peel must equal: per block, keep the a with <a, b> >= 0 for every b
     left, then drop every a with <b, a> > 0 for some b outside, until
-    none drops."""
+    none drops.  The form is ``euler_form``'s loop over the arrows, not
+    the root index that the peel reads."""
     rest = {tuple(r) for r in roots}
-    form = check_roots(q, rest)
     blocks = []
     while rest:
-        block = {a for a in rest if all(form[a, b] >= 0 for b in rest)}
+        block = {a for a in rest if all(_euler(q, a, b) >= 0 for b in rest)}
         outside = rest - block
-        while drop := {a for a in block if any(form[b, a] > 0 for b in outside)}:
+        while drop := {a for a in block if any(_euler(q, b, a) > 0 for b in outside)}:
             block -= drop
             outside |= drop
         blocks.append(tuple(sorted(block, key=lambda d: (sum(d), d))))
@@ -473,17 +478,21 @@ def test_resolution_pair_rejects_non_integers(vertices, ranks):
     "q", [A3_IN, A3_OUT, Quiver(3, ((1, 2), (2, 3))), D4_IN, D4_OUT, D4_MIXED, E6, E7, E8]
 )
 def test_euler_table_is_the_euler_form(q):
-    # the table builds each root's linear form once; euler_form loops over the arrows
+    # the index dots each root's linear form with every root; euler_form loops over the arrows
     roots = positive_roots(q)
-    table = _euler_table(q)
-    assert len(table) == len(roots) ** 2
-    assert all(table[a, b] == euler_form(q, a, b) for a in roots for b in roots)
+    index = _root_index(q)
+    assert list(index) == list(roots)
+    for k, (a, (bit, neg, pos, root, row, steps)) in enumerate(index.items()):
+        assert (bit, root, steps) == (1 << k, a, tuple((v, a[v - 1]) for v in q.order if a[v - 1]))
+        assert row == tuple(euler_form(q, a, b) for b in roots)
+        assert neg == sum(1 << j for j, b in enumerate(roots) if euler_form(q, a, b) < 0)
+        assert pos == sum(1 << j for j, b in enumerate(roots) if euler_form(q, b, a) > 0)
 
 
 def test_step_tables_give_the_old_widths_and_pairs():
     """On every step of every orbit of D4 <= 2 and E6 <= 1, from the greedy
     partition and from the all-roots one (where most roots weigh zero),
-    the width read from the per-quiver tails is incoming_rank - s_v + r,
+    the width read from the per-quiver tails is r - <s, e_v> by ``euler_form``,
     and the pair is the block sums in (source_rank, vertex) order."""
     for q, top in ((D4_IN, 2), (D4_OUT, 2), (D4_MIXED, 2), (E6, 1)):
         every = directed_partition(q, positive_roots(q))
@@ -495,7 +504,8 @@ def test_step_tables_give_the_old_widths_and_pairs():
                     stages = pair_stages(q, e, pair)
                     assert [(v, r) for v, r, _ in stages] == list(pair.steps())
                     for (v, r, s), (_, _, c) in zip(stages, pair_steps(q, e, pair), strict=True):
-                        assert c == incoming_rank(q, s, v) - s[v - 1] + r
+                        simple = tuple(int(j == v) for j in range(1, q.n + 1))
+                        assert c == r - euler_form(q, s, simple)
 
 
 # ---------------------------------------------------------------------------
