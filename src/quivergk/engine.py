@@ -16,9 +16,9 @@ never stored: each (split, working partition, lam) triple is expanded
 once per step (r, c) into the merged pairs it writes into the split slot
 and slot i, those that cancel dropped, memoised across calls and orbits
 by ``_landing_pairs``, and spliced into each term's context in slot
-order.  The lowest total degree of the result
-is the codimension of the orbit closure, and for Dynkin type A the table
-is independent of the chosen directed partition.
+order.  The lowest total degree of the result is the orbit closure's codimension.  Type A
+tables do not depend on the directed partition, so type A runs the greedy partition of all
+roots, built once per quiver, and D/E that of the orbit's support (see ``orbit_steps``).
 
 A step of rank r keeps only the terms whose working partition has at
 most r rows.  Every partition in a product of stable Grothendieck classes
@@ -240,12 +240,11 @@ def quiver_coefficients(
 ) -> CoefficientTable:
     """Full expansion of one orbit closure.
 
-    The steps come from ``orbit_steps`` in one pass (their pair is
-    ``resolution_pair(q, orbit, dp)``); the directed partition defaults to the
-    greedy one on the orbit's support, and the codim is read off the same
-    steps.  For quivers with a D or E component the table is flagged (see
-    ``caveat_for``).  An orbit that uses a vector which is not a positive root
-    of ``q`` raises ``QuiverError`` where the pass looks it up in the root bitmasks.
+    The steps, and the codim read off them, come from ``orbit_steps`` in one pass; their pair
+    is ``resolution_pair(q, orbit, dp)``.  The directed partition defaults to the greedy one of
+    all roots in type A and of the orbit's support in D/E, where the table is flagged (see
+    ``caveat_for``).  An orbit that uses a vector which is not a positive root of ``q`` raises
+    ``QuiverError`` where the pass looks it up in the root bitmasks.
     """
     ev = instance(q, Quiver).check_vector(e)
     if instance(orbit, OrbitSpec).dim != ev:
@@ -297,9 +296,10 @@ def _check_codim(table: CoefficientTable, _: None) -> dict | None:
 
 
 def _check_independence(table: CoefficientTable, dp: DirectedPartition) -> dict | None:
-    """Compare with the table of a second directed partition: in full in
-    type A, and only the degree-equals-codim slice under the caveat."""
+    """Compare with the greedy partition the default does not run: the support's in full in type
+    A, ``dp`` (all roots') on the degree-equals-codim slice under the caveat; report both pairs."""
     q, orbit = table.quiver, table.orbit
+    dp = dp if table.caveat else directed_partition(q, orbit.support)
     other = quiver_coefficients(q, orbit.dim, orbit, dp=dp)
     if table.caveat:
         agree = cohomological_part(table) == cohomological_part(other)
@@ -332,7 +332,7 @@ def _check_oracle(table: CoefficientTable, reference: Callable[..., TensorElemen
 
 
 # suite name -> (per-quiver setup, per-orbit check); a check takes the
-# greedy table and what the setup returned, and gives the failure's keys
+# default table and what the setup returned, and gives the failure's keys
 # after "orbit", or None
 SUITES = {
     "signs": (lambda q: None, _check_signs),

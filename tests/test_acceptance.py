@@ -119,19 +119,20 @@ def outbound_corpus():
 
 @cache
 def type_a_corpus():
-    """Triples (greedy table, full positive-root-partition table, that
-    partition), type A."""
+    """Triples (default table, table of the greedy partition of the orbit's
+    support, that partition), type A, where the default partition is the
+    greedy one of all positive roots."""
     out = []
     for q in TYPE_A:
-        full = directed_partition(q, positive_roots(q))
         dims = [(1,) * q.n, (2,) * q.n, tuple(1 + (i % 3) for i in range(q.n))]
         for e in dims:
             for orbit in orbits(q, e):
+                support = directed_partition(q, orbit.support)
                 out.append(
                     (
                         quiver_coefficients(q, e, orbit),
-                        quiver_coefficients(q, e, orbit, dp=full),
-                        full,
+                        quiver_coefficients(q, e, orbit, dp=support),
+                        support,
                     )
                 )
     return out
@@ -139,9 +140,10 @@ def type_a_corpus():
 
 @cache
 def d4_corpus():
-    """Triples (greedy table, full positive-root-partition table, that
+    """Triples (default table, full positive-root-partition table, that
     partition) for every orbit with entries at most 2, on three orientations
-    of the star."""
+    of the star, where the default partition is the greedy one of the
+    orbit's support."""
     out = []
     for q in D4_ORIENTATIONS:
         full = directed_partition(q, positive_roots(q))
@@ -159,23 +161,24 @@ def d4_corpus():
 
 def every_table():
     """Every corpus table, with the directed partition it was computed from
-    (None for the greedy one)."""
+    (None for the default one)."""
     for _, _, _, table in a2_corpus():
         yield table, None
     for _, table in inbound_corpus():
         yield table, None
     for _, table in outbound_corpus():
         yield table, None
-    for a, b, full in type_a_corpus() + d4_corpus():
+    for a, b, other in type_a_corpus() + d4_corpus():
         yield a, None
-        yield b, full
+        yield b, other
 
 
 def pairs_moved(triples) -> int:
-    """How many orbits get a different resolution pair from the full partition."""
+    """How many orbits the triple's partition gives a pair other than the
+    default one, the pair the engine runs."""
     return sum(
-        resolution_pair(a.quiver, a.orbit) != resolution_pair(a.quiver, a.orbit, full)
-        for a, _, full in triples
+        resolution_pair(a.quiver, a.orbit) != resolution_pair(a.quiver, a.orbit, other)
+        for a, _, other in triples
     )
 
 

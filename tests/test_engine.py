@@ -216,7 +216,7 @@ def test_operators_check_their_arguments_once_per_call(monkeypatch):
     ids=["A3-in", "A3-out", "D4-out", "E6"],
 )
 def test_phi_folds_to_the_engine_table(q, max_dim):
-    # phi applied right to left along the greedy pair's stages is the engine
+    # phi applied right to left along the default pair's stages is the engine
     for e in itertools.product(range(max_dim + 1), repeat=q.n):
         for orbit in orbits(q, e):
             table = quiver_coefficients(q, e, orbit)
@@ -730,17 +730,14 @@ def test_cohomological_part_is_bottom_slice(a2):
 
 
 def test_partition_choice_does_not_matter(inbound):
-    # greedy-minimal versus the full root set, same table
-    from quivergk.resolution import directed_partition
-
+    # the default (in type A the greedy partition of all roots) versus the
+    # greedy partition of the support, same table
     for e in [(1, 1, 1), (2, 2, 2), (2, 1, 2)]:
         for orb in orbits(inbound, e):
-            greedy = quiver_coefficients(inbound, e, orb)
-            full = quiver_coefficients(
-                inbound, e, orb, dp=directed_partition(inbound, positive_roots(inbound))
-            )
-            assert greedy.tensor.terms == full.tensor.terms
-            assert greedy.codim == full.codim
+            default = quiver_coefficients(inbound, e, orb)
+            support = quiver_coefficients(inbound, e, orb, dp=directed_partition(inbound, orb.support))
+            assert default.tensor.terms == support.tensor.terms
+            assert default.codim == support.codim
 
 
 def test_a_float_root_in_a_given_partition_is_an_input_error(inbound):
@@ -827,16 +824,26 @@ def test_sweep_yields_greedy_tables_in_order(inbound):
 
 
 def test_independence_failure_reports_both_pairs(inbound):
-    # a forged greedy table disagrees with the all-roots one, and the report
-    # gives the pair of each partition, read off the orbit
-    every = directed_partition(inbound, positive_roots(inbound))
+    # type A runs the greedy partition of all roots, so the suite compares the
+    # greedy one of the support; a forged table disagrees with it, and the
+    # report gives the two pairs compared, read off the orbit
+    setup, check = engine.SUITES["independence"]
+    every = setup(inbound)
     orb = OrbitSpec((1, 2, 2), (((0, 1, 1), 1), ((1, 1, 1), 1)))
     table = quiver_coefficients(inbound, orb.dim, orb)
-    assert engine._check_independence(table, every) is None
+    assert check(table, every) is None
     forged = dataclasses.replace(table, tensor=TensorElement(3))
-    assert engine._check_independence(forged, every) == {
-        "pair_a": {"i": [1, 3, 2], "r": [1, 2, 2]},
-        "pair_b": {"i": [3, 2, 1, 3, 2], "r": [1, 1, 1, 1, 1]},
+    assert check(forged, every) == {
+        "pair_a": {"i": [3, 2, 1, 3, 2], "r": [1, 1, 1, 1, 1]},
+        "pair_b": {"i": [1, 3, 2], "r": [1, 2, 2]},
+    }
+    # D4 runs the support's greedy partition, so the suite compares that of all roots
+    d4 = Quiver(4, ((1, 4), (2, 4), (3, 4)))
+    orb = OrbitSpec((0, 0, 2, 1), (((0, 0, 1, 0), 1), ((0, 0, 1, 1), 1)))
+    forged = dataclasses.replace(quiver_coefficients(d4, orb.dim, orb), tensor=TensorElement(4))
+    assert check(forged, setup(d4)) == {
+        "pair_a": {"i": [3, 4], "r": [2, 1]},
+        "pair_b": {"i": [3, 4, 3], "r": [1, 1, 1]},
     }
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from quivergk.engine import coefficients, quiver_coefficients
+from quivergk.engine import caveat_for, coefficients, quiver_coefficients
 from quivergk.quiver import (
     OrbitSpec,
     Quiver,
@@ -34,6 +34,7 @@ A22, A23, A33 = (0, 1, 0), (0, 1, 1), (0, 0, 1)
 
 A3_IN = Quiver(3, ((1, 2), (3, 2)))
 A3_OUT = Quiver(3, ((2, 1), (2, 3)))
+A4_MIXED = Quiver(4, ((1, 2), (3, 2), (3, 4)))
 D4_IN = Quiver(4, ((1, 4), (2, 4), (3, 4)))
 D4_OUT = Quiver(4, ((4, 1), (4, 2), (4, 3)))
 D4_MIXED = Quiver(4, ((1, 4), (4, 2), (4, 3)))
@@ -347,18 +348,67 @@ def _reference_pair(q, orbit, blocks):
     ids=["A3-in", "A3-out", "D4-in", "D4-out", "D4-mixed", "E6", "E7", "A3-in-dp", "A3-out-dp", "D4-in-dp"],
 )
 def test_one_pass_pair_is_the_reference_partitions_pair(q, max_dim, given):
-    """The one pass gives each orbit the pair of the set-based greedy partition
-    of its support (with ``given``, of all positive roots, passed as ``dp``),
-    and ``coefficients`` on that pair gives the engine table's tensor and codim."""
-    every = directed_partition(q, positive_roots(q)) if given else None
+    """The one pass gives each orbit the pair of a set-based greedy partition,
+    and ``coefficients`` on that pair gives the engine table's tensor and codim.
+    By default that is the partition of all positive roots in type A and of the
+    orbit's support in D and E; with ``given``, the other one, passed as ``dp``."""
+    all_roots = (caveat_for(q) is None) != given
     for e in itertools.product(range(max_dim + 1), repeat=q.n):
         for orb in orbits(q, e):
-            table = quiver_coefficients(q, e, orb, every)
-            pair = resolution_pair(q, orb, every)
-            blocks = _set_based_partition(q, positive_roots(q) if given else orb.support)
+            roots = positive_roots(q) if all_roots else orb.support
+            dp = directed_partition(q, roots) if given else None
+            table = quiver_coefficients(q, e, orb, dp)
+            pair = resolution_pair(q, orb, dp)
+            blocks = _set_based_partition(q, roots)
             want = resolution_pair(q, orb, DirectedPartition(blocks))
             assert pair == want == _reference_pair(q, orb, blocks), orb
             assert coefficients(q, e, pair) == (table.tensor, table.codim), orb
+
+
+def _orbits_upto(q, max_dim):
+    for e in itertools.product(range(max_dim + 1), repeat=q.n):
+        yield from orbits(q, e)
+
+
+@pytest.mark.parametrize(
+    "q, max_dim, directed",
+    [(A3_IN, 2, 184), (A3_OUT, 2, 184), (A4_MIXED, 1, 70)],
+    ids=["A3-in", "A3-out", "A4-mixed"],
+)
+def test_every_directed_partition_of_the_support_gives_the_default_table(q, max_dim, directed):
+    """Type A: each ordered set partition of an orbit's support that ``validate_directed``
+    accepts gives the default table and codim; ``directed`` counts those partitions."""
+    count = 0
+    for orb in _orbits_upto(q, max_dim):
+        table = quiver_coefficients(q, orb.dim, orb)
+        for blocks in _ordered_set_partitions(orb.support):
+            dp = DirectedPartition(blocks)
+            if _accepts(lambda: validate_directed(q, dp)):
+                other = quiver_coefficients(q, orb.dim, orb, dp)
+                assert (other.tensor, other.codim) == (table.tensor, table.codim), blocks
+                count += 1
+    assert count == directed
+
+
+@pytest.mark.parametrize(
+    "q, max_dim",
+    [(D4_IN, 2), (D4_OUT, 2), (D4_MIXED, 2), (E6, 1)],
+    ids=["D4-in", "D4-out", "D4-mixed", "E6"],
+)
+def test_d_and_e_default_steps_come_from_the_supports_greedy_partition(q, max_dim):
+    for orb in _orbits_upto(q, max_dim):
+        assert orbit_steps(q, orb) == orbit_steps(q, orb, directed_partition(q, orb.support)), orb
+
+
+def test_type_a_default_steps_come_from_the_greedy_partition_of_all_roots():
+    """On A3-in the default is the all-roots partition, and on some orbits its pair
+    is not that of the greedy partition of the support, which D and E run."""
+    every, moved = directed_partition(A3_IN, positive_roots(A3_IN)), 0
+    for orb in _orbits_upto(A3_IN, 2):
+        assert orbit_steps(A3_IN, orb) == orbit_steps(A3_IN, orb, every), orb
+        support = directed_partition(A3_IN, orb.support)
+        moved += resolution_pair(A3_IN, orb) != resolution_pair(A3_IN, orb, support)
+    assert moved == 10
 
 
 def test_bitmask_partition_matches_the_set_based_one_on_random_e8_subsets():

@@ -88,10 +88,12 @@ def test_membership_fuzz():
 
 def test_partition_evidence():
     lines = run_script("partition_evidence.py", "--max-dim", "1")
-    names = ["D4 inbound", "D4 outbound", "D4 mixed", "E6", "E7"]
+    names = ["D4 inbound", "D4 outbound", "D4 mixed", "E6", "E7", "A3 inbound", "A3 outbound", "A4 mixed"]
     assert [line.split(":")[0] for line in lines] == [f"{name} (max-dim 1)" for name in names]
-    # the 242 orbits of E6 at max-dim 1, 82 of them with a second pair
+    # the 242 orbits of E6 at max-dim 1, 82 of them with a second pair; in type A the
+    # second partition is the support's greedy one, which moves 4 pairs of A4 mixed
     assert lines[3].startswith("E6 (max-dim 1): 242 orbits, 82 with a different pair,")
+    assert lines[7].startswith("A4 mixed (max-dim 1): 34 orbits, 4 with a different pair,")
     for line in lines:
         count = line.split(": ")[1].split(" ")[0]
         assert f", {count} full tables equal, {count} pass signs and lowest degree," in line
