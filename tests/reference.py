@@ -20,7 +20,8 @@ a number that ``quivergk`` computes another way:
   on, for ``engine.phi``;
 - ``fold_every_head``, the step fold that splits every out-slot of a
   step, empty or not, which ``engine._fold``, splitting only the
-  out-slots that hold a partition, must equal;
+  occupied out-slots and skipping or rewriting steps into empty slots,
+  must equal;
 - ``validate_directed_pairwise``, the directedness rule of a partition
   tested pair by pair on the Euler table, which the bitmask test of
   ``resolution.validate_directed`` must agree with;

@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quivergk.engine import (
@@ -534,6 +534,63 @@ def test_no_step_splits_a_slot_empty_in_every_term(monkeypatch, q, max_dim, spli
     assert all(failure is None for _, failure in sweep(q, max_dim, "codim"))
     assert all(filled["psi"]) and all(filled["_split_absorb"])
     assert bool(filled["psi"]) == bool(filled["_split_absorb"]) == splits
+
+
+def test_steps_into_empty_slots_absorb_nothing(monkeypatch):
+    """A step whose slot and out-slots are G_() in every term is the
+    identity when its row (c)^r has no positive entry, and otherwise puts
+    the row into its slot by a key rewrite: neither ``_absorb`` nor
+    ``straighten`` is called, and the fold equals splitting every out-slot."""
+    rng = random.Random(20070830)
+    box = list(partitions_fitting(2, 2))
+    kinds = {"identity": 0, "row": 0}
+    for q in (Quiver(3, ((1, 2), (3, 2))), D4_OUT, E6):
+        for _ in range(40):
+            filled = set(rng.sample(range(1, q.n + 1), rng.randint(0, 2)))
+            keys = [tuple(rng.choice(box) if v in filled else () for v in range(1, q.n + 1)) for _ in range(3)]
+            p = TensorElement(q.n, {key: rng.choice((-2, -1, 1, 2)) for key in keys})
+            steps = []  # built in the order of application, then reversed: the fold runs right to left
+            for _ in range(rng.randint(1, 6)):
+                free = [v for v in range(1, q.n + 1) if v not in filled and filled.isdisjoint(q.heads[v])]
+                if not free:
+                    break
+                i, r, c = rng.choice(free), rng.randint(0, 3), rng.randint(-2, 2)
+                steps.append((i, r, c))
+                if c > 0 and r:
+                    filled.add(i)
+                kinds["row" if c > 0 and r else "identity"] += 1
+            steps.reverse()
+            want = fold_every_head(p, q, steps)
+            with monkeypatch.context() as m:
+                for name in ("_absorb", "straighten"):
+                    m.setattr(engine, name, lambda *args: pytest.fail("a step absorbed a row"))
+                assert engine._fold(p, q, steps) == want, (q, p, steps)
+    assert min(kinds.values()) > 50
+
+
+@st.composite
+def fold_cases(draw):
+    """(p, q, steps): ``p`` not the unit, some slot G_() in every term, and
+    steps (v, r, c) with c in -2..2 and r in 0..3."""
+    from conftest import partitions
+
+    q = draw(st.sampled_from([Quiver(3, ((1, 2), (3, 2))), Quiver(4, ((1, 2), (3, 2), (3, 4))), D4_OUT]))
+    empty = draw(st.sets(st.integers(min_value=1, max_value=q.n), min_size=1, max_size=q.n - 1))
+    slot = partitions(max_size=3, max_part=2, max_rows=2)
+    terms = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        key = tuple(() if v in empty else draw(slot) for v in range(1, q.n + 1))
+        terms[key] = draw(st.sampled_from((-2, -1, 1, 2)))
+    assume(any(any(key) for key in terms))
+    step = st.tuples(st.integers(min_value=1, max_value=q.n), st.integers(0, 3), st.integers(-2, 2))
+    return TensorElement(q.n, terms), q, draw(st.lists(step, min_size=1, max_size=4))
+
+
+@given(fold_cases())
+@settings(max_examples=150, deadline=None)
+def test_fold_reads_occupancy_off_any_tensor(case):
+    p, q, steps = case
+    assert engine._fold(p, q, steps) == fold_every_head(p, q, steps)
 
 
 # ---------------------------------------------------------------------------
