@@ -14,13 +14,14 @@ and complain about any point where the two answers differ.  Exit status
     python scripts/membership_fuzz.py [MAX_DIM] [SAMPLES] [SEED]
 """
 
+import itertools
 import random
 import sys
 import time
 from fractions import Fraction
 
-from quivergk.oracle_a3 import INBOUND, all_mults
-from quivergk.quiver import QuiverError, QuiverRep, in_orbit_closure
+from quivergk.oracle_a3 import INBOUND, mults_from_orbit
+from quivergk.quiver import QuiverError, QuiverRep, in_orbit_closure, orbits
 
 
 def rank(mat):
@@ -45,14 +46,19 @@ def main(argv):
         max_dim, samples, seed = given + [3, 100, 1153][len(given) :]
         if samples < 0:
             raise QuiverError(f"negative samples {samples}")
-        orbits = all_mults(max_dim)
+        if max_dim < 0:
+            raise QuiverError(f"negative max_dim {max_dim}")
     except ValueError as exc:  # int() and QuiverError alike: a bad argument
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    dims = itertools.product(range(max_dim + 1), repeat=3)
+    found = [mults_from_orbit(orbit) for e in dims for orbit in orbits(INBOUND, e)]
+    # sorted by (m11, m12, m13, m22, m23, m33): the random points follow this order
+    found.sort(key=lambda m: tuple(m.as_dict().values()))
     rng = random.Random(seed)
     t0 = time.monotonic()
     points = members = bad = 0
-    for m in orbits:
+    for m in found:
         e1, e2, e3 = m.dim
         spec = m.orbit()
         for k in range(samples):
@@ -72,7 +78,7 @@ def main(argv):
                 print(f"DISAGREE {m} phi1={phi1} phi3={phi3} hom={inside} rank={by_rank}")
     dt = time.monotonic() - t0
     print(
-        f"{len(orbits)} orbits, {points} points, {members} members, "
+        f"{len(found)} orbits, {points} points, {members} members, "
         f"{bad} disagreements, {dt:.1f}s"
     )
     return 0 if bad == 0 else 1

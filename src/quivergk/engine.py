@@ -304,7 +304,7 @@ def _check_codim(table: CoefficientTable, _: None) -> dict | None:
     return None if lowest == table.codim else {"codim": table.codim, "min_degree": lowest}
 
 
-def _check_independence(table: CoefficientTable, dp: DirectedPartition) -> dict | None:
+def _check_independence(table: CoefficientTable, dp: DirectedPartition | None) -> dict | None:
     """Compare with the greedy partition the default does not run: the support's in full in type
     A, ``dp`` (all roots') on the degree-equals-codim slice under the caveat; report both pairs."""
     q, orbit = table.quiver, table.orbit
@@ -346,7 +346,7 @@ def _check_oracle(table: CoefficientTable, reference: Callable[..., TensorElemen
 SUITES = {
     "signs": (lambda q: None, _check_signs),
     "oracle-a3": (_oracle_reference, _check_oracle),
-    "independence": (lambda q: directed_partition(q, positive_roots(q)), _check_independence),
+    "independence": (lambda q: caveat_for(q) and directed_partition(q, positive_roots(q)), _check_independence),
     "codim": (lambda q: None, _check_codim),
 }
 

@@ -9,20 +9,21 @@ numerically.
 
 Vertex layout: 1 - 2 - 3, with both arrows pointing in ("inbound",
 1 -> 2 <- 3) or both pointing out ("outbound", 1 <- 2 -> 3).  Orbits are
-parameterized by the six interval-root multiplicities m[i][j], 1<=i<=j<=3.
+parameterized by the six interval-root multiplicities m[i][j], 1<=i<=j<=3,
+spelled once in ``_INTERVALS``; ``all_mults`` in ``tests/reference.py`` lists the orbits.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .gamma import TensorElement, _add_term, _mul_basis, coproduct, coproduct2
 from .partitions import Partition, instance, integers, normalize
-from .quiver import OrbitSpec, Quiver, QuiverError, orbits
+from .quiver import OrbitSpec, Quiver, QuiverError
 
 INBOUND = Quiver(3, ((1, 2), (3, 2)))
 OUTBOUND = Quiver(3, ((2, 1), (2, 3)))
+_INTERVALS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))  # A3OrbitMults' field order
 
 
 def interval_root(i: int, j: int) -> tuple[int, int, int]:
@@ -31,6 +32,9 @@ def interval_root(i: int, j: int) -> tuple[int, int, int]:
     if not 1 <= i <= j <= 3:
         raise QuiverError(f"bad interval ({i},{j})")
     return tuple(1 if i <= p <= j else 0 for p in (1, 2, 3))
+
+
+_FIELD_OF_ROOT = {interval_root(i, j): f"m{i}{j}" for i, j in _INTERVALS}
 
 
 @dataclass(frozen=True)
@@ -45,56 +49,31 @@ class A3OrbitMults:
     m33: int = 0
 
     def __post_init__(self) -> None:
-        for (i, j), m in zip(self.as_dict(), integers(self.as_dict().values())):
+        for (i, j), m in zip(_INTERVALS, integers(self.as_dict().values())):
             object.__setattr__(self, f"m{i}{j}", m)
         if min(self.as_dict().values()) < 0:
             raise QuiverError("multiplicities must be non-negative")
 
     def as_dict(self) -> dict[tuple[int, int], int]:
-        return {
-            (1, 1): self.m11,
-            (1, 2): self.m12,
-            (1, 3): self.m13,
-            (2, 2): self.m22,
-            (2, 3): self.m23,
-            (3, 3): self.m33,
-        }
+        return {(i, j): getattr(self, f"m{i}{j}") for i, j in _INTERVALS}
 
     @property
     def dim(self) -> tuple[int, int, int]:
-        return (
-            self.m11 + self.m12 + self.m13,
-            self.m12 + self.m13 + self.m22 + self.m23,
-            self.m13 + self.m23 + self.m33,
-        )
+        mults = self.as_dict()
+        return tuple(sum(m for (i, j), m in mults.items() if i <= p <= j) for p in (1, 2, 3))
 
     def orbit(self) -> OrbitSpec:
-        mults = tuple(
-            (interval_root(i, j), m) for (i, j), m in self.as_dict().items() if m
-        )
+        mults = tuple((interval_root(i, j), m) for (i, j), m in self.as_dict().items() if m)
         return OrbitSpec(self.dim, mults)
 
 
 def mults_from_orbit(orbit: OrbitSpec) -> A3OrbitMults:
-    lookup = {interval_root(i, j): (i, j) for i in (1, 2, 3) for j in range(i, 4)}
     values: dict[str, int] = {}
     for root, m in instance(orbit, OrbitSpec).mults:
-        if root not in lookup:
+        if root not in _FIELD_OF_ROOT:
             raise QuiverError(f"{root} is not an A3 interval root")
-        i, j = lookup[root]
-        values[f"m{i}{j}"] = m
+        values[_FIELD_OF_ROOT[root]] = m
     return A3OrbitMults(**values)
-
-
-def all_mults(max_dim: int) -> list[A3OrbitMults]:
-    """Every orbit with all three dimensions at most ``max_dim``, from ``orbits``, sorted by
-    the six multiplicities (m11, m12, m13, m22, m23, m33)."""
-    (max_dim,) = integers((max_dim,))
-    if max_dim < 0:
-        raise QuiverError(f"negative max_dim {max_dim}")
-    dims = itertools.product(range(max_dim + 1), repeat=3)
-    found = [mults_from_orbit(orbit) for e in dims for orbit in orbits(INBOUND, e)]
-    return sorted(found, key=lambda m: tuple(m.as_dict().values()))
 
 
 def _rectangle(width: int, rows: int) -> Partition:

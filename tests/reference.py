@@ -12,8 +12,8 @@ a number that ``quivergk`` computes another way:
 - the A3 count routes ``inbound_c`` and ``outbound_d``, signed counts of
   set-valued tableaux that the closed-form tables of ``oracle_a3`` must
   equal key by key, and ``brute_force_mults``, the A3 orbits found by
-  trying every multiplicity tuple, which ``oracle_a3.all_mults`` and
-  ``quiver.orbits`` must list;
+  trying every multiplicity tuple, which ``all_mults``, the same orbits
+  read off ``quiver.orbits`` by ``oracle_a3.mults_from_orbit``, must list;
 - the A2 closed form ``porteous``: a rank stratum of two vertices is one
   rectangle class;
 - ``pair_stages``, the stage vector each step of a resolution pair acts
@@ -48,9 +48,9 @@ from typing import Iterable, Iterator
 
 from quivergk.engine import _absorb, _shifted, _split_absorb, psi
 from quivergk.gamma import TensorElement, _add_term, _mul_basis, append_unit, basis, lr_coeff, straighten
-from quivergk.oracle_a3 import A3OrbitMults
+from quivergk.oracle_a3 import INBOUND, A3OrbitMults, mults_from_orbit
 from quivergk.partitions import Partition, QuiverError, instance, integers, normalize, sequence
-from quivergk.quiver import OrbitSpec, Quiver, QuiverRep, check_roots, euler_form, indecomposable_rep
+from quivergk.quiver import OrbitSpec, Quiver, QuiverRep, check_roots, euler_form, indecomposable_rep, orbits
 from quivergk.resolution import DirectedPartition, ResolutionPair, pair_steps
 
 A2 = Quiver(2, ((1, 2),))
@@ -370,6 +370,14 @@ def brute_force_mults(max_dim: int) -> list[A3OrbitMults]:
         if max(m.dim) <= max_dim:
             out.append(m)
     return out
+
+
+def all_mults(max_dim: int) -> list[A3OrbitMults]:
+    """Every A3 orbit with all three dimensions at most ``max_dim``, from ``quiver.orbits`` on the
+    inbound quiver, sorted by the six multiplicities (m11, m12, m13, m22, m23, m33)."""
+    dims = itertools.product(range(max_dim + 1), repeat=3)
+    found = [mults_from_orbit(orbit) for e in dims for orbit in orbits(INBOUND, e)]
+    return sorted(found, key=lambda m: tuple(m.as_dict().values()))
 
 
 def _lattice_fillings(shape: SkewShape, mu: Partition, tail: tuple[int, ...] = ()) -> int:

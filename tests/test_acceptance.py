@@ -13,7 +13,7 @@ import random
 import time
 from functools import cache
 
-from reference import A2, classical_lr, fraction_rank, porteous, rectangle_coproduct_coeff, straightening_law
+from reference import A2, all_mults, classical_lr, fraction_rank, porteous, rectangle_coproduct_coeff, straightening_law
 from quivergk.engine import (
     CAVEAT_FLAG,
     check_alternating,
@@ -31,7 +31,6 @@ from quivergk.gamma import (
 from quivergk.oracle_a3 import (
     INBOUND,
     OUTBOUND,
-    all_mults,
     inbound_table,
     outbound_table,
 )

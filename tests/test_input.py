@@ -56,7 +56,7 @@ from quivergk import (
     tits_form,
     validate_directed,
 )
-from quivergk.oracle_a3 import all_mults, interval_root
+from quivergk.oracle_a3 import interval_root
 from quivergk.quiver import check_roots, source_rank
 from quivergk.resolution import pair_steps
 
@@ -87,8 +87,6 @@ BAD_CALLS = {
     "blocks not a sequence": lambda: DirectedPartition(5),
     "roots not a sequence": lambda: directed_partition(INBOUND, 5),
     "float root": lambda: directed_partition(A2, ((1.0, 1),)),
-    "negative max_dim": lambda: all_mults(-1),
-    "float max_dim": lambda: all_mults(1.5),
     "mul on arity 2": lambda: mul(TensorElement(2), basis((1,))),
     "negative max_rows": lambda: coproduct((1,), -1),
     "key not a partition": lambda: TensorElement(1, {((1, 2),): 1}),

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from quivergk.oracle_a3 import (
     INBOUND,
     OUTBOUND,
     A3OrbitMults,
-    all_mults,
+    _INTERVALS,
     inbound_table,
     interval_root,
     mults_from_orbit,
@@ -19,7 +20,7 @@ from quivergk.partitions import normalize
 from quivergk.quiver import QuiverError
 from quivergk.resolution import codim, directed_partition, resolution_pair
 
-from reference import brute_force_mults, contains, inbound_c, outbound_d, partitions_fitting, porteous
+from reference import all_mults, brute_force_mults, contains, inbound_c, outbound_d, partitions_fitting, porteous
 
 
 SAMPLE = [
@@ -64,6 +65,18 @@ def test_rejects_non_integer_multiplicity(value):
 def test_orbit_round_trip():
     for m in SAMPLE:
         assert mults_from_orbit(m.orbit()) == m
+
+
+@pytest.mark.parametrize("interval", _INTERVALS, ids=lambda ij: "m%d%d" % ij)
+def test_interval_table(interval):
+    # the unit orbit of one interval: its dimension vector is the interval's root, and the one
+    # table of intervals runs in the dataclass's field order through as_dict and back
+    i, j = interval
+    m = A3OrbitMults(**{f"m{i}{j}": 1})
+    assert m.dim == interval_root(i, j)
+    field_order = [(int(f.name[1]), int(f.name[2])) for f in fields(A3OrbitMults)]
+    assert list(m.as_dict()) == list(_INTERVALS) == field_order
+    assert mults_from_orbit(m.orbit()) == m
 
 
 def test_all_mults_census():

@@ -27,7 +27,7 @@ from quivergk.quiver import (
 from quivergk import quiver
 from quivergk.quiver import _orbit_side, _probe_layout, _solve
 
-from reference import brute_force_mults, direct_sum, fraction_rank, orbit_rep
+from reference import all_mults, brute_force_mults, direct_sum, fraction_rank, orbit_rep
 
 A11, A12, A13 = (1, 0, 0), (1, 1, 0), (1, 1, 1)
 A22, A23, A33 = (0, 1, 0), (0, 1, 1), (0, 0, 1)
@@ -472,7 +472,7 @@ def test_orbit_totals(q, max_dim, total):
 
 def test_a3_orbit_counts_match_oracle(inbound):
     # every multiplicity tuple tried: no orbit missing from or added to a dimension vector
-    from quivergk.oracle_a3 import all_mults, mults_from_orbit
+    from quivergk.oracle_a3 import mults_from_orbit
 
     per_dim = {}
     for m in brute_force_mults(4):

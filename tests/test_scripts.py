@@ -69,7 +69,7 @@ def test_bad_max_dim_exits_2(argv, error):
 def test_oracle_sweep():
     lines = run_script("oracle_sweep.py", "--max-dim", "1")
     assert len(lines) == 2
-    # the 13 orbits of oracle_a3.all_mults(1), in each orientation
+    # the 13 orbits of reference.all_mults(1), in each orientation
     assert all(": 13 orbits," in line for line in lines)
     assert all(", 0 mismatches," in line for line in lines)
 
