@@ -13,7 +13,7 @@ tables pass the alternating-sign and lowest-degree-equals-codim checks.
 Exit status 1 if any table disagrees or fails a check, 2 on a bad
 --max-dim.
 
-    python scripts/partition_evidence.py              # about 17 s
+    python scripts/partition_evidence.py              # about 14 s
     python scripts/partition_evidence.py --max-dim 1  # every cap at most 1
 """
 

@@ -4,17 +4,17 @@ The class of an orbit closure is expanded in the basis of tensor products
 of stable Grothendieck classes, one tensor slot per vertex.  The expansion
 is driven by the steps (vertex, rank, rectangle width) that
 ``resolution.orbit_steps`` reads off an orbit in one pass, the table's
-codim included.  They are consumed right to left: each step
-splits off a coproduct along every arrow leaving its vertex, then absorbs
-the working slot through a straightened rectangle-shift.  G_() is the
-unit of the bialgebra, so a split of a slot empty in every term is skipped.
-The slot occupancy (the slots that may hold a partition) is read off the
-keys once and marked by every split and every row with a positive entry.
-A step with no occupied out-slot into an empty slot is the identity step
-when its row (c)^r has no positive entry, else a key rewrite (the row into
-an empty slot).  Of 3,179 / 3,179 / 8,477 steps over A3-out <= 4, A3-in <= 4
-and D4 <= 2 with E7 <= 1, 1,787 / 1,726 / 4,953 are identity steps, 1,142 /
-737 / 2,692 rows into an empty slot, 250 / 716 / 748 splits.
+codim included.  They are consumed right to left: each step splits off a coproduct along every
+arrow leaving its vertex, then absorbs the working slot through a straightened rectangle-shift.
+G_() is the unit of the bialgebra, so a split of a slot empty in every term is skipped.  The
+slot occupancy (the slots that may hold a partition) is read off the keys once and marked by
+every split and every row with a positive entry.  A step takes one of three paths.  With no
+occupied out-slot and slot i empty, it is the identity step when its row (c)^r has no positive
+entry, else a key rewrite (the row into an empty slot).  Any other step appends a unit working
+slot, splits each occupied out-slot but the last, and ends with the fused split below, or, at a
+sink into an occupied slot, with ``a_op``.  Of 3,179 / 3,179 / 8,477 steps over A3-out <= 4,
+A3-in <= 4 and D4 <= 2 with E7 <= 1, 1,787 / 1,726 / 4,953 are identity steps, 1,142 / 737 /
+2,692 rows into an empty slot, 250 / 716 / 748 splits and 0 / 0 / 84 sinks.
 The last split runs fused with the absorption, so its working slot is
 never stored: each (split, working partition, lam) triple is expanded
 once per step (r, c) into the merged pairs it writes into the split slot
@@ -58,6 +58,7 @@ from .quiver import OrbitSpec, Quiver, orbits, positive_roots
 from .resolution import (
     DirectedPartition,
     ResolutionPair,
+    _block_masks,
     _walk,
     codim,  # unused here: kept so the benchmark tracer can wrap it
     directed_partition,
@@ -69,15 +70,14 @@ from .resolution import (
 CAVEAT_FLAG = "conjectural-under-rational-singularities"
 
 
-@cache
 def caveat_for(q: Quiver) -> str | None:
     """The caveat a table of ``q`` carries: away from type A only its
     degree-equals-codim slice is backed by the positivity/rationality
-    hypotheses, so a quiver with a D or E component is flagged.  Those are
-    the quivers with a root entry >= 2: type A roots are 0/1 vectors, and
-    the highest root of D_n or E_n has a 2.  Non-Dynkin raises ``QuiverError``.
+    hypotheses, so a quiver with a D or E component is flagged: one with a
+    root entry >= 2, where ``_block_masks`` is None, as type A roots are 0/1
+    and the highest root of D_n or E_n has a 2.  Non-Dynkin raises ``QuiverError``.
     """
-    return CAVEAT_FLAG if any(max(root) >= 2 for root in positive_roots(q)) else None
+    return CAVEAT_FLAG if _block_masks(q) is None else None
 
 
 @dataclass(frozen=True)
@@ -209,26 +209,19 @@ def phi(p: TensorElement, q: Quiver, stage_e: tuple[int, ...], i: int, r: int) -
 def _fold(p: TensorElement, q: Quiver, steps: list[tuple[int, int, int]]) -> TensorElement:
     """Apply steps (vertex, rank, rectangle width c) to ``p``, right to left, splitting only the
     occupied out-slots (``filled``; psi of a slot that is G_() in every term is the identity, the
-    working partitions having at most r rows).  A step with none keeps a unit working slot, so
-    its row (c)^r goes into slot i: by ``_absorb`` when slot i is occupied, else by a key rewrite,
-    or not at all when the row has no positive entry.  Terms pass as a plain dict between splits."""
+    working partitions having at most r rows).  A step with none into an empty slot i rewrites
+    slot i of each key to its row (c)^r, or skips if the row has no positive entry; any other step
+    absorbs a unit working slot, by ``a_op`` when it has nothing to split.  Terms pass as a dict."""
     heads, arity, terms = q.heads, p.arity, p.terms
     filled = {h for key in terms for h, lam in enumerate(key, 1) if lam}
     for i, r, c in reversed(steps):
         live = [h for h in heads[i] if h in filled]
-        if live:
+        if live or i in filled:
             filled.add(i)
             p = append_unit(TensorElement._trusted(arity, terms))
             for head in live[:-1]:
                 p = psi(p, head, r)
-            terms = _split_absorb(p, live[-1], i, r, c).terms
-        elif i in filled:
-            out: dict[tuple, int] = {}
-            row = (c,) * r
-            pos = row if c > 0 else ()
-            for key, coeff in terms.items():
-                _absorb(out, key[: i - 1], key[i:], row, pos, key[i - 1], coeff)
-            terms = {k: v for k, v in out.items() if v}
+            terms = (_split_absorb(p, live[-1], i, r, c) if live else a_op(p, i, r, c)).terms
         elif c > 0 and r:  # slot i is () in every term, so each key maps to one key
             filled.add(i)
             row = (c,) * r

@@ -191,7 +191,10 @@ def _lattice_walk(shape: Partition, tail: Partition) -> dict[tuple[int, ...], in
             counts[v] -= 1
         colmax[c] = lo
 
-    advance(len(boxes), 0)
+    try:  # about two frames per box, so some 490 boxes fill the interpreter's default stack
+        advance(len(boxes), 0)
+    except RecursionError:
+        raise QuiverError(f"a walk over {len(boxes)} boxes overflows the interpreter's stack") from None
     # trimmed once per content; a lattice word's content is a partition, zeros last
     return {t[1 : len(t) - t.count(0)]: n for t, n in acc.items()}
 

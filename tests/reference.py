@@ -475,7 +475,8 @@ def pair_stages(q: Quiver, e: Iterable[int], pair: ResolutionPair) -> list[tuple
 def fold_every_head(p: TensorElement, q: Quiver, steps: list[tuple[int, int, int]]) -> TensorElement:
     """The steps (vertex, rank, rectangle width c) applied to ``p``, right to left, splitting the
     slot of every out-arrow's head, also a slot that is G_() in every term.  A vertex without
-    out-arrows would keep a unit working slot, so its row (c)^r goes straight into slot i."""
+    out-arrows keeps a unit working slot, so its row (c)^r goes straight into slot i by
+    ``_absorb``: no working slot is built, where ``_fold`` runs ``a_op`` on an appended one."""
     heads = q.heads
     for i, r, c in reversed(steps):
         if not heads[i]:

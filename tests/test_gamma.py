@@ -21,7 +21,7 @@ from quivergk.gamma import (
     project_degree,
     straighten,
 )
-from quivergk.partitions import normalize
+from quivergk.partitions import QuiverError, normalize
 
 from conftest import int_seqs, partitions
 from reference import (
@@ -353,6 +353,16 @@ def test_lattice_walk_is_the_brute_force_tally():
 def test_coproduct_rejects_negative_row_cap():
     with pytest.raises(ValueError):
         coproduct((1,), -1)
+
+
+def test_a_walk_deeper_than_the_stack_raises_quiver_error():
+    # the walk recurses about two frames per box, so a 2,000-box row leaked RecursionError
+    before = sys.getrecursionlimit()
+    with pytest.raises(QuiverError, match="2000 boxes"):
+        coproduct((2000,))
+    with pytest.raises(QuiverError, match="2000 boxes"):
+        mul(basis((2000,)), basis((1,)))
+    assert sys.getrecursionlimit() == before
 
 
 def _package_memos():
