@@ -22,7 +22,7 @@ and slot i, those that cancel dropped, memoised across calls and orbits
 by ``_landing_pairs``, and spliced into each term's context in slot
 order.  The lowest total degree of the result is the orbit closure's codimension.  Type A
 tables do not depend on the directed partition, so type A runs the greedy partition of all
-roots, built once per quiver, and D/E that of the orbit's support (see ``orbit_steps``).
+roots, its levels stored in the root index, and D/E that of the support (``orbit_steps``).
 
 A step of rank r keeps only the terms whose working partition has at
 most r rows.  Every partition in a product of stable Grothendieck classes
@@ -54,11 +54,10 @@ from .gamma import (
 )
 from .oracle_a3 import INBOUND, OUTBOUND, inbound_table, mults_from_orbit, outbound_table
 from .partitions import Partition, QuiverError, instance, integers
-from .quiver import OrbitSpec, Quiver, orbits, positive_roots
+from .quiver import OrbitSpec, Quiver, _root_index, orbits, positive_roots
 from .resolution import (
     DirectedPartition,
     ResolutionPair,
-    _block_masks,
     _walk,
     codim,  # unused here: kept so the benchmark tracer can wrap it
     directed_partition,
@@ -71,13 +70,10 @@ CAVEAT_FLAG = "conjectural-under-rational-singularities"
 
 
 def caveat_for(q: Quiver) -> str | None:
-    """The caveat a table of ``q`` carries: away from type A only its
-    degree-equals-codim slice is backed by the positivity/rationality
-    hypotheses, so a quiver with a D or E component is flagged: one with a
-    root entry >= 2, where ``_block_masks`` is None, as type A roots are 0/1
-    and the highest root of D_n or E_n has a 2.  Non-Dynkin raises ``QuiverError``.
-    """
-    return CAVEAT_FLAG if _block_masks(q) is None else None
+    """The caveat of ``q``'s tables: a quiver with a D or E component, one with a root entry >= 2 (A's roots
+    are 0/1, the highest of D_n or E_n has a 2) and so no type-A level in its index, is flagged, as only the
+    degree-equals-codim slice rests on the positivity/rationality hypotheses.  Non-Dynkin: ``QuiverError``."""
+    return CAVEAT_FLAG if next(iter(_root_index(q).values()))[5] is None else None
 
 
 @dataclass(frozen=True)

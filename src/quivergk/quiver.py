@@ -451,17 +451,43 @@ def hom_dim(q: Quiver, f_rep: QuiverRep, e_rep: QuiverRep) -> int:
 
 @cache
 def _root_index(q: Quiver) -> dict[Vector, tuple]:
-    """Per positive root a, in ``positive_roots`` order, built once: (bit 1 << k for the k-th
-    root, the bits of the b with <a, b> < 0, the bits of the b with <b, a> > 0, a, its row of
-    <a, b> over ``positive_roots``, its steps (v, a_v) for a_v != 0 in ``q.order``).  Each row
-    entry is b dotted with a's linear form: <a, b> = sum_v (a_v - sum_{t -> v} a_t) * b_v."""
+    """Per positive root a, in ``positive_roots`` order, built once: (bit 1 << k for the k-th root, the
+    bits of the b with <a, b> < 0, the bits of the b with <b, a> > 0, a, its place, a round of Kahn's
+    algorithm that puts every such b != a in an earlier round, in type A its level among all roots
+    (``_levels``) and else None, its row of <a, b> = sum_v (a_v - sum_{t -> v} a_t) b_v over the roots
+    b, each b dotted with a's linear form, and its steps (v, a_v) for a_v != 0 in ``q.order``)."""
     roots, tails = positive_roots(q), q.tails
     lins = ([x - sum([a[t - 1] for t in tails[v]]) for v, x in enumerate(a, 1)] for a in roots)
     rows = [tuple([sum(map(mul, lin, b)) for b in roots]) for lin in lins]
     neg = [sum([1 << j for j, x in enumerate(row) if x < 0]) for row in rows]
     pos = [sum([1 << j for j, row in enumerate(rows) if row[k] > 0]) for k in range(len(rows))]
+    place: dict[int, int] = {}  # a round's place: the roots placed before it; pos[k] holds k's own bit
+    while len(place) < len(roots):
+        done = sum([1 << k for k in place])
+        place |= {k: len(place) for k in range(len(roots)) if (neg[k] | pos[k]) & ~done == 1 << k}
+    blocks = _levels([(1 << k, neg[k], pos[k], k) for k in place]) if max(map(max, roots)) < 2 else []
+    level = dict.fromkeys(place) | {t[3]: j for j, blk in enumerate(blocks) for t in blk}
     steps = [tuple((v, a[v - 1]) for v in q.order if a[v - 1]) for a in roots]
-    return {a: (1 << k, neg[k], pos[k], a, rows[k], steps[k]) for k, a in enumerate(roots)}
+    return {a: (1 << k, neg[k], pos[k], a, place[k], level[k], rows[k], steps[k]) for k, a in enumerate(roots)}
+
+
+def _levels(entries: list[tuple]) -> list[list[tuple]]:
+    """The greedy directed partition (``greedy_block``) of ``_root_index`` entries given in its
+    order, by level: a root's is the largest of 0, level(b) + 1 over the earlier b with <a, b> < 0
+    and level(b) over the earlier b != a with <b, a> > 0.  Each test is one AND with a level's bits."""
+    masks, blocks = [], []
+    for t in entries:
+        k = len(masks)
+        while k and not (t[1] | t[2]) & masks[k - 1]:
+            k -= 1
+        if k and not t[1] & masks[k - 1]:
+            k -= 1
+        if k == len(masks):
+            masks.append(0)
+            blocks.append([])
+        masks[k] |= t[0]
+        blocks[k].append(t)
+    return blocks
 
 
 def check_roots(q: Quiver, vectors: Iterable[Vector]) -> dict[Vector, tuple]:

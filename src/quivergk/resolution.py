@@ -7,17 +7,15 @@ one-directional across blocks.  Each block contributes a segment of
 formula in :mod:`quivergk.engine`, and also carry enough information to
 compute the orbit closure's codimension directly.
 
-An orbit's steps come in one pass (``orbit_steps``): its roots are looked up in per-quiver
-bitmasks of the Euler form (a non-root raises ``QuiverError``) and put in blocks, in type A
-those of the greedy partition of all roots, built once, in D/E greedy ones peeled on them; each
-block's weighted root sum gives steps walked over a stage vector running down from the orbit's
-dimension vector.  ``directed_partition`` shares the peel; ``pair_steps`` and ``codim`` the walk.
-"""
+An orbit's steps come in one pass (``orbit_steps``): its roots are looked up in per-quiver bitmasks
+of the Euler form (a non-root raises ``QuiverError``) and grouped by level (``_levels``), in type A
+among all roots, in D/E among the support; each block's weighted root sum gives steps walked down a
+stage vector from ``orbit.dim``.  ``directed_partition`` shares the levels, ``pair_steps`` the walk."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .partitions import instance, integers, sequence
@@ -26,6 +24,7 @@ from .quiver import (
     Quiver,
     QuiverError,
     Vector,
+    _levels,
     _root_index,
     check_roots,
     positive_roots,
@@ -74,14 +73,10 @@ def validate_directed(q: Quiver, dp: DirectedPartition) -> None:
 
 
 def greedy_block(q: Quiver, roots: Iterable[Vector]) -> tuple[Vector, ...]:
-    """First block of the greedy directed partition of ``roots``: keep the
-    roots a with <a, b> >= 0 for every b, then drop in passes every a with
-    <b, a> > 0 for some b outside, until none is left to drop.  It is never
-    empty: the path algebra is representation-directed (Ringel, LNM 1099),
-    so Hom(M_b, M_a) != 0 or Ext^1(M_a, M_b) != 0 puts b before a, and a
-    root with none of ``roots`` before it passes both filters.  Each test
-    ANDs a's bitmask of the b with <a, b> < 0 (<b, a> > 0) with the roots
-    given (outside): the same pairwise test, so the same fixpoint."""
+    """First block of the greedy directed partition of ``roots``, whose blocks are levels: a root's
+    is the largest of 0, level(b) + 1 over the b with <a, b> < 0 and level(b) over the b != a with
+    <b, a> > 0 (``_levels``).  The path algebra is representation-directed (Ringel, LNM 1099), so
+    these pairs, Ext^1(M_a, M_b) != 0 and Hom(M_b, M_a) != 0, are acyclic: levels exist."""
     blocks = directed_partition(q, roots).blocks
     if not blocks:
         raise QuiverError("no roots given")
@@ -118,32 +113,10 @@ def _check_directed(q: Quiver, blocks: list[list[tuple]]) -> None:
         left = later
 
 
-def _peel(todo: list[tuple]) -> list[list[tuple]]:
-    """The greedy blocks (``greedy_block``) of ``_weigh``'s entries, each in the order given.
-    Each pairs non-negatively with every root left, none of which dominates it: directed."""
-    blocks, left = [], sum([t[0] for t in todo])
-    while left:
-        block = [t for t in todo if not t[1] & left]
-        outside = left - sum([t[0] for t in block])
-        while drop := [t for t in block if t[2] & outside]:
-            block = [t for t in block if not t[2] & outside]
-            outside += sum([t[0] for t in drop])
-        blocks.append(block)
-        left, todo = outside, [t for t in todo if t[0] & outside]
-    return blocks
-
-
-@cache
-def _block_masks(q: Quiver) -> tuple[int, ...] | None:
-    """Type A (0/1 roots): each block's root bits in the all-roots greedy partition; else None."""
-    if all(max(r) < 2 for r in positive_roots(q)):
-        return tuple(sum([t[0] for t in blk]) for blk in _peel(list(_root_index(q).values())))
-
-
 def directed_partition(q: Quiver, roots: Iterable[Vector]) -> DirectedPartition:
-    """Greedy directed partition: peel greedy blocks until exhausted."""
-    todo = sorted(_weigh(q, [(r, 1) for r in set(map(integers, sequence(roots)))]))
-    return DirectedPartition(tuple(tuple(t[3] for t in blk) for blk in _peel(todo)))
+    """Greedy directed partition (``greedy_block``): the roots' levels, in the index's order."""
+    todo = _weigh(q, [(r, 1) for r in set(map(integers, sequence(roots)))])
+    return DirectedPartition([[t[3] for t in blk] for blk in _levels(sorted(todo, key=itemgetter(4)))])
 
 
 def _walk(q: Quiver, cur: list[int], steps: Iterable[tuple[int, int]]) -> list[tuple[int, int, int]]:
@@ -162,18 +135,23 @@ def _walk(q: Quiver, cur: list[int], steps: Iterable[tuple[int, int]]) -> list[t
 
 
 def orbit_steps(q: Quiver, orbit: OrbitSpec, dp: DirectedPartition | None = None) -> list[tuple]:
-    """The steps (v, r, c) of the resolution of an orbit and a directed partition, in one pass:
-    each block's weighted root sum p = sum of m_alpha alpha, summed from the roots' sparse steps
-    (``_root_index``; a one-root block's are its root's times m), gives the vertices with p_v != 0
-    in topological order, ranks p_v, walked down from ``orbit.dim``.  Roots of ``dp`` outside the
-    support weigh zero; a ``dp`` that is not directed raises ``QuiverError``.  The default, directed
-    by making, is in type A the greedy partition of all roots, as tables there do not depend on it
-    (A3-in <= 6 took 24-26 s, not 32-35 s, with the support's), and in D/E that of the support:
-    only the codim slice is proven there, and all roots raised de-sweep op_ms_tail 0.11 -> 0.13 ms."""
+    """The steps (v, r, c) of the resolution of an orbit and a directed partition, in one pass: each
+    block's weighted root sum p = sum of m_alpha alpha, summed from the roots' sparse steps (``_root_index``;
+    a one-root block's are its root's times m), gives the vertices with p_v != 0 in topological order,
+    ranks p_v, walked down from ``orbit.dim``.  Roots of ``dp`` outside the support weigh zero; a ``dp``
+    that is not directed raises ``QuiverError``.  The default's blocks are levels (``_levels``): in type
+    A among all roots, read off the index, as tables there do not depend on them (A3-in <= 6 took 24-26
+    s, not 32-35 s, with the support's); in D/E among the support, whose codim slice alone is proven."""
     mults = instance(orbit, OrbitSpec).mults
     if dp is None:
-        masks, todo = _block_masks(q), _weigh(q, mults)
-        blocks = [b for m in masks if (b := [t for t in todo if t[0] & m])] if masks else _peel(todo)
+        todo = _weigh(q, mults)
+        if todo and todo[0][5] is None:  # D/E: the index stores no level
+            blocks = _levels(sorted(todo, key=itemgetter(4)))
+        else:
+            groups = {}
+            for t in todo:
+                groups.setdefault(t[5], []).append(t)
+            blocks = [groups[k] for k in sorted(groups)]
     else:
         mult = dict(mults)
         if mult.keys() - set(instance(dp, DirectedPartition).roots):

@@ -41,6 +41,8 @@ D4_MIXED = Quiver(4, ((1, 4), (4, 2), (4, 3)))
 E6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)))
 E7 = Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)))
 E8 = Quiver(8, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)))
+D5 = Quiver(5, ((1, 2), (2, 3), (3, 4), (3, 5)))
+A5_ALTERNATING = Quiver(5, ((1, 2), (3, 2), (3, 4), (5, 4)))
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))
 
 
@@ -411,16 +413,53 @@ def test_type_a_default_steps_come_from_the_greedy_partition_of_all_roots():
     assert moved == 10
 
 
-def test_bitmask_partition_matches_the_set_based_one_on_random_e8_subsets():
-    roots = positive_roots(E8)
+@pytest.mark.parametrize(
+    "q", [E8, E7, E6, D5, A5_ALTERNATING], ids=["E8", "E7", "E6", "D5", "A5-alternating"]
+)
+def test_bitmask_partition_matches_the_set_based_one_on_random_subsets(q):
+    roots = positive_roots(q)
     rng = random.Random(20260)
     for _ in range(200):
         subset = rng.sample(roots, rng.randint(1, len(roots)))
-        dp = directed_partition(E8, subset)
-        assert dp.blocks == _set_based_partition(E8, subset)
+        dp = directed_partition(q, subset)
+        assert dp.blocks == _set_based_partition(q, subset)
         assert sorted(dp.roots) == sorted(subset)
-        validate_directed(E8, dp)
-        assert greedy_block(E8, subset) == dp.blocks[0]
+        validate_directed(q, dp)
+        assert greedy_block(q, subset) == dp.blocks[0]
+
+
+ORIENTED = {
+    "A2": Quiver(2, ((1, 2),)),
+    "A3-in": A3_IN,
+    "A3-out": A3_OUT,
+    "A3-linear": Quiver(3, ((1, 2), (2, 3))),
+    "A4-mixed": A4_MIXED,
+    "A4-linear": Quiver(4, ((4, 3), (3, 2), (2, 1))),
+    "A5-alternating": A5_ALTERNATING,
+    "A5-linear": Quiver(5, ((1, 2), (2, 3), (3, 4), (4, 5))),
+    "D4-in": D4_IN,
+    "D4-out": D4_OUT,
+    "D4-mixed": D4_MIXED,
+    "D5": D5,
+    "E6": E6,
+    "E7": E7,
+    "E8": E8,
+}
+
+
+@pytest.mark.parametrize("q", list(ORIENTED.values()), ids=list(ORIENTED))
+def test_the_index_order_is_a_linear_extension(q):
+    """b comes before a in the index's order whenever <a, b> < 0 or, b != a, <b, a> > 0, read
+    off ``euler_form``'s loop over the arrows; in type A each root's stored level is its block in
+    the greedy partition of all roots, and in D and E it is None."""
+    roots = positive_roots(q)
+    place = {a: entry[4] for a, entry in _root_index(q).items()}
+    for a, b in itertools.permutations(roots, 2):
+        if euler_form(q, a, b) < 0 or euler_form(q, b, a) > 0:
+            assert place[b] < place[a], (a, b)
+    blocks = directed_partition(q, roots).blocks
+    level = {a: k for k, blk in enumerate(blocks) for a in blk} if caveat_for(q) is None else {}
+    assert {a: entry[5] for a, entry in _root_index(q).items()} == {a: level.get(a) for a in roots}
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +571,7 @@ def test_euler_table_is_the_euler_form(q):
     roots = positive_roots(q)
     index = _root_index(q)
     assert list(index) == list(roots)
-    for k, (a, (bit, neg, pos, root, row, steps)) in enumerate(index.items()):
+    for k, (a, (bit, neg, pos, root, _, _, row, steps)) in enumerate(index.items()):
         assert (bit, root, steps) == (1 << k, a, tuple((v, a[v - 1]) for v in q.order if a[v - 1]))
         assert row == tuple(euler_form(q, a, b) for b in roots)
         assert neg == sum(1 << j for j, b in enumerate(roots) if euler_form(q, a, b) < 0)
