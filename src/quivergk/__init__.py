@@ -77,9 +77,9 @@ def clear_caches() -> None:
     """Empty every memo of the package: the ``functools.cache`` tables of
     all its modules (structure constants, coproducts, fused steps' slot pairs,
     positive roots and the orbit walk's plan, each quiver's root index of bits,
-    bitmasks, Euler rows and steps, the indecomposables, their layouts, each orbit's
-    checked roots, hom column and probes, type-A block masks) and the straightening memo.
-    A quiver's step facts are its own attributes."""
+    bitmasks, places, type-A levels, Euler rows and steps, the indecomposables,
+    their layouts, each orbit's hom column and open probes) and the straightening
+    memo.  A quiver's step facts are its own attributes."""
     for module in (engine, gamma, oracle_a3, partitions, quiver, resolution):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):

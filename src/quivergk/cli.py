@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .engine import (
     SUITES,
@@ -47,7 +47,7 @@ from .quiver import (
 from .resolution import ResolutionPair
 
 
-def _read(path: str, what: str, parse: Callable[[Any], Any]) -> Any:
+def _read(path: str, what: str, parse: Callable[[object], object]) -> object:
     """``parse`` applied to the JSON in ``path``; an unreadable file, or
     data that ``parse`` rejects, raises ``QuiverError``."""
     try:
@@ -80,7 +80,7 @@ def rep_from_file(path: str, dim: tuple[int, ...]) -> QuiverRep:
     return _read(path, "representation", lambda data: QuiverRep(dim, data["matrices"]))
 
 
-def _emit(payload: Any) -> None:
+def _emit(payload: object) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 

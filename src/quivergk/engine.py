@@ -37,9 +37,8 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator
 from functools import cache
-from typing import Callable, Iterable, Iterator
 
 from .gamma import (
     TensorElement,
@@ -53,8 +52,8 @@ from .gamma import (
     straighten,
 )
 from .oracle_a3 import INBOUND, OUTBOUND, inbound_table, mults_from_orbit, outbound_table
-from .partitions import Partition, QuiverError, instance, integers
-from .quiver import OrbitSpec, Quiver, _root_index, orbits, positive_roots
+from .partitions import Partition, QuiverError, Record, instance, integers
+from .quiver import LEVEL, OrbitSpec, Quiver, _root_index, orbits, positive_roots
 from .resolution import (
     DirectedPartition,
     ResolutionPair,
@@ -73,19 +72,21 @@ def caveat_for(q: Quiver) -> str | None:
     """The caveat of ``q``'s tables: a quiver with a D or E component, one with a root entry >= 2 (A's roots
     are 0/1, the highest of D_n or E_n has a 2) and so no type-A level in its index, is flagged, as only the
     degree-equals-codim slice rests on the positivity/rationality hypotheses.  Non-Dynkin: ``QuiverError``."""
-    return CAVEAT_FLAG if next(iter(_root_index(q).values()))[5] is None else None
+    return CAVEAT_FLAG if next(iter(_root_index(q).values()))[LEVEL] is None else None
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(Record):
     """Result bundle of one orbit-closure expansion: tensor and codim of ``orbit`` (dimension
     vector ``orbit.dim``); a directed partition's pair is ``resolution_pair(quiver, orbit, dp)``,
     and the caveat is read off the quiver by ``caveat_for``."""
 
-    quiver: Quiver
-    tensor: TensorElement
-    codim: int
-    orbit: OrbitSpec
+    __slots__ = _fields = ("quiver", "tensor", "codim", "orbit")
+
+    def __init__(self, quiver: Quiver, tensor: TensorElement, codim: int, orbit: OrbitSpec) -> None:
+        object.__setattr__(self, "quiver", quiver)
+        object.__setattr__(self, "tensor", tensor)
+        object.__setattr__(self, "codim", codim)
+        object.__setattr__(self, "orbit", orbit)
 
     @property
     def caveat(self) -> str | None:

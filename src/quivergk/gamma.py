@@ -34,8 +34,8 @@ straightening is memoised per input sequence and shared by every caller.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import cache, lru_cache, wraps
-from typing import Iterable
 
 from .partitions import Partition, QuiverError, instance, integers, normalize, sequence
 

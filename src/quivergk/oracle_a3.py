@@ -15,10 +15,8 @@ spelled once in ``_INTERVALS``; ``all_mults`` in ``tests/reference.py`` lists th
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .gamma import TensorElement, _add_term, _mul_basis, coproduct, coproduct2
-from .partitions import Partition, instance, integers, normalize
+from .partitions import Partition, Record, instance, integers, normalize
 from .quiver import OrbitSpec, Quiver, QuiverError
 
 INBOUND = Quiver(3, ((1, 2), (3, 2)))
@@ -37,22 +35,17 @@ def interval_root(i: int, j: int) -> tuple[int, int, int]:
 _FIELD_OF_ROOT = {interval_root(i, j): f"m{i}{j}" for i, j in _INTERVALS}
 
 
-@dataclass(frozen=True)
-class A3OrbitMults:
+class A3OrbitMults(Record):
     """Multiplicities of the six interval indecomposables of an A3 orbit."""
 
-    m11: int = 0
-    m12: int = 0
-    m13: int = 0
-    m22: int = 0
-    m23: int = 0
-    m33: int = 0
+    __slots__ = _fields = tuple(f"m{i}{j}" for i, j in _INTERVALS)
 
-    def __post_init__(self) -> None:
-        for (i, j), m in zip(_INTERVALS, integers(self.as_dict().values())):
-            object.__setattr__(self, f"m{i}{j}", m)
-        if min(self.as_dict().values()) < 0:
+    def __init__(self, m11: int = 0, m12: int = 0, m13: int = 0, m22: int = 0, m23: int = 0, m33: int = 0):
+        values = integers((m11, m12, m13, m22, m23, m33))
+        if min(values) < 0:
             raise QuiverError("multiplicities must be non-negative")
+        for name, m in zip(self._fields, values):
+            object.__setattr__(self, name, m)
 
     def as_dict(self) -> dict[tuple[int, int], int]:
         return {(i, j): getattr(self, f"m{i}{j}") for i, j in _INTERVALS}

@@ -15,38 +15,36 @@ only its representation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import cache
 from itertools import accumulate
 from operator import mul
-from typing import Iterable
 
-from .partitions import QuiverError, instance, integers, sequence
+from .partitions import QuiverError, Record, instance, integers, sequence
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(Record):
     """A finite quiver without directed cycles; parallel arrows allowed.  It keeps, read-only,
     the facts the resolution steps read: ``order``, the vertices in topological order (by
     ``source_rank``, then index), and per vertex v at index v (0 unused) ``tails[v]``, its
     in-arrows' tails, and ``heads[v]``, its out-arrows' sorted heads, one per parallel arrow."""
 
-    n: int
-    arrows: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "arrows", "_hash", "order", "tails", "heads")
+    _fields = ("n", "arrows")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", integers((self.n,))[0])
+    def __init__(self, n: int, arrows: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "n", integers((n,))[0])
         if self.n < 1:
             raise QuiverError("need at least one vertex")
-        object.__setattr__(self, "arrows", tuple(map(integers, sequence(self.arrows))))
-        for arrow in self.arrows:
+        object.__setattr__(self, "arrows", arrows := tuple(map(integers, sequence(arrows))))
+        for arrow in arrows:
             if len(arrow) != 2 or not all(1 <= v <= self.n for v in arrow):
                 raise QuiverError(f"arrow {arrow} is not a pair in 1..{self.n}")
-        object.__setattr__(self, "_hash", hash((self.n, self.arrows)))
-        rank, vs, arrows = source_rank(self), range(self.n + 1), self.arrows  # raises on a cycle
+        object.__setattr__(self, "_hash", hash((self.n, arrows)))
+        rank, vs = source_rank(self), range(self.n + 1)  # raises on a cycle
         object.__setattr__(self, "order", tuple(sorted(vs[1:], key=lambda v: (rank[v - 1], v))))
         object.__setattr__(self, "tails", tuple(tuple(t for t, h in arrows if h == v) for v in vs))
         object.__setattr__(self, "heads", tuple(tuple(sorted(h for t, h in arrows if t == v)) for v in vs))
@@ -195,8 +193,7 @@ def positive_roots(q: Quiver) -> tuple[Vector, ...]:
     return tuple(sorted(roots, key=lambda d: (sum(d), d)))
 
 
-@dataclass(frozen=True)
-class OrbitSpec:
+class OrbitSpec(Record):
     """An orbit of the representation space, as root multiplicities.
 
     ``mults`` lists (root, multiplicity) with multiplicity >= 1, sorted by
@@ -204,26 +201,26 @@ class OrbitSpec:
     ``dim`` root-wise.
     """
 
-    dim: Vector
-    mults: tuple[tuple[Vector, int], ...]
+    __slots__ = ("dim", "mults", "_hash")
+    _fields = ("dim", "mults")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dim", integers(self.dim))
-        pairs = (sequence(rm, 2) for rm in sequence(self.mults))
+    def __init__(self, dim: Vector, mults: tuple[tuple[Vector, int], ...]) -> None:
+        object.__setattr__(self, "dim", dim := integers(dim))
+        pairs = (sequence(rm, 2) for rm in sequence(mults))
         mults = ((integers(r), integers((m,))[0]) for r, m in pairs)
-        object.__setattr__(self, "mults", tuple(sorted(mults, key=lambda rm: (sum(rm[0]), rm[0]))))
-        if any(m < 1 for _, m in self.mults):
+        object.__setattr__(self, "mults", mults := tuple(sorted(mults, key=lambda rm: (sum(rm[0]), rm[0]))))
+        if any(m < 1 for _, m in mults):
             raise QuiverError("orbit multiplicities must be >= 1")
-        if len({r for r, _ in self.mults}) != len(self.mults):
+        if len({r for r, _ in mults}) != len(mults):
             raise QuiverError("duplicate root in orbit")
-        total = [0] * len(self.dim)
-        for r, m in self.mults:
-            if len(r) != len(self.dim):
+        total = [0] * len(dim)
+        for r, m in mults:
+            if len(r) != len(dim):
                 raise QuiverError("root length does not match dim")
             for i, x in enumerate(r):
                 total[i] += m * x
-        if tuple(total) != self.dim:
-            raise QuiverError(f"multiplicities sum to {tuple(total)}, dim is {self.dim}")
+        if tuple(total) != dim:
+            raise QuiverError(f"multiplicities sum to {tuple(total)}, dim is {dim}")
 
     @classmethod
     def _trusted(cls, dim: Vector, mults: tuple[tuple[Vector, int], ...]) -> "OrbitSpec":
@@ -232,6 +229,11 @@ class OrbitSpec:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "mults", mults)
         return self
+
+    def __hash__(self) -> int:  # computed on first use: a sweep builds orbits it never hashes
+        if (h := getattr(self, "_hash", None)) is None:
+            object.__setattr__(self, "_hash", h := hash((self.dim, self.mults)))
+        return h
 
     def mult_of(self, root: Vector) -> int:
         for r, m in self.mults:
@@ -303,18 +305,15 @@ def orbits(q: Quiver, e: Iterable[int]) -> list[OrbitSpec]:
 # representations
 
 
-@dataclass(frozen=True)
-class QuiverRep:
+class QuiverRep(Record):
     """Matrices of a representation; ``mats[k]`` belongs to ``arrows[k]``
     and has shape dims[head] x dims[tail] (row-major tuples)."""
 
-    dims: Vector
-    mats: tuple[Matrix, ...]
+    __slots__ = _fields = ("dims", "mats")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", integers(self.dims))
-        mats = tuple(tuple(map(integers, sequence(m))) for m in sequence(self.mats))
-        object.__setattr__(self, "mats", mats)
+    def __init__(self, dims: Vector, mats: tuple[Matrix, ...]) -> None:
+        object.__setattr__(self, "dims", integers(dims))
+        object.__setattr__(self, "mats", tuple(tuple(map(integers, sequence(m))) for m in sequence(mats)))
 
 
 def validate_rep(q: Quiver, rep: QuiverRep) -> None:
@@ -449,13 +448,17 @@ def hom_dim(q: Quiver, f_rep: QuiverRep, e_rep: QuiverRep) -> int:
     return _solve(_layout(q, f_rep, e_rep.dims), e_rep)
 
 
+# the positions of a ``_root_index`` entry; STEPS is last, where ``orbit_steps`` unpacks it
+BIT, NEG, POS, ROOT, PLACE, LEVEL, ROW, STEPS = range(8)
+
+
 @cache
 def _root_index(q: Quiver) -> dict[Vector, tuple]:
-    """Per positive root a, in ``positive_roots`` order, built once: (bit 1 << k for the k-th root, the
-    bits of the b with <a, b> < 0, the bits of the b with <b, a> > 0, a, its place, a round of Kahn's
-    algorithm that puts every such b != a in an earlier round, in type A its level among all roots
-    (``_levels``) and else None, its row of <a, b> = sum_v (a_v - sum_{t -> v} a_t) b_v over the roots
-    b, each b dotted with a's linear form, and its steps (v, a_v) for a_v != 0 in ``q.order``)."""
+    """Per positive root a, in ``positive_roots`` order, built once, a tuple of: BIT 1 << k for the k-th
+    root, NEG the bits of the b with <a, b> < 0, POS those of the b with <b, a> > 0, ROOT a, PLACE a round
+    of Kahn's algorithm that puts every such b != a in an earlier one, LEVEL in type A its level among all
+    roots (``_levels``) and else None, ROW its <a, b> = sum_v (a_v - sum_{t -> v} a_t) b_v over the roots
+    b, each b dotted with a's linear form, and STEPS its steps (v, a_v) for a_v != 0 in ``q.order``."""
     roots, tails = positive_roots(q), q.tails
     lins = ([x - sum([a[t - 1] for t in tails[v]]) for v, x in enumerate(a, 1)] for a in roots)
     rows = [tuple([sum(map(mul, lin, b)) for b in roots]) for lin in lins]
@@ -466,7 +469,7 @@ def _root_index(q: Quiver) -> dict[Vector, tuple]:
         done = sum([1 << k for k in place])
         place |= {k: len(place) for k in range(len(roots)) if (neg[k] | pos[k]) & ~done == 1 << k}
     blocks = _levels([(1 << k, neg[k], pos[k], k) for k in place]) if max(map(max, roots)) < 2 else []
-    level = dict.fromkeys(place) | {t[3]: j for j, blk in enumerate(blocks) for t in blk}
+    level = dict.fromkeys(place) | {t[ROOT]: j for j, blk in enumerate(blocks) for t in blk}
     steps = [tuple((v, a[v - 1]) for v in q.order if a[v - 1]) for a in roots]
     return {a: (1 << k, neg[k], pos[k], a, place[k], level[k], rows[k], steps[k]) for k, a in enumerate(roots)}
 
@@ -478,14 +481,14 @@ def _levels(entries: list[tuple]) -> list[list[tuple]]:
     masks, blocks = [], []
     for t in entries:
         k = len(masks)
-        while k and not (t[1] | t[2]) & masks[k - 1]:
+        while k and not (t[NEG] | t[POS]) & masks[k - 1]:
             k -= 1
-        if k and not t[1] & masks[k - 1]:
+        if k and not t[NEG] & masks[k - 1]:
             k -= 1
         if k == len(masks):
             masks.append(0)
             blocks.append([])
-        masks[k] |= t[0]
+        masks[k] |= t[BIT]
         blocks[k].append(t)
     return blocks
 
@@ -509,14 +512,14 @@ def _orbit_side(q: Quiver, orbit: OrbitSpec) -> Side:
     (``_probe_layout``, need) for each alpha with need > max(0, <alpha, e>),
     e = orbit.dim: as dim Hom(M_alpha, V) - dim Ext^1(M_alpha, V) =
     <alpha, e> on a hereditary algebra (Ringel), no other root can fail.  Each
-    <alpha, beta> is read from alpha's row of ``_root_index`` at beta's place."""
+    <alpha, beta> is read from alpha's ROW in ``_root_index`` at k, beta's BIT being 1 << k."""
     index = check_roots(q, orbit.support)
-    at = [(index[b][0].bit_length() - 1, m) for b, m in orbit.mults]
-    column = tuple(sum(m * max(0, row[k]) for k, m in at) for *_, row, _ in index.values())
+    at = [(index[b][BIT].bit_length() - 1, m) for b, m in orbit.mults]
+    column = tuple(sum(m * max(0, t[ROW][k]) for k, m in at) for t in index.values())
     return column, tuple(
         (_probe_layout(q, a, orbit.dim), need)
-        for (a, (*_, row, _)), need in zip(index.items(), column)
-        if need > max(0, sum(m * row[k] for k, m in at))
+        for (a, t), need in zip(index.items(), column)
+        if need > max(0, sum(m * t[ROW][k] for k, m in at))
     )
 
 

@@ -14,11 +14,11 @@ stage vector from ``orbit.dim``.  ``directed_partition`` shares the levels, ``pa
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from operator import itemgetter
-from typing import Iterable, Sequence
 
-from .partitions import instance, integers, sequence
+from .partitions import Record, instance, integers, sequence
+from .quiver import BIT, LEVEL, NEG, PLACE, POS, ROOT  # the fields of a _root_index entry
 from .quiver import (
     OrbitSpec,
     Quiver,
@@ -31,14 +31,13 @@ from .quiver import (
 )
 
 
-@dataclass(frozen=True)
-class DirectedPartition:
+class DirectedPartition(Record):
     """Ordered blocks of roots; order matters across blocks."""
 
-    blocks: tuple[tuple[Vector, ...], ...]
+    __slots__ = _fields = ("blocks",)
 
-    def __post_init__(self) -> None:
-        blocks = (map(integers, sequence(blk)) for blk in sequence(self.blocks))
+    def __init__(self, blocks: tuple[tuple[Vector, ...], ...]) -> None:
+        blocks = (map(integers, sequence(blk)) for blk in sequence(blocks))
         blocks = (sorted(blk, key=lambda d: (sum(d), d)) for blk in blocks)
         object.__setattr__(self, "blocks", tuple(map(tuple, blocks)))
 
@@ -47,19 +46,17 @@ class DirectedPartition:
         return tuple(r for blk in self.blocks for r in blk)
 
 
-@dataclass(frozen=True)
-class ResolutionPair:
+class ResolutionPair(Record):
     """The (vertex, rank) step sequence extracted from a directed partition."""
 
-    vertices: tuple[int, ...]
-    ranks: tuple[int, ...]
+    __slots__ = _fields = ("vertices", "ranks")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", integers(self.vertices))
-        object.__setattr__(self, "ranks", integers(self.ranks))
-        if len(self.vertices) != len(self.ranks):
+    def __init__(self, vertices: tuple[int, ...], ranks: tuple[int, ...]) -> None:
+        object.__setattr__(self, "vertices", vertices := integers(vertices))
+        object.__setattr__(self, "ranks", ranks := integers(ranks))
+        if len(vertices) != len(ranks):
             raise QuiverError("vertex and rank lists differ in length")
-        if any(r < 1 for r in self.ranks):
+        if any(r < 1 for r in ranks):
             raise QuiverError("ranks must be positive")
 
     def steps(self) -> tuple[tuple[int, int], ...]:
@@ -98,25 +95,25 @@ def _check_directed(q: Quiver, blocks: list[list[tuple]]) -> None:
     """Raise unless the blocks of ``_weigh`` entries are non-empty, hold no root twice and are
     directed: no root a has <a, b> < 0 for a b in its own block or a later one, nor <b, a> > 0
     for a b in a later one.  Each test ANDs one of a's bitmasks with the roots from there on."""
-    bits = [t[0] for blk in blocks for t in blk]
+    bits = [t[BIT] for blk in blocks for t in blk]
     if not all(blocks):
         raise QuiverError("empty block")
     if len(set(bits)) < len(bits):
         raise QuiverError("a root appears twice")
     left = sum(bits)
     for blk in blocks:
-        later = left - sum([t[0] for t in blk])
-        for _, neg, pos, a, *_ in blk:
-            if neg & left or pos & later:
-                b = positive_roots(q)[(neg & left or pos & later).bit_length() - 1]
-                raise QuiverError(f"<{a},{b}> < 0" if neg & left else f"<{b},{a}> > 0 across blocks")
+        later = left - sum([t[BIT] for t in blk])
+        for t in blk:
+            if hit := t[NEG] & left or t[POS] & later:
+                a, b = t[ROOT], positive_roots(q)[hit.bit_length() - 1]
+                raise QuiverError(f"<{a},{b}> < 0" if t[NEG] & left else f"<{b},{a}> > 0 across blocks")
         left = later
 
 
 def directed_partition(q: Quiver, roots: Iterable[Vector]) -> DirectedPartition:
     """Greedy directed partition (``greedy_block``): the roots' levels, in the index's order."""
     todo = _weigh(q, [(r, 1) for r in set(map(integers, sequence(roots)))])
-    return DirectedPartition([[t[3] for t in blk] for blk in _levels(sorted(todo, key=itemgetter(4)))])
+    return DirectedPartition([[t[ROOT] for t in blk] for blk in _levels(sorted(todo, key=itemgetter(PLACE)))])
 
 
 def _walk(q: Quiver, cur: list[int], steps: Iterable[tuple[int, int]]) -> list[tuple[int, int, int]]:
@@ -145,12 +142,12 @@ def orbit_steps(q: Quiver, orbit: OrbitSpec, dp: DirectedPartition | None = None
     mults = instance(orbit, OrbitSpec).mults
     if dp is None:
         todo = _weigh(q, mults)
-        if todo and todo[0][5] is None:  # D/E: the index stores no level
-            blocks = _levels(sorted(todo, key=itemgetter(4)))
+        if todo and todo[0][LEVEL] is None:  # D/E: the index stores no level
+            blocks = _levels(sorted(todo, key=itemgetter(PLACE)))
         else:
             groups = {}
             for t in todo:
-                groups.setdefault(t[5], []).append(t)
+                groups.setdefault(t[LEVEL], []).append(t)
             blocks = [groups[k] for k in sorted(groups)]
     else:
         mult = dict(mults)

@@ -6,6 +6,14 @@ import pytest
 
 from quivergk.engine import caveat_for, coefficients, quiver_coefficients
 from quivergk.quiver import (
+    BIT,
+    LEVEL,
+    NEG,
+    PLACE,
+    POS,
+    ROOT,
+    ROW,
+    STEPS,
     OrbitSpec,
     Quiver,
     QuiverError,
@@ -453,13 +461,13 @@ def test_the_index_order_is_a_linear_extension(q):
     off ``euler_form``'s loop over the arrows; in type A each root's stored level is its block in
     the greedy partition of all roots, and in D and E it is None."""
     roots = positive_roots(q)
-    place = {a: entry[4] for a, entry in _root_index(q).items()}
+    place = {a: entry[PLACE] for a, entry in _root_index(q).items()}
     for a, b in itertools.permutations(roots, 2):
         if euler_form(q, a, b) < 0 or euler_form(q, b, a) > 0:
             assert place[b] < place[a], (a, b)
     blocks = directed_partition(q, roots).blocks
     level = {a: k for k, blk in enumerate(blocks) for a in blk} if caveat_for(q) is None else {}
-    assert {a: entry[5] for a, entry in _root_index(q).items()} == {a: level.get(a) for a in roots}
+    assert {a: entry[LEVEL] for a, entry in _root_index(q).items()} == {a: level.get(a) for a in roots}
 
 
 # ---------------------------------------------------------------------------
@@ -571,11 +579,12 @@ def test_euler_table_is_the_euler_form(q):
     roots = positive_roots(q)
     index = _root_index(q)
     assert list(index) == list(roots)
-    for k, (a, (bit, neg, pos, root, _, _, row, steps)) in enumerate(index.items()):
-        assert (bit, root, steps) == (1 << k, a, tuple((v, a[v - 1]) for v in q.order if a[v - 1]))
-        assert row == tuple(euler_form(q, a, b) for b in roots)
-        assert neg == sum(1 << j for j, b in enumerate(roots) if euler_form(q, a, b) < 0)
-        assert pos == sum(1 << j for j, b in enumerate(roots) if euler_form(q, b, a) > 0)
+    for k, (a, t) in enumerate(index.items()):
+        assert len(t) == STEPS + 1
+        assert (t[BIT], t[ROOT], t[STEPS]) == (1 << k, a, tuple((v, a[v - 1]) for v in q.order if a[v - 1]))
+        assert t[ROW] == tuple(euler_form(q, a, b) for b in roots)
+        assert t[NEG] == sum(1 << j for j, b in enumerate(roots) if euler_form(q, a, b) < 0)
+        assert t[POS] == sum(1 << j for j, b in enumerate(roots) if euler_form(q, b, a) > 0)
 
 
 def test_step_tables_give_the_old_widths_and_pairs():
