@@ -110,19 +110,23 @@ def psi(p: TensorElement, i: int, max_rows: int | None = None) -> TensorElement:
     out: dict[tuple, int] = {}
     for key, c in p.terms.items():
         head, mid = key[: i - 1], key[i:-1]
-        for sigma, nu, d in _split_terms(key[i - 1], key[-1], max_rows):
+        for (sigma, nu), d in _split_terms(key[i - 1], key[-1], max_rows):
             k = head + (sigma,) + mid + (nu,)
             out[k] = out.get(k, 0) + c * d
     return TensorElement._trusted(p.arity, {k: v for k, v in out.items() if v})
 
 
-def _split_terms(split: Partition, work: Partition, r: int) -> list[tuple[Partition, Partition, int]]:
-    """The terms (sigma, nu, coeff) of ``split``'s coproduct sigma (x) tau, tau times ``work``
-    expanded (G_() the unit), nu of at most ``r`` rows; r past len(split) shares one memo entry."""
+def _split_terms(split: Partition, work: Partition, r: int) -> Iterable[tuple[TensorKey, int]]:
+    """The terms ((sigma, nu), coeff) of ``split``'s coproduct sigma (x) tau, tau times ``work``
+    expanded, nu of at most ``r`` rows; r past len(split) shares one memo entry.  With ``work``
+    empty (G_() the unit) they are the memoised coproduct's own items, its row cap bounding tau."""
+    terms = coproduct(split, min(r, len(split))).terms.items()
+    if not work:
+        return terms
     return [
-        (sigma, nu, d * cc)
-        for (sigma, tau), d in coproduct(split, min(r, len(split))).terms.items()
-        for nu, cc in (_mul_basis(tau, work) if work else ((tau, 1),))
+        ((sigma, nu), d * cc)
+        for (sigma, tau), d in terms
+        for nu, cc in _mul_basis(tau, work)
         if len(nu) <= r
     ]
 
@@ -168,13 +172,19 @@ def _absorb(out: dict, head: tuple, mid: tuple, row: tuple, pos: tuple, lam: tup
 def _landing_pairs(split: Partition, work: Partition, lam: Partition, r: int, c: int) -> tuple:
     """The merged pairs one fused step writes for a term with ``split`` in the split slot,
     ``work`` in the working slot and ``lam`` in slot i, flat as (sigma_1, kappa_1, d_1, ...),
-    sigma for the split slot and kappa for slot i; each shifted row is built once per nu, and
-    the pairs that cancel are dropped."""
+    sigma for the split slot and kappa for slot i.  Each split term ((sigma, nu), d) lands its
+    shifted row, built once per nu: a row ending at or above lam_1 writes the key
+    (sigma, pos + lam) here, and only a row that straightens goes through ``_absorb``.  The
+    pairs that cancel are dropped."""
     pairs: dict[tuple, int] = {}
     shifts: dict[Partition, tuple] = {}
-    for sigma, nu, d in _split_terms(split, work, r):
+    for (sigma, nu), d in _split_terms(split, work, r):
         row, pos = shifts.get(nu) or shifts.setdefault(nu, _shifted(nu, r, c))
-        _absorb(pairs, (sigma,), (), row, pos, lam, d)
+        if lam and row and row[-1] < lam[0]:
+            _absorb(pairs, (sigma,), (), row, pos, lam, d)
+        else:
+            k = sigma, pos + lam
+            pairs[k] = pairs.get(k, 0) + d
     return tuple(x for (sigma, kappa), d in pairs.items() if d for x in (sigma, kappa, d))
 
 

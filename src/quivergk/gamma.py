@@ -199,10 +199,6 @@ def _lattice_walk(shape: Partition, tail: Partition) -> dict[tuple[int, ...], in
     return {t[1 : len(t) - t.count(0)]: n for t, n in acc.items()}
 
 
-def _sign(k: int) -> int:
-    return -1 if k % 2 else 1
-
-
 # ---------------------------------------------------------------------------
 # structure constants
 
@@ -246,7 +242,7 @@ def _mul_basis(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], ..
     """Full expansion of a basis product, as (partition, coeff) pairs."""
     hits = _lattice_walk(lam, mu)
     base = sum(lam) + sum(mu)
-    return tuple((nu, _sign(sum(nu) - base) * n) for nu, n in hits.items())
+    return tuple((nu, -n if (sum(nu) - base) & 1 else n) for nu, n in hits.items())
 
 
 def mul(a: TensorElement, b: TensorElement) -> TensorElement:
@@ -300,11 +296,10 @@ def coproduct(nu: Partition, max_rows: int | None = None) -> TensorElement:
     # q^m and reads rho = (q + mu, lam); that determines (lam, mu), so no
     # two contents meet in one key and every count stays non-zero
     base = m * q + sum(nu)
-    out: dict[TensorKey, int] = {}
-    for rho, n in hits.items():
-        mu = tuple(x - q for x in rho[:m] if x > q)
-        out[(rho[m:], mu)] = _sign(sum(rho) - base) * n
-    return TensorElement._trusted(2, out)
+    return TensorElement._trusted(2, {
+        (rho[m:], tuple([x - q for x in rho[:m] if x > q])): -n if (sum(rho) - base) & 1 else n
+        for rho, n in hits.items()
+    })
 
 
 @_memo

@@ -247,15 +247,17 @@ class OrbitSpec(Record):
 
 
 @cache
-def _orbit_plan(q: Quiver) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
-    """What ``orbits`` reads of the roots, once per quiver: each simple root's index in
-    ``positive_roots``, and the non-simple roots tallest first as (index, support bitmask,
-    the (i, root_i) of the support)."""
+def _orbit_plan(q: Quiver) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
+    """What ``orbits`` reads of the roots, once per quiver: (index in ``positive_roots``, vertex,
+    root) per simple root in index order, and the non-simple roots by falling index, tallest first
+    as the order is graded, each as (index, root, support bitmask, the (i, root_i) of the support)."""
     roots = positive_roots(q)
-    simple = tuple(roots.index(tuple(int(j == i) for j in range(q.n))) for i in range(q.n))
-    tall = sorted(range(q.n, len(roots)), key=lambda k: -sum(roots[k]))
-    entries = [tuple((i, x) for i, x in enumerate(roots[k]) if x) for k in tall]
-    return simple, tuple((k, sum(1 << i for i, _ in ent), ent) for k, ent in zip(tall, entries))
+    simple = sorted((roots.index(tuple(int(j == i) for j in range(q.n))), i) for i in range(q.n))
+    tall = []
+    for k in range(len(roots) - 1, q.n - 1, -1):
+        ent = tuple((i, x) for i, x in enumerate(roots[k]) if x)
+        tall.append((k, roots[k], sum(1 << i for i, _ in ent), ent))
+    return tuple((k, i, roots[k]) for k, i in simple), tuple(tall)
 
 
 def orbits(q: Quiver, e: Iterable[int]) -> list[OrbitSpec]:
@@ -268,20 +270,21 @@ def orbits(q: Quiver, e: Iterable[int]) -> list[OrbitSpec]:
     whose support meets the remainder's zeros cannot fit, and a bitmask
     test skips it.  Once the picks stop, the remainder is a non-negative
     vector, and a non-negative vector is exactly one sum of simple roots,
-    so each call of the walk closes one orbit, built from the (index, m)
+    so each call of the walk closes one orbit, built from the (root, m)
     pairs picked: its cost is the orbit's support, not the root system.
     The number of calls is the number of orbits, Kostant's partition
     function of ``e``.
     """
     ev = instance(q, Quiver).check_vector(e)
-    roots, (simple, plan) = positive_roots(q), _orbit_plan(q)
+    simple, plan = _orbit_plan(q)
     zeros = sum(1 << i for i, x in enumerate(ev) if not x)
-    tall = [t for t in plan if not t[1] & zeros]
+    tall = [t for t in plan if not t[2] & zeros]
     found: list[tuple[tuple[tuple[int, int], ...], OrbitSpec]] = []
 
-    def dfs(start: int, rest: list[int], zeros: int, picked: tuple[tuple[int, int], ...]) -> None:
+    # the picks come by falling index, so each is put in front: key and mults stay in index order
+    def dfs(start: int, rest: list[int], zeros: int, key: tuple, mults: tuple) -> None:
         for t in range(start, len(tall)):
-            k, support, ent = tall[t]
+            k, root, support, ent = tall[t]
             if support & zeros:
                 continue
             for m in range(1, min(rest[i] // x for i, x in ent) + 1):
@@ -290,13 +293,14 @@ def orbits(q: Quiver, e: Iterable[int]) -> list[OrbitSpec]:
                     left[i] -= m * x
                     if not left[i]:
                         gone |= 1 << i
-                dfs(t + 1, left, gone, picked + ((k, m),))
-        # index order is positive_roots order, and the (-k, m) compare as multiplicity vectors do
-        pairs = sorted(picked + tuple((k, m) for k, m in zip(simple, rest) if m))
-        mults = tuple((roots[k], m) for k, m in pairs)  # the sums are exact
-        found.append((tuple((-k, m) for k, m in pairs), OrbitSpec._trusted(ev, mults)))
+                dfs(t + 1, left, gone, ((-k, m),) + key, ((root, m),) + mults)
+        # index order is positive_roots order, simple roots first, and the (-k, m) compare as
+        # multiplicity vectors do; the sums are exact
+        low = [(k, root, rest[i]) for k, i, root in simple if rest[i]]
+        key = tuple([(-k, m) for k, _, m in low]) + key
+        found.append((key, OrbitSpec._trusted(ev, tuple([(root, m) for _, root, m in low]) + mults)))
 
-    dfs(0, list(ev), zeros, ())
+    dfs(0, list(ev), zeros, (), ())
     found.sort(key=lambda pair: pair[0])
     return [orbit for _, orbit in found]
 
