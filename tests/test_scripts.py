@@ -1,7 +1,12 @@
 """Smoke tests of the experiment scripts: each runs in a subprocess on a
-small input and must exit 0 with a clean report."""
+small input and must exit 0 with a clean report.  The evidence runner's
+digest comparison is also run in process, and the CI workflow's script
+paths are checked to exist."""
 
+import importlib.util
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +14,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("evidence", ROOT / "scripts" / "evidence.py")
+evidence = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(evidence)
 
 
 def spawn(*argv):
@@ -32,8 +40,7 @@ def run_script(*argv):
 @pytest.mark.parametrize(
     "argv, error",
     [
-        (["oracle_sweep.py", "--max-dim", "-1"], "negative max_dim -1"),
-        (["partition_evidence.py", "--max-dim", "-1"], "negative max_dim -1"),
+        (["evidence.py", "--max-dim", "-1"], "negative max_dim -1"),
         (["membership_fuzz.py", "-1", "5"], "negative max_dim -1"),
         (["membership_fuzz.py", "2", "-3"], "negative samples -3"),
         (["membership_fuzz.py", "abc"], "invalid literal for int() with base 10: 'abc'"),
@@ -47,8 +54,7 @@ def run_script(*argv):
         ),
     ],
     ids=[
-        "oracle_sweep.py",
-        "partition_evidence.py",
+        "evidence.py",
         "membership_fuzz.py-max-dim",
         "membership_fuzz.py-samples",
         "membership_fuzz.py-not-an-int",
@@ -66,12 +72,41 @@ def test_bad_max_dim_exits_2(argv, error):
     assert proc.stdout == ""
 
 
-def test_oracle_sweep():
-    lines = run_script("oracle_sweep.py", "--max-dim", "1")
-    assert len(lines) == 2
-    # the 13 orbits of reference.all_mults(1), in each orientation
-    assert all(": 13 orbits," in line for line in lines)
-    assert all(", 0 mismatches," in line for line in lines)
+def test_evidence():
+    lines = run_script("evidence.py", "--max-dim", "1")
+    names = [name for name, _, _ in evidence.CORPUS]
+    assert [line.split(" (max-dim 1): ")[0] for line in lines] == names
+    by_name = dict(zip(names, lines))
+    # the 13 orbits of reference.all_mults(1), in each orientation, against the closed forms
+    for name in ["A3 inbound", "A3 outbound"]:
+        assert ": 13 orbits," in by_name[name]
+        assert ", 0 failures of signs, codim, partition, oracle," in by_name[name]
+    # the 242 orbits of E6 at max-dim 1, 82 of them with a second pair; in type A the
+    # second partition is the support's greedy one, which moves 4 pairs of A4 mixed
+    assert ": 242 orbits, 242 terms, 82 with a different pair," in by_name["E6"]
+    assert ": 34 orbits, 46 terms, 4 with a different pair," in by_name["A4 mixed"]
+    assert all(", 0 failures of " in line and ", digests match, " in line for line in lines)
+
+
+def test_evidence_names_the_first_differing_vector(capsys):
+    # the mismatch path, in process: two stored digests of one corpus altered
+    expected = json.loads(evidence.DIGESTS.read_text())
+    expected["D4 mixed"]["(0, 1, 1, 0)"] = expected["D4 mixed"]["(1, 1, 1, 1)"] = "0" * 16
+    ok, swept = evidence.run(1, expected)
+    assert not ok
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(" (max-dim 1)")[0] for line in out if ", digests differ," in line] == ["D4 mixed"]
+    assert [line for line in out if line.startswith("  ")] == [
+        f"  DIGEST D4 mixed (0, 1, 1, 0): {swept['D4 mixed']['(0, 1, 1, 0)']}, expected {'0' * 16}"
+    ]
+
+
+def test_workflow_scripts_exist():
+    # the workflow has no runner here, so a step naming a deleted script would fail only there
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    paths = set(re.findall(r"(?:scripts|perfbench)/[\w.-]+\.py", workflow))
+    assert "scripts/evidence.py" in paths
+    assert [path for path in sorted(paths) if not (ROOT / path).is_file()] == []
 
 
 def test_root_census():
@@ -84,16 +119,3 @@ def test_membership_fuzz():
     lines = run_script("membership_fuzz.py", "1", "5", "1")
     assert len(lines) == 1
     assert ", 0 disagreements," in lines[0]
-
-
-def test_partition_evidence():
-    lines = run_script("partition_evidence.py", "--max-dim", "1")
-    names = ["D4 inbound", "D4 outbound", "D4 mixed", "E6", "E7", "A3 inbound", "A3 outbound", "A4 mixed"]
-    assert [line.split(":")[0] for line in lines] == [f"{name} (max-dim 1)" for name in names]
-    # the 242 orbits of E6 at max-dim 1, 82 of them with a second pair; in type A the
-    # second partition is the support's greedy one, which moves 4 pairs of A4 mixed
-    assert lines[3].startswith("E6 (max-dim 1): 242 orbits, 82 with a different pair,")
-    assert lines[7].startswith("A4 mixed (max-dim 1): 34 orbits, 4 with a different pair,")
-    for line in lines:
-        count = line.split(": ")[1].split(" ")[0]
-        assert f", {count} full tables equal, {count} pass signs and lowest degree," in line
