@@ -10,8 +10,8 @@ Subcommands::
                     [--max-dim K]
     quivergk member QUIVER.json ORBIT.json --rep REP.json
 
-All interchange is JSON with a fixed term order (total degree, then
-lexicographic on the flattened key), so repeated runs are byte-identical.
+All interchange is JSON with a fixed term order (total degree, then the
+key compared slot by slot), so repeated runs are byte-identical.
 Exit status: 0 on success or a passing check, 1 on a failing check,
 2 on bad input.
 """

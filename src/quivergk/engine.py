@@ -271,12 +271,9 @@ def cohomological_part(table: CoefficientTable) -> TensorElement:
 def check_alternating(table: CoefficientTable) -> list[tuple[tuple, int]]:
     """Terms violating the alternating sign prediction
     sign = (-1)^(degree - codim); empty list means all signs conform."""
-    bad = []
-    for key, c in instance(table, CoefficientTable).tensor.sorted_terms():
-        expected = -1 if (key_degree(key) - table.codim) % 2 else 1
-        if c * expected < 0:
-            bad.append((key, c))
-    return bad
+    tensor, codim = instance(table, CoefficientTable).tensor, table.codim
+    bad = {key: c for key, c in tensor.terms.items() if (c < 0) != ((key_degree(key) - codim) & 1)}
+    return TensorElement._trusted(tensor.arity, bad).sorted_terms()
 
 
 # ---------------------------------------------------------------------------

@@ -388,7 +388,7 @@ def append_unit(p: TensorElement) -> TensorElement:
 
 def key_degree(key: TensorKey) -> int:
     try:
-        return sum(sum(part) for part in key)
+        return sum(map(sum, key))
     except TypeError as exc:
         raise QuiverError(f"not a tensor key: {exc}") from None
 

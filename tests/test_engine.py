@@ -790,6 +790,34 @@ def test_check_alternating_flags_violations(a2):
         orbit=good.orbit,
     )
     assert check_alternating(forged) == [(((), (1, 1)), 1)]
+    # violations at three degrees among conforming terms, inserted out of
+    # (degree, key) order: they come back sorted as ``check --suite signs`` prints them
+    violations = {((1, 1), (1,)): -1, ((1,), (2,)): -1, ((), (2,)): 1, ((), (3,)): -1, ((), (1, 1)): 1, ((), (1,)): -1}
+    conforming = {((), (2, 1)): 1, ((1,), (1,)): -1, ((1,), ()): 1}
+    mixed = [*violations.items(), *conforming.items()]
+    forged = CoefficientTable(
+        quiver=good.quiver,
+        tensor=TensorElement(2, dict(mixed[::2] + mixed[1::2])),
+        codim=good.codim,
+        orbit=good.orbit,
+    )
+    expected = TensorElement(2, violations).sorted_terms()
+    assert expected == [
+        (((), (1,)), -1),
+        (((), (1, 1)), 1),
+        (((), (2,)), 1),
+        (((), (3,)), -1),
+        (((1,), (2,)), -1),
+        (((1, 1), (1,)), -1),
+    ]
+    assert check_alternating(forged) == expected
+    # a real D4-in table negated: every term violates, in the table's own order
+    d4 = Quiver(4, ((1, 4), (2, 4), (3, 4)))
+    orbit = OrbitSpec((1, 1, 1, 2), (((1, 0, 0, 0), 1), ((0, 0, 1, 1), 1), ((0, 1, 0, 1), 1)))
+    real = quiver_coefficients(d4, orbit.dim, orbit)
+    negated = CoefficientTable(quiver=d4, tensor=(-1) * real.tensor, codim=real.codim, orbit=orbit)
+    assert len(negated.tensor.terms) == 8
+    assert check_alternating(negated) == negated.tensor.sorted_terms()
 
 
 def test_cohomological_part_is_bottom_slice(a2):

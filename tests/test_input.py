@@ -176,6 +176,7 @@ BAD_CALLS = {
     "float in a list partition of coproduct2": lambda: (coproduct2((2, 1)), coproduct2([2.0, 1])),
     "float in a list partition of lr_coeff": lambda: (lr_coeff((1,), (1,), (2,)), lr_coeff([1.0], [1], [2])),
     "key of key_degree not a sequence": lambda: key_degree(5),
+    "parts of a key_degree key not sequences": lambda: key_degree((1, 2)),
     # each of these raised already, from a check that no other row reaches
     "slot 0": lambda: a_op(TensorElement.unit(2), 0, 1, 0),
     "negative rank of a_op": lambda: a_op(TensorElement.unit(2), 1, -1, 0),
