@@ -356,8 +356,12 @@ def test_criterion_10_root_systems():
 
 def test_criterion_11_membership_matches_rank_conditions():
     """Hom-dimension membership agrees with the three defining rank bounds
-    of inbound orbit closures on 100 random integer points per orbit."""
+    of inbound orbit closures on 100 random integer points per orbit: the
+    280 orbits with entries <= 3, 28,000 points, 7,637 of them members.
+    This is the package's one seeded membership fuzz; the benchmark's
+    ``membership`` workload draws its own points from a given seed."""
     rng = random.Random(1153)
+    points = members = 0
     for m in all_mults(3):
         e1, e2, e3 = m.dim
         orbit = m.orbit()
@@ -376,4 +380,8 @@ def test_criterion_11_membership_matches_rank_conditions():
                 and fraction_rank([a + b for a, b in zip(phi1, phi3)])
                 <= m.m12 + m.m23 + m.m13
             )
-            assert in_orbit_closure(INBOUND, rep, orbit) == expected, (m, rep)
+            inside = in_orbit_closure(INBOUND, rep, orbit)
+            assert inside == expected, (m, rep)
+            points += 1
+            members += inside
+    assert (points, members) == (28_000, 7_637)

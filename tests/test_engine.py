@@ -33,6 +33,7 @@ from quivergk.quiver import (
     Quiver,
     QuiverError,
     euler_form,
+    in_orbit_closure,
     opposite,
     orbits,
     positive_roots,
@@ -45,7 +46,7 @@ from quivergk.resolution import (
     resolution_pair,
 )
 
-from reference import conjugate, fold_every_head, pair_stages, partitions_fitting, tensor_mul_at
+from reference import conjugate, fold_every_head, orbit_rep, pair_stages, partitions_fitting, tensor_mul_at
 
 
 def a2_orbit(m11, m12, m22):
@@ -764,6 +765,102 @@ def test_an_ext_orthogonal_summand_keeps_the_table(q, max_dim, pairs):
                 assert (bigger.tensor, bigger.codim) == (table.tensor, table.codim), (orbit, beta)
                 seen += 1
     assert seen == pairs
+
+
+@pytest.mark.parametrize(
+    "q, degenerations",
+    [
+        (INBOUND, 109),
+        (OUTBOUND, 109),
+        (Quiver(4, ((1, 2), (3, 2), (3, 4))), 1454),
+        (Quiver(4, ((1, 4), (2, 4), (3, 4))), 1871),
+        (Quiver(4, ((1, 2), (2, 3), (2, 4))), 1871),
+    ],
+    ids=["A3-in", "A3-out", "A4-mixed", "D4-in", "D4-mixed"],
+)
+def test_a_degeneration_raises_codim(q, degenerations):
+    """An orbit in the closure of another orbit of its dimension vector lies in the closure's
+    boundary, so its codim is larger.  Membership is ``in_orbit_closure`` on the representative
+    ``orbit_rep``, the codims are the tables', so this ties the membership layer to the engine;
+    entries <= 2, which on D4 reach the root (1, 1, 1, 2)."""
+    seen = 0
+    for e in itertools.product(range(3), repeat=q.n):
+        found = [(orbit, orbit_rep(q, orbit), quiver_coefficients(q, e, orbit).codim) for orbit in orbits(q, e)]
+        for (orbit, _, cd), (other, rep, other_cd) in itertools.permutations(found, 2):
+            if in_orbit_closure(q, rep, orbit):
+                assert other_cd > cd, (orbit, other)
+                seen += 1
+    assert seen == degenerations
+
+
+@pytest.mark.parametrize(
+    "q, sigma, max_dim, pairs",
+    [
+        (INBOUND, (3, 2, 1), 3, 280),
+        (OUTBOUND, (3, 2, 1), 3, 280),
+        (Quiver(4, ((1, 4), (2, 4), (3, 4))), (2, 1, 3, 4), 2, 448),
+        (Quiver(4, ((1, 4), (2, 4), (3, 4))), (2, 3, 1, 4), 2, 448),
+        (Quiver(4, ((4, 1), (4, 2), (4, 3))), (2, 1, 3, 4), 2, 448),
+        (Quiver(4, ((4, 1), (4, 2), (4, 3))), (2, 3, 1, 4), 2, 448),
+        (Quiver(6, ((1, 2), (2, 3), (4, 3), (5, 4), (6, 3))), (5, 4, 3, 2, 1, 6), 1, 242),
+    ],
+    ids=["A3-in-13", "A3-out-13", "D4-in-12", "D4-in-123", "D4-out-12", "D4-out-123", "E6-15-24"],
+)
+def test_an_automorphism_permutes_the_slots(q, sigma, max_dim, pairs):
+    """A permutation sigma of the vertices (vertex v goes to sigma[v - 1]) that maps the arrows
+    onto themselves relabels every representation, and so every orbit closure, of the quiver:
+    the table of sigma(orbit) is the orbit's table with slot v moved to slot sigma(v), at the
+    same codim."""
+    assert sorted((sigma[t - 1], sigma[h - 1]) for t, h in q.arrows) == sorted(q.arrows)
+
+    def move(vector):
+        out = [None] * q.n
+        for v, x in enumerate(vector):
+            out[sigma[v] - 1] = x
+        return tuple(out)
+
+    seen = 0
+    for e in itertools.product(range(max_dim + 1), repeat=q.n):
+        for orbit in orbits(q, e):
+            table = quiver_coefficients(q, e, orbit)
+            image = OrbitSpec(move(e), tuple((move(r), m) for r, m in orbit.mults))
+            moved = quiver_coefficients(q, image.dim, image)
+            assert moved.tensor.terms == {move(key): c for key, c in table.tensor.terms.items()}, orbit
+            assert moved.codim == table.codim
+            seen += 1
+    assert seen == pairs
+
+
+@pytest.mark.parametrize(
+    "edges, max_dim, counts",
+    [
+        (((1, 2), (2, 3), (3, 4)), 2, (3240, 8872)),
+        (((1, 4), (2, 4), (3, 4)), 2, (3584, 14874)),
+        (((1, 2), (2, 3), (3, 4), (3, 5)), 1, (1472, 2193)),
+        (((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)), 1, (7744, 13607)),
+    ],
+    ids=["A4", "D4", "D5", "E6"],
+)
+def test_every_orientation_obeys_the_degree_laws(edges, max_dim, counts):
+    """Every orientation of the Dynkin graph (each edge flipped or not): no sign against
+    (-1)^(degree - codim), lowest degree = codim, and the other greedy directed partition gives
+    the same full table and codim.  The other partition is chosen as ``scripts/evidence.py``
+    chooses it: all roots' on D and E, where the default is the support's, and the support's in
+    type A.  The sign law is proved only for equioriented type A (``buch:alternating``,
+    ``miller:alternating``); on the other orientations and on D and E it is evidence."""
+    seen = terms = 0
+    for flips in itertools.product((False, True), repeat=len(edges)):
+        q = Quiver(max(map(max, edges)), tuple((h, t) if f else (t, h) for (t, h), f in zip(edges, flips)))
+        all_roots = caveat_for(q) and directed_partition(q, positive_roots(q))
+        for table, failure in sweep(q, max_dim, "signs"):
+            orbit = table.orbit
+            assert failure is None
+            assert min_degree(table.tensor) == table.codim, orbit
+            pair = resolution_pair(q, orbit, all_roots or directed_partition(q, orbit.support))
+            assert coefficients(q, orbit.dim, pair) == (table.tensor, table.codim), orbit
+            seen += 1
+            terms += len(table.tensor.terms)
+    assert (seen, terms) == counts
 
 
 def test_alternating_signs_clean_a3(inbound):

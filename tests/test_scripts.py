@@ -42,11 +42,6 @@ def run_script(*argv):
     [
         (["evidence.py", "--max-dim", "-1"], "negative max_dim -1"),
         (["evidence.py", "--write", "--max-dim", "-1"], "negative max_dim -1"),
-        (["membership_fuzz.py", "-1", "5"], "negative max_dim -1"),
-        (["membership_fuzz.py", "2", "-3"], "negative samples -3"),
-        (["membership_fuzz.py", "abc"], "invalid literal for int() with base 10: 'abc'"),
-        (["root_census.py", "--max-a", "-1"], "--max-a must be at least 1, got -1"),
-        (["root_census.py", "--max-d", "2"], "--max-d must be at least 4, got 2"),
         (["bench_pairs.py", "no-such-revision"], "unknown revision no-such-revision"),
         (
             ["bench_pairs.py", "HEAD", "--claim", "a3-outbound"],
@@ -58,11 +53,6 @@ def run_script(*argv):
     ids=[
         "oracle_sweep.py",
         "partition_evidence.py",
-        "membership_fuzz.py-max-dim",
-        "membership_fuzz.py-samples",
-        "membership_fuzz.py-not-an-int",
-        "root_census.py-max-a",
-        "root_census.py-max-d",
         "bench_pairs.py-revision",
         "bench_pairs.py-claim",
     ],
@@ -127,11 +117,6 @@ def test_workflow_scripts_exist():
 
 def test_root_census():
     lines = run_script("root_census.py")
-    assert lines
+    families = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"]
+    assert [line.split()[0] for line in lines] == families
     assert all(line.rstrip().endswith("ok") for line in lines)
-
-
-def test_membership_fuzz():
-    lines = run_script("membership_fuzz.py", "1", "5", "1")
-    assert len(lines) == 1
-    assert ", 0 disagreements," in lines[0]
