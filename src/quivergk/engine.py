@@ -76,9 +76,9 @@ def caveat_for(q: Quiver) -> str | None:
 
 
 class CoefficientTable(Record):
-    """Result bundle of one orbit-closure expansion: tensor and codim of ``orbit`` (dimension
-    vector ``orbit.dim``); a directed partition's pair is ``resolution_pair(quiver, orbit, dp)``,
-    and the caveat is read off the quiver by ``caveat_for``."""
+    """Tensor and codim of ``orbit`` (dimension vector ``orbit.dim``), of the default partition from
+    ``quiver_coefficients`` or of a given one's pair as ``CoefficientTable(q, *coefficients(q, e,
+    resolution_pair(q, orbit, dp)), orbit)``; the caveat is read off the quiver by ``caveat_for``."""
 
     __slots__ = _fields = ("quiver", "tensor", "codim", "orbit")
 
@@ -237,29 +237,24 @@ def _fold(p: TensorElement, q: Quiver, steps: list[tuple[int, int, int]]) -> Ten
 
 
 def coefficients(q: Quiver, e: tuple[int, ...], pair: ResolutionPair) -> tuple[TensorElement, int]:
-    """Tensor (one slot per vertex) and codim (the steps' sum of r * c) of a resolution pair."""
+    """Tensor (a slot per vertex) and codim (sum of r * c) of a pair, a partition's from ``resolution_pair``."""
     steps, unit = pair_steps(q, e, pair), TensorElement._trusted(q.n, {((),) * q.n: 1})
     return _fold(unit, q, steps), sum(r * c for _, r, c in steps)
 
 
-def quiver_coefficients(
-    q: Quiver,
-    e: tuple[int, ...],
-    orbit: OrbitSpec,
-    dp: DirectedPartition | None = None,
-) -> CoefficientTable:
+def quiver_coefficients(q: Quiver, e: tuple[int, ...], orbit: OrbitSpec) -> CoefficientTable:
     """Full expansion of one orbit closure.
 
-    The steps, and the codim read off them, come from ``orbit_steps`` in one pass; their pair
-    is ``resolution_pair(q, orbit, dp)``.  The directed partition defaults to the greedy one of
-    all roots in type A and of the orbit's support in D/E, where the table is flagged (see
-    ``caveat_for``).  An orbit that uses a vector which is not a positive root of ``q`` raises
+    The steps, and the codim read off them, come from ``orbit_steps`` in one pass for the greedy
+    partition of all roots in type A and of the orbit's support in D/E, where the table is
+    flagged (see ``caveat_for``); a given partition's is ``coefficients(q, e, resolution_pair(q,
+    orbit, dp))``.  An orbit that uses a vector which is not a positive root of ``q`` raises
     ``QuiverError`` where the pass looks it up in the root bitmasks.
     """
     ev = instance(q, Quiver).check_vector(e)
     if instance(orbit, OrbitSpec).dim != ev:
         raise QuiverError(f"orbit has dim {orbit.dim}, expected {ev}")
-    steps, unit = orbit_steps(q, orbit, dp), TensorElement._trusted(q.n, {((),) * q.n: 1})
+    steps, unit = orbit_steps(q, orbit), TensorElement._trusted(q.n, {((),) * q.n: 1})
     return CoefficientTable(q, _fold(unit, q, steps), sum(r * c for _, r, c in steps), orbit)
 
 
@@ -301,19 +296,20 @@ def _check_codim(table: CoefficientTable, _: None) -> dict | None:
     return None if lowest == table.codim else {"codim": table.codim, "min_degree": lowest}
 
 
-def _check_independence(table: CoefficientTable, dp: DirectedPartition | None) -> dict | None:
-    """Compare with the greedy partition the default does not run: the support's in full in type
-    A, ``dp`` (all roots') on the degree-equals-codim slice under the caveat; report both pairs."""
+def _check_independence(table: CoefficientTable, all_roots: DirectedPartition | None) -> dict | None:
+    """Fold the greedy partition the default does not run through its pair, as ``scripts/evidence.py``
+    does: the support's, compared in full, in type A; ``all_roots`` (all roots') under the caveat,
+    compared on the degree-equals-codim slice.  Report both pairs."""
     q, orbit = table.quiver, table.orbit
-    dp = dp if table.caveat else directed_partition(q, orbit.support)
-    other = quiver_coefficients(q, orbit.dim, orbit, dp=dp)
-    if table.caveat:
-        agree = cohomological_part(table) == cohomological_part(other)
+    pair = resolution_pair(q, orbit, all_roots or directed_partition(q, orbit.support))
+    tensor, cd = coefficients(q, orbit.dim, pair)
+    if all_roots:
+        agree = cohomological_part(table) == project_degree(tensor, cd)
     else:
-        agree = table.tensor == other.tensor
-    if agree and table.codim == other.codim:
+        agree = table.tensor == tensor
+    if agree and table.codim == cd:
         return None
-    pairs = {"pair_a": resolution_pair(q, orbit), "pair_b": resolution_pair(q, orbit, dp)}
+    pairs = {"pair_a": resolution_pair(q, orbit), "pair_b": pair}
     return {name: {"i": list(p.vertices), "r": list(p.ranks)} for name, p in pairs.items()}
 
 

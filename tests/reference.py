@@ -15,7 +15,7 @@ a number that ``quivergk`` computes another way:
   trying every multiplicity tuple, which ``all_mults``, the same orbits
   read off ``quiver.orbits`` by ``oracle_a3.mults_from_orbit``, must list;
 - the A2 closed form ``porteous``: a rank stratum of two vertices is one
-  rectangle class;
+  rectangle class, the stratum ``a2_orbit`` names by its multiplicities;
 - ``pair_stages``, the stage vector each step of a resolution pair acts
   on, for ``engine.phi``;
 - ``fold_every_head``, the step fold that splits every out-slot of a
@@ -461,6 +461,13 @@ def porteous(e1: int, e2: int, r: int) -> TensorElement:
     if not 0 <= r <= min(e1, e2):
         raise QuiverError(f"rank {r} out of range for {(e1, e2)}")
     return TensorElement(2, {((), normalize((e1 - r,) * (e2 - r))): 1})
+
+
+def a2_orbit(m11: int, m12: int, m22: int) -> OrbitSpec:
+    """The A2 orbit with m11 copies of (1, 0), m12 of (1, 1) and m22 of (0, 1)."""
+    e = (m11 + m12, m12 + m22)
+    mults = [(r, m) for r, m in [((1, 0), m11), ((1, 1), m12), ((0, 1), m22)] if m]
+    return OrbitSpec(e, tuple(mults))
 
 
 def pair_stages(q: Quiver, e: Iterable[int], pair: ResolutionPair) -> list[tuple[int, int, tuple[int, ...]]]:

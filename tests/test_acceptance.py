@@ -16,7 +16,9 @@ from functools import cache
 from reference import A2, all_mults, classical_lr, fraction_rank, porteous, rectangle_coproduct_coeff, straightening_law
 from quivergk.engine import (
     CAVEAT_FLAG,
+    CoefficientTable,
     check_alternating,
+    coefficients,
     quiver_coefficients,
 )
 from quivergk.gamma import (
@@ -130,7 +132,7 @@ def type_a_corpus():
                 out.append(
                     (
                         quiver_coefficients(q, e, orbit),
-                        quiver_coefficients(q, e, orbit, dp=support),
+                        CoefficientTable(q, *coefficients(q, e, resolution_pair(q, orbit, support)), orbit),
                         support,
                     )
                 )
@@ -151,7 +153,7 @@ def d4_corpus():
                 out.append(
                     (
                         quiver_coefficients(q, e, orbit),
-                        quiver_coefficients(q, e, orbit, dp=full),
+                        CoefficientTable(q, *coefficients(q, e, resolution_pair(q, orbit, full)), orbit),
                         full,
                     )
                 )

@@ -95,7 +95,6 @@ BAD_CALLS = {
     "arity mismatch": lambda: TensorElement.unit(1) + TensorElement.unit(2),
     # each of these once raised AttributeError, or checked nothing until the first next()
     "orbit not an OrbitSpec": lambda: quiver_coefficients(INBOUND, (1, 1, 1), ((1, 1, 1),)),
-    "partition not a DirectedPartition": lambda: quiver_coefficients(INBOUND, (1, 1, 1), ORBIT, BLOCKS),
     "pair of coefficients not a ResolutionPair": lambda: coefficients(INBOUND, (1, 1, 1), ((2,), (1,))),
     "pair of codim not a ResolutionPair": lambda: codim(INBOUND, (1, 1, 1), ((2,), (1,))),
     "partition of resolution_pair not a DirectedPartition": lambda: resolution_pair(INBOUND, ORBIT, BLOCKS),
@@ -116,11 +115,7 @@ BAD_CALLS = {
     "reps of hom_dim not QuiverReps": lambda: hom_dim(INBOUND, 5, 5),
     "orbit of hom_table not an OrbitSpec": lambda: hom_table(INBOUND, REP, 5),
     # each of these once returned a table or a pair
-    "non-directed partition of quiver_coefficients": lambda: quiver_coefficients(
-        INBOUND, (1, 1, 1), SPLIT, dp=NOT_DIRECTED
-    ),
     "non-directed partition of resolution_pair": lambda: resolution_pair(INBOUND, SPLIT, NOT_DIRECTED),
-    "empty block of quiver_coefficients": lambda: quiver_coefficients(INBOUND, (1, 1, 1), SPLIT, dp=EMPTY_BLOCK),
     "empty block of resolution_pair": lambda: resolution_pair(INBOUND, SPLIT, EMPTY_BLOCK),
     # each of these once raised AttributeError on an int where a TensorElement or a Quiver belongs
     "tensor of psi not a TensorElement": lambda: psi(5, 1),

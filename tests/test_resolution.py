@@ -35,7 +35,7 @@ from quivergk.resolution import (
     validate_directed,
 )
 
-from reference import pair_stages, validate_directed_pairwise
+from reference import a2_orbit, pair_stages, validate_directed_pairwise
 
 A11, A12, A13 = (1, 0, 0), (1, 1, 0), (1, 1, 1)
 A22, A23, A33 = (0, 1, 0), (0, 1, 1), (0, 0, 1)
@@ -52,12 +52,6 @@ E8 = Quiver(8, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)))
 D5 = Quiver(5, ((1, 2), (2, 3), (3, 4), (3, 5)))
 A5_ALTERNATING = Quiver(5, ((1, 2), (3, 2), (3, 4), (5, 4)))
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))
-
-
-def a2_orbit(m11, m12, m22):
-    e = (m11 + m12, m12 + m22)
-    mults = [(r, m) for r, m in [((1, 0), m11), ((1, 1), m12), ((0, 1), m22)] if m]
-    return OrbitSpec(e, tuple(mults))
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +353,16 @@ def _reference_pair(q, orbit, blocks):
 )
 def test_one_pass_pair_is_the_reference_partitions_pair(q, max_dim, given):
     """The one pass gives each orbit the pair of a set-based greedy partition,
-    and ``coefficients`` on that pair gives the engine table's tensor and codim.
+    and ``coefficients`` on that pair gives the default table's tensor and codim.
     By default that is the partition of all positive roots in type A and of the
-    orbit's support in D and E; with ``given``, the other one, passed as ``dp``."""
+    orbit's support in D and E; with ``given``, the other one, passed as ``dp``
+    and folded through its pair, as ``scripts/evidence.py`` folds it."""
     all_roots = (caveat_for(q) is None) != given
     for e in itertools.product(range(max_dim + 1), repeat=q.n):
         for orb in orbits(q, e):
             roots = positive_roots(q) if all_roots else orb.support
             dp = directed_partition(q, roots) if given else None
-            table = quiver_coefficients(q, e, orb, dp)
+            table = quiver_coefficients(q, e, orb)
             pair = resolution_pair(q, orb, dp)
             blocks = _set_based_partition(q, roots)
             want = resolution_pair(q, orb, DirectedPartition(blocks))
@@ -387,15 +382,16 @@ def _orbits_upto(q, max_dim):
 )
 def test_every_directed_partition_of_the_support_gives_the_default_table(q, max_dim, directed):
     """Type A: each ordered set partition of an orbit's support that ``validate_directed``
-    accepts gives the default table and codim; ``directed`` counts those partitions."""
+    accepts, folded through its pair, gives the default table and codim; ``directed``
+    counts those partitions."""
     count = 0
     for orb in _orbits_upto(q, max_dim):
         table = quiver_coefficients(q, orb.dim, orb)
         for blocks in _ordered_set_partitions(orb.support):
             dp = DirectedPartition(blocks)
             if _accepts(lambda: validate_directed(q, dp)):
-                other = quiver_coefficients(q, orb.dim, orb, dp)
-                assert (other.tensor, other.codim) == (table.tensor, table.codim), blocks
+                other = coefficients(q, orb.dim, resolution_pair(q, orb, dp))
+                assert other == (table.tensor, table.codim), blocks
                 count += 1
     assert count == directed
 
