@@ -57,7 +57,7 @@ from quivergk import (
     validate_directed,
 )
 from quivergk.oracle_a3 import interval_root
-from quivergk.quiver import check_roots, source_rank
+from quivergk.quiver import check_roots, source_rank, validate_rep
 from quivergk.resolution import pair_steps
 
 from reference import A2
@@ -75,6 +75,8 @@ EMPTY_BLOCK = DirectedPartition((((0, 1, 1),), (), ((1, 0, 0),)))
 # 1 -> 2 <- 3 at e = (0, 2, 0): two rank-1 steps at vertex 2, c = -1 then 0, so codim -1
 SINK = Quiver(3, ((1, 2), (3, 2)))
 NEGATIVE = ResolutionPair((2, 2), (1, 1))
+A1 = Quiver(1, ())
+EDGE = QuiverRep((1, 1), (((1,),),))  # the identity on 1 -> 2
 
 # each call once raised TypeError, a bare ValueError, or returned a wrong answer
 BAD_CALLS = {
@@ -172,6 +174,11 @@ BAD_CALLS = {
     "float in a list partition of lr_coeff": lambda: (lr_coeff((1,), (1,), (2,)), lr_coeff([1.0], [1], [2])),
     "key of key_degree not a sequence": lambda: key_degree(5),
     "parts of a key_degree key not sequences": lambda: key_degree((1, 2)),
+    # each of these once passed, or gave a negative hom dimension (-3, -1 and -2)
+    "negative dims of validate_rep": lambda: validate_rep(A1, QuiverRep((-3,), ())),
+    "negative dims of hom_dim on A1": lambda: hom_dim(A1, QuiverRep((1,), ()), QuiverRep((-3,), ())),
+    "negative e-dims of hom_dim on A2": lambda: hom_dim(A2, EDGE, QuiverRep((-1, 0), ((),))),
+    "negative f-dims of hom_dim on A2": lambda: hom_dim(A2, QuiverRep((-2, 0), ((),)), EDGE),
     # each of these raised already, from a check that no other row reaches
     "slot 0": lambda: a_op(TensorElement.unit(2), 0, 1, 0),
     "negative rank of a_op": lambda: a_op(TensorElement.unit(2), 1, -1, 0),

@@ -25,7 +25,7 @@ from quivergk.quiver import (
 )
 
 from quivergk import quiver
-from quivergk.quiver import _orbit_side, _probe_layout, _solve
+from quivergk.quiver import _bareiss_rank, _orbit_side, _probe_layout, _solve
 
 from reference import all_mults, brute_force_mults, direct_sum, fraction_rank, orbit_rep
 
@@ -964,6 +964,59 @@ def test_membership_stops_at_the_first_failing_root(monkeypatch):
     assert failed > 100
 
 
+def test_bareiss_rank_matches_fraction_rank_on_random_matrices():
+    # every shape from 0 x 0 to 6 x 6, with zero rows and columns, entries
+    # of +-10**6 and pivots that are not units
+    rng = random.Random(50)
+    entries = (0, 0, 0, 1, -1, 2, -2, 3, 5, -7, 10**6, -(10**6))
+    for rows, cols in itertools.product(range(7), repeat=2):
+        for _ in range(40):
+            m = [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
+            if rows and rng.random() < 0.3:
+                m[rng.randrange(rows)] = [0] * cols
+            if cols and rng.random() < 0.3:
+                zero = rng.randrange(cols)
+                for row in m:
+                    row[zero] = 0
+            expected = fraction_rank(m)
+            assert _bareiss_rank([row[:] for row in m]) == expected, m
+
+
+def test_bareiss_rank_matches_fraction_rank_on_every_membership_system(monkeypatch):
+    # every system the solves build for the benchmark's membership corpus (50
+    # seeded points per orbit of A3-in <= 3, drawn as perfbench draws them at
+    # its default seed), and every root solved on D4-in <= 2, whose probes
+    # with an entry 2 are random integer matrices (pivots not units)
+    from quivergk import clear_caches
+
+    systems = set()
+
+    def recorded(m):
+        systems.add(tuple(map(tuple, m)))
+        return _bareiss_rank(m)
+
+    clear_caches()  # the probes' own End = k draws are solved too
+    monkeypatch.setattr(quiver, "_bareiss_rank", recorded)
+    a3 = Quiver(3, ((1, 2), (3, 2)))
+    rng = random.Random(1153)
+    for orbit in all_orbits(a3, 3):
+        for k in range(50):
+            lo, hi = (-1, 1) if k % 2 else (-2, 2)
+            mats = tuple(
+                tuple(tuple(rng.randint(lo, hi) for _ in range(orbit.dim[t - 1])) for _ in range(orbit.dim[1]))
+                for t in (1, 3)
+            )
+            in_orbit_closure(a3, QuiverRep(orbit.dim, mats), orbit)
+    d4 = Quiver(4, ((1, 4), (2, 4), (3, 4)))
+    for orbit in all_orbits(d4, 2):
+        hom_table(d4, orbit_rep(d4, orbit), orbit)
+        hom_table(d4, _random_rep(d4, orbit.dim, rng), orbit)
+    monkeypatch.undo()
+    assert len(systems) > 9_000
+    for m in systems:
+        assert _bareiss_rank(list(map(list, m))) == fraction_rank(m), m
+
+
 def test_a_failed_probe_list_is_not_memoised():
     d4 = Quiver(4, ((1, 4), (2, 4), (3, 4)))
     fake = OrbitSpec((1, 1, 1, 3), (((1, 1, 1, 3), 1),))
@@ -1008,6 +1061,10 @@ def test_a_bad_representation_is_reported_before_a_bad_orbit(rep, message):
         (QuiverRep((2, 2, 2), (((1, 0), (0, 1)), ((1, 0), (0,)))), "matrix for arrow (3,2) is not 2x2"),
         (QuiverRep((2, 2, 2), (((1, 0), (0, 1)), ((1, 0),))), "matrix for arrow (3,2) is not 2x2"),
         (QuiverRep((1, 1, 1), (((1,),), ((1,),))), "dimension vectors differ: (1, 1, 1) vs (2, 2, 2)"),
+        (QuiverRep((2, 2, 2), (((1, 0), (0, 1, 0)), ((1, 0), (0, 1)))), "matrix for arrow (1,2) is not 2x2"),
+        (QuiverRep((2, 2, 2), (((1, 0, 0), (0, 1, 0)),) * 2), "matrix for arrow (1,2) is not 2x2"),
+        # a shape error is reported before a dimension mismatch
+        (QuiverRep((1, 1, 1), (((1, 0),), ((1,),))), "matrix for arrow (1,2) is not 1x1"),
     ],
 )
 def test_membership_rejects_malformed_reps_with_the_same_text(inbound, rep, message):
@@ -1017,6 +1074,9 @@ def test_membership_rejects_malformed_reps_with_the_same_text(inbound, rep, mess
             query(inbound, rep, orbit)
         assert str(err.value) == message
     if not message.startswith("dimension"):
+        with pytest.raises(QuiverError) as err:
+            validate_rep(inbound, rep)
+        assert str(err.value) == message
         with pytest.raises(QuiverError) as err:
             hom_dim(inbound, indecomposable_rep(inbound, A13), rep)
         assert str(err.value) == message
