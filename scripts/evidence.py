@@ -21,9 +21,9 @@ import sys
 import time
 from pathlib import Path
 
-from quivergk.engine import _check_codim, _check_oracle, _oracle_reference, caveat_for, coefficients, sweep
+from quivergk.engine import SUITES, _check_codim, _check_oracle, _oracle_reference, coefficients, sweep
 from quivergk.oracle_a3 import INBOUND, OUTBOUND
-from quivergk.quiver import Quiver, QuiverError, positive_roots
+from quivergk.quiver import Quiver, QuiverError
 from quivergk.resolution import directed_partition, resolution_pair
 
 DIGESTS = Path(__file__).resolve().parents[1] / "tests" / "golden" / "digests.json"
@@ -46,7 +46,7 @@ def report(name, q, cap, expected):
     nothing), with the digests the sweep made."""
     t0 = time.process_time()
     oracle = _oracle_reference(q) if q in (INBOUND, OUTBOUND) else None
-    all_roots = caveat_for(q) and directed_partition(q, positive_roots(q))
+    all_roots = SUITES["independence"][0](q)  # the suite's setup: all roots' partition on D/E, else None
     hashes, failures = {}, []
     count = terms = moved = 0
     for table, sign_failure in sweep(q, cap, "signs"):

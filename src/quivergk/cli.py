@@ -29,7 +29,6 @@ from .engine import (
     _terms_payload,
     caveat_for,
     coefficients,
-    quiver_coefficients,
     sweep,
 )
 from .gamma import TensorElement, project_degree
@@ -44,7 +43,7 @@ from .quiver import (
     orbits,
     positive_roots,
 )
-from .resolution import ResolutionPair
+from .resolution import ResolutionPair, resolution_pair
 
 
 def _read(path: str, what: str, parse: Callable[[object], object]) -> object:
@@ -135,11 +134,8 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     q = quiver_from_file(args.quiver)
     orbit = orbit_from_file(args.orbit, q)
     caveat = caveat_for(q)
-    if args.pair == "auto":
-        table = quiver_coefficients(q, orbit.dim, orbit)
-        tensor, cd = table.tensor, table.codim
-    else:
-        tensor, cd = coefficients(q, orbit.dim, pair_from_file(args.pair))
+    pair = resolution_pair(q, orbit) if args.pair == "auto" else pair_from_file(args.pair)
+    tensor, cd = coefficients(q, orbit.dim, pair)
     if args.cohomological:
         tensor = project_degree(tensor, cd)
     if args.format == "table":

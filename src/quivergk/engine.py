@@ -18,11 +18,12 @@ A3-in <= 4 and D4 <= 2 with E7 <= 1, 1,787 / 1,726 / 4,953 are identity steps, 1
 The last split runs fused with the absorption, so its working slot is
 never stored: each (split, working partition, lam) triple is expanded
 once per step (r, c) into the merged pairs it writes into the split slot
-and slot i, those that cancel dropped, memoised across calls and orbits
-by ``_landing_pairs``, and spliced into each term's context in slot
-order.  The lowest total degree of the result is the orbit closure's codimension.  Type A
-tables do not depend on the directed partition, so type A runs the greedy partition of all
-roots, its levels stored in the root index, and D/E that of the support (``orbit_steps``).
+and slot i (each row through ``_absorb``, the one place that straightens or prepends), those
+that cancel dropped, memoised across calls and orbits by ``_landing_pairs``, and spliced into
+each term's context in slot order.  The lowest total degree of the result is the orbit
+closure's codimension.  Type A tables do not depend on the directed partition, so type A runs
+the greedy partition of all roots, its levels stored in the root index, and D/E that of the
+support (``orbit_steps``).
 
 A step of rank r keeps only the terms whose working partition has at
 most r rows.  Every partition in a product of stable Grothendieck classes
@@ -173,18 +174,13 @@ def _landing_pairs(split: Partition, work: Partition, lam: Partition, r: int, c:
     """The merged pairs one fused step writes for a term with ``split`` in the split slot,
     ``work`` in the working slot and ``lam`` in slot i, flat as (sigma_1, kappa_1, d_1, ...),
     sigma for the split slot and kappa for slot i.  Each split term ((sigma, nu), d) lands its
-    shifted row, built once per nu: a row ending at or above lam_1 writes the key
-    (sigma, pos + lam) here, and only a row that straightens goes through ``_absorb``.  The
-    pairs that cancel are dropped."""
+    shifted row, built once per nu, through ``_absorb`` with sigma as the head.  The pairs that
+    cancel are dropped."""
     pairs: dict[tuple, int] = {}
     shifts: dict[Partition, tuple] = {}
     for (sigma, nu), d in _split_terms(split, work, r):
         row, pos = shifts.get(nu) or shifts.setdefault(nu, _shifted(nu, r, c))
-        if lam and row and row[-1] < lam[0]:
-            _absorb(pairs, (sigma,), (), row, pos, lam, d)
-        else:
-            k = sigma, pos + lam
-            pairs[k] = pairs.get(k, 0) + d
+        _absorb(pairs, (sigma,), (), row, pos, lam, d)
     return tuple(x for (sigma, kappa), d in pairs.items() if d for x in (sigma, kappa, d))
 
 

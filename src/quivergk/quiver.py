@@ -278,13 +278,12 @@ def orbits(q: Quiver, e: Iterable[int]) -> list[OrbitSpec]:
     ev = instance(q, Quiver).check_vector(e)
     simple, plan = _orbit_plan(q)
     zeros = sum(1 << i for i, x in enumerate(ev) if not x)
-    tall = [t for t in plan if not t[2] & zeros]
     found: list[tuple[tuple[tuple[int, int], ...], OrbitSpec]] = []
 
     # the picks come by falling index, so each is put in front: key and mults stay in index order
     def dfs(start: int, rest: list[int], zeros: int, key: tuple, mults: tuple) -> None:
-        for t in range(start, len(tall)):
-            k, root, support, ent = tall[t]
+        for t in range(start, len(plan)):
+            k, root, support, ent = plan[t]
             if support & zeros:
                 continue
             for m in range(1, min(rest[i] // x for i, x in ent) + 1):

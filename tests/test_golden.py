@@ -9,7 +9,9 @@ coefficient, term order or caveat fails here.  The D4-mixed
 (1->2->3, 2->4) and E7 cases were added later, written by the engine
 that still split every out-slot of a step, before it split only the
 out-slots that hold a partition; each has a step with one out-slot
-filled and one empty.
+filled and one empty.  Each case without a pair is run a second time with
+``--pair`` naming a file that holds ``resolution_pair(q, orbit)``, and must
+print the same golden bytes: ``coeffs`` folds both choices through one route.
 
 Each case in ``ORBIT_CASES`` names a quiver and a dimension vector;
 ``tests/golden/orbits-<name>.json`` holds the exact stdout of
@@ -160,9 +162,11 @@ def run_cli(argv: list[str]) -> str:
     return out
 
 
-def coeffs_stdout(name: str) -> str:
-    """Run ``quivergk coeffs`` in-process on one case and return stdout."""
-    arrows, mults, pair = CASES[name]
+def coeffs_stdout(name: str, pair: dict | None = None) -> str:
+    """Run ``quivergk coeffs`` in-process on one case and return stdout; ``pair``, when given,
+    replaces the case's own as the ``--pair`` file."""
+    arrows, mults, own = CASES[name]
+    pair = own if pair is None else pair
     n = len(mults[0][0])
     dim = [sum(m * root[k] for root, m in mults) for k in range(n)]
     with tempfile.TemporaryDirectory() as tmp:
@@ -249,6 +253,21 @@ def test_coeffs_matches_golden(name):
     with open(golden_path(name), "r", encoding="utf-8", newline="") as fh:
         expected = fh.read()
     assert coeffs_stdout(name) == expected
+
+
+@pytest.mark.parametrize("name", sorted(name for name, case in CASES.items() if case[2] is None))
+def test_coeffs_of_the_default_pair_file_matches_the_auto_golden(name):
+    """``--pair auto`` and ``--pair FILE`` holding ``resolution_pair(q, orbit)`` print the same bytes."""
+    from quivergk.quiver import OrbitSpec, Quiver
+    from quivergk.resolution import resolution_pair
+
+    arrows, mults, _ = CASES[name]
+    n = len(mults[0][0])
+    dim = [sum(m * root[k] for root, m in mults) for k in range(n)]
+    pair = resolution_pair(Quiver(n, arrows), OrbitSpec(dim, mults))
+    with open(golden_path(name), "r", encoding="utf-8", newline="") as fh:
+        expected = fh.read()
+    assert coeffs_stdout(name, {"i": list(pair.vertices), "r": list(pair.ranks)}) == expected
 
 
 @pytest.mark.parametrize("name", sorted(ORBIT_CASES))
