@@ -83,10 +83,6 @@ def _emit(payload: object) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _coeffs_payload(tensor: TensorElement, cd: int, caveat: str | None) -> dict:
-    return {"codim": cd, "caveat": caveat, "terms": _terms_payload(tensor.sorted_terms())}
-
-
 def _print_table(tensor: TensorElement, cd: int, caveat: str | None) -> None:
     print(f"codim {cd}" + (f"   [{caveat}]" if caveat else ""))
     rows = [
@@ -99,8 +95,7 @@ def _print_table(tensor: TensorElement, cd: int, caveat: str | None) -> None:
         print(f"{left.ljust(width)}  {right}")
 
 
-def cmd_roots(args: argparse.Namespace) -> int:
-    q = quiver_from_file(args.quiver)
+def cmd_roots(q: Quiver, args: argparse.Namespace) -> int:
     roots = positive_roots(q)
     _emit({"type": dynkin_type(q), "roots": [list(r) for r in roots]})
     return 0
@@ -116,8 +111,7 @@ def _parse_dim(text: str, n: int) -> tuple[int, ...]:
     return dim
 
 
-def cmd_orbits(args: argparse.Namespace) -> int:
-    q = quiver_from_file(args.quiver)
+def cmd_orbits(q: Quiver, args: argparse.Namespace) -> int:
     dim = _parse_dim(args.dim, q.n)
     found = orbits(q, dim)
     _emit(
@@ -130,8 +124,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_coeffs(args: argparse.Namespace) -> int:
-    q = quiver_from_file(args.quiver)
+def cmd_coeffs(q: Quiver, args: argparse.Namespace) -> int:
     orbit = orbit_from_file(args.orbit, q)
     caveat = caveat_for(q)
     pair = resolution_pair(q, orbit) if args.pair == "auto" else pair_from_file(args.pair)
@@ -141,12 +134,11 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     if args.format == "table":
         _print_table(tensor, cd, caveat)
     else:
-        _emit(_coeffs_payload(tensor, cd, caveat))
+        _emit({"codim": cd, "caveat": caveat, "terms": _terms_payload(tensor.sorted_terms())})
     return 0
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    q = quiver_from_file(args.quiver)
+def cmd_check(q: Quiver, args: argparse.Namespace) -> int:
     results = [failure for _, failure in sweep(q, args.max_dim, args.suite)]
     failures = [failure for failure in results if failure]
     _emit(
@@ -160,21 +152,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def cmd_member(args: argparse.Namespace) -> int:
-    q = quiver_from_file(args.quiver)
+def cmd_member(q: Quiver, args: argparse.Namespace) -> int:
     orbit = orbit_from_file(args.orbit, q)
     rep = rep_from_file(args.rep, orbit.dim)
-    rows = hom_table(q, rep, orbit)
-    member = all(h_rep >= h_orb for _, h_rep, h_orb in rows)
-    _emit(
-        {
-            "member": member,
-            "hom_table": [
-                {"root": list(r), "rep": h_rep, "orbit": h_orb, "ok": h_rep >= h_orb}
-                for r, h_rep, h_orb in rows
-            ],
-        }
-    )
+    rows = [
+        {"root": list(r), "rep": h_rep, "orbit": h_orb, "ok": h_rep >= h_orb}
+        for r, h_rep, h_orb in hom_table(q, rep, orbit)
+    ]
+    _emit({"member": all(row["ok"] for row in rows), "hom_table": rows})
     return 0
 
 
@@ -226,7 +211,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(quiver_from_file(args.quiver), args)
     except QuiverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,8 +4,8 @@ Elements are finite integer combinations of pure tensors of basis
 classes indexed by partitions: one ``TensorElement`` type for every
 arity, a ring element being the arity-1 case keyed by ``(lam,)``.  Only
 the public constructor normalises and merges keys; everything built
-inside the package goes through ``_trusted``, with zero coefficients
-dropped as they arise.
+inside the package goes through ``_trusted``, each result dropping its
+zero coefficients once, when it is built.
 
 Structure constants (products and coproducts) are computed by one
 shared enumerator over set-valued fillings of a partition whose reading
@@ -44,15 +44,6 @@ _BIG = 1 << 30
 TensorKey = tuple[Partition, ...]
 
 
-def _add_term(out: dict[tuple, int], key: tuple, c: int) -> None:
-    """Add ``c`` to ``out[key]``, dropping the key when it reaches zero."""
-    val = out.get(key, 0) + c
-    if val:
-        out[key] = val
-    elif key in out:
-        del out[key]
-
-
 class TensorElement:
     """Integer combination of pure tensors of basis classes.
 
@@ -73,8 +64,9 @@ class TensorElement:
             key = sequence(key, self.arity)
             (c,) = integers((c,))
             if c:
-                _add_term(clean, tuple(normalize(part) for part in key), c)
-        self.terms = clean
+                key = tuple(normalize(part) for part in key)
+                clean[key] = clean.get(key, 0) + c
+        self.terms = {k: v for k, v in clean.items() if v}
 
     @classmethod
     def _trusted(cls, arity: int, terms: dict[TensorKey, int]) -> "TensorElement":
@@ -100,8 +92,8 @@ class TensorElement:
             raise QuiverError("arity mismatch")
         out = dict(self.terms)
         for key, c in other.terms.items():
-            _add_term(out, key, c)
-        return TensorElement._trusted(self.arity, out)
+            out[key] = out.get(key, 0) + c
+        return TensorElement._trusted(self.arity, {k: v for k, v in out.items() if v})
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
         return self + (-1) * other
@@ -255,8 +247,8 @@ def mul(a: TensorElement, b: TensorElement) -> TensorElement:
     for (lam,), c in a.terms.items():
         for (mu,), d in b.terms.items():
             for nu, cc in _mul_basis(lam, mu):
-                _add_term(out, (nu,), c * d * cc)
-    return TensorElement._trusted(1, out)
+                out[(nu,)] = out.get((nu,), 0) + c * d * cc
+    return TensorElement._trusted(1, {k: v for k, v in out.items() if v})
 
 
 @_memo
@@ -315,8 +307,8 @@ def coproduct2(nu: Partition) -> TensorElement:
     out: dict[TensorKey, int] = {}
     for (kappa, m3), c1 in coproduct(normalize(nu)).terms.items():
         for (m1, m2), c2 in coproduct(kappa).terms.items():
-            _add_term(out, (m1, m2, m3), c1 * c2)
-    return TensorElement._trusted(3, out)
+            out[(m1, m2, m3)] = out.get((m1, m2, m3), 0) + c1 * c2
+    return TensorElement._trusted(3, {k: v for k, v in out.items() if v})
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +347,16 @@ def straighten(seq: Iterable[int]) -> TensorElement:
             return {(a,) + mu if a > 0 else mu: 1}
         out = memo.get((a, mu))
         if out is None:
-            out = memo[a, mu] = {}
+            out = {}
             q = mu[0]
             for k in range(a + 1, q + 1):
                 for nu, c in insert(k, mu[1:]).items():
-                    _add_term(out, (q,) + nu, c)  # nu_1 <= q: final
+                    head = (q,) + nu  # nu_1 <= q: final
+                    out[head] = out.get(head, 0) + c
                     if k < q:
                         for lam, d in insert(q - 1, nu).items():
-                            _add_term(out, lam, -c * d)
+                            out[lam] = out.get(lam, 0) - c * d
+            out = memo[a, mu] = {k: v for k, v in out.items() if v}
         return out
 
     tail: dict[Partition, int] = {(): 1}
@@ -370,8 +364,8 @@ def straighten(seq: Iterable[int]) -> TensorElement:
         placed: dict[Partition, int] = {}
         for mu, c in tail.items():
             for lam, d in insert(a, mu).items():
-                _add_term(placed, lam, c * d)
-        tail = placed
+                placed[lam] = placed.get(lam, 0) + c * d
+        tail = {k: v for k, v in placed.items() if v}
     _straighten_cache[seq] = TensorElement._trusted(1, {(lam,): c for lam, c in tail.items()})
     return _straighten_cache[seq]
 

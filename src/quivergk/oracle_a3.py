@@ -15,7 +15,7 @@ spelled once in ``_INTERVALS``; ``all_mults`` in ``tests/reference.py`` lists th
 
 from __future__ import annotations
 
-from .gamma import TensorElement, _add_term, _mul_basis, coproduct, coproduct2
+from .gamma import TensorElement, _mul_basis, coproduct, coproduct2
 from .partitions import Partition, Record, instance, integers, normalize
 from .quiver import OrbitSpec, Quiver, QuiverError
 
@@ -92,8 +92,9 @@ def inbound_table(m: A3OrbitMults) -> TensorElement:
                     raise AssertionError(
                         f"middle key {mid} too wide for rectangle prefix {width}"
                     )
-                _add_term(out, (lam, normalize(prefix + mid), nu), d1 * d2 * c)
-    return TensorElement._trusted(3, out)  # normal keys, zeros dropped by _add_term
+                key = (lam, normalize(prefix + mid), nu)
+                out[key] = out.get(key, 0) + d1 * d2 * c
+    return TensorElement._trusted(3, {k: v for k, v in out.items() if v})  # normal keys, zeros dropped
 
 
 # ---------------------------------------------------------------------------
@@ -108,5 +109,6 @@ def outbound_table(m: A3OrbitMults) -> TensorElement:
     right = (m.m22 + m.m12,) * m.m33
     out: dict[tuple, int] = {}
     for (lam, mu, nu), d in coproduct2(rect).terms.items():
-        _add_term(out, (normalize(left + lam), mu, normalize(right + nu)), d)
-    return TensorElement._trusted(3, out)  # normal keys, zeros dropped by _add_term
+        key = (normalize(left + lam), mu, normalize(right + nu))
+        out[key] = out.get(key, 0) + d
+    return TensorElement._trusted(3, {k: v for k, v in out.items() if v})  # normal keys, zeros dropped

@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from quivergk.engine import _absorb, _shifted, _split_absorb, psi
-from quivergk.gamma import TensorElement, _add_term, _mul_basis, append_unit, basis, lr_coeff, straighten
+from quivergk.gamma import TensorElement, _mul_basis, append_unit, basis, lr_coeff, straighten
 from quivergk.oracle_a3 import INBOUND, A3OrbitMults, mults_from_orbit
 from quivergk.partitions import Partition, QuiverError, instance, integers, normalize, sequence
 from quivergk.quiver import OrbitSpec, Quiver, QuiverRep, check_roots, euler_form, indecomposable_rep, orbits
@@ -561,8 +561,9 @@ def tensor_mul_at(p: TensorElement, slot: int, g: TensorElement) -> TensorElemen
     for key, c in p.terms.items():
         for (lam,), cg in g.terms.items():
             for nu, cc in _mul_basis(key[slot - 1], lam):
-                _add_term(out, key[: slot - 1] + (nu,) + key[slot:], c * cg * cc)
-    return TensorElement._trusted(p.arity, out)
+                k = key[: slot - 1] + (nu,) + key[slot:]
+                out[k] = out.get(k, 0) + c * cg * cc
+    return TensorElement._trusted(p.arity, {k: v for k, v in out.items() if v})
 
 
 # ---------------------------------------------------------------------------

@@ -416,6 +416,28 @@ def test_missing_key_error_line(capsys, tmp_path, a2_file, zero_orbit_file, kind
     assert err == f"error: bad {kind} file {path}: {key}\n"
 
 
+@pytest.mark.parametrize("command", ["orbits", "coeffs", "check", "member"])
+def test_every_subcommand_gives_the_quiver_error_lines(capsys, tmp_path, zero_orbit_file, command):
+    # the quiver kind above runs through roots; every subcommand reads its quiver the same way
+    rep = write_json(tmp_path / "rep.json", {"matrices": [[[0]]]})
+    absent, broken = tmp_path / "absent.json", tmp_path / "broken.json"
+    broken.write_text("not json")
+    partial = write_json(tmp_path / "partial.json", MISSING_KEY["quiver"][0])
+    lines = {
+        str(absent): f"cannot read {absent}: [Errno 2] No such file or directory: '{absent}'",
+        str(broken): f"cannot read {broken}: Expecting value: line 1 column 1 (char 0)",
+        partial: f"bad quiver file {partial}: {MISSING_KEY['quiver'][1]}",
+    }
+    for path, line in lines.items():
+        argv = {
+            "orbits": ["orbits", path, "--dim", "1,1"],
+            "coeffs": ["coeffs", path, zero_orbit_file],
+            "check": ["check", path, "--suite", "signs"],
+            "member": ["member", path, zero_orbit_file, "--rep", rep],
+        }[command]
+        assert run(capsys, argv) == (2, "", f"error: {line}\n")
+
+
 # each kind's file with one entry that is not a JSON integer
 NON_INTEGER = {
     "quiver": lambda bad: {"vertices": 2, "arrows": [[bad, 2]]},

@@ -26,7 +26,10 @@ arrow; ``tests/golden/member-<name>.json`` holds the exact stdout of
 ``quivergk member`` for it.  Those files were written before
 ``hom_table`` and ``in_orbit_closure`` shared one input check, so a
 change to the hom table's rows, their order or the verdict fails here.
-The D4 case uses the root (1,1,1,2).
+The D4 case uses the root (1,1,1,2).  The two A2 cases and the D4 case
+of the tall root (1,2,1,1) were added later, written while ``member``
+still compared each hom row twice, once for the verdict and once for the
+row's ``ok``.
 
 Each case in ``ROOTS_CASES`` names a quiver; ``tests/golden/roots-<name>.json``
 holds the exact stdout of ``quivergk roots`` for it: the Dynkin type label
@@ -61,6 +64,7 @@ A4_MIXED = [[1, 2], [3, 2], [3, 4]]
 D4_IN = [[1, 4], [2, 4], [3, 4]]
 D4_OUT = [[4, 1], [4, 2], [4, 3]]
 D4_MIXED = [[1, 2], [2, 3], [2, 4]]
+D4_CENTRE_2 = [[1, 2], [3, 2], [4, 2]]
 E6 = [[1, 2], [2, 3], [3, 4], [4, 5], [3, 6]]
 E7 = [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [3, 7]]
 E8 = [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7], [3, 8]]
@@ -131,6 +135,16 @@ MEMBER_CASES = {
     # two equal lines into k^2: every rep of this dimension is in the
     # closure of the dense orbit of M_(1,1,1,2)
     "d4-in-1112": (D4_IN, [((1, 1, 1, 2), 1)], [[[1], [0]], [[1], [0]], [[0], [1]]]),
+    # the zero map lies in the closure of the zero orbit of (1,1)
+    "a2-zero-orbit-zero-map": (A2, [((1, 0), 1), ((0, 1), 1)], [[[0]]]),
+    # a non-zero map does not: the row of the root (1,0) fails
+    "a2-zero-orbit-unit-map": (A2, [((1, 0), 1), ((0, 1), 1)], [[[1]]]),
+    # three distinct lines into k^2 at the centre 2: the orbit of the tall root (1,2,1,1)
+    "d4-centre-2-tall-1211": (
+        D4_CENTRE_2,
+        [((1, 2, 1, 1), 1)],
+        [[[1], [-1]], [[-1], [-1]], [[0], [1]]],
+    ),
 }
 
 
